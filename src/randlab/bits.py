@@ -17,11 +17,6 @@ def validate_bits(s: str) -> str:
     return s
 
 
-def is_prefix(a: str, b: str) -> bool:
-    """a is a (non-strict) prefix of b."""
-    return b.startswith(a)
-
-
 def all_strings(n: int):
     """All binary strings of length n, in lexicographic order."""
     for bits in product("01", repeat=n):

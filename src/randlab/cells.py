@@ -107,9 +107,6 @@ class Region:
         return Region.from_pairs(out)
 
 
-Box = tuple  # tuple of per-coordinate (lo, hi) interval pairs
-
-
 @dataclass
 class NamingOutcome:
     """Result of naming a point to a requested depth.
@@ -226,9 +223,10 @@ class BinaryDigitsDecomposition(_IntervalDecomposition):
 class BaryGroupedDecomposition(_IntervalDecomposition):
     """Base-b digits read through grouped binary splits.
 
-    Each node is an interval together with the number of digit values already
-    peeled off: bit 0 selects the next digit value, bit 1 defers among the
-    remaining ones (the final deferral lands on the last digit directly).
+    Each node is a digit interval [L/b^k, (L+1)/b^k) together with the number
+    of digit values already peeled off: bit 0 selects the next digit value,
+    bit 1 defers among the remaining ones (the final deferral lands on the
+    last digit directly).
     """
 
     def __init__(self, base: int):
@@ -236,7 +234,7 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
             raise ConstructionError("digit base must be at least 2")
         super().__init__(kind="bary_grouped", label=f"bary{base}", spec_name=f"bary:{base}")
         self.base = base
-        self._state = {"": (ZERO, ONE, 0)}  # sigma -> (lo of digit interval, width, peeled)
+        self._state = {"": (0, 0, 0)}  # sigma -> (L, k, peeled), all ints
 
     def _root(self):
         return Region.interval(0, 1)
@@ -245,21 +243,21 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
         got = self._state.get(sigma)
         if got is not None:
             return got
-        lo, w, peeled = self._node_state(sigma[:-1])
+        low, k, peeled = self._node_state(sigma[:-1])
         b = self.base
-        step = w / b
         if sigma[-1] == "0":
-            value = (lo + peeled * step, step, 0)
+            value = (low * b + peeled, k + 1, 0)
         elif peeled + 1 == b - 1:
-            value = (lo + (b - 1) * step, step, 0)
+            value = (low * b + b - 1, k + 1, 0)
         else:
-            value = (lo, w, peeled + 1)
+            value = (low, k, peeled + 1)
         self._state[sigma] = value
         return value
 
     def _region_of_state(self, state):
-        lo, w, peeled = state
-        return Region.interval(lo + peeled * (w / self.base), lo + w)
+        low, k, peeled = state
+        b = self.base
+        return Region.interval(RAT(low * b + peeled, b ** (k + 1)), RAT(low + 1, b**k))
 
     def cell(self, sigma: str):
         got = self._cells.get(sigma)
@@ -272,8 +270,8 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
         return self.cell(sigma + "0"), self.cell(sigma + "1")
 
     def cell_mass(self, sigma: str):
-        lo, w, peeled = self._node_state(sigma)
-        return w * (self.base - peeled) / self.base
+        _, k, peeled = self._node_state(sigma)
+        return RAT(self.base - peeled, self.base ** (k + 1))
 
 
 class InterleaveDecomposition(CellDecomposition):

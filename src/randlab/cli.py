@@ -97,8 +97,9 @@ def cmd_audit(opts, raw_args) -> int:
         elif check == "ville":
             if mart is None:
                 raise SpecParseError("ville check needs --martingale")
-            for c in opts.c.split(","):
-                if opts.mc_samples:
+            cs = opts.c.split(",")
+            if opts.mc_samples:
+                for c in cs:
                     estimate, bound = ville_monte_carlo(
                         mart, opts.n, parse_rational(c), opts.mc_samples, seed=opts.seed
                     )
@@ -112,8 +113,8 @@ def cmd_audit(opts, raw_args) -> int:
                         if not ok:
                             report.failed = True
                     report.line(line)
-                else:
-                    res = ville_audit(mart, opts.n, parse_rational(c))
+            else:
+                for res in ville_audit(mart, opts.n, None, thresholds=[parse_rational(c) for c in cs]):
                     verdict = "pass" if res.passed else "FAIL"
                     report.line(
                         f"check ville n={res.n} c={format_rational(res.threshold)}: {verdict} "
@@ -125,9 +126,6 @@ def cmd_audit(opts, raw_args) -> int:
             raise SpecParseError(f"unknown check {check!r}")
     _emit(report, opts.out)
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
-
-
-_CHAIN = ["martingale", "savings", "integral", "bounded_ml", "vitali"]
 
 
 def cmd_convert(opts, raw_args) -> int:

@@ -36,9 +36,12 @@ def enumeration_limit() -> int:
     if raw is None:
         return DEFAULT_DEPTH_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
+        if limit < 0:
+            raise ValueError
     except ValueError:
-        return DEFAULT_DEPTH_LIMIT
+        raise PreconditionError(f"{DEPTH_LIMIT_ENV} must be a nonnegative integer, got {raw!r}") from None
+    return limit
 
 
 def check_enumeration_depth(n: int) -> None:

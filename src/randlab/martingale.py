@@ -3,6 +3,7 @@ measure, the savings transform, capital traces, and exhaustive audits."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import PreconditionError, check_enumeration_depth
@@ -37,33 +38,55 @@ class Martingale:
         return self._capital_fn(sigma)
 
 
-class QuotientKernel:
+class _PairKernel:
+    """Tree walker whose payloads carry exact values as unnormalized int pairs.
+
+    Subclasses provide root(), children(sigma, payload) and read_pair(payload)
+    -> (mass_num, mass_den, cap_num, cap_den), every den > 0 and cap_num None
+    where the capital is undefined; the exhaustive audits walk those pairs.
+    """
+
+    def read(self, payload):
+        """(mass, capital) as exact rationals, where values leave the pairs."""
+        mn, md, cn, cd = self.read_pair(payload)
+        return RAT(mn, md), (None if cn is None else RAT(cn, cd))
+
+
+class QuotientKernel(_PairKernel):
     """Fused walker for numerator/denominator martingales: payloads carry the
-    (base mass, numerator mass) pair down the tree."""
+    base mass and the numerator mass down the tree as unnormalized int pairs
+    (mass_num, mass_den, nu_num, nu_den)."""
 
     def __init__(self, nu: Measure, mu: Measure):
         self.nu = nu
         self.mu = mu
 
     def root(self):
-        return (self.mu.mass(""), self.nu.mass(""))
+        m, n = self.mu.mass(""), self.nu.mass("")
+        return (m.numerator, m.denominator, n.numerator, n.denominator)
 
     def children(self, sigma: str, payload):
-        m, n = payload
-        m0, m1 = self.mu.children_masses(sigma, m)
-        n0, n1 = self.nu.children_masses(sigma, n)
-        return (m0, n0), (m1, n1)
+        mn, md, nn, nd = payload
+        (a0, b0), (a1, b1) = self.mu.children_pairs(sigma, mn, md)
+        (c0, e0), (c1, e1) = self.nu.children_pairs(sigma, nn, nd)
+        return (a0, b0, c0, e0), (a1, b1, c1, e1)
 
-    def read(self, payload):
-        m, n = payload
-        return (m, None) if m == 0 else (m, n / m)
+    def read_pair(self, payload):
+        mn, md, nn, nd = payload
+        if mn == 0:
+            return mn, md, None, 1
+        if mn < 0:
+            return mn, md, -nn * md, -nd * mn
+        return mn, md, nn * md, nd * mn
 
 
-class SavingsKernel:
+class SavingsKernel(_PairKernel):
     """Fused walker for the savings recursion stacked on a source kernel.
 
-    Payloads are (source payload, N, f); below a null cylinder the N and f
-    slots are unused.
+    Payloads are (source payload, N, F, D): total capital N/D and savings
+    floor F/D over one shared denominator, divided by gcd(N, F, D) at every
+    node (unreduced, the denominator's bit length roughly triples per
+    level).  Below a null cylinder the N, F, D slots are unused.
     """
 
     def __init__(self, inner, shift: bool, scale=ONE):
@@ -73,34 +96,58 @@ class SavingsKernel:
 
     def root(self):
         payload = self.inner.root()
-        _, cap = self.inner.read(payload)
-        return (payload, (cap + self.offset) * self.scale, ZERO)
+        _, _, cn, cd = self.inner.read_pair(payload)
+        n = (cn + self.offset * cd) * self.scale.numerator
+        d = cd * self.scale.denominator
+        g = gcd(n, d)
+        return (payload, n // g, 0, d // g)
 
     def children(self, sigma: str, payload):
-        src, n_here, f_here = payload
-        src0, src1 = self.inner.children(sigma, src)
-        _, cap = self.inner.read(src)
+        src, n_here, f_here, den = payload
+        inner, offset = self.inner, self.offset
+        src0, src1 = inner.children(sigma, src)
         active = n_here - f_here
+        if active:
+            # parent source capital plus offset is shifted/cd
+            _, _, cn, cd = inner.read_pair(src)
+            shifted = cn + offset * cd
         out = []
         for branch in (src0, src1):
-            mass_b, cap_b = self.inner.read(branch)
+            mass_b, _, cn_b, cd_b = inner.read_pair(branch)
             if mass_b == 0:
-                out.append((branch, ZERO, ZERO))
-            elif active == 0:
-                out.append((branch, f_here, f_here))
+                out.append((branch, 0, 0, 1))
+            elif not active:
+                out.append((branch, f_here, f_here, den))
             else:
-                n_b = f_here + ((cap_b + self.offset) / (cap + self.offset)) * active
-                f_b = max(f_here, n_b - 1)
-                out.append((branch, n_b, f_b))
+                # n_b = f + ratio * active with ratio = rn/rd, over den * rd
+                rn = (cn_b + offset * cd_b) * cd
+                rd = cd_b * shifted
+                if rd <= 0:
+                    if rd == 0:
+                        raise ZeroDivisionError(f"savings recursion divides by zero capital at {sigma!r}")
+                    rn, rd = -rn, -rd
+                d_b = den * rd
+                f_b = f_here * rd
+                n_b = f_b + rn * active
+                f_b = max(f_b, n_b - d_b)
+                g = gcd(n_b, f_b, d_b)
+                out.append((branch, n_b // g, f_b // g, d_b // g))
         return tuple(out)
 
-    def read(self, payload):
-        src, n_here, _ = payload
-        mass, _ = self.inner.read(src)
-        return (mass, None) if mass == 0 else (mass, n_here)
+    def read_pair(self, payload):
+        src, n_here, _, den = payload
+        mn, md, _, _ = self.inner.read_pair(src)
+        if mn == 0:
+            return mn, md, None, 1
+        return mn, md, n_here, den
+
+    def read_floor(self, payload):
+        """The savings floor at a positive cylinder, as an exact rational."""
+        _, _, f_here, den = payload
+        return RAT(f_here, den)
 
 
-class CapitalFnKernel:
+class CapitalFnKernel(_PairKernel):
     """Fallback walker querying the public capital function per node."""
 
     def __init__(self, mart):
@@ -112,8 +159,12 @@ class CapitalFnKernel:
     def children(self, sigma: str, payload):
         return (sigma + "0", sigma + "1")
 
-    def read(self, payload):
-        return (self.mart.base.mass(payload), self.mart.capital(payload))
+    def read_pair(self, payload):
+        m = self.mart.base.mass(payload)
+        c = self.mart.capital(payload)
+        if c is None:
+            return m.numerator, m.denominator, None, 1
+        return m.numerator, m.denominator, c.numerator, c.denominator
 
 
 def from_measures(nu: Measure, mu: Measure, label=None) -> Martingale:
@@ -186,17 +237,17 @@ def to_measure(mart: Martingale, label=None) -> Measure:
         got = memo.get(sigma)
         if got is not None:
             return got
-        m, cap = kernel.read(payload(sigma))
-        if m > 0:
-            value = cap * m
+        mn, md, cn, cd = kernel.read_pair(payload(sigma))
+        if mn > 0:
+            value = RAT(cn * mn, cd * md)
         elif sigma == "":
             value = ZERO
         else:
             parent, bit = sigma[:-1], sigma[-1]
             sibling = parent + ("1" if bit == "0" else "0")
-            m_sib, cap_sib = kernel.read(payload(sibling))
-            if m_sib > 0:
-                value = nu(parent) - cap_sib * m_sib
+            sn, sd, csn, csd = kernel.read_pair(payload(sibling))
+            if sn > 0:
+                value = nu(parent) - RAT(csn * sn, csd * sd)
             else:
                 value = ZERO
         memo[sigma] = value
@@ -307,32 +358,38 @@ def check_fairness(mart: Martingale, depth: int) -> AuditReport:
 
     Library-built martingales carry a fused tree kernel that produces the
     same values as the public capital function; hand-built ones are walked
-    through capital() directly.
+    through capital() directly.  Values travel as unnormalized int pairs
+    compared by cross-multiplication.
     """
+    check_enumeration_depth(depth)
     kernel = mart.kernel or CapitalFnKernel(mart)
     report = AuditReport()
-
-    def visit(sigma: str, payload):
-        """Returns capital*mass (with the "undefined * 0 = 0" convention)."""
-        m, c = kernel.read(payload)
-        if c is None and m != 0:
-            report.add(f"capital undefined on positive cylinder {sigma!r}")
-        elif c is not None and m == 0:
-            report.add(f"capital defined on null cylinder {sigma!r}: {c}")
-        elif c is not None and c < 0:
-            report.add(f"negative capital at {sigma!r}: {c}")
-        term = ZERO if (c is None or m == 0) else c * m
-        if len(sigma) < depth:
-            report.checked += 1
-            p0, p1 = kernel.children(sigma, payload)
-            lhs = visit(sigma + "0", p0) + visit(sigma + "1", p1)
-            if m > 0 and lhs != term:
-                report.add(f"fairness fails at {sigma!r}: {lhs} != {term}")
-        return term
-
     if depth > 0:
-        visit("", kernel.root())
+        _fairness_visit(kernel, report, depth, "", kernel.root())
     return report
+
+
+def _fairness_visit(kernel, report: AuditReport, depth: int, sigma: str, payload):
+    """Audit the subtree at sigma; returns capital*mass as a (num, den) pair
+    (with the "undefined * 0 = 0" convention)."""
+    mn, md, cn, cd = kernel.read_pair(payload)
+    if cn is None:
+        if mn != 0:
+            report.add(f"capital undefined on positive cylinder {sigma!r}")
+    elif mn == 0:
+        report.add(f"capital defined on null cylinder {sigma!r}: {RAT(cn, cd)}")
+    elif cn < 0:
+        report.add(f"negative capital at {sigma!r}: {RAT(cn, cd)}")
+    tn, td = (0, 1) if (cn is None or mn == 0) else (cn * mn, cd * md)
+    if len(sigma) < depth:
+        report.checked += 1
+        p0, p1 = kernel.children(sigma, payload)
+        an, ad = _fairness_visit(kernel, report, depth, sigma + "0", p0)
+        bn, bd = _fairness_visit(kernel, report, depth, sigma + "1", p1)
+        ln, ld = an * bd + bn * ad, ad * bd
+        if mn > 0 and ln * td != tn * ld:
+            report.add(f"fairness fails at {sigma!r}: {RAT(ln, ld)} != {RAT(tn, td)}")
+    return tn, td
 
 
 @dataclass
@@ -356,29 +413,31 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
     check_enumeration_depth(n)
     many = thresholds is not None
     cs = [RAT(q) for q in (thresholds if many else [c])]
-    hit_mass = {q: ZERO for q in cs}
+    qs = [(q.numerator, q.denominator) for q in cs]
+    hits = [{} for _ in cs]  # per threshold: leaf mass denominator -> summed numerators
     kernel = mart.kernel or CapitalFnKernel(mart)
-
-    def walk(sigma: str, payload, running_max):
-        m, cap = kernel.read(payload)
-        if m == 0:
-            return
-        running_max = cap if running_max is None else max(running_max, cap)
+    stack = [("", kernel.root(), None, 1)]
+    while stack:
+        sigma, payload, top_n, top_d = stack.pop()
+        mn, md, cn, cd = kernel.read_pair(payload)
+        if mn == 0:
+            continue
+        if top_n is None or cn * top_d > top_n * cd:
+            top_n, top_d = cn, cd
         if len(sigma) == n:
-            for q in cs:
-                if running_max >= q:
-                    hit_mass[q] += m
-            return
+            for (qn, qd), hit in zip(qs, hits):
+                if top_n * qd >= qn * top_d:
+                    hit[md] = hit.get(md, 0) + mn
+            continue
         p0, p1 = kernel.children(sigma, payload)
-        walk(sigma + "0", p0, running_max)
-        walk(sigma + "1", p1, running_max)
-
-    walk("", kernel.root(), None)
+        stack.append((sigma + "1", p1, top_n, top_d))
+        stack.append((sigma + "0", p0, top_n, top_d))
     start = mart.capital("")
-    reports = [
-        VilleReport(n=n, threshold=q, fraction=hit_mass[q], bound=start / q, passed=hit_mass[q] <= start / q)
-        for q in cs
-    ]
+    reports = []
+    for q, hit in zip(cs, hits):
+        fraction = sum((RAT(num, den) for den, num in hit.items()), ZERO)
+        bound = start / q
+        reports.append(VilleReport(n=n, threshold=q, fraction=fraction, bound=bound, passed=fraction <= bound))
     return reports if many else reports[0]
 
 

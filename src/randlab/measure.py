@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bits import validate_bits
-from .errors import ConstructionError
+from .errors import ConstructionError, check_enumeration_depth
 from .rationals import HALF, ONE, RAT, ZERO
 
 
@@ -77,16 +77,21 @@ class Measure:
             memo[sigma[: j + 1]] = m
         return m
 
-    def children_masses(self, sigma: str, m):
-        """(mass(sigma0), mass(sigma1)) given mass(sigma); used by tree walks.
+    def children_pairs(self, sigma: str, n: int, d: int):
+        """Children masses as unnormalized (num, den) int pairs, den > 0,
+        given mass(sigma) == n/d; used by the exhaustive tree walks.
 
         Mass-backed measures override this to read the underlying function
         directly, so additivity audits check the function itself.
         """
-        if m == 0:
-            return ZERO, ZERO
-        s = self.split(sigma)
-        return m * (1 - s), m * s
+        if n == 0:
+            return (0, 1), (0, 1)
+        s = self._split_fn(sigma)
+        p, q = s.numerator, s.denominator
+        if not 0 <= p <= q:
+            raise ConstructionError(f"split outside [0,1] at {sigma!r}: {RAT(s)}")
+        d *= q
+        return (n * (q - p), d), (n * p, d)
 
     def conditional(self, sigma: str, bit: int) -> Optional[Fraction]:
         """mass(sigma+bit)/mass(sigma), or None when [sigma] is null."""
@@ -126,6 +131,7 @@ class _MassBackedMeasure(Measure):
                 return v
 
         self._fn = fn
+        self._mass_fn = mass_fn
 
         def split(sigma: str):
             m = fn(sigma)
@@ -135,12 +141,14 @@ class _MassBackedMeasure(Measure):
 
         super().__init__(split, fn(""), label=label, spec=spec)
 
-    def children_masses(self, sigma: str, m):
-        # read the function directly: additivity audits then check the
-        # function itself rather than an arithmetic identity
-        if m == 0:
-            return ZERO, ZERO
-        return self._fn(sigma + "0"), self._fn(sigma + "1")
+    def children_pairs(self, sigma: str, n: int, d: int):
+        # read the function directly, bypassing the memo: additivity audits
+        # then check the function itself rather than an arithmetic identity,
+        # and a walk leaves no per-node cache behind
+        if n == 0:
+            return (0, 1), (0, 1)
+        m0, m1 = self._mass_fn(sigma + "0"), self._mass_fn(sigma + "1")
+        return (m0.numerator, m0.denominator), (m1.numerator, m1.denominator)
 
 
 def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None, memoized=False) -> Measure:
@@ -250,34 +258,36 @@ def check_additivity(mu: Measure, depth: int) -> AuditReport:
     For split-backed measures the walk recomputes the children masses from
     the conditional splits (the arithmetic the public mass() performs); for
     mass-backed measures it reads the underlying function, so the audit
-    genuinely tests that function's additivity.
+    genuinely tests that function's additivity.  Masses travel as
+    unnormalized (num, den) int pairs compared by cross-multiplication.
     """
+    check_enumeration_depth(depth)
     report = AuditReport()
-
-    def walk(sigma: str, m):
+    root = mu.mass("")
+    stack = [("", root.numerator, root.denominator)]
+    while stack:
+        sigma, n, d = stack.pop()
         if len(sigma) >= depth:
-            return
-        m0, m1 = mu.children_masses(sigma, m)
+            continue
+        (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d)
         report.checked += 1
-        if m0 + m1 != m:
-            report.add(f"additivity fails at {sigma!r}: {m0}+{m1} != {m}")
-        if m == 0 and (m0 != 0 or m1 != 0):
+        if (n0 * d1 + n1 * d0) * d != n * d0 * d1:
+            report.add(f"additivity fails at {sigma!r}: {RAT(n0, d0)}+{RAT(n1, d1)} != {RAT(n, d)}")
+        if n == 0 and (n0 != 0 or n1 != 0):
             report.add(f"null cylinder {sigma!r} has massive child")
-        walk(sigma + "0", m0)
-        walk(sigma + "1", m1)
-
-    walk("", mu.mass(""))
+        stack.append((sigma + "1", n1, d1))
+        stack.append((sigma + "0", n0, d0))
     return report
 
 
 def measures_agree(a: Measure, b: Measure, depth: int) -> bool:
     """Extensional equality of masses at every string of length <= depth."""
-
-    def walk(sigma: str) -> bool:
+    stack = [""]
+    while stack:
+        sigma = stack.pop()
         if a.mass(sigma) != b.mass(sigma):
             return False
-        if len(sigma) >= depth:
-            return True
-        return walk(sigma + "0") and walk(sigma + "1")
-
-    return walk("")
+        if len(sigma) < depth:
+            stack.append(sigma + "1")
+            stack.append(sigma + "0")
+    return True

@@ -39,12 +39,6 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def is_dyadic(q) -> bool:
-    """True iff q has a power-of-two denominator."""
-    d = int(q.denominator if hasattr(q, "denominator") else Fraction(q).denominator)
-    return d & (d - 1) == 0
-
-
 def neg_log2_bracket(q) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= -log2(q) <= hi and hi - lo <= 1.
 

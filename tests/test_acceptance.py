@@ -134,7 +134,7 @@ def test_criterion_04_savings_sandwich(marts):
             mass, n_here = kernel.read(payload)
             if mass == 0:
                 continue
-            _, _, f_here = payload
+            f_here = kernel.read_floor(payload)
             assert f_here <= n_here <= f_here + 1, (name, sigma)
             if f_parent is not None:
                 assert f_parent <= f_here, (name, sigma)

@@ -2,6 +2,9 @@ import csv
 import json
 import re
 
+import pytest
+
+import randlab.cli
 from randlab.cli import main
 
 
@@ -36,6 +39,40 @@ def test_audit_ville(capsys):
     assert match
     num, den = int(match.group(1)), int(match.group(2))
     assert 4 * num <= den
+
+
+def test_audit_ville_thresholds_share_one_sweep(capsys, monkeypatch):
+    sweeps = []
+    real = randlab.cli.ville_audit
+    monkeypatch.setattr(randlab.cli, "ville_audit", lambda *a, **k: sweeps.append(a) or real(*a, **k))
+    head = ["audit", "--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair", "--check", "ville", "--n", "8"]
+    code, out, _ = run_cli(capsys, *head, "--c", "2,4,8")
+    assert code == 0 and len(sweeps) == 1
+    lines = [line for line in out.splitlines() if line.startswith("check ville")]
+    singles = []
+    for c in ("2", "4", "8"):
+        _, single, _ = run_cli(capsys, *head, "--c", c)
+        singles += [line for line in single.splitlines() if line.startswith("check ville")]
+    assert len(lines) == 3 and lines == singles
+
+
+@pytest.mark.parametrize("check", ["additivity", "fairness", "savings", "ville"])
+def test_audit_depth_cap_exit_code(capsys, monkeypatch, check):
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
+    head = ["audit", "--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair", "--check", check]
+    code, _, err = run_cli(capsys, *head, "--depth", "8", "--n", "8")
+    assert code == 3
+    assert "exceeds cap 4" in err
+    code, out, _ = run_cli(capsys, *head, "--depth", "4", "--n", "4")
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_depth_limit_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", value)
+    code, _, err = run_cli(capsys, "audit", "--measure", "fair", "--check", "additivity", "--depth", "2")
+    assert code == 2
+    assert "RANDLAB_DEPTH_LIMIT must be a nonnegative integer" in err
 
 
 def test_audit_bad_table_fails(capsys, tmp_path):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
 from randlab import ResourceLimitError
@@ -104,6 +106,17 @@ def test_fairness_detects_bad_table(fair):
     assert any("''" in v for v in report.violations)
 
 
+def test_fairness_violation_text(fair):
+    unfair = randlab.table_martingale(fair, {"0": 2, "1": 2})
+    assert randlab.check_fairness(unfair, 2).violations == ["fairness fails at '': 2 != 1"]
+    negative = randlab.table_martingale(fair, {"0": -1, "1": 3})
+    assert randlab.check_fairness(negative, 2).violations == [
+        "negative capital at '0': -1",
+        "negative capital at '00': -1",
+        "negative capital at '01': -1",
+    ]
+
+
 def test_fairness_detects_impossibility_violation(null_at_one):
     bad = randlab.Martingale(null_at_one, lambda sigma: Fraction(1))
     report = randlab.check_fairness(bad, 3)
@@ -142,6 +155,12 @@ def test_ville_matches_bruteforce(battery_marts):
     assert res.fraction == expected
 
 
+def test_ville_repeated_threshold_counted_once(battery_marts):
+    m = battery_marts["lr_bern23_vs_fair"]
+    single = randlab.ville_audit(m, 8, Fraction(2))
+    assert randlab.ville_audit(m, 8, None, thresholds=[2, 2]) == [single, single]
+
+
 def test_ville_resource_cap(battery_marts, monkeypatch):
     with pytest.raises(ResourceLimitError):
         randlab.ville_audit(battery_marts["identity"], 25, Fraction(2))
@@ -156,21 +175,53 @@ def test_table_martingale_constant_continuation(fair):
     assert randlab.check_fairness(m, 8).ok
 
 
+def _assert_kernel_matches_public_values(mart, depth):
+    kernel = mart.kernel or CapitalFnKernel(mart)
+    stack = [("", kernel.root())]
+    while stack:
+        sigma, payload = stack.pop()
+        mass, cap = kernel.read(payload)
+        assert mass == mart.base.mass(sigma), (mart.label, sigma)
+        assert cap == mart.capital(sigma), (mart.label, sigma)
+        if len(sigma) < depth:
+            p0, p1 = kernel.children(sigma, payload)
+            stack.append((sigma + "0", p0))
+            stack.append((sigma + "1", p1))
+
+
 def test_kernels_agree_with_public_values(battery_marts):
     # the fused audit walkers must reproduce mass and capital node for node
-    for name, m in battery_marts.items():
+    for m in battery_marts.values():
         for mart in (m, randlab.savings_transform(m).total):
-            kernel = mart.kernel or CapitalFnKernel(mart)
-            stack = [("", kernel.root())]
-            while stack:
-                sigma, payload = stack.pop()
-                mass, cap = kernel.read(payload)
-                assert mass == mart.base.mass(sigma), (name, sigma)
-                assert cap == mart.capital(sigma), (name, sigma)
-                if len(sigma) < 6:
-                    p0, p1 = kernel.children(sigma, payload)
-                    stack.append((sigma + "0", p0))
-                    stack.append((sigma + "1", p1))
+            _assert_kernel_matches_public_values(mart, 6)
+
+
+@st.composite
+def dominated_split_tables(draw):
+    """(nu, mu) split tables with nu absolutely continuous w.r.t. mu: where
+    mu's split is 0 or 1, nu's split is the same, so nu vanishes on mu-nulls."""
+    splits = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+    def pair():
+        s = draw(splits)
+        return s, (s if s in (0, 1) else draw(splits))
+
+    keys = draw(st.lists(st.text(alphabet="01", max_size=4), unique=True, max_size=6))
+    table = {sigma: pair() for sigma in keys}
+    mu_default, nu_default = pair()
+    mu = randlab.split_table({sigma: s for sigma, (s, _) in table.items()}, default=mu_default)
+    nu = randlab.split_table({sigma: t for sigma, (_, t) in table.items()}, default=nu_default)
+    return nu, mu
+
+
+@given(dominated_split_tables())
+@settings(max_examples=40, deadline=None)
+def test_kernels_agree_on_generated_measures(pair):
+    nu, mu = pair
+    mart = randlab.from_measures(nu, mu)
+    for m in (mart, randlab.savings_transform(mart).total):
+        _assert_kernel_matches_public_values(m, 6)
+        assert randlab.check_fairness(m, 6).ok, m.label
 
 
 def test_ville_partition_independent(battery_marts):

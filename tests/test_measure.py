@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlab
-from randlab import ConstructionError
+from randlab import ConstructionError, cells
 from randlab.measure import MeasureSpec
 
 
@@ -72,6 +74,55 @@ def test_null_monotone(null_at_one):
     assert report.ok
     for tail in ("0", "1", "01", "0011"):
         assert null_at_one.mass("1" + tail) == 0
+
+
+def test_additivity_violation_text():
+    mu = randlab.from_masses(lambda s: Fraction(1, 3 ** len(s)))
+    assert randlab.check_additivity(mu, 2).violations == [
+        "additivity fails at '': 1/3+1/3 != 1",
+        "additivity fails at '0': 1/9+1/9 != 1/3",
+        "additivity fails at '1': 1/9+1/9 != 1/3",
+    ]
+
+
+def test_additivity_rejects_split_outside_unit_interval():
+    mu = randlab.Measure(lambda s: Fraction(3, 2) if s == "0" else Fraction(1, 2))
+    with pytest.raises(ConstructionError, match="split outside \\[0,1\\] at '0': 3/2"):
+        randlab.check_additivity(mu, 3)
+
+
+def _audit_measure(mu, mart):
+    randlab.check_additivity(mu, 4)
+
+
+def _compare_measure(mu, mart):
+    randlab.measures_agree(mu, mu, 4)
+
+
+def _audit_fairness(mu, mart):
+    randlab.check_fairness(mart, 4)
+
+
+def _audit_ville(mu, mart):
+    randlab.ville_audit(mart, 4, Fraction(2))
+
+
+@pytest.mark.parametrize("walk", [_audit_measure, _compare_measure, _audit_fairness, _audit_ville])
+def test_walkers_release_the_audited_measure(walk):
+    # with the cycle collector off, only reference counting can free the
+    # measure (and its memos) once the walk has returned
+    mu = cells.bary_grouped(3).pushforward()
+    mart = randlab.from_measures(randlab.fair_coin(), mu)
+    ref = weakref.ref(mu)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walk(mu, mart)
+        del mu, mart
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_interleave_of_fair_is_fair(fair):

@@ -58,7 +58,6 @@ from .cells import (
     RefinementRelation,
     bary_grouped,
     binary_digits,
-    build_decomposition,
     decompose_open,
     interleave,
     natural,

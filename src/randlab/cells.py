@@ -382,16 +382,6 @@ def interleave(dim: int) -> CellDecomposition:
     return InterleaveDecomposition(dim)
 
 
-def build_decomposition(kind: str, param: Optional[int] = None) -> CellDecomposition:
-    if kind == "binary_digits":
-        return binary_digits()
-    if kind == "bary_grouped":
-        return bary_grouped(param if param is not None else 3)
-    if kind == "interleave":
-        return interleave(param if param is not None else 1)
-    raise ConstructionError(f"unknown decomposition kind {kind!r}")
-
-
 def _require_interval_cells(dec: CellDecomposition):
     if isinstance(dec, InterleaveDecomposition):
         raise PreconditionError("open-set decomposition needs interval cells, not boxes")

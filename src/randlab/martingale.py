@@ -14,28 +14,71 @@ from .rationals import ONE, RAT, ZERO
 class Martingale:
     """Capital function on finite strings, fair against its base measure.
 
-    capital(sigma) is None exactly on null cylinders for every martingale the
-    library builds; hand-built tables may violate that, which check_fairness
-    reports.
+    Every value comes from the tree kernel.  Library constructors pass
+    kernel=; a hand-built Martingale(base, capital_fn) wraps the function in
+    a CapitalFnKernel.  capital(sigma) is None exactly on null cylinders for
+    every martingale the library builds; hand-built tables may violate that,
+    which check_fairness reports.
     """
 
     def __init__(
         self,
         base: Measure,
-        capital_fn: Callable[[str], Optional[Fraction]],
+        capital_fn: Optional[Callable[[str], Optional[Fraction]]] = None,
         label="martingale",
         kernel=None,
     ):
         self.base = base
-        self._capital_fn = capital_fn
         self.label = label
-        self.kernel = kernel  # optional fused tree walker for exhaustive audits
+        self.kernel = kernel if kernel is not None else CapitalFnKernel(base, capital_fn)
+        self._root = self.kernel.root()
+        self._path = ""  # the last string descended to
+        self._kids: list = []  # _kids[j]: both children payloads of _path[:j]
 
     def __repr__(self):
         return f"Martingale({self.label} vs {self.base.label})"
 
+    def payload(self, sigma: str):
+        """The kernel payload at sigma, by an iterative descent from the root.
+
+        The descent reuses the last path it took, which keeps both children
+        of each node on it, so a lexicographic sweep asks the kernel for the
+        children of each internal node once; the cache is one path long.
+        """
+        path, kids = self._path, self._kids
+        k = _shared_prefix_length(path, sigma)
+        node = self._root if k == 0 else kids[k - 1][sigma[k - 1] == "1"]
+        if k < len(sigma):
+            del kids[k + 1 :]
+            for j in range(k, len(sigma)):
+                if j == len(kids):
+                    kids.append(self.kernel.children(sigma[:j], node))
+                node = kids[j][sigma[j] == "1"]
+            self._path = sigma
+        return node
+
     def capital(self, sigma: str) -> Optional[Fraction]:
-        return self._capital_fn(sigma)
+        _, _, cn, cd = self.kernel.read_pair(self.payload(sigma))
+        return None if cn is None else RAT(cn, cd)
+
+
+def _shared_prefix_length(a: str, b: str) -> int:
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    i = 0
+    while a[i] == b[i]:
+        i += 1
+    return i
+
+
+def _start_capital(mart: Martingale) -> Fraction:
+    """capital(""), refused where it is undefined (a base of total mass 0)."""
+    start = mart.capital("")
+    if start is None:
+        base = mart.base
+        raise PreconditionError(f"capital('') of {mart.label} is undefined (base {base.label} has total mass {base.total})")
+    return start
 
 
 class _PairKernel:
@@ -148,10 +191,12 @@ class SavingsKernel(_PairKernel):
 
 
 class CapitalFnKernel(_PairKernel):
-    """Fallback walker querying the public capital function per node."""
+    """Walker for a hand-built capital function: payloads are the strings
+    themselves, read through the base mass and the function."""
 
-    def __init__(self, mart):
-        self.mart = mart
+    def __init__(self, base: Measure, capital_fn: Callable[[str], Optional[Fraction]]):
+        self.base = base
+        self.capital_fn = capital_fn
 
     def root(self):
         return ""
@@ -160,8 +205,8 @@ class CapitalFnKernel(_PairKernel):
         return (sigma + "0", sigma + "1")
 
     def read_pair(self, payload):
-        m = self.mart.base.mass(payload)
-        c = self.mart.capital(payload)
+        m = self.base.mass(payload)
+        c = self.capital_fn(payload)
         if c is None:
             return m.numerator, m.denominator, None, 1
         return m.numerator, m.denominator, c.numerator, c.denominator
@@ -169,23 +214,16 @@ class CapitalFnKernel(_PairKernel):
 
 def from_measures(nu: Measure, mu: Measure, label=None) -> Martingale:
     """The quotient martingale capital(sigma) = nu(sigma)/mu(sigma)."""
-
-    def capital(sigma: str) -> Optional[Fraction]:
-        m = mu.mass(sigma)
-        if m == 0:
-            return None
-        return nu.mass(sigma) / m
-
     source = getattr(nu, "derived_from_martingale", None)
-    if source is not None and source.base is mu and source.kernel is not None:
-        # nu is capital*mass for a martingale over the same base, so the
-        # quotient's values coincide with that martingale's node for node
+    if source is not None and source.base is mu and not isinstance(source.kernel, CapitalFnKernel):
+        # nu is capital*mass for a library martingale over the same base, so
+        # the quotient's values coincide with that martingale's node for node;
+        # a hand-built function need not be fair or None on null cylinders,
+        # so its quotient keeps reading the masses
         kernel = source.kernel
     else:
         kernel = QuotientKernel(nu, mu)
-    mart = Martingale(mu, capital, label or f"{nu.label}/{mu.label}", kernel=kernel)
-    mart.quotient = (nu, mu)
-    return mart
+    return Martingale(mu, label=label or f"{nu.label}/{mu.label}", kernel=kernel)
 
 
 def table_martingale(base: Measure, entries, start=ONE, label="table") -> Martingale:
@@ -217,43 +255,23 @@ def to_measure(mart: Martingale, label=None) -> Measure:
     when one child is null its mass is recovered from the sibling by
     additivity, and below a fully null node everything is squeezed to zero.
     """
-    mu = mart.base
-    kernel = mart.kernel or CapitalFnKernel(mart)
-    payloads = {"": kernel.root()}
-
-    def payload(sigma: str):
-        got = payloads.get(sigma)
-        if got is None:
-            parent = sigma[:-1]
-            p0, p1 = kernel.children(parent, payload(parent))
-            payloads[parent + "0"] = p0
-            payloads[parent + "1"] = p1
-            got = payloads[sigma]
-        return got
-
-    memo: dict[str, Fraction] = {}
+    read_pair, payload = mart.kernel.read_pair, mart.payload
 
     def nu(sigma: str) -> Fraction:
-        got = memo.get(sigma)
-        if got is not None:
-            return got
-        mn, md, cn, cd = kernel.read_pair(payload(sigma))
+        mn, md, cn, cd = read_pair(payload(sigma))
         if mn > 0:
-            value = RAT(cn * mn, cd * md)
-        elif sigma == "":
-            value = ZERO
-        else:
-            parent, bit = sigma[:-1], sigma[-1]
-            sibling = parent + ("1" if bit == "0" else "0")
-            sn, sd, csn, csd = kernel.read_pair(payload(sibling))
-            if sn > 0:
-                value = nu(parent) - RAT(csn * sn, csd * sd)
-            else:
-                value = ZERO
-        memo[sigma] = value
-        return value
+            return RAT(cn * mn, cd * md)
+        if sigma == "":
+            return ZERO
+        parent, bit = sigma[:-1], sigma[-1]
+        sn, sd, csn, csd = read_pair(payload(parent + ("1" if bit == "0" else "0")))
+        if sn == 0:
+            return ZERO
+        # a positive sibling has a positive parent: nu(parent) - nu(sibling)
+        pn, pd, cpn, cpd = read_pair(payload(parent))
+        return RAT(cpn * pn, cpd * pd) - RAT(csn * sn, csd * sd)
 
-    out = from_masses(nu, label=label or f"measure({mart.label})", memoized=True)
+    out = from_masses(nu, label=label or f"measure({mart.label})")
     out.derived_from_martingale = mart
     return out
 
@@ -263,13 +281,19 @@ class SavingsPair:
     """A martingale with the savings property plus its savings floor."""
 
     total: Martingale
-    savings: Callable[[str], Optional[Fraction]]
     shifted: bool
     scale: Fraction = ONE
 
     @property
     def base(self) -> Measure:
         return self.total.base
+
+    def savings(self, sigma: str) -> Optional[Fraction]:
+        """The savings floor at sigma, None on null cylinders."""
+        kernel, payload = self.total.kernel, self.total.payload(sigma)
+        if kernel.read_pair(payload)[0] == 0:
+            return None
+        return kernel.read_floor(payload)
 
 
 def savings_transform(mart: Martingale, shift: bool = True, normalize: bool = True) -> SavingsPair:
@@ -281,43 +305,13 @@ def savings_transform(mart: Martingale, shift: bool = True, normalize: bool = Tr
     sandwich hold at the root as well.  Both knobs are recorded on the result
     so capital comparisons stay interpretable.
     """
-    mu = mart.base
-    offset = 1 if shift else 0
-    start = mart.capital("") + offset
+    start = _start_capital(mart) + (1 if shift else 0)
     if normalize and start == 0:
         raise PreconditionError("cannot normalize a martingale with zero start capital")
     scale = 1 / start if normalize else ONE
-    memo: dict[str, tuple[Optional[Fraction], Optional[Fraction]]] = {}
-
-    def source(sigma: str) -> Optional[Fraction]:
-        c = mart.capital(sigma)
-        if c is None:
-            return None
-        return c + offset
-
-    def pair(sigma: str) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        got = memo.get(sigma)
-        if got is not None:
-            return got
-        if mu.is_null(sigma):
-            value = (None, None)
-        elif sigma == "":
-            value = (source("") * scale, ZERO)
-        else:
-            n_parent, f_parent = pair(sigma[:-1])
-            active = n_parent - f_parent
-            if active == 0:
-                n_here = f_parent
-            else:
-                num, den = source(sigma), source(sigma[:-1])
-                n_here = f_parent + (num / den) * active
-            value = (n_here, max(f_parent, n_here - 1))
-        memo[sigma] = value
-        return value
-
-    kernel = SavingsKernel(mart.kernel or CapitalFnKernel(mart), shift, scale)
-    total = Martingale(mu, lambda sigma: pair(sigma)[0], label=f"savings({mart.label})", kernel=kernel)
-    return SavingsPair(total=total, savings=lambda sigma: pair(sigma)[1], shifted=shift, scale=scale)
+    kernel = SavingsKernel(mart.kernel, shift, scale)
+    total = Martingale(mart.base, label=f"savings({mart.label})", kernel=kernel)
+    return SavingsPair(total=total, shifted=shift, scale=scale)
 
 
 @dataclass
@@ -356,13 +350,12 @@ def check_fairness(mart: Martingale, depth: int) -> AuditReport:
     """Exact fairness at every string of length < depth, plus the
     null-iff-undefined correspondence at every string it touches.
 
-    Library-built martingales carry a fused tree kernel that produces the
-    same values as the public capital function; hand-built ones are walked
-    through capital() directly.  Values travel as unnormalized int pairs
-    compared by cross-multiplication.
+    The walk reads the martingale's tree kernel, the same source capital()
+    reads.  Values travel as unnormalized int pairs compared by
+    cross-multiplication.
     """
     check_enumeration_depth(depth)
-    kernel = mart.kernel or CapitalFnKernel(mart)
+    kernel = mart.kernel
     report = AuditReport()
     if depth > 0:
         _fairness_visit(kernel, report, depth, "", kernel.root())
@@ -411,11 +404,12 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
     carry no mass and are skipped.
     """
     check_enumeration_depth(n)
+    start = _start_capital(mart)
     many = thresholds is not None
     cs = [RAT(q) for q in (thresholds if many else [c])]
     qs = [(q.numerator, q.denominator) for q in cs]
     hits = [{} for _ in cs]  # per threshold: leaf mass denominator -> summed numerators
-    kernel = mart.kernel or CapitalFnKernel(mart)
+    kernel = mart.kernel
     stack = [("", kernel.root(), None, 1)]
     while stack:
         sigma, payload, top_n, top_d = stack.pop()
@@ -432,7 +426,6 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
         p0, p1 = kernel.children(sigma, payload)
         stack.append((sigma + "1", p1, top_n, top_d))
         stack.append((sigma + "0", p0, top_n, top_d))
-    start = mart.capital("")
     reports = []
     for q, hit in zip(cs, hits):
         fraction = sum((RAT(num, den) for den, num in hit.items()), ZERO)
@@ -443,24 +436,34 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
 
 def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0):
     """Sampled estimate of the hitting fraction for depths past the exhaustive
-    cap.  Statistical, not exact: returns (estimate, bound) as floats."""
+    cap.  Statistical, not exact: returns (estimate, bound) as floats.
+
+    Each sample steps kernel payloads down its path and compares capitals as
+    int pairs by cross-multiplication, so no per-prefix value is cached.
+    """
     import random as _random
 
+    start = _start_capital(mart)
     rng = _random.Random(seed)
     threshold = RAT(c)
-    mu = mart.base
+    qn, qd = threshold.numerator, threshold.denominator
+    mu, kernel = mart.base, mart.kernel
+    root = kernel.root()
+    _, _, root_n, root_d = kernel.read_pair(root)
     hits = 0
     for _ in range(samples):
-        sigma = ""
-        best = mart.capital("")
+        sigma, payload = "", root
+        best_n, best_d = root_n, root_d
         for _step in range(n):
             s = mu.split(sigma)
-            sigma += "1" if rng.random() < float(s) else "0"
-            cap = mart.capital(sigma)
-            if cap is None:
+            bit = "1" if rng.random() < float(s) else "0"
+            payload = kernel.children(sigma, payload)[bit == "1"]
+            sigma += bit
+            _, _, cn, cd = kernel.read_pair(payload)
+            if cn is None:
                 break
-            if cap > best:
-                best = cap
-        if best >= threshold:
+            if cn * best_d > best_n * cd:
+                best_n, best_d = cn, cd
+        if best_n * qd >= qn * best_d:
             hits += 1
-    return hits / samples, float(mart.capital("") / threshold)
+    return hits / samples, float(start / threshold)

@@ -117,18 +117,15 @@ class Measure:
 class _MassBackedMeasure(Measure):
     """Measure defined by an additive mass function; splits are derived."""
 
-    def __init__(self, mass_fn, label="measure", spec=None, memoized=False):
-        if memoized:
-            fn = mass_fn
-        else:
-            memo = {}
+    def __init__(self, mass_fn, label="measure", spec=None):
+        memo = {}
 
-            def fn(sigma: str):
-                v = memo.get(sigma)
-                if v is None:
-                    v = RAT(mass_fn(sigma))
-                    memo[sigma] = v
-                return v
+        def fn(sigma: str):
+            v = memo.get(sigma)
+            if v is None:
+                v = RAT(mass_fn(sigma))
+                memo[sigma] = v
+            return v
 
         self._fn = fn
         self._mass_fn = mass_fn
@@ -151,12 +148,15 @@ class _MassBackedMeasure(Measure):
         return (m0.numerator, m0.denominator), (m1.numerator, m1.denominator)
 
 
-def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None, memoized=False) -> Measure:
+def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) -> Measure:
     """Measure with the splits induced by a mass function, which must be
     additive (children masses summing to the parent's) with mass_fn("") as
     the total; every library construction that lands here provably is.
+
+    Values read through mass() and split() are memoized per string; the
+    exhaustive audits call mass_fn directly and leave no cache behind.
     """
-    return _MassBackedMeasure(mass_fn, label=label, spec=spec, memoized=memoized)
+    return _MassBackedMeasure(mass_fn, label=label, spec=spec)
 
 
 def fair_coin() -> Measure:

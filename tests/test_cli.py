@@ -90,6 +90,24 @@ def test_audit_bad_table_fails(capsys, tmp_path):
     assert "FAIL" in out and "violation" in out
 
 
+@pytest.mark.parametrize("check", [["savings"], ["ville"], ["ville", "--mc-samples", "5"]])
+def test_audit_zero_mass_base_is_a_precondition_error(capsys, tmp_path, check):
+    # capital("") is undefined when the base has no mass: refused with exit 2,
+    # not a traceback that reads as a failed check
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"kind": "split_table", "entries": [], "default": "1/2", "total": "0/1"}))
+    code, _, err = run_cli(
+        capsys,
+        "audit",
+        "--measure", f"split_table:{path}",
+        "--martingale", "all_in:0",
+        "--depth", "4", "--n", "4", "--c", "2",
+        "--check", *check,
+    )
+    assert code == 2
+    assert "total mass 0" in err
+
+
 def test_audit_parse_error(capsys):
     code, _, err = run_cli(capsys, "audit", "--measure", "wat:1")
     assert code == 2

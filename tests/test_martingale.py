@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlab
-from randlab import ResourceLimitError
-from randlab.martingale import CapitalFnKernel
+from randlab import PreconditionError, ResourceLimitError
 
 
 def test_quotient_capitals(fair, bern13):
@@ -161,6 +162,20 @@ def test_ville_repeated_threshold_counted_once(battery_marts):
     assert randlab.ville_audit(m, 8, None, thresholds=[2, 2]) == [single, single]
 
 
+def test_zero_mass_base_is_refused():
+    from randlab.martingale import ville_monte_carlo
+
+    zero = randlab.split_table({}, total=0)
+    mart = randlab.from_measures(zero, zero)
+    for call in (
+        lambda: randlab.savings_transform(mart),
+        lambda: randlab.ville_audit(mart, 4, Fraction(2)),
+        lambda: ville_monte_carlo(mart, 4, Fraction(2), 5),
+    ):
+        with pytest.raises(PreconditionError, match="total mass 0"):
+            call()
+
+
 def test_ville_resource_cap(battery_marts, monkeypatch):
     with pytest.raises(ResourceLimitError):
         randlab.ville_audit(battery_marts["identity"], 25, Fraction(2))
@@ -175,25 +190,59 @@ def test_table_martingale_constant_continuation(fair):
     assert randlab.check_fairness(m, 8).ok
 
 
-def _assert_kernel_matches_public_values(mart, depth):
-    kernel = mart.kernel or CapitalFnKernel(mart)
+def _quotient_reference(nu, mu, sigma):
+    m = mu.mass(sigma)
+    return None if m == 0 else nu.mass(sigma) / m
+
+
+def _savings_reference(source, sigma):
+    """(total, floor) at sigma by the worked recursion over the +1-shifted,
+    normalized source capital: N = f + (c(s)/c(parent))*(N - f), then
+    f = max(f, N - 1); recomputed from the root, nothing cached."""
+    def c(s):
+        return source(s) + 1
+
+    if source(sigma) is None:
+        return None, None
+    n, f = Fraction(1), Fraction(0)
+    for j in range(1, len(sigma) + 1):
+        if n != f:
+            n = f + (c(sigma[:j]) / c(sigma[: j - 1])) * (n - f)
+        f = max(f, n - 1)
+    return n, f
+
+
+def _walk_kernel(mart, depth):
+    kernel = mart.kernel
     stack = [("", kernel.root())]
     while stack:
         sigma, payload = stack.pop()
-        mass, cap = kernel.read(payload)
-        assert mass == mart.base.mass(sigma), (mart.label, sigma)
-        assert cap == mart.capital(sigma), (mart.label, sigma)
+        yield sigma, kernel.read(payload)
         if len(sigma) < depth:
             p0, p1 = kernel.children(sigma, payload)
             stack.append((sigma + "0", p0))
             stack.append((sigma + "1", p1))
 
 
+def _assert_kernel_matches_public_values(mart, nu, mu, depth):
+    # kernel.read(), capital() and savings() against plain recomputation
+    # from the measures; the walk order (1-branch first) also moves the
+    # public path cache back and forth
+    for sigma, (mass, cap) in _walk_kernel(mart, depth):
+        assert mass == mu.mass(sigma), (mart.label, sigma)
+        assert cap == mart.capital(sigma) == _quotient_reference(nu, mu, sigma), (mart.label, sigma)
+    sp = randlab.savings_transform(mart)
+    for sigma, (mass, cap) in _walk_kernel(sp.total, depth):
+        total, floor = _savings_reference(lambda s: _quotient_reference(nu, mu, s), sigma)
+        assert mass == mu.mass(sigma), (mart.label, sigma)
+        assert cap == sp.total.capital(sigma) == total, (mart.label, sigma)
+        assert sp.savings(sigma) == floor, (mart.label, sigma)
+
+
 def test_kernels_agree_with_public_values(battery_marts):
-    # the fused audit walkers must reproduce mass and capital node for node
+    # the fused walkers must reproduce mass, capital and savings node for node
     for m in battery_marts.values():
-        for mart in (m, randlab.savings_transform(m).total):
-            _assert_kernel_matches_public_values(mart, 6)
+        _assert_kernel_matches_public_values(m, m.kernel.nu, m.kernel.mu, 6)
 
 
 @st.composite
@@ -219,8 +268,8 @@ def dominated_split_tables(draw):
 def test_kernels_agree_on_generated_measures(pair):
     nu, mu = pair
     mart = randlab.from_measures(nu, mu)
+    _assert_kernel_matches_public_values(mart, nu, mu, 6)
     for m in (mart, randlab.savings_transform(mart).total):
-        _assert_kernel_matches_public_values(m, 6)
         assert randlab.check_fairness(m, 6).ok, m.label
 
 
@@ -247,3 +296,43 @@ def test_ville_monte_carlo_labelled_estimate(battery_marts):
     assert 0 <= estimate <= 1
     again, _ = ville_monte_carlo(battery_marts["all_in_on_0"], 24, Fraction(8), 500, seed=11)
     assert estimate == again
+
+
+def test_long_path_values_match_iterative_reference():
+    # a 1500-bit query is deeper than the recursion limit: every value must
+    # come from an iterative descent and equal a step-by-step recomputation
+    rng = random.Random(3)
+    x = "".join(rng.choice("01") for _ in range(1500))
+    fair = randlab.fair_coin()
+    sp = randlab.savings_transform(randlab.from_measures(randlab.bernoulli(Fraction(2, 3)), fair))
+    cap, n, f = Fraction(1), Fraction(1), Fraction(0)
+    totals = [n]
+    for bit in x:
+        ratio = (cap * (Fraction(4, 3) if bit == "1" else Fraction(2, 3)) + 1) / (cap + 1)
+        cap *= Fraction(4, 3) if bit == "1" else Fraction(2, 3)
+        if n != f:
+            n = f + ratio * (n - f)
+        f = max(f, n - 1)
+        totals.append(n)
+    assert sp.total.capital(x) == n
+    assert sp.savings(x) == f
+    assert randlab.run(sp.total, x).values == totals
+    assert randlab.to_measure(sp.total).mass(x) == n / 2**1500
+
+
+def test_ville_monte_carlo_keeps_no_per_prefix_cache():
+    from randlab.martingale import ville_monte_carlo
+
+    nu, mu = randlab.bernoulli(Fraction(2, 3)), randlab.fair_coin()
+    mart = randlab.from_measures(nu, mu)
+    cached = (len(nu._mass), len(mu._mass))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in (1, 2):
+            ville_monte_carlo(mart, 200, Fraction(2), 200, seed=seed)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(nu._mass), len(mu._mass)) == cached
+    assert grown < 256 * 1024, grown

@@ -107,7 +107,28 @@ def _audit_ville(mu, mart):
     randlab.ville_audit(mart, 4, Fraction(2))
 
 
-@pytest.mark.parametrize("walk", [_audit_measure, _compare_measure, _audit_fairness, _audit_ville])
+def _capital_walk(mu, mart):
+    for sigma in ("0101", "0110", "1", ""):
+        mart.capital(sigma)
+
+
+def _savings_walk(mu, mart):
+    sp = randlab.savings_transform(mart)
+    for sigma in ("0101", "0110", "1"):
+        sp.total.capital(sigma)
+        sp.savings(sigma)
+
+
+def _to_measure_walk(mu, mart):
+    nu = randlab.to_measure(mart)
+    for sigma in ("0101", "0110", "1"):
+        nu.mass(sigma)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [_audit_measure, _compare_measure, _audit_fairness, _audit_ville, _capital_walk, _savings_walk, _to_measure_walk],
+)
 def test_walkers_release_the_audited_measure(walk):
     # with the cycle collector off, only reference counting can free the
     # measure (and its memos) once the walk has returned

@@ -142,51 +142,29 @@ class BitAllInStrategy(BettingStrategy):
 
 
 class LikelihoodRatioStrategy(BettingStrategy):
-    """Monotone bit betting that replicates the model/base quotient martingale."""
+    """Monotone bit betting that replicates the model/base quotient martingale.
+
+    It bets on coordinates 0, 1, 2, ... in order, so after k bets its
+    knowledge set is the single cylinder of the k bits seen; it keeps no
+    per-history state.
+    """
 
     def __init__(self, model: Measure, start_capital=ONE):
         self.model = model
         self.start_capital = RAT(start_capital)
-        self._prefixes = {"": ""}
-
-    def _seen_prefix(self, history: str, mu: Measure) -> str:
-        got = self._prefixes.get(history)
-        if got is not None:
-            return got
-        k = len(history)
-        while history[:k] not in self._prefixes:
-            k -= 1
-        prefix = self._prefixes[history[:k]]
-        for outcome in history[k:]:
-            side = self._side(prefix, mu)
-            prefix += str(side) if outcome == "1" else str(1 - side)
-            k += 1
-            self._prefixes[history[:k]] = prefix
-        return prefix
-
-    def _ratios(self, prefix: str, mu: Measure):
-        out = []
-        for b in (0, 1):
-            pc = mu.conditional(prefix, b)
-            nc = self.model.conditional(prefix, b)
-            if pc is None or pc == 0:
-                out.append(None)
-            else:
-                out.append((ZERO if nc is None else nc) / pc)
-        return out
-
-    def _side(self, prefix: str, mu: Measure) -> int:
-        r0, r1 = self._ratios(prefix, mu)
-        if r0 is None or r1 is None:
-            raise StrategyViolation(f"base measure degenerate after {prefix!r}")
-        return 1 if r1 >= r0 else 0
 
     def bet(self, history, capital, knowledge, mu):
-        prefix = self._seen_prefix(history, mu)
-        side = self._side(prefix, mu)
-        ratio = self._ratios(prefix, mu)[side]
-        p = mu.conditional(prefix, side)
-        stake = capital * (ratio - 1) * p / (1 - p)
+        (prefix,) = knowledge.generators
+        base_p, ratios = [], []
+        for b in (0, 1):
+            pc, nc = mu.conditional(prefix, b), self.model.conditional(prefix, b)
+            if pc is None or pc == 0:
+                raise StrategyViolation(f"base measure degenerate after {prefix!r}")
+            base_p.append(pc)
+            ratios.append((ZERO if nc is None else nc) / pc)
+        side = 1 if ratios[1] >= ratios[0] else 0
+        p = base_p[side]
+        stake = capital * (ratios[side] - 1) * p / (1 - p)
         return (BitEvent(len(prefix), side), stake)
 
 

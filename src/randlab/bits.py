@@ -32,10 +32,6 @@ def prefix_free_violation(strings) -> tuple[str, str] | None:
     return None
 
 
-def is_prefix_free(strings) -> bool:
-    return prefix_free_violation(strings) is None
-
-
 def normalize(strings) -> tuple[str, ...]:
     """Canonical form of a cylinder union: minimal generators, siblings merged."""
     gens = set(strings)

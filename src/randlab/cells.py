@@ -144,15 +144,17 @@ class CellDecomposition:
         raise NotImplementedError
 
     def cell(self, sigma: str):
-        got = self._cells.get(sigma)
-        if got is not None:
-            return got
-        if sigma == "":
-            value = self._root()
-        else:
-            parent = self.cell(sigma[:-1])
-            value = self._children(sigma[:-1], parent)[int(sigma[-1])]
-        self._cells[sigma] = value
+        cells = self._cells
+        if not cells:
+            cells[""] = self._root()
+        value, i = cells.get(sigma), len(sigma)
+        while value is None:  # descend iteratively from the deepest cached ancestor
+            i -= 1
+            value = cells.get(sigma[:i])
+        for bit in sigma[i:]:
+            value = self._children(sigma[:i], value)[int(bit)]
+            i += 1
+            cells[sigma[:i]] = value
         return value
 
     def cell_mass(self, sigma: str):
@@ -234,30 +236,34 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
             raise ConstructionError("digit base must be at least 2")
         super().__init__(kind="bary_grouped", label=f"bary{base}", spec_name=f"bary:{base}")
         self.base = base
-        self._state = {"": (0, 0, 0)}  # sigma -> (L, k, peeled), all ints
+        self._state = {"": (0, base, 0)}  # sigma -> (L, b^(k+1), peeled), all ints
 
     def _root(self):
         return Region.interval(0, 1)
 
     def _node_state(self, sigma):
-        got = self._state.get(sigma)
-        if got is not None:
-            return got
-        low, k, peeled = self._node_state(sigma[:-1])
+        states = self._state
+        state, i = states.get(sigma), len(sigma)
+        while state is None:  # descend iteratively from the deepest cached ancestor
+            i -= 1
+            state = states.get(sigma[:i])
         b = self.base
-        if sigma[-1] == "0":
-            value = (low * b + peeled, k + 1, 0)
-        elif peeled + 1 == b - 1:
-            value = (low * b + b - 1, k + 1, 0)
-        else:
-            value = (low, k, peeled + 1)
-        self._state[sigma] = value
-        return value
+        for bit in sigma[i:]:
+            low, width, peeled = state
+            if bit == "0":
+                state = (low * b + peeled, width * b, 0)
+            elif peeled + 1 == b - 1:
+                state = (low * b + b - 1, width * b, 0)
+            else:
+                state = (low, width, peeled + 1)
+            i += 1
+            states[sigma[:i]] = state
+        return state
 
     def _region_of_state(self, state):
-        low, k, peeled = state
+        low, width, peeled = state
         b = self.base
-        return Region.interval(RAT(low * b + peeled, b ** (k + 1)), RAT(low + 1, b**k))
+        return Region.interval(RAT(low * b + peeled, width), RAT((low + 1) * b, width))
 
     def cell(self, sigma: str):
         got = self._cells.get(sigma)
@@ -270,8 +276,8 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
         return self.cell(sigma + "0"), self.cell(sigma + "1")
 
     def cell_mass(self, sigma: str):
-        _, k, peeled = self._node_state(sigma)
-        return RAT(self.base - peeled, self.base ** (k + 1))
+        _, width, peeled = self._node_state(sigma)
+        return RAT(self.base - peeled, width)
 
 
 class InterleaveDecomposition(CellDecomposition):

@@ -138,6 +138,10 @@ class _MassBackedMeasure(Measure):
 
         super().__init__(split, fn(""), label=label, spec=spec)
 
+    def mass(self, sigma: str) -> Fraction:
+        # the function itself, not a product of the splits derived from it
+        return self._fn(sigma)
+
     def children_pairs(self, sigma: str, n: int, d: int):
         # read the function directly, bypassing the memo: additivity audits
         # then check the function itself rather than an arithmetic identity,
@@ -153,8 +157,10 @@ def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) 
     additive (children masses summing to the parent's) with mass_fn("") as
     the total; every library construction that lands here provably is.
 
-    Values read through mass() and split() are memoized per string; the
-    exhaustive audits call mass_fn directly and leave no cache behind.
+    mass() returns mass_fn itself, so even a non-additive function is read
+    as given (check_additivity reports it).  Values read through mass() and
+    split() are memoized per string; the exhaustive audits call mass_fn
+    directly and leave no cache behind.
     """
     return _MassBackedMeasure(mass_fn, label=label, spec=spec)
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bits
-from .errors import ConstructionError, PreconditionError
-from .martingale import Martingale, SavingsPair, from_measures
+from .errors import ConstructionError, PreconditionError, check_enumeration_depth
+from .martingale import Martingale, SavingsPair, from_measures, to_measure
 from .measure import AuditReport, Measure
 from .rationals import ZERO
 
@@ -93,18 +93,13 @@ class VitaliTest:
     pieces: list
     bound: Measure
 
-    @property
-    def n_pieces(self) -> int:
-        return len(self.pieces)
-
 
 @dataclass
 class IntegralStep:
     """Nonnegative step function constant on depth-d cells, with a bound measure.
 
     unit_witness records that bound <= integral of (g+1) holds by construction,
-    which verify_test_bounds then checks exactly.
-    """
+    which verify_test_bounds then checks exactly."""
 
     base: Measure
     depth: int
@@ -112,54 +107,65 @@ class IntegralStep:
     bound: Measure
     unit_witness: bool = False
 
+    def __post_init__(self):
+        if any(len(cell) != self.depth for cell in self.values):
+            raise ConstructionError(f"step cells must all have length {self.depth}")
+
     def value(self, cell: str) -> Fraction:
         return self.values.get(cell, ZERO)
 
     def max_value(self) -> Fraction:
         return max(self.values.values(), default=ZERO)
 
-    def integral_over(self, sigma: str) -> Fraction:
-        """Exact integral of the step function over [sigma]."""
-        if len(sigma) >= self.depth:
-            return self.value(sigma[: self.depth]) * self.base.mass(sigma)
-        total = ZERO
-        for cell, v in self.values.items():
-            if cell.startswith(sigma) and v != 0:
-                total += v * self.base.mass(cell)
-        return total
+    def integrals(self, depth: int) -> dict:
+        """sigma -> exact integral over [sigma], for |sigma| <= min(depth, self.depth),
+        summed bottom-up from the cells in one pass; zero integrals are left out."""
+        layer = {cell: v * self.base.mass(cell) for cell, v in self.values.items() if v != 0}
+        out = {}
+        for n in range(self.depth, -1, -1):
+            if n <= depth:
+                out.update(layer)
+            parents = {}
+            for cell, x in layer.items():
+                parents[cell[:-1]] = parents.get(cell[:-1], ZERO) + x
+            layer = parents
+        return out
 
 
-def _cells(depth: int):
-    return bits.all_strings(depth)
+def _cover_counts(pieces, depth: int) -> dict:
+    """Depth-d cell -> number of pieces holding it, expanding each generator (none deeper)."""
+    check_enumeration_depth(depth)
+    counts = {}
+    for piece in pieces:
+        for g in piece.generators:
+            for tail in bits.all_strings(depth - len(g)):
+                counts[g + tail] = counts.get(g + tail, 0) + 1
+    return counts
+
+
+def _cover_integrals(base: Measure, pieces, depth: int) -> dict:
+    """integrals(depth) of the piece-count function, with cells as deep as any generator."""
+    d = max([depth] + [len(g) for piece in pieces for g in piece.generators])
+    return IntegralStep(base=base, depth=d, values=_cover_counts(pieces, d), bound=None).integrals(depth)
 
 
 def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
     """Step function equal to the savings floor on depth-d cells, bounded by
     the measure total*base carried through null cylinders."""
-    from .martingale import to_measure
-
-    values = {}
-    for cell in _cells(depth):
-        f = sp.savings(cell)
-        if f is not None and f != 0:
-            values[cell] = f
+    check_enumeration_depth(depth)
+    values = {cell: f for cell in bits.all_strings(depth) if (f := sp.savings(cell))}  # None and 0 dropped
     bound = to_measure(sp.total)
     return IntegralStep(base=sp.base, depth=depth, values=values, bound=bound, unit_witness=True)
 
 
 def integral_to_bounded_ml(step: IntegralStep, n_levels: Optional[int] = None) -> BoundedMLTest:
     """Levels U_n = union of cells with value >= 2^n, inheriting the bound."""
-    if n_levels is None:
-        n_levels = 0
-        top = step.max_value()
-        while 2 ** (n_levels + 1) <= top:
-            n_levels += 1
-        n_levels = max(n_levels, 1)
-    levels = []
-    for n in range(1, n_levels + 1):
-        threshold = Fraction(2**n)
-        chosen = [cell for cell, v in step.values.items() if v >= threshold]
-        levels.append(CylinderSet.from_strings(chosen, depth=step.depth))
+    if n_levels is None:  # the largest n with 2^n <= max value, at least 1
+        n_levels = max(1, int(step.max_value()).bit_length() - 1)
+    levels = [
+        CylinderSet.from_strings([cell for cell, v in step.values.items() if v >= 2**n], depth=step.depth)
+        for n in range(1, n_levels + 1)
+    ]
     return BoundedMLTest(base=step.base, levels=levels, bound=step.bound, witness=step if step.unit_witness else None)
 
 
@@ -170,14 +176,9 @@ def bounded_ml_to_vitali(test: BoundedMLTest) -> VitaliTest:
 
 def vitali_to_integral(test: VitaliTest, depth: int) -> IntegralStep:
     """Step function counting how many pieces contain each depth-d cell."""
-    for piece in test.pieces:
-        if any(len(g) > depth for g in piece.generators):
-            raise PreconditionError("piece generators deeper than the requested depth")
-    values = {}
-    for cell in _cells(depth):
-        count = sum(1 for piece in test.pieces if piece.covers_prefix(cell))
-        if count:
-            values[cell] = Fraction(count)
+    if any(len(g) > depth for piece in test.pieces for g in piece.generators):
+        raise PreconditionError("piece generators deeper than the requested depth")
+    values = {cell: Fraction(n) for cell, n in sorted(_cover_counts(test.pieces, depth).items())}
     return IntegralStep(base=test.base, depth=depth, values=values, bound=test.bound, unit_witness=False)
 
 
@@ -189,12 +190,10 @@ def integral_to_martingale(step: IntegralStep) -> Martingale:
 
 
 def verify_test_bounds(obj, depth: int) -> AuditReport:
-    """Exact verification of every defining inequality at all |sigma| <= depth.
-
-    Accepts MLTest, BoundedMLTest, VitaliTest, or IntegralStep.  For a plain
-    MLTest the report also notes the Schnorr-style property (every level mass
-    exactly representable), which holds for all finite rational tests here.
-    """
+    """Exact verification of every defining inequality at all |sigma| <= depth
+    (capped like every exhaustive enumeration) for an MLTest, BoundedMLTest,
+    VitaliTest or IntegralStep.  A plain MLTest's report also notes the
+    Schnorr-style property: every level mass is exactly representable."""
     report = AuditReport()
     if isinstance(obj, IntegralStep):
         _verify_integral(obj, depth, report)
@@ -212,8 +211,8 @@ def verify_test_bounds(obj, depth: int) -> AuditReport:
 
 
 def _all_prefixes(depth: int):
-    yield ""
-    for n in range(1, depth + 1):
+    check_enumeration_depth(depth)
+    for n in range(depth + 1):
         yield from bits.all_strings(n)
 
 
@@ -226,44 +225,46 @@ def _verify_ml_levels(test: MLTest, report: AuditReport):
 
 
 def _verify_bounded(test: BoundedMLTest, depth: int, report: AuditReport):
+    within = [_cover_integrals(test.base, [level], depth) for level in test.levels]
     for sigma in _all_prefixes(depth):
         nu_sigma = test.bound.mass(sigma)
-        for n in range(1, test.n_levels + 1):
+        for n, level_within in enumerate(within, 1):
             report.checked += 1
-            lhs = test.level(n).mass_within(test.base, sigma)
+            lhs = level_within.get(sigma, ZERO)
             if lhs * 2**n > nu_sigma:
-                report.add(f"bounded inequality fails at level {n}, sigma {sigma!r}: " f"{lhs} > 2^-{n} * {nu_sigma}")
+                report.add(f"bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * {nu_sigma}")
     if test.witness is not None:
-        _verify_witness(test.witness, depth, report)
+        _verify_witness(test.witness, depth, report, test.witness.integrals(depth))
 
 
 def _verify_vitali(test: VitaliTest, depth: int, report: AuditReport):
+    within = _cover_integrals(test.base, test.pieces, depth)
     for sigma in _all_prefixes(depth):
         report.checked += 1
-        total = sum((piece.mass_within(test.base, sigma) for piece in test.pieces), ZERO)
-        if total > test.bound.mass(sigma):
-            report.add(f"summable bound fails at {sigma!r}: {total} > {test.bound.mass(sigma)}")
+        total, nu_sigma = within.get(sigma, ZERO), test.bound.mass(sigma)
+        if total > nu_sigma:
+            report.add(f"summable bound fails at {sigma!r}: {total} > {nu_sigma}")
 
 
 def _verify_integral(step: IntegralStep, depth: int, report: AuditReport):
     for v in step.values.values():
         if v < 0:
             report.add(f"negative step value {v}")
+    integrals = step.integrals(depth)
     for sigma in _all_prefixes(min(depth, step.depth)):
         report.checked += 1
-        if step.integral_over(sigma) > step.bound.mass(sigma):
-            report.add(
-                f"integral bound fails at {sigma!r}: " f"{step.integral_over(sigma)} > {step.bound.mass(sigma)}"
-            )
+        lhs, nu_sigma = integrals.get(sigma, ZERO), step.bound.mass(sigma)
+        if lhs > nu_sigma:
+            report.add(f"integral bound fails at {sigma!r}: {lhs} > {nu_sigma}")
     if step.unit_witness:
-        _verify_witness(step, depth, report)
+        _verify_witness(step, depth, report, integrals)
 
 
-def _verify_witness(step: IntegralStep, depth: int, report: AuditReport):
+def _verify_witness(step: IntegralStep, depth: int, report: AuditReport, integrals: dict):
     # absolute-continuity witness: bound(sigma) <= integral of (g+1) over [sigma]
     for sigma in _all_prefixes(min(depth, step.depth)):
         report.checked += 1
-        upper = step.integral_over(sigma) + step.base.mass(sigma)
+        upper = integrals.get(sigma, ZERO) + step.base.mass(sigma)
         if step.bound.mass(sigma) > upper:
             report.add(f"domination witness fails at {sigma!r}: {step.bound.mass(sigma)} > {upper}")
 
@@ -274,10 +275,8 @@ def check_coverage_transfer(sp: SavingsPair, test: BoundedMLTest, depth: int) ->
     report = AuditReport()
     for p in _all_prefixes(depth):
         f = sp.savings(p)
-        if f is None:
-            continue
         for n in range(1, test.n_levels + 1):
-            if f >= 2**n:
+            if f is not None and f >= 2**n:
                 report.checked += 1
                 if not test.level(n).covers_prefix(p):
                     report.add(f"prefix {p!r} with floor {f} escapes level {n}")

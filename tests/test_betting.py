@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,26 @@ def test_likelihood_ratio_replicates_quotient(fair):
         assert played.values == randlab.run(mart, x).values
         # wins are exactly the predicted-side hits, so history mirrors the sample
         assert len(played.history) == len(x)
+
+
+def test_likelihood_ratio_keeps_no_per_history_state(fair):
+    rng = random.Random(5)
+    x = "".join(rng.choice("01") for _ in range(400))
+    s = LikelihoodRatioStrategy(randlab.bernoulli(F(3, 4)))
+
+    def held():
+        return {name: len(v) if isinstance(v, (dict, list, set)) else v for name, v in vars(s).items()}
+
+    before = held()
+    first = randlab.play(s, fair, x)
+    # under bernoulli(9/10) the strategy bets on 0s, not 1s: the same object
+    # must still play exactly as a fresh one would
+    skewed = randlab.bernoulli(F(9, 10))
+    second = randlab.play(s, skewed, x[::-1])
+    assert held() == before
+    assert first.values == randlab.play(LikelihoodRatioStrategy(s.model), fair, x).values
+    assert second.values == randlab.play(LikelihoodRatioStrategy(s.model), skewed, x[::-1]).values
+    assert len(first.values) == len(second.values) == 401
 
 
 def test_bit_all_in_after_bust_keeps_learning(fair):

@@ -52,6 +52,16 @@ def test_bary_cells():
     assert quad.cell("111").intervals == ((F(3, 4), F(1)),)
 
 
+def test_deep_cells_need_no_recursion():
+    # 1500 bits is deeper than the recursion limit
+    sigma = "0" * 1500
+    assert cells.binary_digits().cell(sigma).intervals == ((F(0), F(1, 2**1500)),)
+    ternary = cells.bary_grouped(3)
+    assert ternary.cell(sigma).intervals == ((F(0), F(1, 3**1500)),)
+    assert ternary.cell_mass(sigma + "1") == F(2, 3**1501)
+    assert cells.interleave(2).cell(sigma) == ((F(0), F(1, 2**750)), (F(0), F(1, 2**750)))
+
+
 def test_cell_mass_matches_geometry():
     # the closed-form masses must equal the region/box measures
     for dec in (cells.binary_digits(), cells.bary_grouped(3), cells.bary_grouped(5)):

@@ -67,6 +67,17 @@ def test_audit_depth_cap_exit_code(capsys, monkeypatch, check):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("target", ["integral", "bounded_ml", "vitali", "cycle"])
+def test_convert_depth_cap_exit_code(capsys, monkeypatch, target):
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
+    head = ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", target]
+    code, _, err = run_cli(capsys, *head, "--depth", "8")
+    assert code == 3
+    assert "exceeds cap 4" in err
+    code, out, _ = run_cli(capsys, *head, "--depth", "4")
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_depth_limit_is_a_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", value)

@@ -42,6 +42,15 @@ def test_to_measure_roundtrip(fair, bern13):
     assert randlab.measures_agree(randlab.to_measure(m), nu0, 10)
 
 
+def test_to_measure_of_unfair_martingale_reads_capital_times_mass(fair):
+    # mass() is the documented capital*mass even where that is not additive;
+    # the additivity audit is what reports the unfairness
+    nu = randlab.to_measure(randlab.table_martingale(fair, {"0": Fraction(3, 2), "1": Fraction(3, 2)}))
+    assert nu.mass("0") == Fraction(3, 4)
+    assert nu.mass("1") == Fraction(3, 4)
+    assert randlab.check_additivity(nu, 2).violations == ["additivity fails at '': 3/4+3/4 != 1"]
+
+
 def test_unit_martingale_gives_base(bern13):
     one = randlab.table_martingale(bern13, {})
     assert randlab.measures_agree(randlab.to_measure(one), bern13, 8)

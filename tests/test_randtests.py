@@ -2,9 +2,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
-from randlab import ConstructionError, CylinderSet, IntegralStep, MLTest
+from randlab import (
+    BoundedMLTest,
+    ConstructionError,
+    CylinderSet,
+    IntegralStep,
+    MLTest,
+    ResourceLimitError,
+    VitaliTest,
+)
 from randlab.randtests import check_coverage_transfer
 
 
@@ -45,8 +55,9 @@ def test_martingale_to_integral_worked_case(fair):
     assert step.values == {"0": Fraction(3)}
     assert step.bound.mass("0") == 2
     half = Fraction(1, 2)
-    assert step.integral_over("0") == Fraction(3) * half  # 3/2
-    assert step.integral_over("0") <= step.bound.mass("0") <= step.integral_over("0") + fair.mass("0") * 1 + half * 1
+    integral = step.integrals(1)["0"]
+    assert integral == Fraction(3) * half  # 3/2
+    assert integral <= step.bound.mass("0") <= integral + fair.mass("0") * 1 + half * 1
     report = randlab.verify_test_bounds(step, 1)
     assert report.ok, report.violations
 
@@ -62,10 +73,11 @@ def test_integral_sandwich_battery(battery_marts):
     for name, m in battery_marts.items():
         sp = randlab.savings_transform(m)
         step = randlab.martingale_to_integral(sp, 6)
+        integrals = step.integrals(6)
         for n in range(7):
             for bits in itertools.product("01", repeat=n):
                 sigma = "".join(bits)
-                lower = step.integral_over(sigma)
+                lower = integrals.get(sigma, 0)
                 upper = lower + step.base.mass(sigma)
                 assert lower <= step.bound.mass(sigma) <= upper, (name, sigma)
 
@@ -109,7 +121,7 @@ def test_vitali_to_integral_counts(fair):
     )
     step = randlab.vitali_to_integral(vit, 1)
     assert step.values == {"0": Fraction(2)}
-    assert step.integral_over("") == 1
+    assert step.integrals(1) == {"": 1, "0": 1}
 
 
 def test_vitali_to_integral_disjoint(fair):
@@ -120,7 +132,7 @@ def test_vitali_to_integral_disjoint(fair):
     )
     step = randlab.vitali_to_integral(vit, 2)
     assert step.values == {"00": Fraction(1), "01": Fraction(1)}
-    assert step.integral_over("") == Fraction(1, 2)
+    assert step.integrals(0) == {"": Fraction(1, 2)}
 
 
 def test_vitali_roundtrip_keeps_bounds(battery_marts):
@@ -188,3 +200,229 @@ def test_chain_soundness_small(battery_marts):
         cap = final.capital(cell)
         if cap is not None and final.base.mass(cell) > 0:
             assert cap >= back.value(cell)
+
+
+def pinned_fixtures():
+    """One failing test of each verified kind over a non-uniform base; the
+    generators sit at depth 3, the verify depths are 2 and 4."""
+    base = randlab.bernoulli(Fraction(1, 3))
+    bound = randlab.split_table({"": Fraction(1, 4), "1": Fraction(2, 3), "01": 1}, total=Fraction(3, 2))
+    values = {"110": Fraction(9), "111": Fraction(2), "011": Fraction(5, 2), "000": Fraction(1, 2)}
+    step = IntegralStep(base=base, depth=3, values=values, bound=bound, unit_witness=True)
+    levels = [
+        CylinderSet.from_strings(["1", "001"], depth=3),
+        CylinderSet.from_strings(["11"], depth=3),
+        CylinderSet.from_strings(["011"], depth=3),
+    ]
+    return {
+        "integral": step,
+        "bounded_ml": BoundedMLTest(base=base, levels=levels, bound=bound, witness=step),
+        "vitali": VitaliTest(base=base, pieces=levels + [CylinderSet.from_strings(["0"], depth=3)], bound=bound),
+    }
+
+
+# (checked, violations one per line), in the order the verifier reports them
+PINNED_REPORTS = {
+    ("integral", 2): (
+        14,
+        """
+integral bound fails at '1': 20/27 > 3/8
+integral bound fails at '11': 20/27 > 1/4
+domination witness fails at '0': 9/8 > 1
+domination witness fails at '01': 9/16 > 11/27
+""",
+    ),
+    ("integral", 4): (
+        30,
+        """
+integral bound fails at '1': 20/27 > 3/8
+integral bound fails at '11': 20/27 > 1/4
+integral bound fails at '110': 2/3 > 1/8
+domination witness fails at '0': 9/8 > 1
+domination witness fails at '01': 9/16 > 11/27
+domination witness fails at '001': 9/32 > 4/27
+domination witness fails at '011': 9/16 > 7/27
+domination witness fails at '111': 1/8 > 1/9
+""",
+    ),
+    ("bounded_ml", 2): (
+        31,
+        """
+bounded inequality fails at level 1, sigma '1': 1/3 > 2^-1 * 3/8
+bounded inequality fails at level 2, sigma '1': 1/9 > 2^-2 * 3/8
+bounded inequality fails at level 3, sigma '01': 2/27 > 2^-3 * 9/16
+bounded inequality fails at level 1, sigma '10': 2/9 > 2^-1 * 1/8
+bounded inequality fails at level 2, sigma '11': 1/9 > 2^-2 * 1/4
+domination witness fails at '0': 9/8 > 1
+domination witness fails at '01': 9/16 > 11/27
+""",
+    ),
+    ("bounded_ml", 4): (
+        111,
+        """
+bounded inequality fails at level 1, sigma '1': 1/3 > 2^-1 * 3/8
+bounded inequality fails at level 2, sigma '1': 1/9 > 2^-2 * 3/8
+bounded inequality fails at level 3, sigma '01': 2/27 > 2^-3 * 9/16
+bounded inequality fails at level 1, sigma '10': 2/9 > 2^-1 * 1/8
+bounded inequality fails at level 2, sigma '11': 1/9 > 2^-2 * 1/4
+bounded inequality fails at level 1, sigma '001': 4/27 > 2^-1 * 9/32
+bounded inequality fails at level 3, sigma '011': 2/27 > 2^-3 * 9/16
+bounded inequality fails at level 1, sigma '100': 4/27 > 2^-1 * 1/16
+bounded inequality fails at level 1, sigma '101': 2/27 > 2^-1 * 1/16
+bounded inequality fails at level 1, sigma '110': 2/27 > 2^-1 * 1/8
+bounded inequality fails at level 2, sigma '110': 2/27 > 2^-2 * 1/8
+bounded inequality fails at level 2, sigma '111': 1/27 > 2^-2 * 1/8
+bounded inequality fails at level 1, sigma '0010': 8/81 > 2^-1 * 9/64
+bounded inequality fails at level 3, sigma '0110': 4/81 > 2^-3 * 9/32
+bounded inequality fails at level 1, sigma '1000': 8/81 > 2^-1 * 1/32
+bounded inequality fails at level 1, sigma '1001': 4/81 > 2^-1 * 1/32
+bounded inequality fails at level 1, sigma '1010': 4/81 > 2^-1 * 1/32
+bounded inequality fails at level 1, sigma '1011': 2/81 > 2^-1 * 1/32
+bounded inequality fails at level 1, sigma '1100': 4/81 > 2^-1 * 1/16
+bounded inequality fails at level 2, sigma '1100': 4/81 > 2^-2 * 1/16
+bounded inequality fails at level 2, sigma '1101': 2/81 > 2^-2 * 1/16
+bounded inequality fails at level 2, sigma '1110': 2/81 > 2^-2 * 1/16
+domination witness fails at '0': 9/8 > 1
+domination witness fails at '01': 9/16 > 11/27
+domination witness fails at '001': 9/32 > 4/27
+domination witness fails at '011': 9/16 > 7/27
+domination witness fails at '111': 1/8 > 1/9
+""",
+    ),
+    ("vitali", 2): (
+        7,
+        """
+summable bound fails at '1': 4/9 > 3/8
+summable bound fails at '00': 16/27 > 9/16
+summable bound fails at '10': 2/9 > 1/8
+""",
+    ),
+    ("vitali", 4): (
+        31,
+        """
+summable bound fails at '1': 4/9 > 3/8
+summable bound fails at '00': 16/27 > 9/16
+summable bound fails at '10': 2/9 > 1/8
+summable bound fails at '000': 8/27 > 9/32
+summable bound fails at '001': 8/27 > 9/32
+summable bound fails at '010': 4/27 > 0
+summable bound fails at '100': 4/27 > 1/16
+summable bound fails at '101': 2/27 > 1/16
+summable bound fails at '110': 4/27 > 1/8
+summable bound fails at '0000': 16/81 > 9/64
+summable bound fails at '0010': 16/81 > 9/64
+summable bound fails at '0100': 8/81 > 0
+summable bound fails at '0101': 4/81 > 0
+summable bound fails at '1000': 8/81 > 1/32
+summable bound fails at '1001': 4/81 > 1/32
+summable bound fails at '1010': 4/81 > 1/32
+summable bound fails at '1100': 8/81 > 1/16
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize(("kind", "depth"), sorted(PINNED_REPORTS))
+def test_verifier_reports_are_pinned(kind, depth):
+    checked, text = PINNED_REPORTS[(kind, depth)]
+    report = randlab.verify_test_bounds(pinned_fixtures()[kind], depth)
+    assert report.violations == text.strip().splitlines()
+    assert report.checked == checked
+
+
+def test_integral_step_cells_must_have_the_step_depth(fair):
+    with pytest.raises(ConstructionError):
+        IntegralStep(base=fair, depth=3, values={"01": Fraction(1)}, bound=fair)
+
+
+def test_verifying_generators_deeper_than_the_cap_hits_the_cap(fair, monkeypatch):
+    # the one-pass verifier expands generators to cells, so their depth is an
+    # enumeration depth like any other
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "6")
+    deep = CylinderSet.from_strings(["0" * 7])
+    with pytest.raises(ResourceLimitError):
+        randlab.verify_test_bounds(VitaliTest(base=fair, pieces=[deep], bound=fair), 2)
+    with pytest.raises(ResourceLimitError):
+        randlab.verify_test_bounds(BoundedMLTest(base=fair, levels=[deep], bound=fair), 2)
+    shallow = CylinderSet.from_strings(["0" * 6])
+    assert randlab.verify_test_bounds(VitaliTest(base=fair, pieces=[shallow], bound=fair), 2).ok
+
+
+def test_conversions_and_verification_respect_the_depth_cap(fair, battery_marts, monkeypatch):
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "6")
+    sp = randlab.savings_transform(battery_marts["all_in_on_0"])
+    with pytest.raises(ResourceLimitError):
+        randlab.martingale_to_integral(sp, 7)
+    step = randlab.martingale_to_integral(sp, 6)
+    vitali = randlab.bounded_ml_to_vitali(randlab.integral_to_bounded_ml(step))
+    with pytest.raises(ResourceLimitError):
+        randlab.verify_test_bounds(vitali, 7)
+    with pytest.raises(ResourceLimitError):
+        randlab.vitali_to_integral(vitali, 7)
+    # an integral step is walked to its own depth at most
+    assert randlab.verify_test_bounds(step, 7).checked == randlab.verify_test_bounds(step, 6).checked
+    # a plain level test is verified from its level masses alone
+    assert randlab.verify_test_bounds(MLTest(base=fair, levels=[CylinderSet.from_strings(["0"])]), 30).ok
+
+
+@st.composite
+def bases_steps_and_sets(draw):
+    """A split_table base, a step function on its depth-d cells (d <= 3) and
+    up to three cylinder sets with generators of length <= 3."""
+    splits = st.fractions(min_value=0, max_value=1, max_denominator=6)
+    keys = draw(st.lists(st.text(alphabet="01", max_size=3), unique=True, max_size=5))
+    base = randlab.split_table({sigma: draw(splits) for sigma in keys}, default=draw(splits))
+    depth = draw(st.integers(0, 3))
+    cells = ["".join(bits) for bits in itertools.product("01", repeat=depth)]
+    values = {
+        cell: draw(st.fractions(min_value=0, max_value=5, max_denominator=4))
+        for cell in draw(st.lists(st.sampled_from(cells), unique=True))
+    }
+    generators = st.lists(st.text(alphabet="01", max_size=3), max_size=4)
+    sets = [CylinderSet.from_strings(draw(generators), depth=3) for _ in range(draw(st.integers(1, 3)))]
+    return base, values, depth, sets
+
+
+@given(bases_steps_and_sets())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_integrals_match_the_definitions(case):
+    base, values, step_depth, sets = case
+    # a zero bound makes every verifier report each positive left-hand side
+    zero = randlab.split_table({}, total=0)
+    step = IntegralStep(base=base, depth=step_depth, values=values, bound=zero)
+    prefixes = ["".join(bits) for n in range(5) for bits in itertools.product("01", repeat=n)]
+
+    def brute(sigma):
+        return sum((v * base.mass(cell) for cell, v in values.items() if cell.startswith(sigma)), Fraction(0))
+
+    integrals = step.integrals(4)
+    assert set(integrals) <= {sigma for sigma in prefixes if len(sigma) <= step_depth}
+    for sigma in prefixes:
+        if len(sigma) <= step_depth:
+            assert integrals.get(sigma, 0) == brute(sigma), sigma
+    for depth in (1, 4):
+        shown = [sigma for sigma in prefixes if len(sigma) <= min(depth, step_depth) and brute(sigma) > 0]
+        report = randlab.verify_test_bounds(step, depth)
+        assert report.violations == [f"integral bound fails at {sigma!r}: {brute(sigma)} > 0" for sigma in shown]
+
+        in_depth = [sigma for sigma in prefixes if len(sigma) <= depth]
+        bounded = BoundedMLTest(base=base, levels=sets, bound=zero)
+        expected = [
+            f"level {n} mass {level.mass(base)} exceeds 2^-{n}"
+            for n, level in enumerate(sets, 1)
+            if level.mass(base) > Fraction(1, 2**n)
+        ]
+        for sigma in in_depth:
+            for n, level in enumerate(sets, 1):
+                lhs = level.mass_within(base, sigma)
+                if lhs > 0:
+                    expected.append(f"bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * 0")
+        assert randlab.verify_test_bounds(bounded, depth).violations == expected
+
+        expected = []
+        for sigma in in_depth:
+            total = sum((piece.mass_within(base, sigma) for piece in sets), Fraction(0))
+            if total > 0:
+                expected.append(f"summable bound fails at {sigma!r}: {total} > 0")
+        vitali = VitaliTest(base=base, pieces=sets, bound=zero)
+        assert randlab.verify_test_bounds(vitali, depth).violations == expected

@@ -60,18 +60,34 @@ def _bit_expansion_guard(gens, index: int):
         )
 
 
-def _split_knowledge(gens, event, mu: Measure):
-    """Partition a knowledge set by an event: (win generators, loss generators)."""
+def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
+    """The part of a knowledge set where the event holds (won) or fails: its
+    generators, their weights given the knowledge set, and their total weight.
+
+    A generator's weight is the weight of the knowledge generator above it
+    times the measure's splits between the two, so no cylinder mass is read
+    and no two masses are divided.
+    """
+    gens = knowledge.generators
     if isinstance(event, BitEvent):
         _bit_expansion_guard(gens, event.index)
-        win = bits.restrict_bit(gens, event.index, event.side)
-        lose = bits.restrict_bit(gens, event.index, 1 - event.side)
+        side = bits.restrict_bit(gens, event.index, event.side if won else 1 - event.side)
     elif isinstance(event, CylinderEvent):
-        win = bits.intersect(gens, event.generators)
-        lose = bits.subtract(gens, event.generators)
+        side = (bits.intersect if won else bits.subtract)(gens, event.generators)
     else:
         raise PreconditionError(f"unknown event type {type(event).__name__}")
-    return win, lose
+    weights = []
+    for h in side:
+        # knowledge sets are prefix-free and canonical, so exactly one
+        # knowledge generator lies above each generator of a side
+        g, w = next((g, w) for g, w in zip(gens, knowledge.weights) if h.startswith(g))
+        for j in range(len(g), len(h)):
+            if not w:
+                break  # as in Measure.mass, no split is read below a null cylinder
+            s = mu.split(h[:j])
+            w = w * s if h[j] == "1" else w * (1 - s)
+        weights.append(w)
+    return side, weights, sum(weights, ZERO)
 
 
 def _membership(event, x: str):
@@ -85,10 +101,13 @@ def _membership(event, x: str):
 
 @dataclass
 class KnowledgeState:
-    """Information accumulated along a win/loss history."""
+    """Information accumulated along a win/loss history: the set's generators,
+    its mass, and each generator's conditional weight (its mass over the
+    set's mass)."""
 
     generators: tuple
     mass: Fraction
+    weights: tuple
 
 
 class BettingStrategy:
@@ -155,17 +174,17 @@ class LikelihoodRatioStrategy(BettingStrategy):
 
     def bet(self, history, capital, knowledge, mu):
         (prefix,) = knowledge.generators
-        base_p, ratios = [], []
-        for b in (0, 1):
-            pc, nc = mu.conditional(prefix, b), self.model.conditional(prefix, b)
-            if pc is None or pc == 0:
-                raise StrategyViolation(f"base measure degenerate after {prefix!r}")
-            base_p.append(pc)
-            ratios.append((ZERO if nc is None else nc) / pc)
-        side = 1 if ratios[1] >= ratios[0] else 0
-        p = base_p[side]
-        stake = capital * (ratios[side] - 1) * p / (1 - p)
-        return (BitEvent(len(prefix), side), stake)
+        # the knowledge set is [prefix], so its mass is mu.mass(prefix)
+        if knowledge.mass == 0 or (s := mu.split(prefix)) == 0 or s == 1:
+            raise StrategyViolation(f"base measure degenerate after {prefix!r}")
+        t = self.model.conditional(prefix, 1)
+        # the model/base ratio on side 1, t/s, is at least the one on side 0,
+        # (1-t)/(1-s), exactly when t >= s; a null model cylinder makes both
+        # ratios 0 and the tie goes to side 1.  The stake that turns capital
+        # into capital * ratio is capital * (ratio - 1) * p / (1 - p).
+        if t is None or t >= s:
+            return (BitEvent(len(prefix), 1), capital * (((t or ZERO) - s) / (1 - s)))
+        return (BitEvent(len(prefix), 0), capital * ((s - t) / s))
 
 
 class DoublingStrategy(BettingStrategy):
@@ -191,8 +210,7 @@ class DoublingStrategy(BettingStrategy):
         if k >= len(gens):
             return None  # nothing left to chase
         event = CylinderEvent(generators=(gens[k],))
-        win_mass = _set_mass(bits.intersect(knowledge.generators, event.generators), mu)
-        p = win_mass / knowledge.mass
+        _, _, p = _side(knowledge, event, mu, True)
         stake = (self.target - capital) * p / (1 - p)
         return (event, stake)
 
@@ -242,32 +260,31 @@ class _Node:
         return self.event is None
 
 
-def _resolve_bet(node: _Node, event, stake, mu: Measure):
-    """Validate a bet and compute the win/loss successor data."""
+def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
+    """Validate a bet and build the successor on the side it resolved to.
+
+    Returns (p, payoff, successor): p is the event's probability given the
+    knowledge set, payoff = (1-p)/p the fair winnings per unit staked.
+    """
     stake = RAT(stake)
     if stake < 0:
         raise StrategyViolation(f"negative stake {stake} at {node.history!r}")
     if stake > node.capital:
         raise StrategyViolation(f"stake {stake} exceeds capital {node.capital} at {node.history!r}")
-    win, lose = _split_knowledge(node.knowledge.generators, event, mu)
-    win_mass, lose_mass = _set_mass(win, mu), _set_mass(lose, mu)
-    if win_mass == 0 or lose_mass == 0:
+    knowledge = node.knowledge
+    gens, weights, q = _side(knowledge, event, mu, won)
+    if knowledge.mass == 0 or q == 0 or q == 1:
         raise StrategyViolation(
             f"bet on a conditionally null or sure event at {node.history!r}: {event.describe()}"
         )
-    p = win_mass / node.knowledge.mass
-    payoff = lose_mass / win_mass  # = (1-p)/p relative to the knowledge set
-    win_node = _Node(
-        history=node.history + "1",
-        knowledge=KnowledgeState(win, win_mass),
-        capital=node.capital + stake * payoff,
+    p = q if won else 1 - q
+    payoff = (1 - p) / p
+    successor = _Node(
+        history=node.history + ("1" if won else "0"),
+        knowledge=KnowledgeState(gens, knowledge.mass * q, tuple(w / q for w in weights)),
+        capital=node.capital + stake * payoff if won else node.capital - stake,
     )
-    lose_node = _Node(
-        history=node.history + "0",
-        knowledge=KnowledgeState(lose, lose_mass),
-        capital=node.capital - stake,
-    )
-    return p, payoff, win_node, lose_node
+    return p, payoff, successor
 
 
 def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
@@ -288,12 +305,13 @@ def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
         if decision is None:
             return
         event, stake = decision
-        p, payoff, win_node, lose_node = _resolve_bet(node, event, stake, mu)
+        p, payoff, win_node = _resolve_bet(node, event, stake, mu, True)
+        _, _, lose_node = _resolve_bet(node, event, stake, mu, False)
         node.event, node.stake, node.conditional, node.payoff = event, stake, p, payoff
         rec(win_node)
         rec(lose_node)
 
-    root = _Node(history="", knowledge=KnowledgeState(("",), mu.mass("")), capital=strategy.start_capital)
+    root = _Node(history="", knowledge=KnowledgeState(("",), mu.mass(""), (ONE,)), capital=strategy.start_capital)
     rec(root)
     return tree
 
@@ -328,7 +346,7 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
         x = binary_digits().resolved_name(x, depth)
     if max_steps is None:
         max_steps = len(x)
-    node = _Node(history="", knowledge=KnowledgeState(("",), mu.mass("")), capital=strategy.start_capital)
+    node = _Node(history="", knowledge=KnowledgeState(("",), mu.mass(""), (ONE,)), capital=strategy.start_capital)
     values = [node.capital]
     events, masses = [], [node.knowledge.mass]
     for _ in range(max_steps):
@@ -340,10 +358,9 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
         if outcome is None:
             return PlayResult(node.history, values, events, masses, undetermined=True)
         try:
-            _, _, win_node, lose_node = _resolve_bet(node, event, stake, mu)
+            _, _, node = _resolve_bet(node, event, stake, mu, outcome)
         except StrategyViolation as exc:
             return PlayResult(node.history, values, events, masses, violation=str(exc))
-        node = win_node if outcome else lose_node
         values.append(node.capital)
         events.append(event.describe())
         masses.append(node.knowledge.mass)

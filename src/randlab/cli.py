@@ -7,9 +7,9 @@ errors, and 3 when a resource cap is hit.
 """
 
 import argparse
-import csv
+import contextlib
 import hashlib
-import io
+import itertools
 import json
 import sys
 import time
@@ -62,15 +62,37 @@ def _emit(report: Report, out_path):
     sys.stdout.write(text)
 
 
+def _csv_field(value) -> str:
+    """A number or string as csv.writer (QUOTE_MINIMAL) writes it in a row of
+    several fields: quoted, with each quote doubled, when it holds a comma, a
+    quote, CR or LF."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path, header, rows):
-    target = open(path, "w", newline="") if path else io.StringIO()
-    writer = csv.writer(target)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if path:
-        target.close()
-    else:
-        sys.stdout.write(target.getvalue())
+    """Stream a header and an iterable of rows as CRLF-terminated CSV lines
+    to path, or to stdout when no path is given."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as target:
+        for row in itertools.chain((header,), rows):
+            target.write(",".join(map(_csv_field, row)) + "\r\n")
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's int->str digit limit (3.11+) while exact values are
+    rendered, and restore the previous limit afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def cmd_audit(opts, raw_args) -> int:
@@ -239,19 +261,18 @@ def cmd_bet(opts, raw_args) -> int:
     x = generate_bits(source, opts.length)
     strategy = specfmt.parse_strategy(opts.strategy, mu)
     result = betting.play(strategy, mu, x)
-    rows = []
-    for step, value in enumerate(result.values):
-        event = result.events[step - 1] if 0 < step <= len(result.events) else ""
-        rows.append(
-            (step, x[:step], value.numerator, value.denominator, event)
-        )
-    _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
+    rows = (
+        (step, x[:step], value.numerator, value.denominator, result.events[step - 1] if step else "")
+        for step, value in enumerate(result.values)
+    )
     report.digest("source", opts.source)
     final = result.final
-    summary = (
-        f"summary: steps={len(result.values) - 1} final={format_rational(final)} "
-        f"max={format_rational(result.max_attained)}"
-    )
+    with _exact_digits():
+        _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
+        summary = (
+            f"summary: steps={len(result.values) - 1} final={format_rational(final)} "
+            f"max={format_rational(result.max_attained)}"
+        )
     if final > 0:
         summary += f" log2_final~{frac_log2(final):.4f}"
     report.line(summary)
@@ -270,18 +291,17 @@ def cmd_deficiency(opts, raw_args) -> int:
     dec = specfmt.parse_decomposition(opts.decomposition)
     point = _parse_point(opts.point, dec)
     trace = machines.deficiency_trace(machine, dec, point, opts.length)
-    rows = []
-    for row in trace.rows:
-        rows.append(
-            (
-                row.n,
-                _render_extended(row.neg_log_mass_low),
-                _render_extended(row.neg_log_mass_high),
-                _render_extended(row.complexity),
-                _render_extended(row.d_low),
-                _render_extended(row.d_high),
-            )
+    rows = (
+        (
+            row.n,
+            _render_extended(row.neg_log_mass_low),
+            _render_extended(row.neg_log_mass_high),
+            _render_extended(row.complexity),
+            _render_extended(row.d_low),
+            _render_extended(row.d_high),
         )
+        for row in trace.rows
+    )
     _write_csv(opts.out_csv, ("n", "neg_log_mass_low", "neg_log_mass_high", "K", "d_low", "d_high"), rows)
     report.digest("machine", opts.machine)
     if trace.undetermined_at is not None and trace.undetermined_at <= opts.length:

@@ -51,8 +51,10 @@ class Measure:
 
     def split(self, sigma: str):
         """Conditional weight of the 1-child (1/2 convention below nulls)."""
-        s = RAT(self._split_fn(sigma))
-        if not (0 <= s <= 1):
+        s = self._split_fn(sigma)
+        if not isinstance(s, RAT):
+            s = RAT(s)
+        if not 0 <= s.numerator <= s.denominator:
             raise ConstructionError(f"split outside [0,1] at {sigma!r}: {s}")
         return s
 

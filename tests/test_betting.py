@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
-from randlab import PreconditionError
+from randlab import PreconditionError, StrategyViolation, bits
 from randlab.betting import (
     BitAllInStrategy,
     BitEvent,
     CylinderEvent,
+    KnowledgeState,
     LikelihoodRatioStrategy,
     NullStrategy,
     TableStrategy,
@@ -252,3 +255,195 @@ def test_play_accepts_rational_sample(fair):
     assert result.final == 2
     losing = randlab.play(s, fair, F(2, 3), max_steps=6)  # binary 1010...
     assert losing.final == F(2, 3)
+
+
+def _reference_play(strategy, mu, x):
+    """play() by its definition from cylinder masses: each bet's odds and each
+    knowledge mass read mu.mass of every generator of the knowledge set.
+
+    Returns (values, events, knowledge masses, undetermined, violation)."""
+    gens, mass, capital, history = ("",), mu.mass(""), strategy.start_capital, ""
+    values, events, masses = [capital], [], [mass]
+
+    def stop(undetermined=False, violation=None):
+        return values, events, masses, undetermined, violation
+
+    for _ in range(len(x)):
+        weights = tuple(mu.mass(g) / mass for g in gens) if mass else (F(1),) * len(gens)
+        decision = strategy.bet(history, capital, KnowledgeState(gens, mass, weights), mu)
+        if decision is None:
+            break
+        event, stake = decision
+        if isinstance(event, BitEvent):
+            if event.index >= len(x):
+                return stop(undetermined=True)
+            outcome = int(x[event.index]) == event.side
+            win = bits.restrict_bit(gens, event.index, event.side)
+            lose = bits.restrict_bit(gens, event.index, 1 - event.side)
+        else:
+            outcome = bits.member_prefix(event.generators, x)
+            if outcome is None:
+                return stop(undetermined=True)
+            win = bits.intersect(gens, event.generators)
+            lose = bits.subtract(gens, event.generators)
+        stake = F(stake)
+        if stake < 0:
+            return stop(violation=f"negative stake {stake} at {history!r}")
+        if stake > capital:
+            return stop(violation=f"stake {stake} exceeds capital {capital} at {history!r}")
+        win_mass = sum((mu.mass(g) for g in win), F(0))
+        lose_mass = sum((mu.mass(g) for g in lose), F(0))
+        if win_mass == 0 or lose_mass == 0:
+            return stop(violation=f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
+        if outcome:
+            gens, mass, capital, history = win, win_mass, capital + stake * lose_mass / win_mass, history + "1"
+        else:
+            gens, mass, capital, history = lose, lose_mass, capital - stake, history + "0"
+        values.append(capital)
+        events.append(event.describe())
+        masses.append(mass)
+    return stop()
+
+
+def _assert_play_matches_reference(strategy, mu, x):
+    # a strategy's own refusal to bet propagates from both
+    try:
+        played = randlab.play(strategy, mu, x)
+        got = (played.values, played.events, played.knowledge_masses, played.undetermined, played.violation)
+    except StrategyViolation as exc:
+        got = ("raised", str(exc))
+    try:
+        expected = _reference_play(strategy, mu, x)
+    except StrategyViolation as exc:
+        expected = ("raised", str(exc))
+    assert got == expected
+    return got
+
+
+_SPLITS = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+def _split_tables():
+    """split_table measures whose splits include 0 and 1, so some branches
+    are null and some bets are on sure events."""
+    return st.builds(
+        lambda entries, default: randlab.split_table(entries, default=default),
+        st.dictionaries(st.text(alphabet="01", max_size=4), _SPLITS, max_size=6),
+        _SPLITS,
+    )
+
+
+@st.composite
+def _prefix_free_sets(draw):
+    strings = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    return tuple(g for g in strings if not any(g != h and g.startswith(h) for h in strings))
+
+
+def _events():
+    bit_events = st.builds(BitEvent, st.integers(0, 5), st.integers(0, 1))
+    return st.one_of(bit_events, st.builds(CylinderEvent, _prefix_free_sets()))
+
+
+def _table_strategies():
+    histories = st.text(alphabet="01", max_size=4)
+    stakes = st.fractions(min_value=0, max_value=1, max_denominator=4)
+    return st.builds(TableStrategy, st.dictionaries(histories, st.tuples(_events(), stakes), max_size=12))
+
+
+_SAMPLES = st.text(alphabet="01", max_size=8)
+
+
+@given(_split_tables(), _split_tables(), _SAMPLES)
+@settings(max_examples=80, deadline=None)
+def test_likelihood_ratio_play_matches_mass_definition(mu, model, x):
+    _assert_play_matches_reference(LikelihoodRatioStrategy(model), mu, x)
+
+
+@given(_split_tables(), st.text(alphabet="01", min_size=1, max_size=3), _SAMPLES)
+@settings(max_examples=60, deadline=None)
+def test_bit_all_in_play_matches_mass_definition(mu, sides, x):
+    _assert_play_matches_reference(BitAllInStrategy(sides), mu, x)
+
+
+@given(_split_tables(), _table_strategies(), _SAMPLES)
+@settings(max_examples=120, deadline=None)
+def test_table_play_matches_mass_definition(mu, strategy, x):
+    _assert_play_matches_reference(strategy, mu, x)
+
+
+def test_play_over_mass_backed_base_matches_mass_definition():
+    # an interleave product reads its mass function, not a product of splits
+    mu = randlab.interleave_product(randlab.bernoulli(F(1, 3)), randlab.split_table({"": F(3, 4), "1": F(1, 5)}))
+    x = "1100110111010010"
+    values = _assert_play_matches_reference(LikelihoodRatioStrategy(randlab.bernoulli(F(2, 3))), mu, x)[0]
+    assert len(values) == len(x) + 1
+    _assert_play_matches_reference(BitAllInStrategy("01"), mu, x)
+    cylinders = {
+        "": (CylinderEvent(("00", "11")), F(1, 4)),
+        "1": (BitEvent(4, 0), F(1, 8)),
+        "10": (CylinderEvent(("1100", "111")), F(1, 2)),
+    }
+    events = _assert_play_matches_reference(TableStrategy(cylinders), mu, x)[1]
+    assert events == ["cyl{00,11}", "bit[4]=0", "cyl{1100,111}"]
+
+
+def test_bet_odds_come_from_splits_of_a_non_additive_mass_function():
+    # the children of "0" carry 1/2 each, twice the mass of "0" itself
+    def mass(sigma):
+        return F(1, 2 ** (len(sigma) - 1 if sigma[:1] == "0" and len(sigma) > 1 else len(sigma)))
+
+    mu = randlab.from_masses(mass)
+    assert not randlab.check_additivity(mu, 2).ok
+    # the odds of a bet are the conditional weights the measure's splits give:
+    # split("0") = mass("01") / mass("0") = 1, so bit 1 is surely 1 inside
+    # [0] and betting on bit[1]=0 there is a bet on a null event (a reading
+    # of mass("00") / mass("0") would call it sure and double the capital)
+    result = randlab.play(BitAllInStrategy("0"), mu, "00")
+    assert result.values == [1, 2]
+    assert result.knowledge_masses == [1, F(1, 2)]
+    assert result.violation == "bet on a conditionally null or sure event at '1': bit[1]=0"
+
+
+def _reference_likelihood_ratio_bet(model, mu, prefix, capital):
+    """The bet by its definition: both conditionals of both measures, the
+    side with the larger model/base ratio (ties to 1), and the stake
+    capital * (ratio - 1) * p / (1 - p)."""
+    base_p, ratios = [], []
+    for b in (0, 1):
+        pc, nc = mu.conditional(prefix, b), model.conditional(prefix, b)
+        if pc is None or pc == 0:
+            raise StrategyViolation(f"base measure degenerate after {prefix!r}")
+        base_p.append(pc)
+        ratios.append((F(0) if nc is None else nc) / pc)
+    side = 1 if ratios[1] >= ratios[0] else 0
+    p = base_p[side]
+    return BitEvent(len(prefix), side), capital * (ratios[side] - 1) * p / (1 - p)
+
+
+@given(_split_tables(), _split_tables(), st.text(alphabet="01", max_size=5), st.fractions(0, 4, max_denominator=5))
+@settings(max_examples=100, deadline=None)
+def test_likelihood_ratio_bet_matches_its_definition(mu, model, prefix, capital):
+    knowledge = KnowledgeState((prefix,), mu.mass(prefix), (F(1),))
+    outcomes = []
+    for bet in (
+        lambda: LikelihoodRatioStrategy(model).bet(prefix, capital, knowledge, mu),
+        lambda: _reference_likelihood_ratio_bet(model, mu, prefix, capital),
+    ):
+        try:
+            outcomes.append(bet())
+        except StrategyViolation as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_likelihood_ratio_breaks_ties_toward_one(fair):
+    event, stake = LikelihoodRatioStrategy(fair).bet("", F(1), KnowledgeState(("",), F(1), (F(1),)), fair)
+    assert event == BitEvent(0, 1) and stake == 0
+
+
+def test_bets_read_no_split_below_a_null_cylinder():
+    # [1] is null; the split function is out of range below it, which a
+    # mass reading never sees, and neither does the bet's conditional weight
+    mu = randlab.Measure(lambda sigma: F(0) if sigma == "" else F(2))
+    result = randlab.play(TableStrategy({"": (CylinderEvent(("10",)), F(1, 2))}), mu, "0")
+    assert result.violation == "bet on a conditionally null or sure event at '': cyl{10}"

@@ -1,6 +1,9 @@
 import csv
 import json
+import random
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -334,3 +337,84 @@ def test_reports_deterministic_modulo_timing(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert strip_timing(out1) == strip_timing(out2)
+
+
+_PINNED_CAPITAL_TRACE = (
+    "step,prefix,capital_num,capital_den,event\r\n"
+    "0,,1,1,\r\n"
+    '1,1,5,4,"cyl{00,11}"\r\n'
+    "2,11,9,8,bit[2]=1\r\n"
+)
+
+_PINNED_DEFICIENCY_TRACE = (
+    "n,neg_log_mass_low,neg_log_mass_high,K,d_low,d_high\r\n"
+    "1,1,1,inf,-inf,-inf\r\n"
+    "2,2,2,2,0,0\r\n"
+)
+
+
+def _assert_csv_pinned(capsys, tmp_path, args, expected):
+    out_csv = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, *args, "--out-csv", str(out_csv))
+    assert code == 0
+    assert out.startswith("command: randlab ")
+    assert out_csv.read_bytes() == expected.encode()
+    # without --out-csv the same bytes go to stdout, ahead of the report
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out[: len(expected)] == expected
+    assert out[len(expected):].startswith("command: randlab ")
+
+
+def test_capital_trace_csv_bytes_are_pinned(capsys, tmp_path):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(
+        json.dumps(
+            {
+                "nodes": {
+                    "": {"event": {"kind": "cylinders", "strings": ["00", "11"]}, "stake": "1/4"},
+                    "1": {"event": {"kind": "bit", "index": 2, "side": 1}, "stake": "1/8"},
+                }
+            }
+        )
+    )
+    args = ["bet", "--strategy", f"table:{strategy}", "--measure", "fair", "--source", "literal:110", "--length", "3"]
+    _assert_csv_pinned(capsys, tmp_path, args, _PINNED_CAPITAL_TRACE)
+
+
+def test_deficiency_trace_csv_bytes_are_pinned(capsys, tmp_path):
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    args = ["deficiency", "--machine", str(mfile), "--decomposition", "binary", "--point", "7/8", "--length", "2"]
+    _assert_csv_pinned(capsys, tmp_path, args, _PINNED_DEFICIENCY_TRACE)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit before 3.11")
+def test_bet_output_is_exact_past_the_int_digit_limit(capsys, tmp_path):
+    rng = random.Random(11)
+    x = "".join(rng.choice("01") for _ in range(1500))
+    source = tmp_path / "x.bits"
+    source.write_text(x)
+    # fair model against a bernoulli(1/3) base: each 1 pays 3/2, each 0 3/4
+    values = [Fraction(1)]
+    for b in x:
+        values.append(values[-1] * (Fraction(3, 2) if b == "1" else Fraction(3, 4)))
+    final, top = values[-1], max(values)
+    assert len(str(final.numerator)) > 640
+    expected = f"summary: steps=1500 final={final.numerator}/{final.denominator} max={top.numerator}/{top.denominator} "
+    last_row = f"1500,{x},{final.numerator},{final.denominator},bit[1499]=1"
+    out_csv = tmp_path / "trace.csv"
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(
+            ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "bernoulli:1/3",
+             "--source", f"file:{source}", "--length", "1500", "--out-csv", str(out_csv)]
+        )
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert expected in out
+    assert out_csv.read_text().splitlines()[-1] == last_row

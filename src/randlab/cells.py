@@ -16,9 +16,10 @@ reported undetermined.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .errors import ConstructionError, PreconditionError
+from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .measure import Measure, from_masses
 from .rationals import ONE, RAT, ZERO
 
@@ -186,7 +187,15 @@ class CellDecomposition:
 
 
 class _IntervalDecomposition(CellDecomposition):
-    """Common naming logic for decompositions whose cells are intervals."""
+    """Common naming logic for decompositions whose cells are intervals.
+
+    Refinement walks the tree on integer states (L, b^(k+1), peeled), read as
+    in BaryGroupedDecomposition (binary digits are the case b = 2):
+    `_child_states` gives the 0-child's and the 1-child's, `_endpoints` the
+    cell [lo/den, hi/den) as (lo, hi, den).
+    """
+
+    base = 2
 
     def name_point(self, x, n: int) -> NamingOutcome:
         x = RAT(x)
@@ -204,6 +213,17 @@ class _IntervalDecomposition(CellDecomposition):
         for _ in range(n):
             sigma += "0" if self.cell(sigma + "0").contains_point(x) else "1"
         return sigma
+
+    def _child_states(self, state):
+        # _node_state inlines this rule per bit; a call per node slows pushforward audits ~10%
+        low, width, peeled = state
+        b = self.base
+        deferred = (low * b + b - 1, width * b, 0) if peeled + 1 == b - 1 else (low, width, peeled + 1)
+        return (low * b + peeled, width * b, 0), deferred
+
+    def _endpoints(self, state):
+        low, width, peeled = state
+        return low * self.base + peeled, (low + 1) * self.base, width
 
 
 class BinaryDigitsDecomposition(_IntervalDecomposition):
@@ -238,9 +258,6 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
         self.base = base
         self._state = {"": (0, base, 0)}  # sigma -> (L, b^(k+1), peeled), all ints
 
-    def _root(self):
-        return Region.interval(0, 1)
-
     def _node_state(self, sigma):
         states = self._state
         state, i = states.get(sigma), len(sigma)
@@ -261,9 +278,8 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
         return state
 
     def _region_of_state(self, state):
-        low, width, peeled = state
-        b = self.base
-        return Region.interval(RAT(low * b + peeled, width), RAT((low + 1) * b, width))
+        lo, hi, den = self._endpoints(state)
+        return Region.interval(RAT(lo, den), RAT(hi, den))
 
     def cell(self, sigma: str):
         got = self._cells.get(sigma)
@@ -271,9 +287,6 @@ class BaryGroupedDecomposition(_IntervalDecomposition):
             got = self._region_of_state(self._node_state(sigma))
             self._cells[sigma] = got
         return got
-
-    def _children(self, sigma, cell):
-        return self.cell(sigma + "0"), self.cell(sigma + "1")
 
     def cell_mass(self, sigma: str):
         _, width, peeled = self._node_state(sigma)
@@ -389,8 +402,37 @@ def interleave(dim: int) -> CellDecomposition:
 
 
 def _require_interval_cells(dec: CellDecomposition):
-    if isinstance(dec, InterleaveDecomposition):
-        raise PreconditionError("open-set decomposition needs interval cells, not boxes")
+    if not isinstance(dec, _IntervalDecomposition):
+        raise PreconditionError(f"open-set decomposition needs interval cells; {dec.label} has none")
+
+
+def _cover(dec: _IntervalDecomposition, spans, den: int, depth: int):
+    """Walk dec's cells against the union of the disjoint [a/den, b/den) in spans: the
+    maximal cells of depth <= depth inside it (0-child first), their total length
+    as an int pair, and the depth-`depth` cells that cross its boundary."""
+    chosen, straddlers, num, cden = [], [], 0, 1
+    stack = [("", (0, dec.base, 0))]
+    while stack:
+        sigma, state = stack.pop()
+        lo, hi, d = dec._endpoints(state)
+        lo_x, hi_x = lo * den, hi * den
+        for a, b in spans:
+            a, b = a * d, b * d
+            if lo_x < b and a < hi_x:
+                break
+        else:
+            continue
+        if a <= lo_x and hi_x <= b:  # a cell inside the union lies in the one span it meets
+            chosen.append(sigma)
+            if d > cden:  # denominators are powers of one base, so one divides the other
+                num, cden = num * (d // cden), d
+            num += (hi - lo) * (cden // d)
+        elif len(sigma) >= depth:
+            straddlers.append(sigma)
+        else:
+            s0, s1 = dec._child_states(state)
+            stack += ((sigma + "1", s1), (sigma + "0", s0))
+    return chosen, (num, cden), straddlers
 
 
 @dataclass
@@ -405,26 +447,10 @@ class OpenDecomposition:
 def decompose_open(dec: CellDecomposition, region: Region, depth: int) -> OpenDecomposition:
     """Greedy maximal cells inside the region, with the exact uncovered mass."""
     _require_interval_cells(dec)
-    chosen = []
-    covered = ZERO
-
-    def walk(sigma: str):
-        nonlocal covered
-        cell = dec.cell(sigma)
-        if cell.length() == 0 or not region.intersects(cell):
-            return
-        if region.contains_region(cell):
-            chosen.append(sigma)
-            covered += cell.length()
-            return
-        if len(sigma) < depth:
-            walk(sigma + "0")
-            walk(sigma + "1")
-
-    walk("")
-    return OpenDecomposition(
-        generators=tuple(chosen), covered=covered, residual=region.length() - covered
-    )
+    den = lcm(*(x.denominator for interval in region.intervals for x in interval))
+    chosen, (num, cden), _ = _cover(dec, [(int(lo * den), int(hi * den)) for lo, hi in region.intervals], den, depth)
+    covered = RAT(num, cden)
+    return OpenDecomposition(generators=tuple(chosen), covered=covered, residual=region.length() - covered)
 
 
 @dataclass
@@ -432,6 +458,7 @@ class RefinementRow:
     sigmas: tuple
     covered: Fraction
     residual: Fraction
+    straddlers: tuple  # depth-d source cells crossing the target cell's boundary (at most two)
 
 
 @dataclass
@@ -444,31 +471,26 @@ class RefinementRelation:
     target_depth: int
     rows: dict  # tau -> RefinementRow
 
-    def row(self, tau: str) -> RefinementRow:
-        return self.rows[tau]
-
 
 def refine(
-    source: CellDecomposition,
-    target: CellDecomposition,
-    depth: int,
-    target_depth: Optional[int] = None,
+    source: CellDecomposition, target: CellDecomposition, depth: int, target_depth: Optional[int] = None
 ) -> RefinementRelation:
     """Cover every target cell (to target_depth, default depth) by maximal
     source cells of depth <= depth, with exact residuals."""
     _require_interval_cells(source)
     _require_interval_cells(target)
-    if target_depth is None:
-        target_depth = depth
-    rows = {}
-    stack = [""]
+    target_depth = depth if target_depth is None else target_depth
+    check_enumeration_depth(target_depth)
+    rows, stack = {}, [("", (0, target.base, 0))]
     while stack:
-        tau = stack.pop()
-        dec = decompose_open(source, target.cell(tau), depth)
-        rows[tau] = RefinementRow(sigmas=dec.generators, covered=dec.covered, residual=dec.residual)
+        tau, state = stack.pop()
+        a, b, den = target._endpoints(state)
+        sigmas, (num, cden), straddlers = _cover(source, ((a, b),), den, depth)
+        residual = RAT((b - a) * cden - num * den, den * cden)
+        rows[tau] = RefinementRow(tuple(sigmas), RAT(num, cden), residual, tuple(straddlers))
         if len(tau) < target_depth:
-            stack.append(tau + "1")
-            stack.append(tau + "0")
+            s0, s1 = target._child_states(state)
+            stack += ((tau + "1", s1), (tau + "0", s0))
     return RefinementRelation(source=source, target=target, depth=depth, target_depth=target_depth, rows=rows)
 
 
@@ -500,28 +522,5 @@ def transfer_measure(rel: RefinementRelation, nu: Measure) -> TransferResult:
     rows = {}
     for tau, row in rel.rows.items():
         low = sum((nu.mass(sigma) for sigma in row.sigmas), ZERO)
-        slack = _straddler_mass(rel, tau, row, nu)
-        rows[tau] = TransferRow(low=low, high=low + slack)
+        rows[tau] = TransferRow(low=low, high=low + sum((nu.mass(sigma) for sigma in row.straddlers), ZERO))
     return TransferResult(relation=rel, rows=rows)
-
-
-def _straddler_mass(rel: RefinementRelation, tau: str, row, nu: Measure) -> Fraction:
-    target_cell = rel.target.cell(tau)
-    chosen = set(row.sigmas)
-    total = ZERO
-
-    def walk(sigma: str):
-        nonlocal total
-        if sigma in chosen:
-            return
-        cell = rel.source.cell(sigma)
-        if cell.length() == 0 or not target_cell.intersects(cell):
-            return
-        if len(sigma) == rel.depth:
-            total += nu.mass(sigma)
-            return
-        walk(sigma + "0")
-        walk(sigma + "1")
-
-    walk("")
-    return total

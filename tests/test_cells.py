@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
 from randlab import ConstructionError, PreconditionError, Region
@@ -267,3 +269,120 @@ def test_grouping_average_identity(battery_marts):
                 node + "1"
             ) * dec.cell(node + "1").length()
             assert lhs == rhs, node
+
+
+# The recursive, Region-based walks that refine and transfer_measure used
+# before the integer-endpoint walker; kept here as the definition it must meet.
+def reference_decompose_open(dec, region, depth):
+    chosen = []
+    covered = F(0)
+
+    def walk(sigma):
+        nonlocal covered
+        cell = dec.cell(sigma)
+        if cell.length() == 0 or not region.intersects(cell):
+            return
+        if region.contains_region(cell):
+            chosen.append(sigma)
+            covered += cell.length()
+            return
+        if len(sigma) < depth:
+            walk(sigma + "0")
+            walk(sigma + "1")
+
+    walk("")
+    return tuple(chosen), covered, region.length() - covered
+
+
+def reference_straddler_mass(source, target_cell, chosen, depth, nu):
+    total = F(0)
+
+    def walk(sigma):
+        nonlocal total
+        if sigma in chosen:
+            return
+        cell = source.cell(sigma)
+        if cell.length() == 0 or not target_cell.intersects(cell):
+            return
+        if len(sigma) == depth:
+            total += nu.mass(sigma)
+            return
+        walk(sigma + "0")
+        walk(sigma + "1")
+
+    walk("")
+    return total
+
+
+def interval_decompositions():
+    return st.one_of(st.just("binary"), st.integers(2, 6)).map(
+        lambda b: cells.binary_digits() if b == "binary" else cells.bary_grouped(b)
+    )
+
+
+splits = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def split_tables(draw):
+    keys = draw(st.lists(st.text(alphabet="01", max_size=4), unique=True, max_size=6))
+    return randlab.split_table({sigma: draw(splits) for sigma in keys}, default=draw(splits))
+
+
+# mass-backed: capital * mass of a quotient martingale
+MASS_BACKED = randlab.to_measure(randlab.from_measures(randlab.bernoulli(F(1, 3)), randlab.fair_coin()))
+
+
+@given(
+    interval_decompositions(),
+    interval_decompositions(),
+    st.integers(0, 7),
+    st.integers(0, 4),
+    st.one_of(split_tables(), st.just(MASS_BACKED)),
+)
+@settings(max_examples=80, deadline=None)
+def test_refine_and_transfer_match_the_recursive_walks(source, target, depth, target_depth, nu):
+    rel = cells.refine(source, target, depth, target_depth=target_depth)
+    result = cells.transfer_measure(rel, nu)
+    expected_taus = {"".join(bits) for n in range(target_depth + 1) for bits in itertools.product("01", repeat=n)}
+    assert set(rel.rows) == set(result.rows) == expected_taus
+    for tau, row in rel.rows.items():
+        target_cell = target.cell(tau)
+        sigmas, covered, residual = reference_decompose_open(source, target_cell, depth)
+        assert (row.sigmas, row.covered, row.residual) == (sigmas, covered, residual), tau
+        assert len(row.straddlers) <= 2
+        low = sum((nu.mass(sigma) for sigma in sigmas), F(0))
+        high = low + reference_straddler_mass(source, target_cell, set(sigmas), depth, nu)
+        assert result.interval(tau) == (low, high), tau
+
+
+@st.composite
+def regions(draw):
+    points = sorted(set(draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=8))))
+    return Region.from_pairs(zip(points[0::2], points[1::2]))
+
+
+@given(interval_decompositions(), regions(), st.integers(0, 7))
+@settings(max_examples=120, deadline=None)
+def test_decompose_open_matches_the_recursive_walk(dec, region, depth):
+    out = cells.decompose_open(dec, region, depth)
+    assert (out.generators, out.covered, out.residual) == reference_decompose_open(dec, region, depth)
+
+
+def test_deep_refinement_needs_no_recursion():
+    # 1200 source levels is deeper than the recursion limit
+    rel = cells.refine(cells.binary_digits(), cells.bary_grouped(3), 1200, target_depth=1)
+    row = rel.rows["0"]
+    assert row.covered + row.residual == F(1, 3)
+    assert 0 < row.residual < F(1, 2**1199)
+    result = cells.transfer_measure(rel, randlab.fair_coin())
+    assert result.rows["0"].low <= F(1, 3) <= result.rows["0"].high
+
+
+def test_refine_and_transfer_reject_cells_that_are_not_intervals(fair):
+    natural = cells.natural(fair)
+    for source, target in ((natural, cells.binary_digits()), (cells.binary_digits(), natural)):
+        with pytest.raises(PreconditionError):
+            cells.refine(source, target, 3)
+    with pytest.raises(PreconditionError):
+        cells.decompose_open(natural, Region.interval(0, 1), 2)

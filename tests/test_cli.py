@@ -332,6 +332,95 @@ def test_refine_command(capsys):
     assert "tau 0: cells=00,0100 covered=5/16 residual=1/48" in out
 
 
+# report lines of refine and convert --transfer at depth 6, recorded before
+# refinement moved to the integer-endpoint walker
+PINNED_REFINEMENTS = {
+    "refine --source-dec binary --target-dec ternary --depth 6 --target-depth 2": """
+tau eps: cells=eps covered=1/1 residual=0/1
+tau 0: cells=00,0100,010100 covered=21/64 residual=1/192
+tau 1: cells=01011,011,1 covered=21/32 residual=1/96
+tau 00: cells=0000,00010,000110 covered=7/64 residual=1/576
+tau 01: cells=001,0100,010100 covered=13/64 residual=11/576
+tau 10: cells=01011,011,100,10100 covered=5/16 residual=1/48
+tau 11: cells=101011,1011,11 covered=21/64 residual=1/192
+""",
+    "refine --source-dec ternary --target-dec bary:5 --depth 6 --target-depth 2": """
+tau eps: cells=eps covered=1/1 residual=0/1
+tau 0: cells=00,0100,01010,010110 covered=16/81 residual=1/405
+tau 1: cells=011,1 covered=7/9 residual=1/45
+tau 00: cells=000 covered=1/27 residual=2/675
+tau 01: cells=001001,00101,0011,0100,01010,010110 covered=38/243 residual=22/6075
+tau 10: cells=011,1000,100100 covered=13/81 residual=16/405
+tau 11: cells=10011,101,11 covered=16/27 residual=1/135
+""",
+    "convert --transfer A=ternary B=binary --measure bernoulli:1/3 --depth 6 --target-depth 2": """
+transfer bary3 -> binary at depth 6
+tau eps: kappa_low=1/1 kappa_high=1/1 residual=0/1
+tau 0: kappa_low=206/243 kappa_high=626/729 residual=1/54
+tau 1: kappa_low=103/729 kappa_high=37/243 residual=1/54
+tau 00: kappa_low=464/729 kappa_high=52/81 residual=1/324
+tau 01: kappa_low=50/243 kappa_high=2/9 residual=1/36
+tau 10: kappa_low=70/729 kappa_high=82/729 residual=1/36
+tau 11: kappa_low=29/729 kappa_high=11/243 residual=1/324
+""",
+    "convert --transfer A=bary:5 B=binary --measure push:ternary --depth 6 --target-depth 2": """
+transfer bary5 -> binary at depth 6
+tau eps: kappa_low=1/1 kappa_high=1/1 residual=0/1
+tau 0: kappa_low=20/27 kappa_high=61/81 residual=1/50
+tau 1: kappa_low=20/81 kappa_high=7/27 residual=1/50
+tau 00: kappa_low=13/27 kappa_high=14/27 residual=1/500
+tau 01: kappa_low=2/9 kappa_high=22/81 residual=13/500
+tau 10: kappa_low=8/81 kappa_high=4/27 residual=9/100
+tau 11: kappa_low=1/9 kappa_high=4/27 residual=1/20
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REFINEMENTS))
+def test_refinement_reports_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith(("command:", "timing_s"))]
+    assert lines == PINNED_REFINEMENTS[command].strip().splitlines()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("refine", "--source-dec", "natural:fair", "--target-dec", "binary", "--depth", "3"),
+        ("refine", "--source-dec", "binary", "--target-dec", "natural:fair", "--depth", "3"),
+        ("convert", "--transfer", "A=natural:bernoulli:1/3", "B=ternary", "--depth", "4"),
+        ("convert", "--transfer", "A=ternary", "B=natural:bernoulli:1/3", "--depth", "4"),
+    ],
+)
+def test_refinement_rejects_natural_cells(capsys, args):
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert "interval cells" in err
+
+
+def test_refinement_respects_the_depth_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "5")
+    refine = ["refine", "--source-dec", "binary", "--target-dec", "ternary", "--depth", "8"]
+    code, _, err = run_cli(capsys, *refine, "--target-depth", "8")
+    assert code == 3 and "exceeds cap 5" in err
+    code, _, err = run_cli(capsys, "convert", "--transfer", "A=binary", "B=ternary", "--depth", "8")
+    assert code == 3 and "exceeds cap 5" in err
+    # only the target depth is capped: each target cell's walk is O(depth)
+    code, _, _ = run_cli(capsys, *refine, "--target-depth", "5")
+    assert code == 0
+
+
+def test_deep_refine_command(capsys):
+    # 1200 source levels is deeper than the recursion limit
+    args = ["refine", "--source-dec", "binary", "--target-dec", "ternary", "--depth", "1200", "--target-depth", "1"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("tau 0:"))
+    fields = dict(field.split("=", 1) for field in line.split()[2:])
+    assert Fraction(fields["covered"]) + Fraction(fields["residual"]) == Fraction(1, 3)
+
+
 def test_reports_deterministic_modulo_timing(capsys):
     args = ["audit", "--measure", "bernoulli:1/3", "--check", "additivity", "--depth", "8"]
     _, out1, _ = run_cli(capsys, *args)

@@ -152,6 +152,8 @@ def cmd_audit(opts, raw_args) -> int:
 
 def cmd_convert(opts, raw_args) -> int:
     report = Report(raw_args)
+    if opts.levels is not None and opts.levels < 1:
+        raise SpecParseError(f"--levels must be at least 1, got {opts.levels}")
     if opts.transfer:
         return _convert_transfer(opts, report)
     mu = specfmt.parse_measure(opts.measure)
@@ -190,6 +192,7 @@ def cmd_convert(opts, raw_args) -> int:
     if isinstance(obj, (randtests.MLTest, randtests.VitaliTest, randtests.IntegralStep)):
         report.check(f"bounds@{opts.depth}", randtests.verify_test_bounds(obj, opts.depth))
         doc = specfmt.test_to_doc(obj, depth=opts.depth)
+        del obj  # only the document is written from here on; free the step's cells before encoding it
         if opts.out_test:
             with open(opts.out_test, "w") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)

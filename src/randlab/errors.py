@@ -45,6 +45,8 @@ def enumeration_limit() -> int:
 
 
 def check_enumeration_depth(n: int) -> None:
+    if n < 0:
+        raise PreconditionError(f"exhaustive enumeration depth must be nonnegative, got {n}")
     limit = enumeration_limit()
     if n > limit:
         raise ResourceLimitError(

@@ -255,25 +255,56 @@ def to_measure(mart: Martingale, label=None) -> Measure:
     when one child is null its mass is recovered from the sibling by
     additivity, and below a fully null node everything is squeezed to zero.
     """
-    read_pair, payload = mart.kernel.read_pair, mart.payload
+    read, payload = mart.kernel.read_pair, mart.payload
 
     def nu(sigma: str) -> Fraction:
-        mn, md, cn, cd = read_pair(payload(sigma))
-        if mn > 0:
-            return RAT(cn * mn, cd * md)
-        if sigma == "":
-            return ZERO
-        parent, bit = sigma[:-1], sigma[-1]
-        sn, sd, csn, csd = read_pair(payload(parent + ("1" if bit == "0" else "0")))
-        if sn == 0:
-            return ZERO
-        # a positive sibling has a positive parent: nu(parent) - nu(sibling)
-        pn, pd, cpn, cpd = read_pair(payload(parent))
-        return RAT(cpn * pn, cpd * pd) - RAT(csn * sn, csd * sd)
+        here = read(payload(sigma))
+        if here[0] > 0 or not sigma:
+            return RAT(*_capital_mass(here))
+        p = sigma[:-1]  # a null cylinder: its mass follows from its parent and sibling
+        kids = _children_masses(*_capital_mass(read(payload(p))), read(payload(p + "0")), read(payload(p + "1")))
+        return RAT(*kids[sigma[-1] == "1"])
 
     out = from_masses(nu, label=label or f"measure({mart.label})")
     out.derived_from_martingale = mart
     return out
+
+
+def _capital_mass(read_pair) -> tuple:
+    mn, md, cn, cd = read_pair
+    return (cn * mn, cd * md) if mn > 0 else (0, 1)
+
+
+def _children_masses(pn, pd, read0, read1) -> tuple:
+    """to_measure's masses of both children of a node whose own is pn/pd, from
+    their kernel reads: capital*mass, or nu(parent) - nu(sibling) for a null
+    child with a positive sibling (whose parent is then positive)."""
+    (n0, d0), (n1, d1) = _capital_mass(read0), _capital_mass(read1)
+    if read0[0] <= 0 < read1[0]:
+        n0, d0 = pn * d1 - n1 * pd, pd * d1
+    elif read1[0] <= 0 < read0[0]:
+        n1, d1 = pn * d0 - n0 * pd, pd * d0
+    return (n0, d0), (n1, d1)
+
+
+def mass_pairs(mu: Measure):
+    """(root, children) of a walk over mu's masses: states are (num, den, payload)
+    and children(sigma, state) gives both children's.  A to_measure is read off
+    its martingale's kernel payloads, the values its mass() reads; any other
+    measure walks its own children_pairs, with payload None."""
+    mart = getattr(mu, "derived_from_martingale", None)
+    if mart is None:
+        root = mu.mass("")
+        return (root.numerator, root.denominator, None), lambda sigma, s: [p + (None,) for p in mu.children_pairs(sigma, *s[:2])]
+    kernel, read = mart.kernel, mart.kernel.read_pair
+
+    def children(sigma, state):
+        p0, p1 = kernel.children(sigma, state[2])
+        (n0, d0), (n1, d1) = _children_masses(state[0], state[1], read(p0), read(p1))
+        return (n0, d0, p0), (n1, d1, p1)
+
+    root = kernel.root()
+    return _capital_mass(read(root)) + (root,), children
 
 
 @dataclass

@@ -12,15 +12,18 @@ is the variant under which a savings floor of exactly 2^n at a prefix keeps
 that prefix inside level n.
 """
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .martingale import Martingale, SavingsPair, from_measures, to_measure
-from .measure import AuditReport, Measure
-from .rationals import ZERO
+from .martingale import Martingale, SavingsPair, from_measures, mass_pairs, to_measure
+from .measure import AuditReport, Measure, fair_coin
+from .rationals import RAT, ZERO
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,6 @@ class CylinderSet:
         if any(sigma.startswith(g) for g in self.generators):
             return mu.mass(sigma)
         return sum((mu.mass(g) for g in self.generators if g.startswith(sigma)), ZERO)
-
-    def covers_prefix(self, p: str) -> bool:
-        """True iff [p] is wholly inside the set."""
-        return bits.covers(self.generators, p)
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -118,44 +117,73 @@ class IntegralStep:
         return max(self.values.values(), default=ZERO)
 
     def integrals(self, depth: int) -> dict:
-        """sigma -> exact integral over [sigma], for |sigma| <= min(depth, self.depth),
-        summed bottom-up from the cells in one pass; zero integrals are left out."""
-        layer = {cell: v * self.base.mass(cell) for cell, v in self.values.items() if v != 0}
-        out = {}
-        for n in range(self.depth, -1, -1):
-            if n <= depth:
-                out.update(layer)
-            parents = {}
-            for cell, x in layer.items():
-                parents[cell[:-1]] = parents.get(cell[:-1], ZERO) + x
-            layer = parents
-        return out
+        """sigma -> exact integral over [sigma], for |sigma| <= min(depth, self.depth)
+        with a nonzero cell below sigma, folded bottom-up in one walk along the cells."""
+        cells = _weighted(self.values)
+        walk = _walk(self.base, None, min(depth, self.depth), [cells], full=False) if cells else ()
+        return {sigma: RAT(*ints[0]) for sigma, _, _, ints in walk}
 
 
-def _cover_counts(pieces, depth: int) -> dict:
-    """Depth-d cell -> number of pieces holding it, expanding each generator (none deeper)."""
-    check_enumeration_depth(depth)
-    counts = {}
-    for piece in pieces:
-        for g in piece.generators:
-            for tail in bits.all_strings(depth - len(g)):
-                counts[g + tail] = counts.get(g + tail, 0) + 1
-    return counts
+def _weighted(values: dict) -> list:
+    return sorted((cell, v.numerator, v.denominator) for cell, v in values.items() if v)
 
 
-def _cover_integrals(base: Measure, pieces, depth: int) -> dict:
-    """integrals(depth) of the piece-count function, with cells as deep as any generator."""
-    d = max([depth] + [len(g) for piece in pieces for g in piece.generators])
-    return IntegralStep(base=base, depth=d, values=_cover_counts(pieces, d), bound=None).integrals(depth)
+def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=True):
+    """Iterative post-order walk over the prefixes of length <= depth (all when
+    full, else those a generator extends), yielding (sigma, mu, nu, integrals):
+    the base mass as an int pair, the bound's mass_pairs state, and per set of
+    sorted (generator, weight_num, weight_den) the integral over [sigma] of its
+    weighted indicators, summed up from deeper generators.  The stack holds one
+    path and its pending siblings, so memory is bounded by the depth."""
+    nu_root, nu_children = mass_pairs(bound) if bound is not None else (None, None)
+    m = base.mass("")
+    stack = [("", m.numerator, m.denominator, nu_root, [(0, len(s), 0, 1) for s in sets], None)]
+    while stack:
+        sigma, mn, md, nu, states, up = stack.pop()
+        k = len(sigma)
+        if states is None:  # leaving an inner node: up is (its integrals, its parent's)
+            acc, up = [(n // g, d // g) for n, d in up[0] for g in (gcd(n, d),)], up[1]
+        else:
+            deeper, here = full and k < depth, []
+            for entries, (lo, hi, wn, wd) in zip(sets, states):
+                while lo < hi and len(entries[lo][0]) == k:  # a generator equal to sigma
+                    _, a, b = entries[lo]
+                    wn, wd, lo = wn * b + a * wd, wd * b, lo + 1
+                deeper = deeper or lo < hi
+                here.append((lo, hi, wn, wd))
+            acc = [(0, 1) if deeper else (wn * mn, wd * md) for _, _, wn, wd in here]  # a leaf's own integrals
+            if deeper:
+                stack.append((sigma, mn, md, nu, None, (acc, up)))
+                kids = base.children_pairs(sigma, mn, md)
+                nus = nu_children(sigma, nu) if nu is not None and k < depth else (None, None)
+                mids = [bisect_left(entries, (sigma + "1",), lo, hi) for entries, (lo, hi, _, _) in zip(sets, here)]
+                for b in (1, 0):
+                    split = [(mid, hi, wn, wd) if b else (lo, mid, wn, wd) for mid, (lo, hi, wn, wd) in zip(mids, here)]
+                    if (full and k < depth) or any(lo < hi or wn for lo, hi, wn, _ in split):  # else it adds nothing
+                        stack.append((sigma + "01"[b], *kids[b], nus[b], split, acc))
+                continue
+        if k <= depth:
+            yield sigma, (mn, md), nu, acc
+        if up is not None:
+            up[:] = [(un * d + n * ud, ud * d) for (un, ud), (n, d) in zip(up, acc)]
 
 
 def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
     """Step function equal to the savings floor on depth-d cells, bounded by
     the measure total*base carried through null cylinders."""
     check_enumeration_depth(depth)
-    values = {cell: f for cell in bits.all_strings(depth) if (f := sp.savings(cell))}  # None and 0 dropped
-    bound = to_measure(sp.total)
-    return IntegralStep(base=sp.base, depth=depth, values=values, bound=bound, unit_witness=True)
+    kernel, values = sp.total.kernel, {}
+    stack = [("", kernel.root())]
+    while stack:
+        cell, payload = stack.pop()
+        if not kernel.read_pair(payload)[0]:
+            continue  # no floor on a null cylinder, nor below it
+        if len(cell) < depth:
+            p0, p1 = kernel.children(cell, payload)
+            stack += [(cell + "1", p1), (cell + "0", p0)]
+        elif f := kernel.read_floor(payload):
+            values[cell] = f
+    return IntegralStep(base=sp.base, depth=depth, values=values, bound=to_measure(sp.total), unit_witness=True)
 
 
 def integral_to_bounded_ml(step: IntegralStep, n_levels: Optional[int] = None) -> BoundedMLTest:
@@ -178,7 +206,9 @@ def vitali_to_integral(test: VitaliTest, depth: int) -> IntegralStep:
     """Step function counting how many pieces contain each depth-d cell."""
     if any(len(g) > depth for piece in test.pieces for g in piece.generators):
         raise PreconditionError("piece generators deeper than the requested depth")
-    values = {cell: Fraction(n) for cell, n in sorted(_cover_counts(test.pieces, depth).items())}
+    check_enumeration_depth(depth)
+    counts = Counter(g + tail for piece in test.pieces for g in piece.generators for tail in bits.all_strings(depth - len(g)))
+    values = {cell: Fraction(n) for cell, n in sorted(counts.items())}
     return IntegralStep(base=test.base, depth=depth, values=values, bound=test.bound, unit_witness=False)
 
 
@@ -193,15 +223,16 @@ def verify_test_bounds(obj, depth: int) -> AuditReport:
     """Exact verification of every defining inequality at all |sigma| <= depth
     (capped like every exhaustive enumeration) for an MLTest, BoundedMLTest,
     VitaliTest or IntegralStep.  A plain MLTest's report also notes the
-    Schnorr-style property: every level mass is exactly representable."""
+    Schnorr-style property: every level mass is exactly representable.  Each
+    kind is one _walk; violations come by prefix length, then lexicographically."""
     report = AuditReport()
     if isinstance(obj, IntegralStep):
         _verify_integral(obj, depth, report)
     elif isinstance(obj, BoundedMLTest):
-        _verify_ml_levels(obj, report)
         _verify_bounded(obj, depth, report)
     elif isinstance(obj, MLTest):
-        _verify_ml_levels(obj, report)
+        (_, _, _, masses), = _walk(obj.base, None, 0, _level_sets(obj.levels), full=False)  # the root alone
+        _verify_ml_levels(masses, report)
         report.notes.append("schnorr-style: every level mass exactly representable")
     elif isinstance(obj, VitaliTest):
         _verify_vitali(obj, depth, report)
@@ -210,74 +241,77 @@ def verify_test_bounds(obj, depth: int) -> AuditReport:
     return report
 
 
-def _all_prefixes(depth: int):
-    check_enumeration_depth(depth)
-    for n in range(depth + 1):
-        yield from bits.all_strings(n)
+def _level_sets(sets, depth=None) -> list:
+    """Weight-1 generator lists for _walk; a verify depth also caps the generators."""
+    if depth is not None:
+        check_enumeration_depth(max([depth] + [len(g) for s in sets for g in s.generators]))
+    return [[(g, 1, 1) for g in s.generators] for s in sets]
 
 
-def _verify_ml_levels(test: MLTest, report: AuditReport):
-    for n in range(1, test.n_levels + 1):
+def _verify_ml_levels(masses: list, report: AuditReport):
+    for n, (a, b) in enumerate(masses, 1):
         report.checked += 1
-        m = test.level(n).mass(test.base)
-        if m > Fraction(1, 2**n):
-            report.add(f"level {n} mass {m} exceeds 2^-{n}")
+        if a << n > b:
+            report.add(f"level {n} mass {RAT(a, b)} exceeds 2^-{n}")
 
 
 def _verify_bounded(test: BoundedMLTest, depth: int, report: AuditReport):
-    within = [_cover_integrals(test.base, [level], depth) for level in test.levels]
-    for sigma in _all_prefixes(depth):
-        nu_sigma = test.bound.mass(sigma)
-        for n, level_within in enumerate(within, 1):
-            report.checked += 1
-            lhs = level_within.get(sigma, ZERO)
-            if lhs * 2**n > nu_sigma:
-                report.add(f"bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * {nu_sigma}")
-    if test.witness is not None:
-        _verify_witness(test.witness, depth, report, test.witness.integrals(depth))
+    text, w = "bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * {nu}", test.witness
+    shared = w is not None and w.base is test.base and w.bound is test.bound  # then one walk checks both
+    masses, failed = _check_bounds(test, depth, report, _level_sets(test.levels, depth), text, 1, w if shared else None)
+    _verify_ml_levels(masses, report)
+    report.violations += failed
+    if w is not None and not shared:
+        report.violations += _check_bounds(w, min(depth, w.depth), report, [_weighted(w.values)], witness=w)[1]
 
 
 def _verify_vitali(test: VitaliTest, depth: int, report: AuditReport):
-    within = _cover_integrals(test.base, test.pieces, depth)
-    for sigma in _all_prefixes(depth):
-        report.checked += 1
-        total, nu_sigma = within.get(sigma, ZERO), test.bound.mass(sigma)
-        if total > nu_sigma:
-            report.add(f"summable bound fails at {sigma!r}: {total} > {nu_sigma}")
+    pieces = sorted(entry for piece in _level_sets(test.pieces, depth) for entry in piece)
+    report.violations += _check_bounds(test, depth, report, [pieces], "summable bound fails at {sigma!r}: {lhs} > {nu}")[1]
 
 
 def _verify_integral(step: IntegralStep, depth: int, report: AuditReport):
-    for v in step.values.values():
-        if v < 0:
-            report.add(f"negative step value {v}")
-    integrals = step.integrals(depth)
-    for sigma in _all_prefixes(min(depth, step.depth)):
-        report.checked += 1
-        lhs, nu_sigma = integrals.get(sigma, ZERO), step.bound.mass(sigma)
-        if lhs > nu_sigma:
-            report.add(f"integral bound fails at {sigma!r}: {lhs} > {nu_sigma}")
-    if step.unit_witness:
-        _verify_witness(step, depth, report, integrals)
+    report.violations += [f"negative step value {v}" for v in step.values.values() if v < 0]
+    text, witness = "integral bound fails at {sigma!r}: {lhs} > {nu}", step if step.unit_witness else None
+    report.violations += _check_bounds(step, min(depth, step.depth), report, [_weighted(step.values)], text, 0, witness)[1]
 
 
-def _verify_witness(step: IntegralStep, depth: int, report: AuditReport, integrals: dict):
-    # absolute-continuity witness: bound(sigma) <= integral of (g+1) over [sigma]
-    for sigma in _all_prefixes(min(depth, step.depth)):
-        report.checked += 1
-        upper = integrals.get(sigma, ZERO) + step.base.mass(sigma)
-        if step.bound.mass(sigma) > upper:
-            report.add(f"domination witness fails at {sigma!r}: {step.bound.mass(sigma)} > {upper}")
+def _check_bounds(test, depth: int, report: AuditReport, sets: list, text=None, shift=0, witness=None):
+    """Given a text, integral * 2^(n*shift) <= bound for the n-th set on every [sigma], |sigma| <= depth;
+    given a witness step over the same base and bound (the only set when it is the test), bound <= its
+    integral of (g+1) at |sigma| <= its depth.  Returns the sets' root integrals and the violations in order."""
+    check_enumeration_depth(depth)
+    over, under, top = [], [], -1 if witness is None else witness.depth
+    extra = [] if witness is None or witness is test else [_weighted(witness.values)]
+    checked = len(sets) if text else 0
+    for sigma, (mn, md), (bn, bd, _), ints in _walk(test.base, test.bound, depth, sets + extra):
+        k = len(sigma)
+        report.checked += checked + (k <= top)
+        for n in range(1, checked + 1):
+            a, b = ints[n - 1]
+            if (a << n * shift) * bd > bn * b:
+                over.append((k, sigma, n, text.format(n=n, sigma=sigma, lhs=RAT(a, b), nu=RAT(bn, bd))))
+        if k <= top:
+            a, b = ints[-1]
+            un, ud = a * md + mn * b, b * md
+            if bn * ud > un * bd:
+                under.append((k, sigma, 0, f"domination witness fails at {sigma!r}: {RAT(bn, bd)} > {RAT(un, ud)}"))
+    return ints[: len(sets)], [v[-1] for v in sorted(over)] + [v[-1] for v in sorted(under)]
 
 
 def check_coverage_transfer(sp: SavingsPair, test: BoundedMLTest, depth: int) -> AuditReport:
     """Check that a savings floor of at least 2^n at a prefix puts the whole
-    prefix cylinder inside level n, for every prefix of length <= depth."""
-    report = AuditReport()
-    for p in _all_prefixes(depth):
-        f = sp.savings(p)
-        for n in range(1, test.n_levels + 1):
-            if f is not None and f >= 2**n:
+    prefix cylinder inside level n, for every prefix of length <= depth.  One
+    walk reads the floor off the savings kernel and each level's integral under
+    the fair coin, which is 2^-|p| exactly when the level covers [p]."""
+    check_enumeration_depth(depth)
+    report, kernel, failed = AuditReport(), sp.total.kernel, []
+    for p, (mn, md), (_, _, payload), within in _walk(fair_coin(), to_measure(sp.total), depth, _level_sets(test.levels)):
+        f = kernel.read_floor(payload) if kernel.read_pair(payload)[0] else ZERO  # no floor on a null cylinder
+        for n, (a, b) in enumerate(within, 1):
+            if f >= 2**n:
                 report.checked += 1
-                if not test.level(n).covers_prefix(p):
-                    report.add(f"prefix {p!r} with floor {f} escapes level {n}")
+                if a * md != mn * b:
+                    failed.append((len(p), p, n, f"prefix {p!r} with floor {f} escapes level {n}"))
+    report.violations += [v[-1] for v in sorted(failed)]
     return report

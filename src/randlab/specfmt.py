@@ -24,13 +24,14 @@ The CLI also accepts compact one-line forms:
 """
 
 import json
+from math import gcd
 
 from . import betting, cells
 from .bits import prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
-from .martingale import Martingale, from_measures, table_martingale
+from .martingale import Martingale, from_measures, mass_pairs, table_martingale
 from .measure import Measure, MeasureSpec, build_measure
-from .rationals import format_rational, parse_rational
+from .rationals import RAT, format_rational, parse_rational
 from .sources import SourceSpec
 
 
@@ -85,18 +86,23 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
 
 
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
-    """Lossless-to-depth serialization of any measure as an explicit table."""
+    """Lossless-to-depth serialization of any measure as an explicit table,
+    its splits read off one walk over the masses as int pairs."""
     entries = []
-
-    def walk(sigma: str):
-        if mu.mass(sigma) > 0:
-            entries.append([sigma, format_rational(mu.split(sigma))])
+    root, children = mass_pairs(mu)
+    stack = [("", root)] if depth > 0 else []
+    while stack:
+        sigma, state = stack.pop()
+        kids = children(sigma, state)
+        if state[0] > 0:
+            a, b = kids[1][0] * state[1], kids[1][1] * state[0]
+            if not 0 <= a <= b:
+                raise ConstructionError(f"split outside [0,1] at {sigma!r}: {RAT(a, b)}")
+            g = gcd(a, b)
+            entries.append([sigma, f"{a // g}/{b // g}"])
         if len(sigma) + 1 < depth:
-            walk(sigma + "0")
-            walk(sigma + "1")
-
-    if depth > 0:
-        walk("")
+            stack.append((sigma + "1", kids[1]))
+            stack.append((sigma + "0", kids[0]))
     return {
         "kind": "split_table",
         "entries": entries,
@@ -321,64 +327,63 @@ def region_to_lines(region: cells.Region) -> list:
 def test_to_doc(obj, depth: int = 12) -> dict:
     from . import randtests
 
-    if isinstance(obj, randtests.IntegralStep):
-        return {
-            "kind": "integral",
-            "depth": obj.depth,
-            "base": measure_to_doc(obj.base, depth),
-            "bound": measure_to_doc(obj.bound, depth),
-            "values": [[cell, format_rational(v)] for cell, v in sorted(obj.values.items())],
-            "unit_witness": obj.unit_witness,
-        }
-    if isinstance(obj, randtests.BoundedMLTest):
-        return {
-            "kind": "bounded_ml",
-            "base": measure_to_doc(obj.base, depth),
-            "bound": measure_to_doc(obj.bound, depth),
-            "levels": [list(level.generators) for level in obj.levels],
-            "depth": max((level.depth for level in obj.levels), default=0),
-        }
-    if isinstance(obj, randtests.VitaliTest):
-        return {
-            "kind": "vitali",
-            "base": measure_to_doc(obj.base, depth),
-            "bound": measure_to_doc(obj.bound, depth),
-            "pieces": [list(piece.generators) for piece in obj.pieces],
-            "depth": max((piece.depth for piece in obj.pieces), default=0),
-        }
-    if isinstance(obj, randtests.MLTest):
-        return {
-            "kind": "ml",
-            "base": measure_to_doc(obj.base, depth),
-            "levels": [list(level.generators) for level in obj.levels],
-            "depth": max((level.depth for level in obj.levels), default=0),
-        }
-    raise SpecParseError(f"cannot serialize {type(obj).__name__}")
+    kinds = [(randtests.IntegralStep, "integral"), (randtests.BoundedMLTest, "bounded_ml"),
+             (randtests.VitaliTest, "vitali"), (randtests.MLTest, "ml")]
+    kind = next((name for cls, name in kinds if isinstance(obj, cls)), None)
+    if kind is None:
+        raise SpecParseError(f"cannot serialize {type(obj).__name__}")
+    doc = {"kind": kind, "base": measure_to_doc(obj.base, depth)}
+    if kind != "ml":
+        doc["bound"] = measure_to_doc(obj.bound, depth)
+    if kind == "integral":
+        doc["values"] = [[cell, format_rational(v)] for cell, v in sorted(obj.values.items())]
+        doc.update(depth=obj.depth, unit_witness=obj.unit_witness)
+    else:
+        sets = obj.pieces if kind == "vitali" else obj.levels
+        doc["pieces" if kind == "vitali" else "levels"] = [list(s.generators) for s in sets]
+        doc["depth"] = max((s.depth for s in sets), default=0)
+    return doc
 
 
-def test_from_doc(doc: dict):
+def _doc_field(doc: dict, name: str, row_length=None):
+    """doc[name]: a JSON object, or given a row_length a list of lists of strings
+    (each of that length unless it is 0); anything else is a parse error that
+    names the field."""
+    if name not in doc:
+        raise SpecParseError(f"test doc has no {name!r} field")
+    value = doc[name]
+    if row_length is None:
+        ok, shape = isinstance(value, dict), "an object"
+    else:
+        ok = isinstance(value, list) and all(
+            isinstance(row, list) and row_length in (0, len(row)) and all(isinstance(x, str) for x in row) for row in value
+        )
+        shape = "a list of [cell, value] string pairs" if row_length == 2 else "a list of lists of generator strings"
+    if not ok:
+        raise SpecParseError(f"test doc field {name!r} must be {shape}, got {json.dumps(value)[:80]}")
+    return value
+
+
+def test_from_doc(doc):
     from . import randtests
 
+    if not isinstance(doc, dict):
+        raise SpecParseError(f"test doc must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    base = build_measure(measure_doc_to_spec(doc["base"]))
+    if kind not in ("ml", "bounded_ml", "vitali", "integral"):
+        raise SpecParseError(f"unknown test kind {kind!r}")
+    base = build_measure(measure_doc_to_spec(_doc_field(doc, "base")))
     depth = int(doc.get("depth", 0))
+    if kind != "integral":
+        rows = _doc_field(doc, "pieces" if kind == "vitali" else "levels", 0)
+        sets = [randtests.CylinderSet.from_strings([validate_bits(g) for g in gens], depth) for gens in rows]
     if kind == "ml":
-        levels = [randtests.CylinderSet.from_strings(gens, depth) for gens in doc["levels"]]
-        return randtests.MLTest(base=base, levels=levels)
-    bound = build_measure(measure_doc_to_spec(doc["bound"]))
+        return randtests.MLTest(base=base, levels=sets)
+    bound = build_measure(measure_doc_to_spec(_doc_field(doc, "bound")))
     if kind == "bounded_ml":
-        levels = [randtests.CylinderSet.from_strings(gens, depth) for gens in doc["levels"]]
-        return randtests.BoundedMLTest(base=base, levels=levels, bound=bound)
+        return randtests.BoundedMLTest(base=base, levels=sets, bound=bound)
     if kind == "vitali":
-        pieces = [randtests.CylinderSet.from_strings(gens, depth) for gens in doc["pieces"]]
-        return randtests.VitaliTest(base=base, pieces=pieces, bound=bound)
-    if kind == "integral":
-        values = {validate_bits(cell): parse_rational(v) for cell, v in doc["values"]}
-        return randtests.IntegralStep(
-            base=base,
-            depth=depth,
-            values=values,
-            bound=bound,
-            unit_witness=bool(doc.get("unit_witness", False)),
-        )
-    raise SpecParseError(f"unknown test kind {kind!r}")
+        return randtests.VitaliTest(base=base, pieces=sets, bound=bound)
+    values = {validate_bits(cell): parse_rational(v) for cell, v in _doc_field(doc, "values", 2)}
+    unit_witness = bool(doc.get("unit_witness", False))
+    return randtests.IntegralStep(base=base, depth=depth, values=values, bound=bound, unit_witness=unit_witness)

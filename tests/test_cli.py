@@ -89,6 +89,111 @@ def test_bad_depth_limit_is_a_usage_error(capsys, monkeypatch, value):
     assert "RANDLAB_DEPTH_LIMIT must be a nonnegative integer" in err
 
 
+NEGATIVE_DEPTHS = [
+    ["audit", "--measure", "fair", "--check", "additivity", "--depth", "-1"],
+    ["audit", "--measure", "fair", "--martingale", "all_in:0", "--check", "savings", "--depth", "-2"],
+    ["audit", "--measure", "fair", "--martingale", "all_in:0", "--check", "fairness", "--depth", "-1"],
+    ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", "integral", "--depth", "-1"],
+    ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", "cycle", "--depth", "-1"],
+    ["refine", "--source-dec", "binary", "--target-dec", "ternary", "--depth", "4", "--target-depth", "-1"],
+]
+
+
+@pytest.mark.parametrize("args", NEGATIVE_DEPTHS, ids=lambda args: "-".join(args[:1] + args[-4:]))
+def test_negative_depths_are_precondition_errors(capsys, args):
+    # they used to pass vacuously ("pass (0 checked)", a lone "tau eps" row)
+    # or die with itertools' "repeat argument cannot be negative"
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert "error: exhaustive enumeration depth must be nonnegative" in err
+
+
+def test_negative_depth_of_an_input_test_is_refused(capsys, tmp_path):
+    bundle = tmp_path / "step.json"
+    head = ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", "integral"]
+    assert run_cli(capsys, *head, "--depth", "3", "--out-test", str(bundle))[0] == 0
+    for target in ("bounded_ml", "vitali", "martingale"):
+        code, _, err = run_cli(capsys, "convert", "--input", str(bundle), "--to", target, "--depth", "-1")
+        assert code == 2 and "must be nonnegative" in err, target
+
+
+def test_ville_negative_n_is_refused_in_a_bounded_child():
+    # before the fix this walk never reached length n and ran until memory
+    # ran out, so it runs in a child with a time limit and an address-space cap
+    import os
+    import resource
+    import subprocess
+
+    import randlab
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(randlab.__file__))
+    args = ["audit", "--measure", "fair", "--martingale", "all_in:0", "--check", "ville", "--n", "-2", "--c", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "randlab", *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert "must be nonnegative" in proc.stderr
+
+
+def test_depth_zero_stays_valid(capsys):
+    for args in (
+        ["audit", "--measure", "fair", "--check", "additivity", "--depth", "0"],
+        ["audit", "--measure", "fair", "--martingale", "all_in:0", "--check", "savings,ville", "--depth", "0", "--n", "0"],
+        ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", "vitali", "--depth", "0"],
+    ):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0, out
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_convert_levels_below_one_are_usage_errors(capsys, levels):
+    # a zero-level test used to be built, and it "passed"
+    head = ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", "bounded_ml", "--depth", "4"]
+    code, out, err = run_cli(capsys, *head, "--levels", levels)
+    assert (code, out) == (2, "")
+    assert f"usage error: --levels must be at least 1, got {levels}" in err
+
+
+FAIR = {"kind": "fair_coin"}
+MALFORMED_DOCS = {
+    "list": ([1, 2], "test doc must be a JSON object, got list"),
+    "values-int": (
+        {"kind": "integral", "base": FAIR, "bound": FAIR, "values": 5, "depth": 1},
+        "test doc field 'values' must be a list of [cell, value] string pairs, got 5",
+    ),
+    "no-base": ({"kind": "integral"}, "test doc has no 'base' field"),
+    "one-element-cell": (
+        {"kind": "integral", "base": FAIR, "bound": FAIR, "values": [["0"]], "depth": 1},
+        """test doc field 'values' must be a list of [cell, value] string pairs, got [["0"]]""",
+    ),
+    "levels-string": (
+        {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": "01", "depth": 2},
+        "test doc field 'levels' must be a list of lists of generator strings, got \"01\"",
+    ),
+    "base-string": ({"kind": "vitali", "base": "fair", "pieces": []}, "test doc field 'base' must be an object, got \"fair\""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_malformed_input_docs_are_usage_errors(capsys, tmp_path, name):
+    # these died with a raw AttributeError or TypeError (exit 1), or with a
+    # message that did not name the field ("'base'", "not enough values to unpack")
+    doc, message = MALFORMED_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "convert", "--input", str(path), "--to", "martingale", "--depth", "2")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
 def test_audit_bad_table_fails(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"start": "1/1", "entries": {"0": "2/1", "1": "2/1"}}))

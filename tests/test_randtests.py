@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randlab
+from randlab import bits
 from randlab import (
     BoundedMLTest,
     ConstructionError,
@@ -42,10 +43,11 @@ def test_cylinder_mass_within(fair):
 
 def test_cylinder_covers_prefix():
     cs = CylinderSet.from_strings(["00", "01"])
-    assert cs.covers_prefix("0")
-    assert cs.covers_prefix("001")
-    assert not cs.covers_prefix("")
-    assert not cs.covers_prefix("1")
+    assert bits.covers(cs.generators, "0")
+    assert bits.covers(cs.generators, "001")
+    assert not bits.covers(cs.generators, "")
+    assert not bits.covers(cs.generators, "1")
+    assert bits.covers(("00", "01"), "0")  # a union of descendants covers too
 
 
 def test_martingale_to_integral_worked_case(fair):

@@ -1,0 +1,273 @@
+"""The one-walk verifiers against the string-reading definitions they replace.
+
+The reference functions below read every mass, bound and savings floor by
+string, prefix by prefix, exactly as the verifiers did before they became one
+depth-first walk on integer pairs.  They stay here as the executable
+specification: violations (text and order), checked counts, integrals, step
+values and bound snapshots must all agree.
+"""
+
+import itertools
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import randlab
+import randlab.cli
+from randlab import BoundedMLTest, CylinderSet, IntegralStep, MLTest, VitaliTest, bits, measure, specfmt
+from randlab.measure import AuditReport
+from randlab.randtests import check_coverage_transfer
+from randlab.rationals import format_rational
+
+ZERO = Fraction(0)
+
+
+def ref_prefixes(depth):
+    for n in range(depth + 1):
+        yield from bits.all_strings(n)
+
+
+def ref_integrals(step, depth):
+    layer = {cell: v * step.base.mass(cell) for cell, v in step.values.items() if v != 0}
+    out = {}
+    for n in range(step.depth, -1, -1):
+        if n <= depth:
+            out.update(layer)
+        parents = {}
+        for cell, x in layer.items():
+            parents[cell[:-1]] = parents.get(cell[:-1], ZERO) + x
+        layer = parents
+    return out
+
+
+def ref_counts(pieces, depth):
+    counts = {}
+    for piece in pieces:
+        for g in piece.generators:
+            for tail in bits.all_strings(depth - len(g)):
+                counts[g + tail] = counts.get(g + tail, 0) + 1
+    return {cell: Fraction(n) for cell, n in sorted(counts.items())}
+
+
+def ref_cover_integrals(base, pieces, depth):
+    d = max([depth] + [len(g) for piece in pieces for g in piece.generators])
+    return ref_integrals(IntegralStep(base=base, depth=d, values=ref_counts(pieces, d), bound=None), depth)
+
+
+def ref_witness(step, depth, report, integrals):
+    for sigma in ref_prefixes(min(depth, step.depth)):
+        report.checked += 1
+        upper = integrals.get(sigma, ZERO) + step.base.mass(sigma)
+        if step.bound.mass(sigma) > upper:
+            report.add(f"domination witness fails at {sigma!r}: {step.bound.mass(sigma)} > {upper}")
+
+
+def ref_verify(obj, depth):
+    report = AuditReport()
+    if isinstance(obj, IntegralStep):
+        for v in obj.values.values():
+            if v < 0:
+                report.add(f"negative step value {v}")
+        integrals = ref_integrals(obj, depth)
+        for sigma in ref_prefixes(min(depth, obj.depth)):
+            report.checked += 1
+            lhs, nu_sigma = integrals.get(sigma, ZERO), obj.bound.mass(sigma)
+            if lhs > nu_sigma:
+                report.add(f"integral bound fails at {sigma!r}: {lhs} > {nu_sigma}")
+        if obj.unit_witness:
+            ref_witness(obj, depth, report, integrals)
+        return report
+    if isinstance(obj, MLTest):
+        for n in range(1, obj.n_levels + 1):
+            report.checked += 1
+            m = obj.level(n).mass(obj.base)
+            if m > Fraction(1, 2**n):
+                report.add(f"level {n} mass {m} exceeds 2^-{n}")
+    if isinstance(obj, BoundedMLTest):
+        within = [ref_cover_integrals(obj.base, [level], depth) for level in obj.levels]
+        for sigma in ref_prefixes(depth):
+            nu_sigma = obj.bound.mass(sigma)
+            for n, level_within in enumerate(within, 1):
+                report.checked += 1
+                lhs = level_within.get(sigma, ZERO)
+                if lhs * 2**n > nu_sigma:
+                    report.add(f"bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * {nu_sigma}")
+        if obj.witness is not None:
+            ref_witness(obj.witness, depth, report, ref_integrals(obj.witness, depth))
+    elif isinstance(obj, MLTest):
+        report.notes.append("schnorr-style: every level mass exactly representable")
+    if isinstance(obj, VitaliTest):
+        within = ref_cover_integrals(obj.base, obj.pieces, depth)
+        for sigma in ref_prefixes(depth):
+            report.checked += 1
+            total, nu_sigma = within.get(sigma, ZERO), obj.bound.mass(sigma)
+            if total > nu_sigma:
+                report.add(f"summable bound fails at {sigma!r}: {total} > {nu_sigma}")
+    return report
+
+
+def ref_coverage(sp, test, depth):
+    report = AuditReport()
+    for p in ref_prefixes(depth):
+        f = sp.savings(p)
+        for n in range(1, test.n_levels + 1):
+            if f is not None and f >= 2**n:
+                report.checked += 1
+                if not bits.covers(test.level(n).generators, p):
+                    report.add(f"prefix {p!r} with floor {f} escapes level {n}")
+    return report
+
+
+def ref_step_values(sp, depth):
+    return {cell: f for cell in bits.all_strings(depth) if (f := sp.savings(cell))}
+
+
+def ref_snapshot_entries(mu, depth):
+    entries = []
+
+    def walk(sigma):
+        if mu.mass(sigma) > 0:
+            entries.append([sigma, format_rational(mu.split(sigma))])
+        if len(sigma) + 1 < depth:
+            walk(sigma + "0")
+            walk(sigma + "1")
+
+    if depth > 0:
+        walk("")
+    return entries
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except randlab.ConstructionError as exc:
+        return str(exc)
+
+
+def assert_same(obj, depth):
+    got, want = randlab.verify_test_bounds(obj, depth), ref_verify(obj, depth)
+    assert got.violations == want.violations
+    assert (got.checked, got.notes) == (want.checked, want.notes)
+
+
+# splits of exactly 0 and 1 make null cylinders
+SPLITS = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(min_value=0, max_value=1, max_denominator=6))
+STRINGS = st.text(alphabet="01", max_size=3)
+
+
+@st.composite
+def bases(draw):
+    keys = draw(st.lists(STRINGS, unique=True, max_size=6))
+    return randlab.split_table({sigma: draw(SPLITS) for sigma in keys}, default=draw(SPLITS))
+
+
+@st.composite
+def table_martingales(draw, base):
+    """Capital tables, unfair in general, so bound and witness checks fail."""
+    keys = draw(st.lists(st.text(alphabet="01", max_size=4), unique=True, max_size=6))
+    values = st.fractions(min_value=0, max_value=6, max_denominator=4)
+    return randlab.table_martingale(base, {sigma: draw(values) for sigma in keys}, start=draw(values))
+
+
+@st.composite
+def chains(draw):
+    base = draw(bases())
+    mart = draw(st.one_of(table_martingales(base), st.just(randlab.from_measures(draw(bases()), base))))
+    assume(mart.capital("") is not None)
+    return base, mart, draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+@given(chains())
+@settings(max_examples=60, deadline=None)
+def test_conversion_chain_matches_the_string_reading_verifiers(case):
+    base, mart, step_depth, depth = case
+    sp = randlab.savings_transform(mart)
+    step = randlab.martingale_to_integral(sp, step_depth)
+    assert step.values == ref_step_values(sp, step_depth)
+    assert list(step.values) == sorted(step.values)
+    assert step.integrals(depth) == ref_integrals(step, depth)
+    bounded = randlab.integral_to_bounded_ml(step)
+    vitali = randlab.bounded_ml_to_vitali(bounded)
+    back = randlab.vitali_to_integral(vitali, step_depth)
+    assert list(back.values.items()) == list(ref_counts(vitali.pieces, step_depth).items())
+    for obj in (step, bounded, vitali, back):
+        assert_same(obj, depth)
+    got, want = check_coverage_transfer(sp, bounded, depth), ref_coverage(sp, bounded, depth)
+    assert (got.violations, got.checked) == (want.violations, want.checked)
+    # an unfair bound can have a split outside [0, 1]: both refuse it at the same prefix
+    assert outcome(lambda: specfmt.measure_snapshot_doc(step.bound, depth)["entries"]) == outcome(
+        lambda: ref_snapshot_entries(step.bound, depth)
+    )
+
+
+@st.composite
+def hand_built_tests(draw):
+    """Level sets and pieces with generators both shallower and deeper than
+    the verify depth, a step on cells of its own depth, over a split_table
+    base and bound (so the bound is read through its children_pairs) or a
+    to_measure bound of a capital table."""
+    base = draw(bases())
+    bound = draw(st.one_of(bases(), bases().map(lambda b: b.scaled(Fraction(1, 2)))))
+    if draw(st.booleans()):
+        bound = randlab.to_measure(draw(table_martingales(base)))
+    gens = st.lists(st.text(alphabet="01", max_size=5), max_size=5)
+    sets = [CylinderSet.from_strings(draw(gens), depth=5) for _ in range(draw(st.integers(1, 4)))]
+    step_depth = draw(st.integers(0, 5))
+    cells = ["".join(digits) for digits in itertools.product("01", repeat=step_depth)]
+    weights = st.fractions(min_value=-1, max_value=9, max_denominator=4)
+    values = {cell: draw(weights) for cell in draw(st.lists(st.sampled_from(cells), unique=True))}
+    step = IntegralStep(base=base, depth=step_depth, values=values, bound=bound, unit_witness=draw(st.booleans()))
+    # a witness over the same base and bound is checked in the levels' walk, any other in a walk of its own
+    other = IntegralStep(base=base, depth=step_depth, values=values, bound=draw(bases()), unit_witness=True)
+    witness = draw(st.sampled_from([None, step, other]))
+    tests = [
+        step,
+        MLTest(base=base, levels=sets),
+        BoundedMLTest(base=base, levels=sets, bound=bound, witness=witness),
+        VitaliTest(base=base, pieces=sets, bound=bound),
+    ]
+    return tests, draw(st.integers(0, 6))
+
+
+@given(hand_built_tests())
+@settings(max_examples=80, deadline=None)
+def test_hand_built_tests_match_the_string_reading_verifiers(case):
+    tests, depth = case
+    for obj in tests:
+        assert_same(obj, depth)
+    step = tests[0]
+    assert step.integrals(depth) == ref_integrals(step, depth)
+
+
+def _memo_bytes(snapshot):
+    """Bytes still held by allocations made in the measure module (the
+    Measure._mass and from_masses memos live there)."""
+    return sum(stat.size for stat in snapshot.filter_traces([tracemalloc.Filter(True, measure.__file__)]).statistics("filename"))
+
+
+def test_convert_leaves_no_memo_that_grows_with_the_depth(capsys, monkeypatch):
+    # measured inside the run, once the test has been verified and serialized
+    # and its base and bound are still alive
+    held = {}
+    real = specfmt.test_to_doc
+
+    def to_doc_then_measure(obj, depth=12):
+        doc = real(obj, depth)
+        held[depth] = _memo_bytes(tracemalloc.take_snapshot())
+        return doc
+
+    monkeypatch.setattr(specfmt, "test_to_doc", to_doc_then_measure)
+    tracemalloc.start()
+    try:
+        for depth in (6, 12):
+            args = ["convert", "--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair"]
+            assert randlab.cli.main(args + ["--to", "bounded_ml", "--depth", str(depth)]) == 0
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # a memo entry per prefix holds 2^13 strings and rationals at depth 12,
+    # about 600 kB; what stays is a few kB that do not grow with the depth
+    assert held[12] < 32 * 1024
+    assert held[12] <= held[6] + 1024

@@ -20,8 +20,8 @@ from math import lcm
 from typing import Optional
 
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .measure import Measure, from_masses
-from .rationals import ONE, RAT, ZERO
+from .measure import Measure, MeasureSpec, PathCache
+from .rationals import HALF, ONE, RAT, ZERO
 
 
 @dataclass(frozen=True)
@@ -126,37 +126,26 @@ class NamingOutcome:
 
 
 class CellDecomposition:
-    """Binary tree of regions refining [0,1) (or [0,1)^d) under Lebesgue."""
+    """Binary tree of regions refining [0,1) (or [0,1)^d) under Lebesgue.
 
-    def __init__(self, kind: str, label: str, spec_name: str = None):
+    Subclasses give the root node and _children(sigma, node), the nodes of
+    sigma's 0-child and 1-child; every node is read through a one-path cache.
+    """
+
+    def __init__(self, kind: str, label: str, spec_name: str = None, root=None):
         self.kind = kind
         self.label = label
         self.spec_name = spec_name or label
-        self._cells = {}
+        self._path = PathCache(root)
 
     def __repr__(self):
         return f"CellDecomposition({self.label})"
 
-    # subclasses fill these in
-    def _children(self, sigma, cell):
-        raise NotImplementedError
-
-    def _root(self):
-        raise NotImplementedError
+    def _node(self, sigma: str):
+        return self._path.read(sigma, self._children)
 
     def cell(self, sigma: str):
-        cells = self._cells
-        if not cells:
-            cells[""] = self._root()
-        value, i = cells.get(sigma), len(sigma)
-        while value is None:  # descend iteratively from the deepest cached ancestor
-            i -= 1
-            value = cells.get(sigma[:i])
-        for bit in sigma[i:]:
-            value = self._children(sigma[:i], value)[int(bit)]
-            i += 1
-            cells[sigma[:i]] = value
-        return value
+        return self._node(sigma)
 
     def cell_mass(self, sigma: str):
         return self._measure(self.cell(sigma))
@@ -178,24 +167,52 @@ class CellDecomposition:
         raise NotImplementedError
 
     def pushforward(self) -> Measure:
-        """The measure on names: mass(sigma) = Lebesgue mass of cell(sigma)."""
-        from .measure import MeasureSpec
-
-        m = from_masses(self.cell_mass, label=f"push({self.label})")
-        m.spec = MeasureSpec("pushforward", decomposition=self)
-        return m
+        """The measure on names, mass(sigma) = Lebesgue mass of cell(sigma),
+        given by the share of each cell that its 1-child carries."""
+        return Measure(self._split, label=f"push({self.label})", spec=MeasureSpec("pushforward", decomposition=self))
 
 
-class _IntervalDecomposition(CellDecomposition):
-    """Common naming logic for decompositions whose cells are intervals.
+class BaryGroupedDecomposition(CellDecomposition):
+    """Base-b digits read through grouped binary splits; binary digits are
+    the case b = 2.
 
-    Refinement walks the tree on integer states (L, b^(k+1), peeled), read as
-    in BaryGroupedDecomposition (binary digits are the case b = 2):
-    `_child_states` gives the 0-child's and the 1-child's, `_endpoints` the
-    cell [lo/den, hi/den) as (lo, hi, den).
+    The node at sigma is the integer state (L, b^(k+1), peeled): the digit
+    interval [L/b^k, (L+1)/b^k) together with the number of digit values
+    already peeled off, so the cell is [(L*b + peeled)/b^(k+1), (L+1)/b^k).
+    Bit 0 selects the next digit value, bit 1 defers among the remaining
+    ones (the final deferral lands on the last digit directly).
     """
 
-    base = 2
+    def __init__(self, base: int, kind="bary_grouped", label=None, spec_name=None):
+        if base < 2:
+            raise ConstructionError("digit base must be at least 2")
+        super().__init__(kind, label or f"bary{base}", spec_name or f"bary:{base}", root=(0, base, 0))
+        self.base = base
+        # a cell with p values peeled leaves (b-1-p)/(b-p) of its mass to its 1-child
+        self._splits = tuple(RAT(base - 1 - p, base - p) for p in range(base - 1))
+
+    def _children(self, sigma, state):
+        low, width, peeled = state
+        b = self.base
+        deferred = (low * b + b - 1, width * b, 0) if peeled + 1 == b - 1 else (low, width, peeled + 1)
+        return (low * b + peeled, width * b, 0), deferred
+
+    def _endpoints(self, state):
+        """The cell of a state as [lo/den, hi/den), returned as (lo, hi, den)."""
+        low, width, peeled = state
+        return low * self.base + peeled, (low + 1) * self.base, width
+
+    def cell(self, sigma: str):
+        lo, hi, den = self._endpoints(self._node(sigma))
+        return Region.interval(RAT(lo, den), RAT(hi, den))
+
+    def cell_mass(self, sigma: str):
+        _, width, peeled = self._node(sigma)
+        return RAT(self.base - peeled, width)
+
+    def _split(self, sigma: str):
+        # peeled is the number of trailing 1s of sigma, mod b-1
+        return self._splits[(len(sigma) - len(sigma.rstrip("1"))) % (self.base - 1)]
 
     def name_point(self, x, n: int) -> NamingOutcome:
         x = RAT(x)
@@ -214,84 +231,6 @@ class _IntervalDecomposition(CellDecomposition):
             sigma += "0" if self.cell(sigma + "0").contains_point(x) else "1"
         return sigma
 
-    def _child_states(self, state):
-        # _node_state inlines this rule per bit; a call per node slows pushforward audits ~10%
-        low, width, peeled = state
-        b = self.base
-        deferred = (low * b + b - 1, width * b, 0) if peeled + 1 == b - 1 else (low, width, peeled + 1)
-        return (low * b + peeled, width * b, 0), deferred
-
-    def _endpoints(self, state):
-        low, width, peeled = state
-        return low * self.base + peeled, (low + 1) * self.base, width
-
-
-class BinaryDigitsDecomposition(_IntervalDecomposition):
-    def __init__(self):
-        super().__init__(kind="binary_digits", label="binary", spec_name="binary")
-
-    def _root(self):
-        return Region.interval(0, 1)
-
-    def cell_mass(self, sigma: str):
-        return RAT(1, 2 ** len(sigma))
-
-    def _children(self, sigma, cell):
-        (lo, hi), = cell.intervals
-        mid = (lo + hi) / 2
-        return Region.interval(lo, mid), Region.interval(mid, hi)
-
-
-class BaryGroupedDecomposition(_IntervalDecomposition):
-    """Base-b digits read through grouped binary splits.
-
-    Each node is a digit interval [L/b^k, (L+1)/b^k) together with the number
-    of digit values already peeled off: bit 0 selects the next digit value,
-    bit 1 defers among the remaining ones (the final deferral lands on the
-    last digit directly).
-    """
-
-    def __init__(self, base: int):
-        if base < 2:
-            raise ConstructionError("digit base must be at least 2")
-        super().__init__(kind="bary_grouped", label=f"bary{base}", spec_name=f"bary:{base}")
-        self.base = base
-        self._state = {"": (0, base, 0)}  # sigma -> (L, b^(k+1), peeled), all ints
-
-    def _node_state(self, sigma):
-        states = self._state
-        state, i = states.get(sigma), len(sigma)
-        while state is None:  # descend iteratively from the deepest cached ancestor
-            i -= 1
-            state = states.get(sigma[:i])
-        b = self.base
-        for bit in sigma[i:]:
-            low, width, peeled = state
-            if bit == "0":
-                state = (low * b + peeled, width * b, 0)
-            elif peeled + 1 == b - 1:
-                state = (low * b + b - 1, width * b, 0)
-            else:
-                state = (low, width, peeled + 1)
-            i += 1
-            states[sigma[:i]] = state
-        return state
-
-    def _region_of_state(self, state):
-        lo, hi, den = self._endpoints(state)
-        return Region.interval(RAT(lo, den), RAT(hi, den))
-
-    def cell(self, sigma: str):
-        got = self._cells.get(sigma)
-        if got is None:
-            got = self._region_of_state(self._node_state(sigma))
-            self._cells[sigma] = got
-        return got
-
-    def cell_mass(self, sigma: str):
-        _, width, peeled = self._node_state(sigma)
-        return RAT(self.base - peeled, width)
-
 
 class InterleaveDecomposition(CellDecomposition):
     """Points of [0,1)^d named by interleaving coordinate binary digits."""
@@ -299,11 +238,9 @@ class InterleaveDecomposition(CellDecomposition):
     def __init__(self, dim: int):
         if dim < 1:
             raise ConstructionError("dimension must be at least 1")
-        super().__init__(kind="interleave", label=f"interleave{dim}", spec_name=f"interleave:{dim}")
+        root = tuple((ZERO, ONE) for _ in range(dim))
+        super().__init__(kind="interleave", label=f"interleave{dim}", spec_name=f"interleave:{dim}", root=root)
         self.dim = dim
-
-    def _root(self):
-        return tuple((ZERO, ONE) for _ in range(self.dim))
 
     def _children(self, sigma, box):
         axis = len(sigma) % self.dim
@@ -321,6 +258,9 @@ class InterleaveDecomposition(CellDecomposition):
 
     def cell_mass(self, sigma: str):
         return RAT(1, 2 ** len(sigma))
+
+    def _split(self, sigma: str):
+        return HALF
 
     def name_point(self, point, n: int) -> NamingOutcome:
         point = tuple(RAT(c) for c in (point if isinstance(point, (tuple, list)) else (point,)))
@@ -390,7 +330,7 @@ def natural(mu: Measure) -> CellDecomposition:
 
 
 def binary_digits() -> CellDecomposition:
-    return BinaryDigitsDecomposition()
+    return BaryGroupedDecomposition(2, kind="binary_digits", label="binary", spec_name="binary")
 
 
 def bary_grouped(base: int) -> CellDecomposition:
@@ -402,16 +342,16 @@ def interleave(dim: int) -> CellDecomposition:
 
 
 def _require_interval_cells(dec: CellDecomposition):
-    if not isinstance(dec, _IntervalDecomposition):
+    if not isinstance(dec, BaryGroupedDecomposition):
         raise PreconditionError(f"open-set decomposition needs interval cells; {dec.label} has none")
 
 
-def _cover(dec: _IntervalDecomposition, spans, den: int, depth: int):
+def _cover(dec: BaryGroupedDecomposition, spans, den: int, depth: int):
     """Walk dec's cells against the union of the disjoint [a/den, b/den) in spans: the
     maximal cells of depth <= depth inside it (0-child first), their total length
     as an int pair, and the depth-`depth` cells that cross its boundary."""
     chosen, straddlers, num, cden = [], [], 0, 1
-    stack = [("", (0, dec.base, 0))]
+    stack = [("", dec._path.root)]
     while stack:
         sigma, state = stack.pop()
         lo, hi, d = dec._endpoints(state)
@@ -430,7 +370,7 @@ def _cover(dec: _IntervalDecomposition, spans, den: int, depth: int):
         elif len(sigma) >= depth:
             straddlers.append(sigma)
         else:
-            s0, s1 = dec._child_states(state)
+            s0, s1 = dec._children(sigma, state)
             stack += ((sigma + "1", s1), (sigma + "0", s0))
     return chosen, (num, cden), straddlers
 
@@ -481,7 +421,7 @@ def refine(
     _require_interval_cells(target)
     target_depth = depth if target_depth is None else target_depth
     check_enumeration_depth(target_depth)
-    rows, stack = {}, [("", (0, target.base, 0))]
+    rows, stack = {}, [("", target._path.root)]
     while stack:
         tau, state = stack.pop()
         a, b, den = target._endpoints(state)
@@ -489,7 +429,7 @@ def refine(
         residual = RAT((b - a) * cden - num * den, den * cden)
         rows[tau] = RefinementRow(tuple(sigmas), RAT(num, cden), residual, tuple(straddlers))
         if len(tau) < target_depth:
-            s0, s1 = target._child_states(state)
+            s0, s1 = target._children(tau, state)
             stack += ((tau + "1", s1), (tau + "0", s0))
     return RefinementRelation(source=source, target=target, depth=depth, target_depth=target_depth, rows=rows)
 
@@ -517,10 +457,13 @@ def transfer_measure(rel: RefinementRelation, nu: Measure) -> TransferResult:
 
     The lower bound sums nu over the covering source cells; the upper bound
     adds the nu-mass of every depth-d source cell that leaks across the
-    target cell's boundary.
+    target cell's boundary.  Each distinct source cell's mass is read once,
+    in one lexicographic sweep.
     """
+    source_cells = sorted({sigma for row in rel.rows.values() for sigma in row.sigmas + row.straddlers})
+    masses = {sigma: nu.mass(sigma) for sigma in source_cells}
     rows = {}
     for tau, row in rel.rows.items():
-        low = sum((nu.mass(sigma) for sigma in row.sigmas), ZERO)
-        rows[tau] = TransferRow(low=low, high=low + sum((nu.mass(sigma) for sigma in row.straddlers), ZERO))
+        low = sum((masses[sigma] for sigma in row.sigmas), ZERO)
+        rows[tau] = TransferRow(low=low, high=low + sum((masses[sigma] for sigma in row.straddlers), ZERO))
     return TransferResult(relation=rel, rows=rows)

@@ -162,8 +162,7 @@ def cmd_convert(opts, raw_args) -> int:
         obj = specfmt.parse_martingale(opts.martingale, base=mu)
         report.digest("martingale", opts.martingale)
     elif opts.input:
-        with open(opts.input) as fh:
-            doc = json.load(fh)
+        doc = specfmt.load_json(opts.input)
         obj = specfmt.test_from_doc(doc)
         start = doc["kind"]
         if start == "ml":
@@ -235,7 +234,7 @@ def _conversion_path(start: str, target: str) -> list:
 
 
 def _convert_transfer(opts, report: Report) -> int:
-    pairs = dict(item.split("=", 1) for item in opts.transfer)
+    pairs = dict(item.split("=", 1) for item in opts.transfer if "=" in item)
     if set(pairs) != {"A", "B"}:
         raise SpecParseError("--transfer needs A=<dec> B=<dec>")
     source = specfmt.parse_decomposition(pairs["A"])
@@ -440,7 +439,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except (SpecParseError, OSError, KeyError, ValueError) as exc:
+    except (SpecParseError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except StrategyViolation as exc:

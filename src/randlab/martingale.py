@@ -7,7 +7,7 @@ from math import gcd
 from typing import Callable, Optional
 
 from .errors import PreconditionError, check_enumeration_depth
-from .measure import AuditReport, Measure, from_masses
+from .measure import AuditReport, Measure, PathCache, from_masses
 from .rationals import ONE, RAT, ZERO
 
 
@@ -31,45 +31,18 @@ class Martingale:
         self.base = base
         self.label = label
         self.kernel = kernel if kernel is not None else CapitalFnKernel(base, capital_fn)
-        self._root = self.kernel.root()
-        self._path = ""  # the last string descended to
-        self._kids: list = []  # _kids[j]: both children payloads of _path[:j]
+        self._path = PathCache(self.kernel.root())
 
     def __repr__(self):
         return f"Martingale({self.label} vs {self.base.label})"
 
     def payload(self, sigma: str):
-        """The kernel payload at sigma, by an iterative descent from the root.
-
-        The descent reuses the last path it took, which keeps both children
-        of each node on it, so a lexicographic sweep asks the kernel for the
-        children of each internal node once; the cache is one path long.
-        """
-        path, kids = self._path, self._kids
-        k = _shared_prefix_length(path, sigma)
-        node = self._root if k == 0 else kids[k - 1][sigma[k - 1] == "1"]
-        if k < len(sigma):
-            del kids[k + 1 :]
-            for j in range(k, len(sigma)):
-                if j == len(kids):
-                    kids.append(self.kernel.children(sigma[:j], node))
-                node = kids[j][sigma[j] == "1"]
-            self._path = sigma
-        return node
+        """The kernel payload at sigma, read through a one-path cache."""
+        return self._path.read(sigma, self.kernel.children)
 
     def capital(self, sigma: str) -> Optional[Fraction]:
         _, _, cn, cd = self.kernel.read_pair(self.payload(sigma))
         return None if cn is None else RAT(cn, cd)
-
-
-def _shared_prefix_length(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    i = 0
-    while a[i] == b[i]:
-        i += 1
-    return i
 
 
 def _start_capital(mart: Martingale) -> Fraction:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .bits import validate_bits
 from .errors import ConstructionError, check_enumeration_depth
-from .rationals import HALF, ONE, RAT, ZERO
+from .rationals import HALF, ONE, RAT
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,42 @@ class MeasureSpec:
     decomposition: object = None
 
 
+class PathCache:
+    """The node at a string, by an iterative descent from the root that
+    reuses the last path it took.
+
+    Both children of each node on that path are kept, so a lexicographic
+    sweep asks children(prefix, node) for the children of each internal node
+    once, and the cache is one path long: its memory is bounded by the query
+    depth, not by the number of queries.  children is passed at each read, so
+    the cache holds no reference to its owner.
+    """
+
+    __slots__ = ("root", "path", "kids")
+
+    def __init__(self, root):
+        self.root = root
+        self.path = ""  # the last string descended to
+        self.kids = []  # kids[j]: both children of path[:j]
+
+    def read(self, sigma: str, children):
+        path, kids = self.path, self.kids
+        k = min(len(path), len(sigma))
+        if path[:k] != sigma[:k]:
+            k = next(i for i in range(k) if path[i] != sigma[i])
+        node = self.root if k == 0 else kids[k - 1][sigma[k - 1] == "1"]
+        if k < len(sigma):
+            del kids[k + 1 :]
+            for j in range(k, len(sigma)):
+                if j == len(kids):
+                    kids.append(children(sigma[:j], node))
+                node = kids[j][sigma[j] == "1"]
+            self.path = sigma
+        return node
+
+
 class Measure:
-    """Finite measure on the binary tree, immutable apart from its mass cache."""
+    """Finite measure on the binary tree, immutable apart from its path cache."""
 
     def __init__(self, split_fn: Callable[[str], Fraction], total=ONE, label="measure", spec=None):
         self._split_fn = split_fn
@@ -44,7 +78,7 @@ class Measure:
             raise ConstructionError("total mass must be nonnegative")
         self.label = label
         self.spec = spec
-        self._mass = {"": self._total}
+        self._path = PathCache((self._total.numerator, self._total.denominator))
 
     def __repr__(self):
         return f"Measure({self.label})"
@@ -59,29 +93,14 @@ class Measure:
         return s
 
     def mass(self, sigma: str) -> Fraction:
-        """Exact mass of the cylinder [sigma]."""
-        memo = self._mass
-        got = memo.get(sigma)
-        if got is not None:
-            return got
-        # walk down from the deepest cached ancestor
-        i = len(sigma)
-        while sigma[:i] not in memo:
-            i -= 1
-        m = memo[sigma[:i]]
-        for j in range(i, len(sigma)):
-            prefix = sigma[:j]
-            if m == 0:
-                m = ZERO
-            else:
-                s = self.split(prefix)
-                m = m * s if sigma[j] == "1" else m * (1 - s)
-            memo[sigma[: j + 1]] = m
-        return m
+        """Exact mass of the cylinder [sigma]: the children_pairs of the
+        audits stepped along the path, one rational built at the end."""
+        return RAT(*self._path.read(sigma, lambda prefix, pair: self.children_pairs(prefix, *pair)))
 
     def children_pairs(self, sigma: str, n: int, d: int):
         """Children masses as unnormalized (num, den) int pairs, den > 0,
-        given mass(sigma) == n/d; used by the exhaustive tree walks.
+        given mass(sigma) == n/d; mass() and the exhaustive tree walks read
+        masses through it.
 
         Mass-backed measures override this to read the underlying function
         directly, so additivity audits check the function itself.
@@ -120,34 +139,22 @@ class _MassBackedMeasure(Measure):
     """Measure defined by an additive mass function; splits are derived."""
 
     def __init__(self, mass_fn, label="measure", spec=None):
-        memo = {}
-
-        def fn(sigma: str):
-            v = memo.get(sigma)
-            if v is None:
-                v = RAT(mass_fn(sigma))
-                memo[sigma] = v
-            return v
-
-        self._fn = fn
-        self._mass_fn = mass_fn
-
         def split(sigma: str):
-            m = fn(sigma)
+            m = RAT(mass_fn(sigma))
             if m == 0:
                 return HALF
-            return fn(sigma + "1") / m
+            return RAT(mass_fn(sigma + "1")) / m
 
-        super().__init__(split, fn(""), label=label, spec=spec)
+        super().__init__(split, mass_fn(""), label=label, spec=spec)
+        self._mass_fn = mass_fn
 
     def mass(self, sigma: str) -> Fraction:
         # the function itself, not a product of the splits derived from it
-        return self._fn(sigma)
+        return RAT(self._mass_fn(sigma))
 
     def children_pairs(self, sigma: str, n: int, d: int):
-        # read the function directly, bypassing the memo: additivity audits
-        # then check the function itself rather than an arithmetic identity,
-        # and a walk leaves no per-node cache behind
+        # read the function directly: additivity audits then check the
+        # function itself rather than an arithmetic identity
         if n == 0:
             return (0, 1), (0, 1)
         m0, m1 = self._mass_fn(sigma + "0"), self._mass_fn(sigma + "1")
@@ -157,12 +164,11 @@ class _MassBackedMeasure(Measure):
 def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) -> Measure:
     """Measure with the splits induced by a mass function, which must be
     additive (children masses summing to the parent's) with mass_fn("") as
-    the total; every library construction that lands here provably is.
+    the total; to_measure and strategy_to_cantor build their measures here.
 
     mass() returns mass_fn itself, so even a non-additive function is read
-    as given (check_additivity reports it).  Values read through mass() and
-    split() are memoized per string; the exhaustive audits call mass_fn
-    directly and leave no cache behind.
+    as given (check_additivity reports it).  Nothing is cached: every read
+    calls mass_fn.
     """
     return _MassBackedMeasure(mass_fn, label=label, spec=spec)
 
@@ -211,15 +217,16 @@ def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
     """Product measure read through alternating coordinates.
 
     Even positions draw from mu1, odd positions from mu2; the mass of sigma is
-    mu1(even bits of sigma) * mu2(odd bits of sigma).
+    mu1(even bits of sigma) * mu2(odd bits of sigma) for additive factors.
+    The split at sigma is the split of the factor that draws the next bit, at
+    the bits that factor has drawn so far.
     """
 
-    def mass_fn(sigma: str) -> Fraction:
-        return mu1.mass(sigma[0::2]) * mu2.mass(sigma[1::2])
+    def split(sigma: str):
+        return mu2.split(sigma[1::2]) if len(sigma) % 2 else mu1.split(sigma[0::2])
 
-    m = from_masses(mass_fn, label=f"interleave({mu1.label},{mu2.label})")
-    m.spec = MeasureSpec("interleave", factors=(mu1, mu2))
-    return m
+    spec = MeasureSpec("interleave", factors=(mu1, mu2))
+    return Measure(split, mu1.total * mu2.total, label=f"interleave({mu1.label},{mu2.label})", spec=spec)
 
 
 def build_measure(spec: MeasureSpec) -> Measure:

@@ -39,7 +39,7 @@ def generate_bits(spec: SourceSpec, length: int) -> str:
             raise SpecParseError(f"literal source has {len(s)} bits, {length} requested")
         return s[:length]
     if spec.kind == "file":
-        with open(spec.path) as fh:
+        with open(spec.path, errors="replace") as fh:  # an undecodable byte fails validate_bits
             s = "".join(fh.read().split())
         validate_bits(s)
         if len(s) < length:

@@ -39,14 +39,14 @@ from .sources import SourceSpec
 
 def measure_doc_to_spec(doc: dict) -> MeasureSpec:
     kind = doc.get("kind")
+    what = f"{kind} measure doc"
     if kind == "fair_coin":
         return MeasureSpec("fair_coin")
     if kind == "bernoulli":
-        return MeasureSpec("bernoulli", p=parse_rational(doc["p"]))
+        return MeasureSpec("bernoulli", p=parse_rational(_field(doc, "p", what)))
     if kind == "split_table":
-        entries = tuple(
-            (validate_bits(sigma), parse_rational(q)) for sigma, q in doc.get("entries", [])
-        )
+        rows = _doc_field(doc, "entries", 2, what) if "entries" in doc else []
+        entries = tuple((validate_bits(sigma), parse_rational(q)) for sigma, q in rows)
         return MeasureSpec(
             "split_table",
             entries=entries,
@@ -54,10 +54,12 @@ def measure_doc_to_spec(doc: dict) -> MeasureSpec:
             total=parse_rational(doc.get("total", "1/1")),
         )
     if kind == "interleave":
-        f1, f2 = doc["factors"]
-        return MeasureSpec("interleave", factors=(measure_doc_to_spec(f1), measure_doc_to_spec(f2)))
+        factors = _field(doc, "factors", what)
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise SpecParseError(f"{what} field 'factors' must list two measure docs")
+        return MeasureSpec("interleave", factors=tuple(measure_doc_to_spec(f) for f in factors))
     if kind == "pushforward":
-        return MeasureSpec("pushforward", decomposition=parse_decomposition(doc["decomposition"]))
+        return MeasureSpec("pushforward", decomposition=parse_decomposition(_field(doc, "decomposition", what)))
     raise SpecParseError(f"unknown measure kind {kind!r}")
 
 
@@ -127,10 +129,8 @@ def parse_measure(text: str) -> Measure:
         return build_measure(MeasureSpec("fair_coin"))
     if text.startswith("bernoulli:"):
         return build_measure(MeasureSpec("bernoulli", p=parse_rational(text.split(":", 1)[1])))
-    if text.startswith("split_table:"):
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
-            return build_measure(measure_doc_to_spec(json.load(fh)))
+    if text.startswith(("split_table:", "doc:")):
+        return build_measure(measure_doc_to_spec(load_json(text.split(":", 1)[1])))
     if text.startswith("interleave:"):
         body = text.split(":", 1)[1]
         if "*" not in body:
@@ -141,9 +141,6 @@ def parse_measure(text: str) -> Measure:
         )
     if text.startswith("push:"):
         return parse_decomposition(text.split(":", 1)[1]).pushforward()
-    if text.startswith("doc:"):
-        with open(text.split(":", 1)[1]) as fh:
-            return build_measure(measure_doc_to_spec(json.load(fh)))
     raise SpecParseError(f"cannot parse measure spec {text!r}")
 
 
@@ -160,7 +157,7 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
             try:
                 nu = parse_measure(body[:i])
                 mu = parse_measure(body[i + 1 :])
-            except (SpecParseError, ConstructionError, ValueError, OSError):
+            except (SpecParseError, ConstructionError, OSError):
                 continue
             return from_measures(nu, mu)
         raise SpecParseError(f"cannot split quotient spec {text!r}")
@@ -176,9 +173,7 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
     if text.startswith(("table:", "file:")):
         if base is None:
             raise SpecParseError("table martingale needs a base measure")
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = load_json(text.split(":", 1)[1])
         entries = {validate_bits(s): parse_rational(v) for s, v in doc.get("entries", {}).items()}
         return table_martingale(base, entries, start=parse_rational(doc.get("start", "1/1")))
     raise SpecParseError(f"cannot parse martingale spec {text!r}")
@@ -198,21 +193,23 @@ def parse_strategy(text: str, mu: Measure) -> betting.BettingStrategy:
     if text.startswith("likelihood_ratio:"):
         return betting.LikelihoodRatioStrategy(parse_measure(text.split(":", 1)[1]))
     if text.startswith("table:"):
-        with open(text.split(":", 1)[1]) as fh:
-            doc = json.load(fh)
+        doc = load_json(text.split(":", 1)[1])
         nodes = {}
         for history, node in doc.get("nodes", {}).items():
-            nodes[validate_bits(history)] = (_event_from_doc(node["event"]), parse_rational(node["stake"]))
+            event, stake = (_field(node, name, f"strategy node {history!r}") for name in ("event", "stake"))
+            nodes[validate_bits(history)] = (_event_from_doc(event), parse_rational(stake))
         return betting.TableStrategy(nodes, start_capital=parse_rational(doc.get("start", "1/1")))
     raise SpecParseError(f"cannot parse strategy spec {text!r}")
 
 
 def _event_from_doc(doc: dict):
-    if doc.get("kind") == "bit":
-        return betting.BitEvent(index=int(doc["index"]), side=int(doc["side"]))
-    if doc.get("kind") == "cylinders":
-        return betting.CylinderEvent(generators=tuple(validate_bits(s) for s in doc["strings"]))
-    raise SpecParseError(f"unknown event kind {doc.get('kind')!r}")
+    kind = doc.get("kind")
+    if kind == "bit":
+        index, side = (_parse_int(_field(doc, name, "bit event"), f"bit {name}") for name in ("index", "side"))
+        return betting.BitEvent(index=index, side=side)
+    if kind == "cylinders":
+        return betting.CylinderEvent(generators=tuple(validate_bits(s) for s in _field(doc, "strings", "cylinder event")))
+    raise SpecParseError(f"unknown event kind {kind!r}")
 
 
 # ----------------------------------------------------------------- sources
@@ -228,7 +225,7 @@ def parse_source(text: str) -> SourceSpec:
     if text.startswith("prng:"):
         body = text.split(":", 1)[1]
         seed = body.split("=", 1)[1] if body.startswith("seed=") else body
-        return SourceSpec(kind="prng", seed=int(seed))
+        return SourceSpec(kind="prng", seed=_parse_int(seed, "source seed"))
     if text.startswith("bernoulli:"):
         body = text.split(":", 1)[1]
         parts = body.split(",")
@@ -236,7 +233,7 @@ def parse_source(text: str) -> SourceSpec:
         seed = 0
         for part in parts[1:]:
             if part.startswith("seed="):
-                seed = int(part.split("=", 1)[1])
+                seed = _parse_int(part.split("=", 1)[1], "source seed")
             else:
                 raise SpecParseError(f"bad source option {part!r}")
         return SourceSpec(kind="bernoulli", p=p, seed=seed)
@@ -252,9 +249,9 @@ def parse_decomposition(text: str) -> cells.CellDecomposition:
     if text == "ternary":
         return cells.bary_grouped(3)
     if text.startswith("bary:"):
-        return cells.bary_grouped(int(text.split(":", 1)[1]))
+        return cells.bary_grouped(_parse_int(text.split(":", 1)[1], "digit base"))
     if text.startswith("interleave:"):
-        return cells.interleave(int(text.split(":", 1)[1]))
+        return cells.interleave(_parse_int(text.split(":", 1)[1], "dimension"))
     if text.startswith("natural:"):
         return cells.natural(parse_measure(text.split(":", 1)[1]))
     raise SpecParseError(f"cannot parse decomposition spec {text!r}")
@@ -262,9 +259,32 @@ def parse_decomposition(text: str) -> cells.CellDecomposition:
 
 # ------------------------------------------------------------------- files
 
+def _parse_int(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecParseError(f"bad {what} {text!r}: not an integer") from None
+
+
+def _field(doc, name: str, what: str):
+    """doc[name]; a missing field is a parse error that names it."""
+    if name not in doc:
+        raise SpecParseError(f"{what} has no {name!r} field")
+    return doc[name]
+
+
+def load_json(path: str):
+    """The JSON document in a file; an undecodable one is a parse error naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SpecParseError(f"{path}: not a JSON document: {exc}") from None
+
+
 def load_cylinder_file(path: str) -> tuple:
     """Newline-separated generators, validated prefix-free."""
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # an undecodable byte fails validate_bits
         strings = [line.strip() for line in fh if line.strip()]
     for s in strings:
         validate_bits(s)
@@ -277,7 +297,7 @@ def load_cylinder_file(path: str) -> tuple:
 def load_machine_file(path: str):
     """Lines "codeword<TAB>output"; empty output allowed."""
     table = {}
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -294,7 +314,7 @@ def load_machine_file(path: str):
 def load_request_file(path: str) -> list:
     """Lines "n<TAB>sigma"."""
     requests = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -302,7 +322,7 @@ def load_request_file(path: str) -> list:
             if "\t" not in line:
                 raise SpecParseError(f"{path}:{lineno}: expected n<TAB>sigma")
             n, sigma = line.split("\t", 1)
-            requests.append((int(n), validate_bits(sigma.strip())))
+            requests.append((_parse_int(n, f"{path}:{lineno}: length"), validate_bits(sigma.strip())))
     return requests
 
 
@@ -313,7 +333,7 @@ def parse_region(lines) -> cells.Region:
         line = line.strip()
         if not line:
             continue
-        lo, hi = line.split(",", 1)
+        lo, _, hi = line.partition(",")
         pairs.append((parse_rational(lo), parse_rational(hi)))
     return cells.Region.from_pairs(pairs)
 
@@ -345,13 +365,11 @@ def test_to_doc(obj, depth: int = 12) -> dict:
     return doc
 
 
-def _doc_field(doc: dict, name: str, row_length=None):
+def _doc_field(doc: dict, name: str, row_length=None, what="test doc"):
     """doc[name]: a JSON object, or given a row_length a list of lists of strings
     (each of that length unless it is 0); anything else is a parse error that
     names the field."""
-    if name not in doc:
-        raise SpecParseError(f"test doc has no {name!r} field")
-    value = doc[name]
+    value = _field(doc, name, what)
     if row_length is None:
         ok, shape = isinstance(value, dict), "an object"
     else:
@@ -360,7 +378,7 @@ def _doc_field(doc: dict, name: str, row_length=None):
         )
         shape = "a list of [cell, value] string pairs" if row_length == 2 else "a list of lists of generator strings"
     if not ok:
-        raise SpecParseError(f"test doc field {name!r} must be {shape}, got {json.dumps(value)[:80]}")
+        raise SpecParseError(f"{what} field {name!r} must be {shape}, got {json.dumps(value)[:80]}")
     return value
 
 
@@ -373,7 +391,7 @@ def test_from_doc(doc):
     if kind not in ("ml", "bounded_ml", "vitali", "integral"):
         raise SpecParseError(f"unknown test kind {kind!r}")
     base = build_measure(measure_doc_to_spec(_doc_field(doc, "base")))
-    depth = int(doc.get("depth", 0))
+    depth = _parse_int(doc.get("depth", 0), "test depth")
     if kind != "integral":
         rows = _doc_field(doc, "pieces" if kind == "vitali" else "levels", 0)
         sets = [randtests.CylinderSet.from_strings([validate_bits(g) for g in gens], depth) for gens in rows]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -447,3 +448,22 @@ def test_bets_read_no_split_below_a_null_cylinder():
     mu = randlab.Measure(lambda sigma: F(0) if sigma == "" else F(2))
     result = randlab.play(TableStrategy({"": (CylinderEvent(("10",)), F(1, 2))}), mu, "0")
     assert result.violation == "bet on a conditionally null or sure event at '': cyl{10}"
+
+
+def test_long_likelihood_ratio_play_holds_one_model_path():
+    # the model's mass memo kept every prefix of the sample, O(n^2)
+    # characters: 9.7 MB after these 4000 steps; the one-path cache keeps one
+    # path of 4000 nodes of growing int pairs, about 2 MB
+    rng = random.Random(5)
+    x = "".join("1" if rng.random() < 1 / 3 else "0" for _ in range(4000))
+    strategy, mu = LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        steps = len(randlab.play(strategy, mu, x).values) - 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert steps == 4000
+    assert len(strategy.model._path.kids) <= 4000
+    assert held < 4 * 1024 * 1024, held

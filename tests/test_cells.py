@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -386,3 +387,66 @@ def test_refine_and_transfer_reject_cells_that_are_not_intervals(fair):
             cells.refine(source, target, 3)
     with pytest.raises(PreconditionError):
         cells.decompose_open(natural, Region.interval(0, 1), 2)
+
+
+DECOMPOSITIONS = {
+    "binary": cells.binary_digits,
+    **{f"bary:{b}": (lambda b=b: cells.bary_grouped(b)) for b in range(2, 7)},
+    **{f"interleave:{d}": (lambda d=d: cells.interleave(d)) for d in range(1, 4)},
+}
+
+
+def _lebesgue_size(dec, sigma):
+    cell = dec.cell(sigma)
+    return dec._measure(cell) if isinstance(dec, cells.InterleaveDecomposition) else cell.length()
+
+
+@given(st.sampled_from(sorted(DECOMPOSITIONS)), st.lists(st.text(alphabet="01", max_size=12), max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_pushforward_masses_are_the_cells_lebesgue_sizes(name, sigmas):
+    # the pushforward is split-backed; its masses must still be the cell sizes
+    dec = DECOMPOSITIONS[name]()
+    push = dec.pushforward()
+    for sigma in sigmas:
+        assert push.mass(sigma) == _lebesgue_size(dec, sigma), (name, sigma)
+
+
+def _held_after(queries):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        queries()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["binary", "bary:3", "interleave:2"])
+def test_cell_queries_leave_memory_flat(name):
+    # 10k queries: 4500 cell(), 4500 cell_mass() and 1000 name_point(); a
+    # memo entry per string used to stay behind for every one of them
+    dec = DECOMPOSITIONS[name]()
+    sigmas = [format(i, "013b") for i in range(4500)]
+    points = [F(2 * i + 1, 2003) for i in range(1000)]
+    if name.startswith("interleave"):
+        points = [(x, 1 - x) for x in points]
+    dec.cell(sigmas[0]), dec.name_point(points[0], 12)
+
+    def queries():
+        for sigma in sigmas:
+            dec.cell(sigma)
+            dec.cell_mass(sigma)
+        for x in points:
+            dec.name_point(x, 12)
+
+    # about 1 KB stays, plus up to ~110 KB of pair tuples parked on CPython's
+    # tuple free list by the interleave boxes; the memos held 1.9-5.8 MB
+    assert _held_after(queries) < 128 * 1024
+
+
+def test_pushforward_audit_leaves_nothing_on_the_decomposition():
+    # the grouped-digit state memo kept 32767 states (6.4 MB) after this audit
+    dec = cells.bary_grouped(3)
+    push = dec.pushforward()
+    held = _held_after(lambda: randlab.check_additivity(push, 14))
+    assert held < 32 * 1024, held

@@ -194,6 +194,79 @@ def test_malformed_input_docs_are_usage_errors(capsys, tmp_path, name):
     assert err == f"usage error: {message}\n"
 
 
+# inputs that once reached the CLI as a raw ValueError or KeyError: each is now
+# a parse error (exit 2) whose message names the input; "{json}", "{binary}"
+# and "{doc}" stand for files holding non-JSON text, undecodable bytes and
+# the case's document
+MALFORMED_INPUTS = {
+    "bary-base": (["name", "--decomposition", "bary:x", "--point", "1/3"], "bad digit base 'x'"),
+    "interleave-dim": (["name", "--decomposition", "interleave:two", "--point", "1/3"], "bad dimension 'two'"),
+    "prng-seed": (["bet", "--strategy", "null", "--measure", "fair", "--source", "prng:abc"], "bad source seed 'abc'"),
+    "bernoulli-seed": (["bet", "--strategy", "null", "--measure", "fair", "--source", "bernoulli:1/3,seed=x"], "bad source seed 'x'"),
+    "transfer-item": (["convert", "--transfer", "A=binary", "Bternary"], "--transfer needs A=<dec> B=<dec>"),
+    "measure-json": (["audit", "--measure", "split_table:{json}"], "not a JSON document"),
+    "measure-bytes": (["audit", "--measure", "doc:{binary}"], "not a JSON document"),
+    "martingale-json": (["audit", "--measure", "fair", "--martingale", "table:{json}", "--check", "fairness"], "not a JSON document"),
+    "input-json": (["convert", "--input", "{json}"], "not a JSON document"),
+    "no-p": (["audit", "--measure", "doc:{doc}"], "bernoulli measure doc has no 'p' field", {"kind": "bernoulli"}),
+    "no-factors": (["audit", "--measure", "doc:{doc}"], "interleave measure doc has no 'factors' field", {"kind": "interleave"}),
+    "three-factors": (
+        ["audit", "--measure", "doc:{doc}"],
+        "interleave measure doc field 'factors' must list two measure docs",
+        {"kind": "interleave", "factors": [FAIR, FAIR, FAIR]},
+    ),
+    "no-decomposition": (["audit", "--measure", "doc:{doc}"], "pushforward measure doc has no 'decomposition' field", {"kind": "pushforward"}),
+    "entry-row": (
+        ["audit", "--measure", "doc:{doc}"],
+        "split_table measure doc field 'entries' must be a list of [cell, value] string pairs",
+        {"kind": "split_table", "entries": [["0", "1/2", "1/3"]]},
+    ),
+    "test-depth": (
+        ["convert", "--input", "{doc}"],
+        "bad test depth 'x'",
+        {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": [], "depth": "x"},
+    ),
+    "no-stake": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "strategy node '' has no 'stake' field",
+        {"nodes": {"": {"event": {"kind": "bit", "index": 0, "side": 1}}}},
+    ),
+    "bit-index": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "bad bit index 'x'",
+        {"nodes": {"": {"event": {"kind": "bit", "index": "x", "side": 1}, "stake": "1/2"}}},
+    ),
+    "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
+    "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_are_parse_errors(capsys, tmp_path, name):
+    args, message, *doc = MALFORMED_INPUTS[name]
+    files = {"json": tmp_path / "bad.json", "binary": tmp_path / "bad.bin", "doc": tmp_path / "doc.json"}
+    files["json"].write_text("{not json")
+    files["binary"].write_bytes(b"01\t\xff\xfe1\n")
+    files["doc"].write_text(json.dumps(doc[0] if doc else {}))
+    args = [a.format(**files) for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_a_library_error_is_no_usage_error(capsys, monkeypatch, error):
+    # ValueError and KeyError are no longer read as usage errors: raised by
+    # library code on valid input, they propagate instead of exiting 2
+    def broken(*args):
+        raise error("library bug")
+
+    monkeypatch.setattr(randlab.cli, "check_additivity", broken)
+    with pytest.raises(error, match="library bug"):
+        main(["audit", "--measure", "fair", "--depth", "2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_audit_bad_table_fails(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"start": "1/1", "entries": {"0": "2/1", "1": "2/1"}}))

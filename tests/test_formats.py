@@ -134,6 +134,15 @@ def test_region_lines_roundtrip():
     assert specfmt.parse_region(lines) == region
 
 
+def test_malformed_request_and_region_lines_are_parse_errors(tmp_path):
+    rfile = tmp_path / "r.requests"
+    rfile.write_text("x\t0\n")
+    with pytest.raises(SpecParseError, match="length 'x': not an integer"):
+        specfmt.load_request_file(str(rfile))
+    with pytest.raises(SpecParseError, match="bad rational ''"):
+        specfmt.parse_region(["1/3"])
+
+
 def test_test_bundle_roundtrip(battery_marts):
     sp = randlab.savings_transform(battery_marts["all_in_on_0"])
     step = randlab.martingale_to_integral(sp, 6)

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -189,3 +191,75 @@ def test_split_table_invariants(mu):
         if len(sigma) < 5:
             stack.append((sigma + "0", mu.mass(sigma + "0")))
             stack.append((sigma + "1", mu.mass(sigma + "1")))
+
+
+def _held_after(queries):
+    """Bytes still allocated once queries() has run (its results are dropped)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        queries()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+QUERIED = [format(i, "014b") for i in range(10_000)]
+
+
+def _queried_measures():
+    out = dict(randlab.builtin_measures())
+    out["to_measure"] = randlab.to_measure(randlab.from_measures(randlab.bernoulli(Fraction(2, 3)), randlab.fair_coin()))
+    out["from_masses"] = randlab.from_masses(lambda s: Fraction(1, 2 ** len(s)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_queried_measures()))
+def test_distinct_mass_queries_leave_memory_flat(name):
+    # a memo entry per string held 0.4-1.6 MB after these queries; the one-path
+    # cache holds one depth-14 path whatever the number of queries
+    mu = _queried_measures()[name]
+    mu.mass(QUERIED[0])
+
+    def queries():
+        for sigma in QUERIED:
+            mu.mass(sigma)
+
+    assert _held_after(queries) < 32 * 1024
+    assert len(mu._path.kids) <= 14
+
+
+def _interleave_reference(mu1, mu2, sigma):
+    return mu1.mass(sigma[0::2]) * mu2.mass(sigma[1::2])
+
+
+@st.composite
+def weighted_split_tables(draw):
+    entries = {}
+    for sigma in draw(st.lists(st.text(alphabet="01", max_size=4), max_size=6)):
+        entries[sigma] = Fraction(draw(st.integers(0, 4)), 4)
+    default = Fraction(draw(st.integers(0, 2)), 2)
+    return randlab.split_table(entries, default=default, total=Fraction(draw(st.integers(0, 6)), 3))
+
+
+@given(weighted_split_tables(), weighted_split_tables())
+@settings(max_examples=40, deadline=None)
+def test_split_backed_interleave_is_the_product_of_factor_masses(mu1, mu2):
+    # the additivity audit of a split-backed interleave checks an arithmetic
+    # identity; this checks the measure against the product it stands for
+    prod = randlab.interleave_product(mu1, mu2)
+    assert prod.total == mu1.total * mu2.total
+    for n in range(9):
+        for sigma in map("".join, itertools.product("01", repeat=n)):
+            assert prod.mass(sigma) == _interleave_reference(mu1, mu2, sigma), sigma
+
+
+def test_interleave_of_a_non_additive_factor_reads_its_derived_splits():
+    # the factor's mass("1")/mass("") = 1/3 is its split at '', so the product
+    # gives "0" the other 2/3 (the product of factor masses gave it 1/3)
+    thirds = randlab.from_masses(lambda s: Fraction(1, 3 ** len(s)))
+    prod = randlab.interleave_product(thirds, randlab.fair_coin())
+    assert prod.mass("0") == Fraction(2, 3)
+    assert prod.mass("1") == Fraction(1, 3)
+    assert randlab.check_additivity(prod, 4).ok
+    assert randlab.check_additivity(thirds, 1).violations == ["additivity fails at '': 1/3+1/3 != 1"]

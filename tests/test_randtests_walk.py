@@ -243,7 +243,7 @@ def test_hand_built_tests_match_the_string_reading_verifiers(case):
 
 def _memo_bytes(snapshot):
     """Bytes still held by allocations made in the measure module (the
-    Measure._mass and from_masses memos live there)."""
+    path cache behind every mass() and payload() read lives there)."""
     return sum(stat.size for stat in snapshot.filter_traces([tracemalloc.Filter(True, measure.__file__)]).statistics("filename"))
 
 

@@ -266,11 +266,15 @@ def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
     Returns (p, payoff, successor): p is the event's probability given the
     knowledge set, payoff = (1-p)/p the fair winnings per unit staked.
     """
-    stake = RAT(stake)
+    stake, capital = RAT(stake), node.capital
     if stake < 0:
         raise StrategyViolation(f"negative stake {stake} at {node.history!r}")
-    if stake > node.capital:
-        raise StrategyViolation(f"stake {stake} exceeds capital {node.capital} at {node.history!r}")
+    # the stake is read once as a share of the capital, so the successor's
+    # capital is the capital times one small factor; at capital <= 0 only a
+    # zero stake passes, and its share is 0
+    share = stake / capital if capital > 0 else ZERO
+    if (share > 1) if capital > 0 else (stake > capital):
+        raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {node.history!r}")
     knowledge = node.knowledge
     gens, weights, q = _side(knowledge, event, mu, won)
     if knowledge.mass == 0 or q == 0 or q == 1:
@@ -282,7 +286,7 @@ def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
     successor = _Node(
         history=node.history + ("1" if won else "0"),
         knowledge=KnowledgeState(gens, knowledge.mass * q, tuple(w / q for w in weights)),
-        capital=node.capital + stake * payoff if won else node.capital - stake,
+        capital=capital * (1 + share * payoff) if won else capital * (1 - share),
     )
     return p, payoff, successor
 

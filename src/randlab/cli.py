@@ -96,6 +96,8 @@ def _exact_digits():
 
 
 def cmd_audit(opts, raw_args) -> int:
+    if opts.mc_samples is not None and opts.mc_samples < 1:
+        raise SpecParseError(f"--mc-samples must be at least 1, got {opts.mc_samples}")
     report = Report(raw_args)
     mu = specfmt.parse_measure(opts.measure)
     report.digest("measure", opts.measure)
@@ -120,7 +122,7 @@ def cmd_audit(opts, raw_args) -> int:
             if mart is None:
                 raise SpecParseError("ville check needs --martingale")
             cs = opts.c.split(",")
-            if opts.mc_samples:
+            if opts.mc_samples is not None:
                 for c in cs:
                     estimate, bound = ville_monte_carlo(
                         mart, opts.n, parse_rational(c), opts.mc_samples, seed=opts.seed

@@ -153,10 +153,9 @@ class _MassBackedMeasure(Measure):
         return RAT(self._mass_fn(sigma))
 
     def children_pairs(self, sigma: str, n: int, d: int):
-        # read the function directly: additivity audits then check the
-        # function itself rather than an arithmetic identity
-        if n == 0:
-            return (0, 1), (0, 1)
+        # read the function directly, below a null cylinder too: additivity
+        # audits then check the function itself rather than an arithmetic
+        # identity, and see a massive child of a null cylinder
         m0, m1 = self._mass_fn(sigma + "0"), self._mass_fn(sigma + "1")
         return (m0.numerator, m0.denominator), (m1.numerator, m1.denominator)
 

@@ -20,8 +20,11 @@ ONE = RAT(1)
 HALF = RAT(1, 2)
 
 
-def parse_rational(text: str):
-    """Parse "num/den" or "num" into an exact rational."""
+def parse_rational(text: str, what: str = "rational"):
+    """Parse "num/den" or "num" into an exact rational; `what` names the
+    input in the parse error."""
+    if not isinstance(text, str):
+        raise SpecParseError(f"bad {what} {text!r}: not a string")
     text = text.strip()
     try:
         if "/" in text:
@@ -29,7 +32,7 @@ def parse_rational(text: str):
             return RAT(int(num), int(den))
         return RAT(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecParseError(f"bad rational {text!r}: {exc}") from exc
+        raise SpecParseError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def format_rational(q) -> str:

@@ -38,20 +38,20 @@ from .sources import SourceSpec
 # ---------------------------------------------------------------- measures
 
 def measure_doc_to_spec(doc: dict) -> MeasureSpec:
-    kind = doc.get("kind")
+    kind = _object(doc, "measure doc").get("kind")
     what = f"{kind} measure doc"
     if kind == "fair_coin":
         return MeasureSpec("fair_coin")
     if kind == "bernoulli":
-        return MeasureSpec("bernoulli", p=parse_rational(_field(doc, "p", what)))
+        return MeasureSpec("bernoulli", p=parse_rational(_field(doc, "p", what), f"{what} field 'p'"))
     if kind == "split_table":
         rows = _doc_field(doc, "entries", 2, what) if "entries" in doc else []
         entries = tuple((validate_bits(sigma), parse_rational(q)) for sigma, q in rows)
         return MeasureSpec(
             "split_table",
             entries=entries,
-            default=parse_rational(doc.get("default", "1/2")),
-            total=parse_rational(doc.get("total", "1/1")),
+            default=parse_rational(doc.get("default", "1/2"), f"{what} field 'default'"),
+            total=parse_rational(doc.get("total", "1/1"), f"{what} field 'total'"),
         )
     if kind == "interleave":
         factors = _field(doc, "factors", what)
@@ -173,8 +173,9 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
     if text.startswith(("table:", "file:")):
         if base is None:
             raise SpecParseError("table martingale needs a base measure")
-        doc = load_json(text.split(":", 1)[1])
-        entries = {validate_bits(s): parse_rational(v) for s, v in doc.get("entries", {}).items()}
+        doc = _object(load_json(text.split(":", 1)[1]), "table martingale doc")
+        rows = _doc_field(doc, "entries", what="table martingale doc") if "entries" in doc else {}
+        entries = {validate_bits(s): parse_rational(v) for s, v in rows.items()}
         return table_martingale(base, entries, start=parse_rational(doc.get("start", "1/1")))
     raise SpecParseError(f"cannot parse martingale spec {text!r}")
 
@@ -193,9 +194,10 @@ def parse_strategy(text: str, mu: Measure) -> betting.BettingStrategy:
     if text.startswith("likelihood_ratio:"):
         return betting.LikelihoodRatioStrategy(parse_measure(text.split(":", 1)[1]))
     if text.startswith("table:"):
-        doc = load_json(text.split(":", 1)[1])
+        doc = _object(load_json(text.split(":", 1)[1]), "table strategy doc")
         nodes = {}
-        for history, node in doc.get("nodes", {}).items():
+        rows = _doc_field(doc, "nodes", what="table strategy doc") if "nodes" in doc else {}
+        for history, node in rows.items():
             event, stake = (_field(node, name, f"strategy node {history!r}") for name in ("event", "stake"))
             nodes[validate_bits(history)] = (_event_from_doc(event), parse_rational(stake))
         return betting.TableStrategy(nodes, start_capital=parse_rational(doc.get("start", "1/1")))
@@ -203,7 +205,7 @@ def parse_strategy(text: str, mu: Measure) -> betting.BettingStrategy:
 
 
 def _event_from_doc(doc: dict):
-    kind = doc.get("kind")
+    kind = _object(doc, "bet event").get("kind")
     if kind == "bit":
         index, side = (_parse_int(_field(doc, name, "bit event"), f"bit {name}") for name in ("index", "side"))
         return betting.BitEvent(index=index, side=side)
@@ -266,9 +268,17 @@ def _parse_int(text, what: str) -> int:
         raise SpecParseError(f"bad {what} {text!r}: not an integer") from None
 
 
+def _object(doc, what: str) -> dict:
+    """doc itself; anything but a JSON object is a parse error that names it."""
+    if not isinstance(doc, dict):
+        raise SpecParseError(f"{what} must be a JSON object, got {json.dumps(doc)[:80]}")
+    return doc
+
+
 def _field(doc, name: str, what: str):
-    """doc[name]; a missing field is a parse error that names it."""
-    if name not in doc:
+    """doc[name]; a missing field, or a doc that is no JSON object, is a parse
+    error that names it."""
+    if name not in _object(doc, what):
         raise SpecParseError(f"{what} has no {name!r} field")
     return doc[name]
 

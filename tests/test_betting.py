@@ -4,12 +4,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
 from randlab import PreconditionError, StrategyViolation, bits
 from randlab.betting import (
+    BettingStrategy,
     BitAllInStrategy,
     BitEvent,
     CylinderEvent,
@@ -370,6 +371,82 @@ def test_bit_all_in_play_matches_mass_definition(mu, sides, x):
 @settings(max_examples=120, deadline=None)
 def test_table_play_matches_mass_definition(mu, strategy, x):
     _assert_play_matches_reference(strategy, mu, x)
+
+
+_STARTS = [F(-1), F(0), F(1, 3), F(1), F(5, 2)]
+
+
+def _share_table_strategies():
+    """Table strategies that bet at the root, whose stakes may be negative,
+    all in or over the capital, and whose start capital may be negative,
+    zero or fractional."""
+    histories = st.text(alphabet="01", min_size=1, max_size=4)
+    stakes = st.one_of(st.sampled_from(_STARTS), st.fractions(min_value=-1, max_value=3, max_denominator=4))
+    bets = st.tuples(_events(), stakes)
+    return st.builds(
+        lambda root, nodes, start: TableStrategy({"": root, **nodes}, start),
+        bets,
+        st.dictionaries(histories, bets, max_size=12),
+        st.sampled_from(_STARTS),
+    )
+
+
+_BIT1 = BitEvent(0, 1)
+
+
+@given(_split_tables(), _share_table_strategies(), _SAMPLES)
+@settings(max_examples=200, deadline=None)
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(0))}, F(-1)), "1")  # any stake exceeds capital -1
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(1, 2))}, F(0)), "1")
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(1))}, F(1)), "1")  # all in is allowed
+@example(randlab.bernoulli(F(1, 3)), TableStrategy({"": (_BIT1, F(1, 2))}, F(5, 2)), "1")  # payoff 2
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(1)), "0": (BitEvent(1, 1), F(1, 2))}), "00")  # bust, then stake
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(1)), "0": (BitEvent(1, 1), F(0))}), "00")
+def test_stake_as_share_of_capital_matches_mass_definition(mu, strategy, x):
+    # a bet moves the capital by one factor, capital * (1 + share * payoff)
+    # or capital * (1 - share) with share = stake / capital; play must give
+    # the values and violations of capital + stake * payoff and capital - stake
+    _assert_play_matches_reference(strategy, mu, x)
+
+
+class _ShareStrategy(BettingStrategy):
+    """Bets on the next coordinate, staking a fixed share of the capital per
+    history; a history with no share stops betting."""
+
+    def __init__(self, shares, start_capital):
+        self.shares, self.start_capital = shares, start_capital
+
+    def bet(self, history, capital, knowledge, mu):
+        decision = self.shares.get(history)
+        if decision is None:
+            return None
+        side, share = decision
+        return BitEvent(len(history), side), share * capital
+
+
+_INNER_SPLITS = _SPLITS.filter(lambda s: 0 < s < 1)
+_SHORT_HISTORIES = ["".join(h) for n in range(4) for h in itertools.product("01", repeat=n)]
+
+
+@given(
+    st.builds(
+        lambda entries, default: randlab.split_table(entries, default=default),
+        st.dictionaries(st.text(alphabet="01", max_size=4), _INNER_SPLITS, max_size=6),
+        _INNER_SPLITS,
+    ),
+    st.fixed_dictionaries(
+        {h: st.none() | st.tuples(st.integers(0, 1), st.fractions(0, 1, max_denominator=4)) for h in _SHORT_HISTORIES}
+    ),
+    st.sampled_from(_STARTS[1:]),
+)
+@settings(max_examples=100, deadline=None)
+def test_walk_moves_capital_by_the_stake(mu, shares, start):
+    # every successor's capital, recomputed from its parent's stake
+    tree = walk_strategy(_ShareStrategy(shares, start), mu, 4)
+    for history, node in tree.items():
+        if not node.terminal:
+            assert tree[history + "1"].capital == node.capital + node.stake * node.payoff, history
+            assert tree[history + "0"].capital == node.capital - node.stake, history
 
 
 def test_play_over_mass_backed_base_matches_mass_definition():

@@ -254,6 +254,70 @@ def test_malformed_inputs_are_parse_errors(capsys, tmp_path, name):
     assert message in err
 
 
+WRONG_JSON_TYPES = {
+    "bernoulli-p": (["audit", "--measure", "doc:{doc}"], "bernoulli measure doc field 'p'", {"kind": "bernoulli", "p": 0.5}),
+    "martingale-entries": (
+        ["audit", "--measure", "fair", "--martingale", "table:{doc}", "--check", "fairness"],
+        "table martingale doc field 'entries' must be an object",
+        {"entries": [["0", "1/1"]]},
+    ),
+    "strategy-nodes": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "table strategy doc field 'nodes' must be an object",
+        {"nodes": ["", {"event": {"kind": "bit", "index": 0, "side": 1}, "stake": "1/2"}]},
+    ),
+    "measure-list": (["audit", "--measure", "doc:{doc}"], "measure doc must be a JSON object", [FAIR]),
+    "martingale-list": (
+        ["audit", "--measure", "fair", "--martingale", "table:{doc}", "--check", "fairness"],
+        "table martingale doc must be a JSON object",
+        [],
+    ),
+    "strategy-list": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "table strategy doc must be a JSON object",
+        [],
+    ),
+    "strategy-node": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "strategy node '' must be a JSON object",
+        {"nodes": {"": 5}},
+    ),
+    "strategy-event": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "bet event must be a JSON object",
+        {"nodes": {"": {"event": 3, "stake": "1/2"}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_JSON_TYPES))
+def test_wrong_json_value_types_are_parse_errors(capsys, tmp_path, name):
+    args, message, doc = WRONG_JSON_TYPES[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(doc=path) for a in args))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("n", ["4", "8"])
+def test_audit_refuses_a_nonpositive_mc_sample_count(capsys, monkeypatch, samples, n):
+    # below the depth cap this ran the exhaustive audit, above it hit the cap
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--measure", "fair",
+        "--martingale", "quotient:bernoulli:2/3/fair",
+        "--check", "ville",
+        "--n", n, "--c", "2",
+        "--mc-samples", samples,
+    )
+    assert (code, out) == (2, "")
+    assert f"--mc-samples must be at least 1, got {samples}" in err
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_a_library_error_is_no_usage_error(capsys, monkeypatch, error):
     # ValueError and KeyError are no longer read as usage errors: raised by

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
@@ -295,6 +295,88 @@ def test_ville_partition_independent(battery_marts):
             if best >= c:
                 by_parts += m.base.mass(x)
     assert whole == by_parts
+
+
+_SPLITS = st.fractions(min_value=0, max_value=1, max_denominator=6)
+_SPLIT_TABLES = st.builds(
+    lambda entries, default: randlab.split_table(entries, default=default),
+    st.dictionaries(st.text(alphabet="01", max_size=4), _SPLITS, max_size=6),
+    _SPLITS,
+)
+
+
+def _by_parts(check, depth):
+    """A per-prefix check run separately over the root, the strings under '0'
+    and the strings under '1' (each to length depth), then merged: the total
+    checked count and the set of violations."""
+    parts = [[""]] + [
+        [first + "".join(t) for n in range(depth) for t in itertools.product("01", repeat=n)] for first in "01"
+    ]
+    checked, found = 0, set()
+    for part in parts:
+        for sigma in part:
+            checked += check(sigma, found)
+    return checked, found
+
+
+def _additivity_at(mu, depth):
+    def check(sigma, found):
+        if len(sigma) >= depth:
+            return 0
+        m, m0, m1 = mu.mass(sigma), mu.mass(sigma + "0"), mu.mass(sigma + "1")
+        if m0 + m1 != m:
+            found.add(f"additivity fails at {sigma!r}: {m0}+{m1} != {m}")
+        if m == 0 and (m0 != 0 or m1 != 0):
+            found.add(f"null cylinder {sigma!r} has massive child")
+        return 1
+
+    return check
+
+
+def _fairness_at(mart, depth):
+    def weighted(sigma):  # capital * mass, 0 where undefined or null
+        m, c = mart.base.mass(sigma), mart.capital(sigma)
+        return 0 if c is None or m == 0 else c * m
+
+    def check(sigma, found):
+        m, c = mart.base.mass(sigma), mart.capital(sigma)
+        if c is None:
+            if m != 0:
+                found.add(f"capital undefined on positive cylinder {sigma!r}")
+        elif m == 0:
+            found.add(f"capital defined on null cylinder {sigma!r}: {c}")
+        elif c < 0:
+            found.add(f"negative capital at {sigma!r}: {c}")
+        if len(sigma) >= depth:
+            return 0
+        total = weighted(sigma + "0") + weighted(sigma + "1")
+        if m > 0 and total != weighted(sigma):
+            found.add(f"fairness fails at {sigma!r}: {total} != {weighted(sigma)}")
+        return 1
+
+    return check
+
+
+@given(
+    _SPLIT_TABLES,
+    _SPLIT_TABLES,
+    st.dictionaries(st.text(alphabet="01", max_size=5), _SPLITS, max_size=4),
+    st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+@example(randlab.fair_coin(), randlab.fair_coin(), {"": Fraction(0)}, 1)  # a null root with massive children
+def test_audits_partition_independent(nu, mu, overrides, depth):
+    # an audit's checked count and violations are the merge of the same
+    # per-prefix checks over disjoint parts of the string space; the
+    # overridden mass function is not additive, and nu need not be dominated
+    # by mu, so both audits see violations
+    bent = randlab.from_masses(lambda sigma: overrides.get(sigma, mu.mass(sigma)))
+    for m in (mu, bent):
+        report = randlab.check_additivity(m, depth)
+        assert (report.checked, set(report.violations)) == _by_parts(_additivity_at(m, depth), depth)
+    mart = randlab.from_measures(nu, mu)
+    report = randlab.check_fairness(mart, depth)
+    assert (report.checked, set(report.violations)) == _by_parts(_fairness_at(mart, depth), depth)
 
 
 def test_ville_monte_carlo_labelled_estimate(battery_marts):

@@ -260,15 +260,26 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
     return (n0, d0), (n1, d1)
 
 
-def mass_pairs(mu: Measure):
-    """(root, children) of a walk over mu's masses: states are (num, den, payload)
-    and children(sigma, state) gives both children's.  A to_measure is read off
-    its martingale's kernel payloads, the values its mass() reads; any other
-    measure walks its own children_pairs, with payload None."""
-    mart = getattr(mu, "derived_from_martingale", None)
+def mass_pairs(mu: Measure, depth: int):
+    """(root, children, split) of a walk over mu's masses to depth: states are
+    (num, den, slot), children(sigma, state) gives both children's, and split
+    gives a positive node's reduced split (a, b, "a/b") from its state and its
+    children's.  Rows recorded to the depth (split_row) step the masses, slot
+    the heap index; a to_measure without them reads its martingale's kernel,
+    slot the payload; any other measure its own children_pairs, slot None."""
+    rows, mart, m = getattr(mu, "split_rows", None), getattr(mu, "derived_from_martingale", None), mu.mass("")
+    if rows is not None and depth <= len(rows).bit_length():  # 2^D - 1 rows reach depth D
+
+        def children(sigma, state):
+            (n, d, i), row = state, rows[state[2]]
+            if len(row) != 3:  # explicit children pairs
+                return row[-2] + (2 * i + 1,), row[-1] + (2 * i + 2,)
+            a, b, _ = row
+            return (n * (b - a), d * b, 2 * i + 1), (n * a, d * b, 2 * i + 2)
+
+        return (m.numerator, m.denominator, 0), children, lambda state, kids: rows[state[2]][:3]
     if mart is None:
-        root = mu.mass("")
-        return (root.numerator, root.denominator, None), lambda sigma, s: [p + (None,) for p in mu.children_pairs(sigma, *s[:2])]
+        return (m.numerator, m.denominator, None), lambda sigma, s: [p + (None,) for p in mu.children_pairs(sigma, *s[:2])], _split
     kernel, read = mart.kernel, mart.kernel.read_pair
 
     def children(sigma, state):
@@ -276,8 +287,25 @@ def mass_pairs(mu: Measure):
         (n0, d0), (n1, d1) = _children_masses(state[0], state[1], read(p0), read(p1))
         return (n0, d0, p0), (n1, d1, p1)
 
-    root = kernel.root()
-    return _capital_mass(read(root)) + (root,), children
+    return (m.numerator, m.denominator, kernel.root()), children, _split
+
+
+def _split(state, kids) -> tuple:
+    a, b = kids[1][0] * state[1], kids[1][1] * state[0]
+    g = gcd(a, b)
+    return a // g, b // g, f"{a // g}/{b // g}"
+
+
+def split_row(pn: int, pd: int, read0, read1, interned: dict) -> tuple:
+    """to_measure's children masses of a node of mass pn/pd from their kernel
+    reads, and its mass_pairs row: its split (one tuple per distinct split in
+    interned) if that rebuilds both; else their pairs, after it where pn > 0."""
+    kids = _children_masses(pn, pd, read0, read1)
+    if pn <= 0:
+        return kids, kids
+    a, b, text = row = _split((pn, pd), kids)
+    row, (n0, d0) = interned.setdefault(text, row), kids[0]
+    return kids, row if n0 * pd * b == pn * (b - a) * d0 else row + kids  # 0-child: parent * (1 - a/b)
 
 
 @dataclass

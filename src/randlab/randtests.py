@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .martingale import Martingale, SavingsPair, from_measures, mass_pairs, to_measure
+from .martingale import Martingale, SavingsPair, from_measures, mass_pairs, split_row, to_measure
 from .measure import AuditReport, Measure, fair_coin
 from .rationals import RAT, ZERO
 
@@ -135,7 +135,7 @@ def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=Tru
     sorted (generator, weight_num, weight_den) the integral over [sigma] of its
     weighted indicators, summed up from deeper generators.  The stack holds one
     path and its pending siblings, so memory is bounded by the depth."""
-    nu_root, nu_children = mass_pairs(bound) if bound is not None else (None, None)
+    nu_root, nu_children, _ = mass_pairs(bound, depth) if bound is not None else (None, None, None)
     m = base.mass("")
     stack = [("", m.numerator, m.denominator, nu_root, [(0, len(s), 0, 1) for s in sets], None)]
     while stack:
@@ -170,20 +170,23 @@ def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=Tru
 
 def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
     """Step function equal to the savings floor on depth-d cells, bounded by
-    the measure total*base carried through null cylinders."""
+    the measure total*base carried through null cylinders, whose rows the one
+    walk of the savings kernel records for the verifier and the snapshot."""
     check_enumeration_depth(depth)
-    kernel, values = sp.total.kernel, {}
-    stack = [("", kernel.root())]
+    kernel, values, floors, splits = sp.total.kernel, {}, {}, {}
+    read, bound, root = kernel.read_pair, to_measure(sp.total), kernel.root()
+    bound.split_rows = rows = [None] * ((1 << depth) - 1)
+    m = bound.mass("")
+    stack = [("", root, read(root), m.numerator, m.denominator, 0)]
     while stack:
-        cell, payload = stack.pop()
-        if not kernel.read_pair(payload)[0]:
-            continue  # no floor on a null cylinder, nor below it
-        if len(cell) < depth:
+        cell, payload, here, pn, pd, i = stack.pop()
+        if len(cell) < depth:  # null subtrees too: they have rows, though no floor
             p0, p1 = kernel.children(cell, payload)
-            stack += [(cell + "1", p1), (cell + "0", p0)]
-        elif f := kernel.read_floor(payload):
-            values[cell] = f
-    return IntegralStep(base=sp.base, depth=depth, values=values, bound=to_measure(sp.total), unit_witness=True)
+            ((n0, d0), (n1, d1)), rows[i] = split_row(pn, pd, r0 := read(p0), r1 := read(p1), splits)
+            stack += [(cell + "1", p1, r1, n1, d1, 2 * i + 2), (cell + "0", p0, r0, n0, d0, 2 * i + 1)]
+        elif here[0] and payload[2]:  # a positive cell's nonzero floor F/D, one value per (F, D)
+            values[cell] = floors.get(payload[2:]) or floors.setdefault(payload[2:], kernel.read_floor(payload))
+    return IntegralStep(base=sp.base, depth=depth, values=values, bound=bound, unit_witness=True)
 
 
 def integral_to_bounded_ml(step: IntegralStep, n_levels: Optional[int] = None) -> BoundedMLTest:

@@ -24,7 +24,6 @@ The CLI also accepts compact one-line forms:
 """
 
 import json
-from math import gcd
 
 from . import betting, cells
 from .bits import prefix_free_violation, validate_bits
@@ -89,19 +88,18 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
 
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
     """Lossless-to-depth serialization of any measure as an explicit table,
-    its splits read off one walk over the masses as int pairs."""
+    its splits read off one mass_pairs walk (a converted bound's own rows)."""
     entries = []
-    root, children = mass_pairs(mu)
+    root, children, split = mass_pairs(mu, depth)
     stack = [("", root)] if depth > 0 else []
     while stack:
         sigma, state = stack.pop()
         kids = children(sigma, state)
         if state[0] > 0:
-            a, b = kids[1][0] * state[1], kids[1][1] * state[0]
+            a, b, text = split(state, kids)
             if not 0 <= a <= b:
                 raise ConstructionError(f"split outside [0,1] at {sigma!r}: {RAT(a, b)}")
-            g = gcd(a, b)
-            entries.append([sigma, f"{a // g}/{b // g}"])
+            entries.append([sigma, text])
         if len(sigma) + 1 < depth:
             stack.append((sigma + "1", kids[1]))
             stack.append((sigma + "0", kids[0]))
@@ -366,7 +364,8 @@ def test_to_doc(obj, depth: int = 12) -> dict:
     if kind != "ml":
         doc["bound"] = measure_to_doc(obj.bound, depth)
     if kind == "integral":
-        doc["values"] = [[cell, format_rational(v)] for cell, v in sorted(obj.values.items())]
+        texts = {}  # by object, which is cheaper than hashing a rational: a converted step shares its values
+        doc["values"] = [[cell, texts.get(id(v)) or texts.setdefault(id(v), format_rational(v))] for cell, v in sorted(obj.values.items())]
         doc.update(depth=obj.depth, unit_witness=obj.unit_witness)
     else:
         sets = obj.pieces if kind == "vitali" else obj.levels

@@ -402,6 +402,54 @@ def test_convert_bounded_ml(capsys, tmp_path):
     assert doc["levels"][0] == ["0000"]
 
 
+def test_convert_out_test_bytes_are_pinned(capsys, tmp_path):
+    # the indented, key-sorted document with no trailing newline, as
+    # json.dump(doc, fh, indent=1, sort_keys=True) writes it
+    out_test = tmp_path / "test.json"
+    args = ["convert", "--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair", "--to", "integral"]
+    assert run_cli(capsys, *args, "--depth", "2", "--out-test", str(out_test))[0] == 0
+    want = (
+        '{\n'
+        ' "base": {\n'
+        '  "kind": "fair_coin"\n'
+        ' },\n'
+        ' "bound": {\n'
+        '  "default": "1/2",\n'
+        '  "entries": [\n'
+        '   [\n'
+        '    "",\n'
+        '    "7/12"\n'
+        '   ],\n'
+        '   [\n'
+        '    "0",\n'
+        '    "17/30"\n'
+        '   ],\n'
+        '   [\n'
+        '    "1",\n'
+        '    "57/98"\n'
+        '   ]\n'
+        '  ],\n'
+        '  "kind": "split_table",\n'
+        '  "total": "1/1"\n'
+        ' },\n'
+        ' "depth": 2,\n'
+        ' "kind": "integral",\n'
+        ' "unit_witness": true,\n'
+        ' "values": [\n'
+        '  [\n'
+        '   "10",\n'
+        '   "1/6"\n'
+        '  ],\n'
+        '  [\n'
+        '   "11",\n'
+        '   "5/14"\n'
+        '  ]\n'
+        ' ]\n'
+        '}'
+    )
+    assert out_test.read_bytes() == want.encode()
+
+
 def test_convert_vitali_pieces_match_levels(capsys, tmp_path):
     bundle = tmp_path / "bml.json"
     run_cli(

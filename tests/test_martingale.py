@@ -379,6 +379,38 @@ def test_audits_partition_independent(nu, mu, overrides, depth):
     assert (report.checked, set(report.violations)) == _by_parts(_fairness_at(mart, depth), depth)
 
 
+@st.composite
+def _savings_sources(draw):
+    """A capital table (unfair in general) or a quotient of two split tables,
+    over a split_table base with null cylinders, and a depth."""
+    base = draw(_SPLIT_TABLES)
+    if draw(st.booleans()):
+        mart = randlab.from_measures(draw(_SPLIT_TABLES), base)
+    else:
+        values = st.fractions(min_value=0, max_value=6, max_denominator=4)
+        entries = draw(st.dictionaries(st.text(alphabet="01", max_size=4), values, max_size=6))
+        mart = randlab.table_martingale(base, entries, start=draw(values))
+    return mart, draw(st.integers(0, 6))
+
+
+@given(_savings_sources())
+@settings(max_examples=60, deadline=None)
+def test_savings_sandwich_on_generated_martingales(case):
+    # f <= N <= f + 1 on every positive cylinder, with the floor nondecreasing
+    # from each cylinder to its children; a null cylinder has neither
+    mart, depth = case
+    sp = randlab.savings_transform(mart)
+    for n in range(depth + 1):
+        for sigma in randlab.bits.all_strings(n):
+            f, total = sp.savings(sigma), sp.total.capital(sigma)
+            if mart.base.is_null(sigma):
+                assert f is None and total is None, sigma
+                continue
+            assert f <= total <= f + 1, sigma
+            if sigma:
+                assert sp.savings(sigma[:-1]) <= f, sigma
+
+
 def test_ville_monte_carlo_labelled_estimate(battery_marts):
     from randlab.martingale import ville_monte_carlo
 

@@ -7,16 +7,19 @@ specification: violations (text and order), checked counts, integrals, step
 values and bound snapshots must all agree.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import randlab
 import randlab.cli
 from randlab import BoundedMLTest, CylinderSet, IntegralStep, MLTest, VitaliTest, bits, measure, specfmt
+from randlab.martingale import SavingsKernel, mass_pairs
 from randlab.measure import AuditReport
 from randlab.randtests import check_coverage_transfer
 from randlab.rationals import format_rational
@@ -139,6 +142,19 @@ def ref_snapshot_entries(mu, depth):
     return entries
 
 
+def mass_states(mu, depth):
+    """Each mass_pairs state's mass as a rational, in walk order."""
+    root, children, _ = mass_pairs(mu, depth)
+    out, stack = [], [("", root)]
+    while stack:
+        sigma, state = stack.pop()
+        out.append((sigma, Fraction(state[0], state[1])))
+        if len(sigma) < depth:
+            kids = children(sigma, state)
+            stack += [(sigma + "1", kids[1]), (sigma + "0", kids[0])]
+    return out
+
+
 def outcome(fn):
     try:
         return fn()
@@ -196,10 +212,54 @@ def test_conversion_chain_matches_the_string_reading_verifiers(case):
         assert_same(obj, depth)
     got, want = check_coverage_transfer(sp, bounded, depth), ref_coverage(sp, bounded, depth)
     assert (got.violations, got.checked) == (want.violations, want.checked)
-    # an unfair bound can have a split outside [0, 1]: both refuse it at the same prefix
-    assert outcome(lambda: specfmt.measure_snapshot_doc(step.bound, depth)["entries"]) == outcome(
-        lambda: ref_snapshot_entries(step.bound, depth)
-    )
+    # the bound's recorded rows read as its kernel does, to the step depth;
+    # an unfair bound can have a split outside [0, 1]: all refuse it at the same prefix
+    kernel_bound = randlab.to_measure(sp.total)
+    assert len(step.bound.split_rows) == 2**step_depth - 1
+    assert mass_states(step.bound, step_depth) == mass_states(kernel_bound, step_depth)
+    for d in (step_depth, depth, -1):
+        want = outcome(lambda: ref_snapshot_entries(step.bound, d))
+        assert outcome(lambda: specfmt.measure_snapshot_doc(step.bound, d)["entries"]) == want
+        assert outcome(lambda: specfmt.measure_snapshot_doc(kernel_bound, d)["entries"]) == want
+
+
+# an unfair capital table over a base with a null cylinder [1]
+_NULL_CORNER = (randlab.split_table({"": 0}), {"0": Fraction(3), "00": Fraction(0), "1": Fraction(2)})
+
+
+@given(chains())
+@settings(max_examples=40, deadline=None)
+@example((_NULL_CORNER[0], randlab.table_martingale(*_NULL_CORNER), 2, 3))
+def test_bounded_ml_verified_past_its_step_depth_reads_the_kernel(case):
+    # rows reach the step depth only: a deeper verify reads the kernel, as a
+    # bound without rows does, and both match the string-reading verifier
+    base, mart, step_depth, extra = case
+    sp = randlab.savings_transform(mart)
+    step = randlab.martingale_to_integral(sp, step_depth)
+    depth = step_depth + 1 + extra % 3
+    bounded = randlab.integral_to_bounded_ml(step)
+    unrecorded = randlab.integral_to_bounded_ml(dataclasses.replace(step, bound=randlab.to_measure(sp.total)))
+    got, want = randlab.verify_test_bounds(bounded, depth), randlab.verify_test_bounds(unrecorded, depth)
+    assert (got.violations, got.checked, got.notes) == (want.violations, want.checked, want.notes)
+    assert_same(bounded, depth)
+
+
+@pytest.mark.parametrize("target, walks", [("integral", 1), ("vitali", 1), ("bounded_ml", 1), ("cycle", 2)])
+def test_convert_walks_the_savings_kernel_once(target, walks, capsys, monkeypatch, tmp_path):
+    # the step walk records the bound's rows, which the verifier and the
+    # snapshot read; cycle's fairness audit is the only second walk
+    calls, real, depth = [], SavingsKernel.children, 8
+
+    def counted(self, sigma, payload):
+        calls.append(sigma)
+        return real(self, sigma, payload)
+
+    monkeypatch.setattr(SavingsKernel, "children", counted)
+    args = ["convert", "--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair", "--to", target]
+    out = [] if target == "cycle" else ["--out-test", str(tmp_path / "test.json")]
+    assert randlab.cli.main(args + ["--depth", str(depth)] + out) == 0
+    capsys.readouterr()
+    assert len(calls) == walks * (2**depth - 1)
 
 
 @st.composite

@@ -8,6 +8,7 @@ arbitrary cylinder unions; a bet on a fresh coordinate pays the ratio of the
 conditional mass of the losing side to the winning side.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -20,10 +21,10 @@ from .errors import (
     check_enumeration_depth,
     enumeration_limit,
 )
-from .martingale import Martingale
-from .measure import Measure, from_masses
+from .martingale import Martingale, _PairKernel
+from .measure import Measure, PathCache
 from .randtests import CylinderSet
-from .rationals import ONE, RAT, ZERO
+from .rationals import HALF, ONE, RAT, ZERO
 
 
 @dataclass(frozen=True)
@@ -47,22 +48,9 @@ class CylinderEvent:
         return "cyl{" + ",".join(self.generators) + "}"
 
 
-def _set_mass(gens, mu: Measure) -> Fraction:
-    return sum((mu.mass(g) for g in gens), ZERO)
-
-
-def _bit_expansion_guard(gens, index: int):
-    # fresh generators shorter than the coordinate get expanded 2^gap-fold
-    cost = sum(1 << max(0, index + 1 - len(g)) for g in gens)
-    if cost > (1 << enumeration_limit()):
-        raise ResourceLimitError(
-            f"restricting bit {index} would expand the knowledge set {cost}-fold"
-        )
-
-
 def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     """The part of a knowledge set where the event holds (won) or fails: its
-    generators, their weights given the knowledge set, and their total weight.
+    knowledge state (None where it is null) and q, its weight given the set.
 
     A generator's weight is the weight of the knowledge generator above it
     times the measure's splits between the two, so no cylinder mass is read
@@ -70,7 +58,12 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     """
     gens = knowledge.generators
     if isinstance(event, BitEvent):
-        _bit_expansion_guard(gens, event.index)
+        # fresh generators shorter than the coordinate get expanded 2^gap-fold
+        cost = sum(1 << max(0, event.index + 1 - len(g)) for g in gens)
+        if cost > (1 << enumeration_limit()):
+            raise ResourceLimitError(
+                f"restricting bit {event.index} would expand the knowledge set {cost}-fold"
+            )
         side = bits.restrict_bit(gens, event.index, event.side if won else 1 - event.side)
     elif isinstance(event, CylinderEvent):
         side = (bits.intersect if won else bits.subtract)(gens, event.generators)
@@ -78,16 +71,18 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
         raise PreconditionError(f"unknown event type {type(event).__name__}")
     weights = []
     for h in side:
-        # knowledge sets are prefix-free and canonical, so exactly one
-        # knowledge generator lies above each generator of a side
-        g, w = next((g, w) for g, w in zip(gens, knowledge.weights) if h.startswith(g))
+        # knowledge sets are prefix-free, canonical and sorted, so the one
+        # knowledge generator above h is the last one not after it
+        i = bisect_right(gens, h) - 1
+        g, w = gens[i], knowledge.weights[i]
         for j in range(len(g), len(h)):
             if not w:
                 break  # as in Measure.mass, no split is read below a null cylinder
             s = mu.split(h[:j])
             w = w * s if h[j] == "1" else w * (1 - s)
         weights.append(w)
-    return side, weights, sum(weights, ZERO)
+    q = sum(weights, ZERO)
+    return (KnowledgeState(side, knowledge.mass * q, tuple(w / q for w in weights)) if q else None), q
 
 
 def _membership(event, x: str):
@@ -210,7 +205,7 @@ class DoublingStrategy(BettingStrategy):
         if k >= len(gens):
             return None  # nothing left to chase
         event = CylinderEvent(generators=(gens[k],))
-        _, _, p = _side(knowledge, event, mu, True)
+        p = _side(knowledge, event, mu, True)[1]
         stake = (self.target - capital) * p / (1 - p)
         return (event, stake)
 
@@ -231,18 +226,13 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
     known = dict(known)
     if target in known:
         raise PreconditionError(f"coordinate {target} was already revealed")
-    gens = ("",)
-    for index in sorted(known):
-        _bit_expansion_guard(gens, index)
-        gens = bits.restrict_bit(gens, index, known[index])
-    b_mass = _set_mass(gens, mu)
-    if b_mass == 0:
-        return None
-    win = bits.restrict_bit(gens, target, side)
-    win_mass = _set_mass(win, mu)
-    if win_mass == 0:
-        return None
-    return (b_mass - win_mass) / win_mass
+    # the conditional odds a bet reads: every restriction goes through _side
+    knowledge = KnowledgeState(("",), mu.mass(""), (ONE,))
+    for index, bit in [*sorted(known.items()), (target, side)]:
+        knowledge, q = _side(knowledge, BitEvent(index, bit), mu, True)
+        if q == 0 or knowledge.mass == 0:
+            return None
+    return (1 - q) / q
 
 
 @dataclass
@@ -275,9 +265,8 @@ def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
     share = stake / capital if capital > 0 else ZERO
     if (share > 1) if capital > 0 else (stake > capital):
         raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {node.history!r}")
-    knowledge = node.knowledge
-    gens, weights, q = _side(knowledge, event, mu, won)
-    if knowledge.mass == 0 or q == 0 or q == 1:
+    knowledge, q = _side(node.knowledge, event, mu, won)
+    if node.knowledge.mass == 0 or q == 0 or q == 1:
         raise StrategyViolation(
             f"bet on a conditionally null or sure event at {node.history!r}: {event.describe()}"
         )
@@ -285,39 +274,75 @@ def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
     payoff = (1 - p) / p
     successor = _Node(
         history=node.history + ("1" if won else "0"),
-        knowledge=KnowledgeState(gens, knowledge.mass * q, tuple(w / q for w in weights)),
+        knowledge=knowledge,
         capital=capital * (1 + share * payoff) if won else capital * (1 - share),
     )
     return p, payoff, successor
 
 
-def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
-    """Expand the full history tree to the given depth.
+class StrategyKernel(_PairKernel):
+    """A strategy's history tree as a tree kernel: payloads are _Nodes (None
+    is null), read as the knowledge mass and the capital.  children() asks for
+    the bet at a node and resolves both sides with _resolve_bet, as play does;
+    a node that stopped betting (no bet, or the depth reached) hands its win
+    branch itself and its loss branch the null payload.  A bad bet raises
+    StrategyViolation where a read first reaches it."""
 
-    Returns a dict history -> node; terminal nodes mark where the strategy
-    stopped betting.  Raises StrategyViolation if the strategy breaks the
-    no-debt or non-degenerate-event rules anywhere in the tree.
-    """
+    def __init__(self, strategy: BettingStrategy, mu: Measure, depth: int):
+        self.strategy, self.mu, self.depth = strategy, mu, depth
+        self._nodes = PathCache(self.root())
+
+    def root(self) -> _Node:
+        return _Node(history="", knowledge=KnowledgeState(("",), self.mu.mass(""), (ONE,)), capital=self.strategy.start_capital)
+
+    def children(self, sigma: str, node):
+        # a stopped node handed on as its own win branch is not asked again
+        if node is not None and len(sigma) == len(node.history) < self.depth:
+            decision = self.strategy.bet(node.history, node.capital, node.knowledge, self.mu)
+            if decision is not None:
+                event, stake = decision
+                p, payoff, win = _resolve_bet(node, event, stake, self.mu, True)
+                lose = _resolve_bet(node, event, stake, self.mu, False)[2]
+                node.event, node.stake, node.conditional, node.payoff = event, stake, p, payoff
+                return lose, win
+        return None, node
+
+    def read_pair(self, node):
+        if node is None:
+            return 0, 1, None, 1
+        m, c = node.knowledge.mass, node.capital
+        return m.numerator, m.denominator, c.numerator, c.denominator
+
+    def split(self, sigma: str):
+        """The knowledge measure's split at sigma (1 where betting stopped),
+        read through the kernel's own one-path cache of nodes."""
+        self._nodes.read(sigma + "1", self.children)  # resolves the bet at sigma
+        node = self._nodes.read(sigma, self.children)
+        if node is None or node.knowledge.mass == 0:
+            return HALF
+        return ONE if node.terminal else node.conditional
+
+
+def _preorder(strategy: BettingStrategy, mu: Measure, depth: int):
+    """The history tree's nodes to the depth, each once its bet is resolved:
+    a node's bet, then its win subtree, then its loss subtree, so the first
+    StrategyViolation raised is the parent's.  The walk holds only its stack."""
     check_enumeration_depth(depth)
-    tree = {}
+    kernel = StrategyKernel(strategy, mu, depth)
+    stack = [kernel.root()]
+    while stack:
+        node = stack.pop()
+        lose, win = kernel.children(node.history, node)
+        yield node
+        if not node.terminal:
+            stack += (lose, win)
 
-    def rec(node: _Node):
-        tree[node.history] = node
-        if len(node.history) >= depth:
-            return
-        decision = strategy.bet(node.history, node.capital, node.knowledge, mu)
-        if decision is None:
-            return
-        event, stake = decision
-        p, payoff, win_node = _resolve_bet(node, event, stake, mu, True)
-        _, _, lose_node = _resolve_bet(node, event, stake, mu, False)
-        node.event, node.stake, node.conditional, node.payoff = event, stake, p, payoff
-        rec(win_node)
-        rec(lose_node)
 
-    root = _Node(history="", knowledge=KnowledgeState(("",), mu.mass(""), (ONE,)), capital=strategy.start_capital)
-    rec(root)
-    return tree
+def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
+    """The history tree to the depth as a dict history -> node, terminal
+    nodes where the strategy stopped betting; raises StrategyViolation if it
+    breaks the no-debt or non-degenerate-event rules anywhere in the tree."""
+    return {node.history: node for node in _preorder(strategy, mu, depth)}
 
 
 @dataclass
@@ -350,7 +375,7 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
         x = binary_digits().resolved_name(x, depth)
     if max_steps is None:
         max_steps = len(x)
-    node = _Node(history="", knowledge=KnowledgeState(("",), mu.mass(""), (ONE,)), capital=strategy.start_capital)
+    node = StrategyKernel(strategy, mu, max_steps).root()
     values = [node.capital]
     events, masses = [], [node.knowledge.mass]
     for _ in range(max_steps):
@@ -372,35 +397,19 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):
-    """Reread a strategy as a measure on histories plus a martingale over it.
+    """Reread a strategy as a measure on histories plus a martingale over it,
+    both read off one StrategyKernel.
 
     The measure gives each history the mass of its knowledge set; beyond a
     terminal node the win branch keeps the whole mass (a stopped gambler
-    formally bets on the whole space).  The returned martingale is the
-    capital function, fair against that measure.
+    formally bets on the whole space).  The martingale is the capital, fair
+    against that measure.  Nothing is walked up front: a bad bet raises
+    StrategyViolation at the first read or audit that reaches its history.
     """
-    tree = walk_strategy(strategy, mu, depth)
-
-    def locate(sigma: str):
-        """(node, alive) where alive means sigma only extends wins past the end."""
-        k = len(sigma)
-        while sigma[:k] not in tree:
-            k -= 1
-        node = tree[sigma[:k]]
-        return node, all(ch == "1" for ch in sigma[k:])
-
-    def mass_fn(sigma: str) -> Fraction:
-        node, alive = locate(sigma)
-        return node.knowledge.mass if alive else ZERO
-
-    nu = from_masses(mass_fn, label=f"knowledge({type(strategy).__name__})")
-
-    def capital_fn(sigma: str) -> Optional[Fraction]:
-        node, alive = locate(sigma)
-        return node.capital if alive else None
-
-    mart = Martingale(nu, capital_fn, label=f"capital({type(strategy).__name__})")
-    return nu, mart
+    check_enumeration_depth(depth)
+    kernel, name = StrategyKernel(strategy, mu, depth), type(strategy).__name__
+    nu = Measure(kernel.split, mu.mass(""), label=f"knowledge({name})")
+    return nu, Martingale(nu, label=f"capital({name})", kernel=kernel)
 
 
 @dataclass
@@ -413,36 +422,23 @@ class StrategyProfile:
 def classify_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> StrategyProfile:
     """Balanced iff every audited bet is a conditional-half event; the trend is
     the largest knowledge mass still held at the audit frontier."""
-    tree = walk_strategy(strategy, mu, depth)
-    balanced = True
-    bets = 0
-    trend = ZERO
-    for node in tree.values():
-        if not node.terminal:
-            bets += 1
-            if node.conditional != Fraction(1, 2):
-                balanced = False
-        if len(node.history) == depth or (node.terminal and len(node.history) <= depth):
+    balanced, bets, trend = True, 0, ZERO
+    for node in _preorder(strategy, mu, depth):
+        if node.terminal:
             trend = max(trend, node.knowledge.mass)
+        else:
+            bets += 1
+            balanced = balanced and node.conditional == HALF
     return StrategyProfile(balanced=balanced, exhaustive_trend=trend, bets_audited=bets)
 
 
 def strategy_to_interval_morphism(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
     """Map each history's knowledge set to an interval of matching length:
     the root goes to (0,1) and each split hands the loss branch the left part."""
-    tree = walk_strategy(strategy, mu, depth)
     intervals = {"": (ZERO, ONE)}
-
-    def rec(history: str):
-        node = tree[history]
-        if node.terminal or history + "0" not in tree:
-            return
-        a, b = intervals[history]
-        lose_mass = tree[history + "0"].knowledge.mass
-        intervals[history + "0"] = (a, a + lose_mass)
-        intervals[history + "1"] = (a + lose_mass, b)
-        rec(history + "0")
-        rec(history + "1")
-
-    rec("")
+    for node in _preorder(strategy, mu, depth):
+        if not node.terminal:
+            a, b = intervals[node.history]
+            cut = a + node.knowledge.mass * (1 - node.conditional)  # the loss branch's mass
+            intervals[node.history + "0"], intervals[node.history + "1"] = (a, cut), (cut, b)
     return intervals

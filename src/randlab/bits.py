@@ -33,28 +33,21 @@ def prefix_free_violation(strings) -> tuple[str, str] | None:
 
 
 def normalize(strings) -> tuple[str, ...]:
-    """Canonical form of a cylinder union: minimal generators, siblings merged."""
-    gens = set(strings)
-    # drop generators covered by a proper prefix already in the set
-    minimal = set()
-    for g in sorted(gens, key=len):
-        if not any(g.startswith(p) for p in minimal if len(p) < len(g)):
-            minimal.add(g)
-    # merge sibling pairs bottom-up
-    merged = True
-    while merged:
-        merged = False
-        for g in sorted(minimal, key=len, reverse=True):
-            if not g:
-                continue
-            sib = g[:-1] + ("1" if g[-1] == "0" else "0")
-            if sib in minimal:
-                minimal.discard(g)
-                minimal.discard(sib)
-                minimal.add(g[:-1])
-                merged = True
-                break
-    return tuple(sorted(minimal))
+    """Canonical form of a cylinder union: minimal generators, siblings merged.
+
+    One pass in sorted order: a string that extends the last kept generator
+    is covered by it, and a 1-child whose 0-sibling was kept last merges into
+    their parent, which may merge again.
+    """
+    out = []
+    for g in sorted(set(strings)):
+        if out and g.startswith(out[-1]):
+            continue
+        while g[-1:] == "1" and out and out[-1] == g[:-1] + "0":
+            out.pop()
+            g = g[:-1]
+        out.append(g)
+    return tuple(out)
 
 
 def intersect(a_gens, b_gens) -> tuple[str, ...]:

@@ -60,11 +60,14 @@ class PathCache:
         node = self.root if k == 0 else kids[k - 1][sigma[k - 1] == "1"]
         if k < len(sigma):
             del kids[k + 1 :]
-            for j in range(k, len(sigma)):
-                if j == len(kids):
-                    kids.append(children(sigma[:j], node))
-                node = kids[j][sigma[j] == "1"]
-            self.path = sigma
+            try:
+                for j in range(k, len(sigma)):
+                    if j == len(kids):
+                        kids.append(children(sigma[:j], node))
+                    node = kids[j][sigma[j] == "1"]
+            finally:
+                # a children() that raised leaves the path the kids cover
+                self.path = sigma[: len(kids)]
         return node
 
 
@@ -163,7 +166,7 @@ class _MassBackedMeasure(Measure):
 def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) -> Measure:
     """Measure with the splits induced by a mass function, which must be
     additive (children masses summing to the parent's) with mass_fn("") as
-    the total; to_measure and strategy_to_cantor build their measures here.
+    the total; to_measure builds its measure here.
 
     mass() returns mass_fn itself, so even a non-additive function is read
     as given (check_additivity reports it).  Nothing is cached: every read

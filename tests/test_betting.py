@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -544,3 +545,186 @@ def test_long_likelihood_ratio_play_holds_one_model_path():
     assert steps == 4000
     assert len(strategy.model._path.kids) <= 4000
     assert held < 4 * 1024 * 1024, held
+
+
+def _reference_normalize(strings):
+    """bits.normalize as it was: drop generators under a kept prefix, then
+    merge sibling pairs one at a time, restarting after each merge."""
+    minimal = set()
+    for g in sorted(set(strings), key=len):
+        if not any(g.startswith(p) for p in minimal if len(p) < len(g)):
+            minimal.add(g)
+    merged = True
+    while merged:
+        merged = False
+        for g in sorted(minimal, key=len, reverse=True):
+            if not g:
+                continue
+            sib = g[:-1] + ("1" if g[-1] == "0" else "0")
+            if sib in minimal:
+                minimal.discard(g)
+                minimal.discard(sib)
+                minimal.add(g[:-1])
+                merged = True
+                break
+    return tuple(sorted(minimal))
+
+
+@given(st.lists(st.text(alphabet="01", max_size=5), max_size=14))
+@settings(max_examples=400, deadline=None)
+@example(["000", "001", "01", "1"])  # a merge that cascades to the root
+@example(["0", "00", "01", "1"])
+def test_normalize_matches_the_pairwise_definition(strings):
+    assert bits.normalize(strings) == _reference_normalize(strings)
+
+
+def test_far_bit_bet_is_not_quadratic(bern13):
+    # restricting the root to bit 13 makes 8192 generators: one sorted pass
+    # normalizes them and each finds its knowledge generator by bisection
+    # (about 3 s with the pairwise normalize and the linear lookup, 2 vCPUs)
+    strategy = TableStrategy({"": (BitEvent(13, 1), F(1, 2))})
+    start = time.perf_counter()
+    result = randlab.play(strategy, bern13, "0" * 13 + "1")
+    elapsed = time.perf_counter() - start
+    assert result.values == [1, 2] and result.knowledge_masses == [1, F(1, 3)]
+    assert elapsed < 1.5, elapsed
+
+
+def _reference_kl_payoff(mu, known, target, side):
+    """kl_payoff by its definition from cylinder masses."""
+    gens = ("",)
+    for index, bit in sorted(dict(known).items()):
+        gens = bits.restrict_bit(gens, index, bit)
+    b_mass = sum((mu.mass(g) for g in gens), F(0))
+    win_mass = sum((mu.mass(g) for g in bits.restrict_bit(gens, target, side)), F(0))
+    return None if b_mass == 0 or win_mass == 0 else (b_mass - win_mass) / win_mass
+
+
+@given(
+    _split_tables(),
+    st.dictionaries(st.integers(0, 4), st.integers(0, 1), max_size=3),
+    st.integers(0, 5),
+    st.integers(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_kl_payoff_matches_the_mass_ratio(mu, known, target, side):
+    if target in known:
+        with pytest.raises(PreconditionError):
+            randlab.kl_payoff(mu, known, target, side)
+    else:
+        assert randlab.kl_payoff(mu, known, target, side) == _reference_kl_payoff(mu, known, target, side)
+
+
+def test_kl_payoff_reads_a_non_additive_base_through_its_splits():
+    # as for bets: split("0") = mass("01") / mass("0") = 1, so bit 1 is surely
+    # 1 inside [0] and bit[1]=0 there is null (the mass ratio gave payoff 0)
+    mu = randlab.from_masses(lambda s: F(1, 2 ** (len(s) - 1 if s[:1] == "0" and len(s) > 1 else len(s))))
+    assert randlab.kl_payoff(mu, {0: 0}, 1, 0) is None
+    assert randlab.kl_payoff(mu, {0: 0}, 1, 1) == 0
+
+
+def test_kl_payoff_guards_the_target_expansion(fair, monkeypatch):
+    # restricting the root to bit 5 expands it 64-fold, past a cap of 2^4
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
+    with pytest.raises(randlab.ResourceLimitError):
+        randlab.kl_payoff(fair, {}, 5, 1)
+    assert randlab.kl_payoff(fair, {}, 3, 1) == 1
+
+
+@given(
+    _split_tables(),
+    st.one_of(_table_strategies(), st.builds(LikelihoodRatioStrategy, _split_tables())),
+    st.text(alphabet="01", min_size=1, max_size=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_transport_matches_play_and_is_fair(mu, strategy, x):
+    # for every step k, the transported martingale's capital at the k-step
+    # history is play's k-th value, and its knowledge measure holds play's
+    # k-th knowledge mass
+    try:
+        played = randlab.play(strategy, mu, x)
+    except StrategyViolation:
+        played = None  # a likelihood-ratio strategy refuses a degenerate base
+    nu, mart = randlab.strategy_to_cantor(strategy, mu, len(x))
+    if played is not None:
+        for k, (value, mass) in enumerate(zip(played.values, played.knowledge_masses)):
+            assert mart.capital(played.history[:k]) == value, k
+            assert nu.mass(played.history[:k]) == mass, k
+    # the audit resolves the bet at every history the walk does
+    try:
+        walk_strategy(strategy, mu, len(x))
+    except StrategyViolation:
+        with pytest.raises(StrategyViolation):
+            randlab.check_fairness(mart, len(x))
+    else:
+        report = randlab.check_fairness(mart, len(x))
+        assert report.ok, report.violations[:3]
+
+
+def test_transport_raises_a_violation_where_a_read_reaches_it(fair):
+    # the tree is not walked up front: the over-stake at '01' is raised by
+    # the first read below it, and reads elsewhere go on
+    s = TableStrategy({"": (BitEvent(0, 1), F(1, 2)), "0": (BitEvent(1, 1), F(1, 4)), "01": (BitEvent(2, 1), F(5))})
+    nu, mart = randlab.strategy_to_cantor(s, fair, 4)
+    assert mart.capital("01") == F(3, 4) and nu.mass("01") == F(1, 4)
+    for read in (lambda: mart.capital("010"), lambda: nu.mass("011"), lambda: randlab.check_fairness(mart, 4)):
+        with pytest.raises(StrategyViolation, match="stake 5 exceeds capital 3/4 at '01'"):
+            read()
+    # '00' stopped betting: its win branch is itself, its loss branch null
+    assert [mart.capital(h) for h in ("1", "00", "0011", "0010", "")] == [F(3, 2), F(1, 4), F(1, 4), None, 1]
+    with pytest.raises(StrategyViolation):
+        walk_strategy(s, fair, 4)
+
+
+def test_walks_raise_the_parents_violation_first(fair):
+    # over-stakes at '1' and at '0': a node's bet, then its win subtree, then
+    # its loss subtree, so the win branch's violation comes first
+    s = TableStrategy({"": (BitEvent(0, 1), F(1, 2)), "0": (BitEvent(1, 1), F(2)), "1": (BitEvent(1, 1), F(3))})
+    for walk in (walk_strategy, randlab.classify_strategy, randlab.strategy_to_interval_morphism):
+        with pytest.raises(StrategyViolation, match="at '1'"):
+            walk(s, fair, 3)
+
+
+class _CountingStrategy(BettingStrategy):
+    """Bets a quarter of the capital on the next coordinate up to `stop`
+    bits, counting the bets asked for."""
+
+    def __init__(self, stop):
+        self.stop, self.asked = stop, 0
+
+    def bet(self, history, capital, knowledge, mu):
+        self.asked += 1
+        return (BitEvent(len(history), 1), capital / 4) if len(history) < self.stop else None
+
+
+def test_transport_asks_each_history_once(fair):
+    # a stopped node hands its win branch itself and is not asked again
+    for stop, depth in ((0, 6), (2, 6), (6, 6)):
+        s = _CountingStrategy(stop)
+        _, mart = randlab.strategy_to_cantor(s, fair, depth)
+        assert randlab.check_fairness(mart, depth).ok
+        assert s.asked == 2 ** min(stop + 1, depth) - 1, stop
+        assert mart.capital("1" * 8) == F(5, 4) ** min(stop, depth)
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_transport_and_classification_hold_one_path(bern13):
+    # the 2^depth dict of nodes is gone: at depth 12 both peaked at 7.1 MB
+    strategy = LikelihoodRatioStrategy(randlab.fair_coin())
+
+    def transport():
+        assert randlab.check_fairness(randlab.strategy_to_cantor(strategy, bern13, 12)[1], 12).ok
+
+    def classify():
+        assert randlab.classify_strategy(strategy, bern13, 12).bets_audited == 2**12 - 1
+
+    assert _peak_mib(transport) < 1
+    assert _peak_mib(classify) < 1

@@ -53,6 +53,17 @@ def test_bad_split_rejected():
         randlab.bernoulli(Fraction(-1, 2))
 
 
+def test_path_cache_reads_on_after_a_read_that_raised():
+    # the split at '01' is out of range; a read through it raises, and the
+    # cached path must still answer every other string (it gave IndexError)
+    mu = randlab.Measure(lambda sigma: Fraction(2) if sigma == "01" else Fraction(1, 2))
+    assert mu.mass("0000") == Fraction(1, 16)
+    for _ in range(2):
+        with pytest.raises(ConstructionError):
+            mu.mass("011")
+    assert [mu.mass(s) for s in ("0000", "00", "01", "1", "")] == [Fraction(1, 2**k) for k in (4, 2, 2, 1, 0)]
+
+
 def test_build_measure_dispatch():
     mu = randlab.build_measure(MeasureSpec("bernoulli", p=Fraction(1, 3)))
     assert mu.mass("11") == Fraction(1, 9)

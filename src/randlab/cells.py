@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .bits import validate_bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .measure import Measure, MeasureSpec, PathCache
 from .rationals import HALF, ONE, RAT, ZERO
@@ -66,13 +67,6 @@ class Region:
 
     def contains_point(self, x) -> bool:
         return any(lo <= x < hi for lo, hi in self.intervals)
-
-    def endpoints(self) -> set:
-        pts = set()
-        for lo, hi in self.intervals:
-            pts.add(lo)
-            pts.add(hi)
-        return pts
 
     def contains_region(self, other: "Region") -> bool:
         return all(
@@ -125,11 +119,21 @@ class NamingOutcome:
         return self.undetermined_at is None
 
 
+def _unit_coordinate(x):
+    x = RAT(x)
+    if not ZERO <= x <= ONE:
+        raise PreconditionError(f"point coordinate {x} lies outside [0, 1]")
+    return x
+
+
 class CellDecomposition:
     """Binary tree of regions refining [0,1) (or [0,1)^d) under Lebesgue.
 
     Subclasses give the root node and _children(sigma, node), the nodes of
     sigma's 0-child and 1-child; every node is read through a one-path cache.
+    Naming reads _point(x), x coerced and checked, and _locate(x, sigma,
+    node): the bit and the node of the child that holds x, and whether x
+    lies on an endpoint of either child.
     """
 
     def __init__(self, kind: str, label: str, spec_name: str = None, root=None):
@@ -147,12 +151,6 @@ class CellDecomposition:
     def cell(self, sigma: str):
         return self._node(sigma)
 
-    def cell_mass(self, sigma: str):
-        return self._measure(self.cell(sigma))
-
-    def _measure(self, cell) -> Fraction:
-        return cell.length()
-
     def name_point(self, x, n: int) -> NamingOutcome:
         """The unique name of x to depth n; undetermined on any cell boundary.
 
@@ -160,11 +158,24 @@ class CellDecomposition:
         point that coincides with a boundary of some depth <= n cell is part
         of the null exceptional set and is reported as such.
         """
-        raise NotImplementedError
+        bits, edge = self._descend(self._point(x), n, stop_on_edge=True)
+        return NamingOutcome(bits=bits, undetermined_at=edge)
 
     def resolved_name(self, x, n: int) -> str:
         """The name x gets when boundaries are resolved by the half-open rule."""
-        raise NotImplementedError
+        return self._descend(self._point(x), n, stop_on_edge=False)[0]
+
+    def _descend(self, x, n: int, stop_on_edge: bool):
+        """Walk down the nodes that hold x: x's name to depth n under the
+        half-open rule and None, or, with stop_on_edge, the name above the
+        first depth whose cells have x on an endpoint and that depth."""
+        sigma, node = "", self._path.root
+        for depth in range(1, n + 1):
+            bit, node, on_edge = self._locate(x, sigma, node)
+            if on_edge and stop_on_edge:
+                return sigma, depth
+            sigma += "01"[bit]
+        return sigma, None
 
     def pushforward(self) -> Measure:
         """The measure on names, mass(sigma) = Lebesgue mass of cell(sigma),
@@ -214,22 +225,17 @@ class BaryGroupedDecomposition(CellDecomposition):
         # peeled is the number of trailing 1s of sigma, mod b-1
         return self._splits[(len(sigma) - len(sigma.rstrip("1"))) % (self.base - 1)]
 
-    def name_point(self, x, n: int) -> NamingOutcome:
-        x = RAT(x)
-        sigma = ""
-        for depth in range(1, n + 1):
-            c0, c1 = self.cell(sigma + "0"), self.cell(sigma + "1")
-            if x in c0.endpoints() or x in c1.endpoints():
-                return NamingOutcome(bits=sigma, undetermined_at=depth)
-            sigma += "0" if c0.contains_point(x) else "1"
-        return NamingOutcome(bits=sigma)
+    def _point(self, x):
+        x = _unit_coordinate(x)
+        return x.numerator, x.denominator
 
-    def resolved_name(self, x, n: int) -> str:
-        x = RAT(x)
-        sigma = ""
-        for _ in range(n):
-            sigma += "0" if self.cell(sigma + "0").contains_point(x) else "1"
-        return sigma
+    def _locate(self, x, sigma, state):
+        # the children of [lo, hi)/d are [lo, lo + 1)/d and [lo + 1, hi)/d
+        num, den = x
+        lo, hi, d = self._endpoints(state)
+        at, cut = num * d, (lo + 1) * den
+        bit = at >= cut
+        return bit, self._children(sigma, state)[bit], at in (lo * den, cut, hi * den)
 
 
 class InterleaveDecomposition(CellDecomposition):
@@ -262,37 +268,18 @@ class InterleaveDecomposition(CellDecomposition):
     def _split(self, sigma: str):
         return HALF
 
-    def name_point(self, point, n: int) -> NamingOutcome:
-        point = tuple(RAT(c) for c in (point if isinstance(point, (tuple, list)) else (point,)))
+    def _point(self, point):
+        point = point if isinstance(point, (tuple, list)) else (point,)
         if len(point) != self.dim:
             raise PreconditionError(f"expected {self.dim} coordinates, got {len(point)}")
-        sigma = ""
-        box = self.cell("")
-        for depth in range(1, n + 1):
-            axis = (depth - 1) % self.dim
-            child0, child1 = self._children(sigma, box)
-            mid = child0[axis][1]
-            x = point[axis]
-            if x == mid or x == child0[axis][0] or x == child1[axis][1]:
-                return NamingOutcome(bits=sigma, undetermined_at=depth)
-            if x < mid:
-                sigma, box = sigma + "0", child0
-            else:
-                sigma, box = sigma + "1", child1
-        return NamingOutcome(bits=sigma)
+        return tuple(map(_unit_coordinate, point))
 
-    def resolved_name(self, point, n: int) -> str:
-        point = tuple(RAT(c) for c in (point if isinstance(point, (tuple, list)) else (point,)))
-        sigma = ""
-        box = self.cell("")
-        for depth in range(1, n + 1):
-            axis = (depth - 1) % self.dim
-            child0, child1 = self._children(sigma, box)
-            if point[axis] < child0[axis][1]:
-                sigma, box = sigma + "0", child0
-            else:
-                sigma, box = sigma + "1", child1
-        return sigma
+    def _locate(self, point, sigma, box):
+        axis = len(sigma) % self.dim
+        children = self._children(sigma, box)
+        (lo, mid), (_, hi) = children[0][axis], children[1][axis]
+        bit = point[axis] >= mid
+        return bit, children[bit], point[axis] in (lo, mid, hi)
 
 
 class NaturalDecomposition(CellDecomposition):
@@ -314,6 +301,7 @@ class NaturalDecomposition(CellDecomposition):
     def name_point(self, x, n: int) -> NamingOutcome:
         if not isinstance(x, str):
             raise PreconditionError("points of the natural decomposition are bit strings")
+        validate_bits(x)
         if len(x) < n:
             return NamingOutcome(bits=x, undetermined_at=len(x) + 1)
         return NamingOutcome(bits=x[:n])

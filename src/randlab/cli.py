@@ -95,9 +95,13 @@ def _exact_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def cmd_audit(opts, raw_args) -> int:
+def cmd_audit(opts, raw_args) -> Report:
     if opts.mc_samples is not None and opts.mc_samples < 1:
         raise SpecParseError(f"--mc-samples must be at least 1, got {opts.mc_samples}")
+    if opts.mc_band is not None and opts.mc_samples is None:
+        raise SpecParseError("--mc-band needs --mc-samples")
+    if opts.mc_band is not None and not opts.mc_band >= 0:  # NaN compares false
+        raise SpecParseError(f"--mc-band must be at least 0, got {opts.mc_band}")
     report = Report(raw_args)
     mu = specfmt.parse_measure(opts.measure)
     report.digest("measure", opts.measure)
@@ -148,11 +152,10 @@ def cmd_audit(opts, raw_args) -> int:
                         report.failed = True
         else:
             raise SpecParseError(f"unknown check {check!r}")
-    _emit(report, opts.out)
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    return report
 
 
-def cmd_convert(opts, raw_args) -> int:
+def cmd_convert(opts, raw_args) -> Report:
     report = Report(raw_args)
     if opts.levels is not None and opts.levels < 1:
         raise SpecParseError(f"--levels must be at least 1, got {opts.levels}")
@@ -200,8 +203,7 @@ def cmd_convert(opts, raw_args) -> int:
         report.digest("output", json.dumps(doc, sort_keys=True))
     else:
         report.check(f"fairness@{opts.depth}", check_fairness(obj.total if hasattr(obj, "total") else obj, opts.depth))
-    _emit(report, opts.out)
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    return report
 
 
 _PATHS = {
@@ -235,7 +237,7 @@ def _conversion_path(start: str, target: str) -> list:
     return path
 
 
-def _convert_transfer(opts, report: Report) -> int:
+def _convert_transfer(opts, report: Report) -> Report:
     pairs = dict(item.split("=", 1) for item in opts.transfer if "=" in item)
     if set(pairs) != {"A", "B"}:
         raise SpecParseError("--transfer needs A=<dec> B=<dec>")
@@ -252,11 +254,10 @@ def _convert_transfer(opts, report: Report) -> int:
             f"tau {tau or 'eps'}: kappa_low={format_rational(row.low)} "
             f"kappa_high={format_rational(row.high)} residual={format_rational(rrow.residual)}"
         )
-    _emit(report, opts.out)
-    return EXIT_OK
+    return report
 
 
-def cmd_bet(opts, raw_args) -> int:
+def cmd_bet(opts, raw_args) -> Report:
     report = Report(raw_args)
     mu = specfmt.parse_measure(opts.measure)
     source = specfmt.parse_source(opts.source)
@@ -285,11 +286,10 @@ def cmd_bet(opts, raw_args) -> int:
     if result.violation:
         report.line(f"flag: strategy violation: {result.violation}")
         report.failed = True
-    _emit(report, opts.out)
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    return report
 
 
-def cmd_deficiency(opts, raw_args) -> int:
+def cmd_deficiency(opts, raw_args) -> Report:
     report = Report(raw_args)
     machine = specfmt.load_machine_file(opts.machine)
     dec = specfmt.parse_decomposition(opts.decomposition)
@@ -314,8 +314,7 @@ def cmd_deficiency(opts, raw_args) -> int:
     if trace.not_random_by_nullity:
         report.line(f"flag: non-random-by-nullity at depth {trace.nullity_at}")
         report.failed = True
-    _emit(report, opts.out)
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    return report
 
 
 def _render_extended(v):
@@ -333,7 +332,7 @@ def _parse_point(text: str, dec=None):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def cmd_name(opts, raw_args) -> int:
+def cmd_name(opts, raw_args) -> Report:
     report = Report(raw_args)
     dec = specfmt.parse_decomposition(opts.decomposition)
     point = _parse_point(opts.point, dec)
@@ -344,11 +343,10 @@ def cmd_name(opts, raw_args) -> int:
         report.line(f"name: undetermined at depth {outcome.undetermined_at} (prefix {outcome.bits!r})")
         report.line(f"resolved: {dec.resolved_name(point, opts.length)}")
         report.failed = True
-    _emit(report, opts.out)
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    return report
 
 
-def cmd_refine(opts, raw_args) -> int:
+def cmd_refine(opts, raw_args) -> Report:
     report = Report(raw_args)
     source = specfmt.parse_decomposition(opts.source_dec)
     target = specfmt.parse_decomposition(opts.target_dec)
@@ -359,8 +357,7 @@ def cmd_refine(opts, raw_args) -> int:
             f"tau {tau or 'eps'}: cells={','.join(g or 'eps' for g in row.sigmas) or '-'} "
             f"covered={format_rational(row.covered)} residual={format_rational(row.residual)}"
         )
-    _emit(report, opts.out)
-    return EXIT_OK
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +434,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return opts.func(opts, argv)
+        report = opts.func(opts, argv)
+        _emit(report, opts.out)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
@@ -450,6 +448,7 @@ def main(argv=None) -> int:
     except RandlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
 if __name__ == "__main__":

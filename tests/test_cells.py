@@ -132,6 +132,72 @@ def test_interleave_naming():
     assert dec.name_point(irrational_ish, 8).determined
 
 
+# The per-digit loops that named points before the shared descent: grouped
+# digits compared x with two Regions per digit, boxes compared the split axis.
+# Kept here as the definition name_point and resolved_name must meet.
+def reference_interval_name(dec, x, n):
+    sigma, edge = "", None
+    for depth in range(1, n + 1):
+        c0, c1 = dec.cell(sigma + "0"), dec.cell(sigma + "1")
+        if edge is None and x in {end for cell in (c0, c1) for interval in cell.intervals for end in interval}:
+            edge = depth
+        sigma += "0" if c0.contains_point(x) else "1"
+    return sigma, edge
+
+
+def reference_box_name(dec, point, n):
+    sigma, edge, box = "", None, dec.cell("")
+    for depth in range(1, n + 1):
+        axis = (depth - 1) % dec.dim
+        child0, child1 = dec._children(sigma, box)
+        mid, x = child0[axis][1], point[axis]
+        if edge is None and (x == mid or x == child0[axis][0] or x == child1[axis][1]):
+            edge = depth
+        if x < mid:
+            sigma, box = sigma + "0", child0
+        else:
+            sigma, box = sigma + "1", child1
+    return sigma, edge
+
+
+# name -> (base, number of coordinates; None for a bare point)
+NAMED = {"binary": (2, None), **{f"bary:{b}": (b, None) for b in range(3, 6)}, **{f"interleave:{d}": (2, d) for d in range(1, 4)}}
+
+
+@st.composite
+def named_points(draw):
+    name = draw(st.sampled_from(sorted(NAMED)))
+    base, dim = NAMED[name]
+
+    def coordinate():
+        # powers of the base put points on cell endpoints; other factors keep them off
+        den = base ** draw(st.integers(0, 6)) * draw(st.sampled_from([1, 1, 3, 5, 7, 11]))
+        return F(draw(st.integers(0, den)), den)
+
+    point = coordinate() if dim is None else tuple(coordinate() for _ in range(dim))
+    return name, point, draw(st.integers(0, 12))
+
+
+@given(named_points())
+@settings(max_examples=300, deadline=None)
+def test_naming_matches_the_per_digit_loops(case):
+    name, point, n = case
+    dec = DECOMPOSITIONS[name]()
+    reference = reference_box_name if isinstance(dec, cells.InterleaveDecomposition) else reference_interval_name
+    resolved, edge = reference(dec, point, n)
+    out = dec.name_point(point, n)
+    assert (out.bits, out.undetermined_at) == ((resolved, None) if edge is None else (resolved[: edge - 1], edge))
+    assert dec.resolved_name(point, n) == resolved
+
+
+@pytest.mark.parametrize("name, point", [("binary", F(3, 2)), ("bary:3", F(-1, 2)), ("interleave:2", (F(1, 3), F(9, 8)))])
+def test_points_outside_the_unit_cube_are_refused(name, point):
+    dec = DECOMPOSITIONS[name]()
+    for query in (dec.name_point, dec.resolved_name):
+        with pytest.raises(PreconditionError, match="outside"):
+            query(point, 4)
+
+
 def test_decompose_open_worked_case():
     dec = cells.binary_digits()
     out = cells.decompose_open(dec, Region.interval(F(1, 3), F(2, 3)), 3)
@@ -248,6 +314,8 @@ def test_natural_decomposition(null_at_one):
     out = nd.name_point("0110", 3)
     assert out.determined and out.bits == "011"
     assert not nd.name_point("01", 3).determined
+    with pytest.raises(ConstructionError, match="not a binary string"):
+        nd.name_point("2a1", 3)
     assert nd.pushforward() is null_at_one
 
 

@@ -318,6 +318,41 @@ def test_audit_refuses_a_nonpositive_mc_sample_count(capsys, monkeypatch, sample
     assert f"--mc-samples must be at least 1, got {samples}" in err
 
 
+VILLE_MC = ["audit", "--measure", "fair", "--check", "ville", "--n", "8"]
+
+
+def test_audit_mc_band_verdicts(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, *VILLE_MC, "--martingale", "quotient:bernoulli:2/3/fair", "--c", "4",
+        "--mc-samples", "50", "--mc-band", "0.05",
+    )
+    assert code == 0
+    assert "check ville n=8 c=4: statistical estimate=0.0200 bound=0.2500 samples=50 seed=0 band=0.05 verdict=pass" in out
+    # capital 2 on every path: each sample hits c=2, against a bound of 1/2
+    path = tmp_path / "unfair.json"
+    path.write_text(json.dumps({"start": "1/1", "entries": {"0": "2/1", "1": "2/1"}}))
+    code, out, _ = run_cli(
+        capsys, *VILLE_MC, "--martingale", f"table:{path}", "--c", "2", "--mc-samples", "20", "--mc-band", "0.25"
+    )
+    assert code == 1
+    assert "check ville n=8 c=2: statistical estimate=1.0000 bound=0.5000 samples=20 seed=0 band=0.25 verdict=FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "band, message",
+    [
+        (["--mc-band=-1", "--mc-samples", "5"], "--mc-band must be at least 0, got -1.0"),
+        (["--mc-band", "nan", "--mc-samples", "5"], "--mc-band must be at least 0, got nan"),
+        (["--mc-band", "0.1"], "--mc-band needs --mc-samples"),
+    ],
+)
+def test_audit_refuses_a_bad_mc_band(capsys, band, message):
+    # a negative or NaN band failed every estimate; a band without samples was ignored
+    code, out, err = run_cli(capsys, *VILLE_MC, "--martingale", "quotient:bernoulli:2/3/fair", "--c", "4", *band)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_a_library_error_is_no_usage_error(capsys, monkeypatch, error):
     # ValueError and KeyError are no longer read as usage errors: raised by
@@ -607,6 +642,48 @@ def test_name_command(capsys):
     assert code == 1
     assert "undetermined at depth 1" in out
     assert "resolved: 10" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["name", "--decomposition", "natural:fair", "--point", "2a1", "--length", "3"],
+        ["deficiency", "--machine", "{machine}", "--decomposition", "natural:bernoulli:1/3", "--point", "xyz"],
+    ],
+)
+def test_natural_points_must_be_bit_strings(capsys, tmp_path, args):
+    # these printed a name for "2a1" and a trace for "xyz" read as "000"
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    code, out, err = run_cli(capsys, *(a.format(machine=mfile) for a in args))
+    assert (code, out) == (2, "")
+    assert "not a binary string" in err
+
+
+@pytest.mark.parametrize(
+    "dec, point",
+    [("ternary", "3/2"), ("ternary", "-1/2"), ("binary", "-1/2"), ("interleave:2", "3/2,1/3"), ("interleave:2", "1/3,-1/2")],
+)
+@pytest.mark.parametrize("command", ["name", "deficiency"])
+def test_points_outside_the_unit_interval_are_refused(capsys, tmp_path, command, dec, point):
+    # "name --decomposition ternary --point 3/2" printed "name: 1111"
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    machine = ["--machine", str(mfile)] if command == "deficiency" else []
+    code, out, err = run_cli(capsys, command, *machine, "--decomposition", dec, f"--point={point}", "--length", "4")
+    assert (code, out) == (2, "")
+    assert "lies outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("dec, point", [("ternary", "1"), ("binary", "0"), ("interleave:2", "1,1/3")])
+@pytest.mark.parametrize("command", ["name", "deficiency"])
+def test_the_ends_of_the_unit_interval_are_undetermined(capsys, tmp_path, command, dec, point):
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    machine = ["--machine", str(mfile)] if command == "deficiency" else []
+    code, out, _ = run_cli(capsys, command, *machine, "--decomposition", dec, "--point", point, "--length", "4")
+    assert code == 1
+    assert "undetermined at depth 1" in out
 
 
 def test_refine_command(capsys):

@@ -11,6 +11,7 @@ conditional mass of the losing side to the winning side.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import bits
@@ -50,11 +51,13 @@ class CylinderEvent:
 
 def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     """The part of a knowledge set where the event holds (won) or fails: its
-    knowledge state (None where it is null) and q, its weight given the set.
+    knowledge state (None where it is null) and q, its weight given the set,
+    as an int pair (num, den).
 
     A generator's weight is the weight of the knowledge generator above it
     times the measure's splits between the two, so no cylinder mass is read
-    and no two masses are divided.
+    and no two masses are divided; generators in a row share the products
+    and the splits along their common prefix.
     """
     gens = knowledge.generators
     if isinstance(event, BitEvent):
@@ -69,20 +72,29 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
         side = (bits.intersect if won else bits.subtract)(gens, event.generators)
     else:
         raise PreconditionError(f"unknown event type {type(event).__name__}")
-    weights = []
+    weights, qn, qd, last = [], 0, 1, None
     for h in side:
         # knowledge sets are prefix-free, canonical and sorted, so the one
         # knowledge generator above h is the last one not after it
         i = bisect_right(gens, h) - 1
-        g, w = gens[i], knowledge.weights[i]
-        for j in range(len(g), len(h)):
-            if not w:
+        if i != last:  # path[k]: [num, den] of the weight of h[:top + k], then its split
+            w, last, top = knowledge.weights[i], i, len(gens[i])
+            path = [[w.numerator, w.denominator]]
+        else:  # keep the path down to where h parts from the last generator
+            del path[next(j for j in range(len(h)) if h[j] != prev[j]) - top + 1 :]
+        for j in range(top + len(path) - 1, len(h)):
+            if not path[-1][0]:
                 break  # as in Measure.mass, no split is read below a null cylinder
-            s = mu.split(h[:j])
-            w = w * s if h[j] == "1" else w * (1 - s)
-        weights.append(w)
-    q = sum(weights, ZERO)
-    return (KnowledgeState(side, knowledge.mass * q, tuple(w / q for w in weights)) if q else None), q
+            if len(path[-1]) == 2:
+                path[-1].append(mu.split(h[:j]))
+            n, d, s = path[-1]
+            path.append([n * s.numerator if h[j] == "1" else n * (s.denominator - s.numerator), d * s.denominator])
+        (n, d, *_), prev = path[-1], h
+        weights.append((n, d))
+        g = gcd(d, qd)
+        qn, qd = qn * (d // g) + n * (qd // g), qd // g * d
+    state = KnowledgeState(side, knowledge.mass * RAT(qn, qd), tuple(RAT(n * qd, d * qn) for n, d in weights)) if qn else None
+    return state, (qn, qd)
 
 
 def _membership(event, x: str):
@@ -109,13 +121,29 @@ class BettingStrategy:
     """Base class: subclasses answer bet() with an (event, stake) pair or None.
 
     Returning None ends betting on that history branch; capital and knowledge
-    freeze from then on.
+    freeze from then on.  A subclass may instead state its stake as a share
+    of the capital, as in Kolmogorov-Loveland betting, by overriding share();
+    the bet loop reads only share().
     """
 
     start_capital = ONE
 
     def bet(self, history: str, capital: Fraction, knowledge: KnowledgeState, mu: Measure):
-        raise NotImplementedError
+        """(event, stake) or None; here read off share(), stake = capital * share."""
+        decision = self.share(history, capital, knowledge, mu)
+        return decision and (decision[0], capital * RAT(*decision[1]))
+
+    def share(self, history: str, capital: Fraction, knowledge: KnowledgeState, mu: Measure):
+        """The bet as (event, share, stake) or None: share is the stake over
+        the capital as an int pair (num, den), den > 0, and stake the stake
+        bet() states, or None where it is capital * share.  A stake at a
+        capital of 0 has no share: the share is 0 and the stake is checked."""
+        decision = self.bet(history, capital, knowledge, mu)
+        if decision is None:
+            return None
+        event, stake = decision[0], RAT(decision[1])
+        share = stake / capital if capital else ZERO
+        return event, (share.numerator, share.denominator), stake
 
 
 class NullStrategy(BettingStrategy):
@@ -149,10 +177,9 @@ class BitAllInStrategy(BettingStrategy):
         self.sides = sides
         self.start_capital = RAT(start_capital)
 
-    def bet(self, history, capital, knowledge, mu):
+    def share(self, history, capital, knowledge, mu):
         k = len(history)
-        side = int(self.sides[k % len(self.sides)])
-        return (BitEvent(k, side), capital)
+        return BitEvent(k, int(self.sides[k % len(self.sides)])), (1, 1), None
 
 
 class LikelihoodRatioStrategy(BettingStrategy):
@@ -167,19 +194,21 @@ class LikelihoodRatioStrategy(BettingStrategy):
         self.model = model
         self.start_capital = RAT(start_capital)
 
-    def bet(self, history, capital, knowledge, mu):
+    def share(self, history, capital, knowledge, mu):
         (prefix,) = knowledge.generators
         # the knowledge set is [prefix], so its mass is mu.mass(prefix)
         if knowledge.mass == 0 or (s := mu.split(prefix)) == 0 or s == 1:
             raise StrategyViolation(f"base measure degenerate after {prefix!r}")
-        t = self.model.conditional(prefix, 1)
+        null = self.model.is_null(prefix)
+        t = ZERO if null else self.model.split(prefix)
+        (sn, sd), (tn, td) = (s.numerator, s.denominator), (t.numerator, t.denominator)
         # the model/base ratio on side 1, t/s, is at least the one on side 0,
         # (1-t)/(1-s), exactly when t >= s; a null model cylinder makes both
-        # ratios 0 and the tie goes to side 1.  The stake that turns capital
-        # into capital * ratio is capital * (ratio - 1) * p / (1 - p).
-        if t is None or t >= s:
-            return (BitEvent(len(prefix), 1), capital * (((t or ZERO) - s) / (1 - s)))
-        return (BitEvent(len(prefix), 0), capital * ((s - t) / s))
+        # ratios 0 and the tie goes to side 1.  The share that turns capital
+        # into capital * ratio is (ratio - 1) * p / (1 - p).
+        if null or tn * sd >= sn * td:
+            return BitEvent(len(prefix), 1), (tn * sd - sn * td, td * (sd - sn)), None
+        return BitEvent(len(prefix), 0), (sn * td - tn * sd, sn * td), None
 
 
 class DoublingStrategy(BettingStrategy):
@@ -205,9 +234,8 @@ class DoublingStrategy(BettingStrategy):
         if k >= len(gens):
             return None  # nothing left to chase
         event = CylinderEvent(generators=(gens[k],))
-        p = _side(knowledge, event, mu, True)[1]
-        stake = (self.target - capital) * p / (1 - p)
-        return (event, stake)
+        pn, pd = _side(knowledge, event, mu, True)[1]
+        return (event, (self.target - capital) * RAT(pn, pd - pn))
 
 
 def doubling_strategy(target, mu: Measure) -> DoublingStrategy:
@@ -229,10 +257,10 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
     # the conditional odds a bet reads: every restriction goes through _side
     knowledge = KnowledgeState(("",), mu.mass(""), (ONE,))
     for index, bit in [*sorted(known.items()), (target, side)]:
-        knowledge, q = _side(knowledge, BitEvent(index, bit), mu, True)
-        if q == 0 or knowledge.mass == 0:
+        knowledge, (qn, qd) = _side(knowledge, BitEvent(index, bit), mu, True)
+        if qn == 0 or knowledge.mass == 0:
             return None
-    return (1 - q) / q
+    return RAT(qd - qn, qn)
 
 
 @dataclass
@@ -241,49 +269,53 @@ class _Node:
     knowledge: KnowledgeState
     capital: Fraction
     event: object = None
-    stake: Optional[Fraction] = None
-    conditional: Optional[Fraction] = None
-    payoff: Optional[Fraction] = None
+    share: Optional[tuple] = None  # the stake over the capital, an int pair
+    conditional: Optional[Fraction] = None  # the event's probability given the knowledge
 
     @property
     def terminal(self) -> bool:
         return self.event is None
 
+    @property
+    def stake(self) -> Fraction:
+        return self.capital * RAT(*self.share)
 
-def _resolve_bet(node: _Node, event, stake, mu: Measure, won: bool):
-    """Validate a bet and build the successor on the side it resolved to.
+    @property
+    def payoff(self) -> Fraction:
+        return (1 - self.conditional) / self.conditional
 
-    Returns (p, payoff, successor): p is the event's probability given the
-    knowledge set, payoff = (1-p)/p the fair winnings per unit staked.
-    """
-    stake, capital = RAT(stake), node.capital
-    if stake < 0:
-        raise StrategyViolation(f"negative stake {stake} at {node.history!r}")
-    # the stake is read once as a share of the capital, so the successor's
-    # capital is the capital times one small factor; at capital <= 0 only a
-    # zero stake passes, and its share is 0
-    share = stake / capital if capital > 0 else ZERO
-    if (share > 1) if capital > 0 else (stake > capital):
+
+def _resolve_bet(node: _Node, event, share, stake, mu: Measure, sides):
+    """Validate a share() decision and build the successor on each of the
+    sides (True: won) with its capital factor, 1 + share * payoff on a win
+    and 1 - share on a loss.  Returns (p, [(successor, factor), ...]): p is
+    the event's probability given the knowledge set, payoff = (1-p)/p the
+    fair winnings per unit staked; p and the factors are int pairs."""
+    (sn, sd), capital = share, node.capital
+    # at capital <= 0 only a zero stake passes, and its share is 0
+    if not (0 <= sn <= sd if capital > 0 else capital == 0 and not stake):
+        stake = capital * RAT(sn, sd) if stake is None else stake
+        if stake < 0:
+            raise StrategyViolation(f"negative stake {stake} at {node.history!r}")
         raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {node.history!r}")
-    knowledge, q = _side(node.knowledge, event, mu, won)
-    if node.knowledge.mass == 0 or q == 0 or q == 1:
-        raise StrategyViolation(
-            f"bet on a conditionally null or sure event at {node.history!r}: {event.describe()}"
-        )
-    p = q if won else 1 - q
-    payoff = (1 - p) / p
-    successor = _Node(
-        history=node.history + ("1" if won else "0"),
-        knowledge=knowledge,
-        capital=capital * (1 + share * payoff) if won else capital * (1 - share),
-    )
-    return p, payoff, successor
+    resolved = []
+    for won in sides:
+        knowledge, (qn, qd) = _side(node.knowledge, event, mu, won)
+        if node.knowledge.mass == 0 or qn == 0 or qn == qd:
+            raise StrategyViolation(
+                f"bet on a conditionally null or sure event at {node.history!r}: {event.describe()}"
+            )
+        pn, pd = (qn, qd) if won else (qd - qn, qd)
+        factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
+        resolved.append((_Node(node.history + ("1" if won else "0"), knowledge, capital * RAT(*factor)), factor))
+    return (pn, pd), resolved
 
 
 class StrategyKernel(_PairKernel):
     """A strategy's history tree as a tree kernel: payloads are _Nodes (None
     is null), read as the knowledge mass and the capital.  children() asks for
-    the bet at a node and resolves both sides with _resolve_bet, as play does;
+    the bet at a node and resolves both sides in one _resolve_bet call, the
+    resolver play uses;
     a node that stopped betting (no bet, or the depth reached) hands its win
     branch itself and its loss branch the null payload.  A bad bet raises
     StrategyViolation where a read first reaches it."""
@@ -298,12 +330,10 @@ class StrategyKernel(_PairKernel):
     def children(self, sigma: str, node):
         # a stopped node handed on as its own win branch is not asked again
         if node is not None and len(sigma) == len(node.history) < self.depth:
-            decision = self.strategy.bet(node.history, node.capital, node.knowledge, self.mu)
+            decision = self.strategy.share(node.history, node.capital, node.knowledge, self.mu)
             if decision is not None:
-                event, stake = decision
-                p, payoff, win = _resolve_bet(node, event, stake, self.mu, True)
-                lose = _resolve_bet(node, event, stake, self.mu, False)[2]
-                node.event, node.stake, node.conditional, node.payoff = event, stake, p, payoff
+                p, ((win, _), (lose, _)) = _resolve_bet(node, *decision, self.mu, (True, False))
+                node.event, node.share, node.conditional = decision[0], decision[1], RAT(*p)
                 return lose, win
         return None, node
 
@@ -355,14 +385,11 @@ class PlayResult:
     knowledge_masses: list
     undetermined: bool = False
     violation: Optional[str] = None
+    max_attained: Optional[Fraction] = None  # max(values), kept by play as it steps
 
     @property
     def final(self) -> Fraction:
         return self.values[-1]
-
-    @property
-    def max_attained(self) -> Fraction:
-        return max(self.values)
 
 
 def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = None) -> PlayResult:
@@ -376,24 +403,26 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
     if max_steps is None:
         max_steps = len(x)
     node = StrategyKernel(strategy, mu, max_steps).root()
-    values = [node.capital]
-    events, masses = [], [node.knowledge.mass]
+    values, events, masses = [node.capital], [], [node.knowledge.mass]
+    best, rn, rd = node.capital, 1, 1  # rn/rd: the capital over best, the product of the factors since
     for _ in range(max_steps):
-        decision = strategy.bet(node.history, node.capital, node.knowledge, mu)
+        decision = strategy.share(node.history, node.capital, node.knowledge, mu)
         if decision is None:
             break
-        event, stake = decision
-        outcome = _membership(event, x)
+        outcome = _membership(decision[0], x)
         if outcome is None:
-            return PlayResult(node.history, values, events, masses, undetermined=True)
+            return PlayResult(node.history, values, events, masses, undetermined=True, max_attained=best)
         try:
-            _, _, node = _resolve_bet(node, event, stake, mu, outcome)
+            _, ((node, (fn, fd)),) = _resolve_bet(node, *decision, mu, (outcome,))
         except StrategyViolation as exc:
-            return PlayResult(node.history, values, events, masses, violation=str(exc))
+            return PlayResult(node.history, values, events, masses, violation=str(exc), max_attained=best)
+        rn, rd = rn * fn, rd * fd
+        if rn > rd:
+            best, rn, rd = node.capital, 1, 1
         values.append(node.capital)
-        events.append(event.describe())
+        events.append(decision[0].describe())
         masses.append(node.knowledge.mass)
-    return PlayResult(node.history, values, events, masses)
+    return PlayResult(node.history, values, events, masses, max_attained=best)
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):

@@ -257,7 +257,13 @@ def _convert_transfer(opts, report: Report) -> Report:
     return report
 
 
+def _check_length(opts) -> None:
+    if opts.length < 0:
+        raise SpecParseError(f"--length must be nonnegative, got {opts.length}")
+
+
 def cmd_bet(opts, raw_args) -> Report:
+    _check_length(opts)
     report = Report(raw_args)
     mu = specfmt.parse_measure(opts.measure)
     source = specfmt.parse_source(opts.source)
@@ -290,6 +296,7 @@ def cmd_bet(opts, raw_args) -> Report:
 
 
 def cmd_deficiency(opts, raw_args) -> Report:
+    _check_length(opts)
     report = Report(raw_args)
     machine = specfmt.load_machine_file(opts.machine)
     dec = specfmt.parse_decomposition(opts.decomposition)
@@ -333,6 +340,7 @@ def _parse_point(text: str, dec=None):
 
 
 def cmd_name(opts, raw_args) -> Report:
+    _check_length(opts)
     report = Report(raw_args)
     dec = specfmt.parse_decomposition(opts.decomposition)
     point = _parse_point(opts.point, dec)

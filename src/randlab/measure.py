@@ -98,7 +98,10 @@ class Measure:
     def mass(self, sigma: str) -> Fraction:
         """Exact mass of the cylinder [sigma]: the children_pairs of the
         audits stepped along the path, one rational built at the end."""
-        return RAT(*self._path.read(sigma, lambda prefix, pair: self.children_pairs(prefix, *pair)))
+        return RAT(*self._pair(sigma))
+
+    def _pair(self, sigma: str):
+        return self._path.read(sigma, lambda prefix, pair: self.children_pairs(prefix, *pair))
 
     def children_pairs(self, sigma: str, n: int, d: int):
         """Children masses as unnormalized (num, den) int pairs, den > 0,
@@ -119,14 +122,14 @@ class Measure:
 
     def conditional(self, sigma: str, bit: int) -> Optional[Fraction]:
         """mass(sigma+bit)/mass(sigma), or None when [sigma] is null."""
-        m = self.mass(sigma)
-        if m == 0:
+        if self.is_null(sigma):
             return None
         s = self.split(sigma)
         return s if bit in (1, "1") else 1 - s
 
     def is_null(self, sigma: str) -> bool:
-        return self.mass(sigma) == 0
+        """Is [sigma] null?  Read off the path's int pair; no rational is built."""
+        return self._pair(sigma)[0] == 0
 
     @property
     def total(self) -> Fraction:
@@ -154,6 +157,9 @@ class _MassBackedMeasure(Measure):
     def mass(self, sigma: str) -> Fraction:
         # the function itself, not a product of the splits derived from it
         return RAT(self._mass_fn(sigma))
+
+    def is_null(self, sigma: str) -> bool:
+        return self._mass_fn(sigma) == 0
 
     def children_pairs(self, sigma: str, n: int, d: int):
         # read the function directly, below a null cylinder too: additivity

@@ -590,6 +590,29 @@ def test_far_bit_bet_is_not_quadratic(bern13):
     assert elapsed < 1.5, elapsed
 
 
+def test_far_bit_bet_reads_each_split_once():
+    # the 8192 side generators of a root bet on bit 13 share their weight
+    # products along common prefixes: one split per node of the trie above
+    # them, 2^14 - 1, where each generator's own path read 8192 * 14 = 114688
+    calls = []
+
+    def split(sigma):
+        calls.append(sigma)
+        return F(1, 3)
+
+    mu = randlab.Measure(split)
+    result = randlab.play(TableStrategy({"": (BitEvent(13, 1), F(1, 2))}), mu, "0" * 13 + "1")
+    assert result.values == [1, 2] and result.knowledge_masses == [1, F(1, 3)]
+    assert len(calls) == len(set(calls)) == 2**14 - 1
+    # a cylinder bet below a knowledge set of several generators reads each
+    # split between them and the side's generators once, too
+    calls.clear()
+    strategy = TableStrategy({"": (BitEvent(1, 1), F(1, 2)), "1": (CylinderEvent(("0100", "0111", "11")), F(1, 2))})
+    result = randlab.play(strategy, mu, "0111")
+    assert result.events == ["bit[1]=1", "cyl{0100,0111,11}"]
+    assert len(calls) == len(set(calls))
+
+
 def _reference_kl_payoff(mu, known, target, side):
     """kl_payoff by its definition from cylinder masses."""
     gens = ("",)
@@ -728,3 +751,124 @@ def test_transport_and_classification_hold_one_path(bern13):
 
     assert _peak_mib(transport) < 1
     assert _peak_mib(classify) < 1
+
+
+def _builtin_strategies():
+    cylinder_sets = st.sampled_from([["00"], ["010", "11"], ["1"], []])
+    return st.one_of(
+        st.just(NullStrategy()),
+        st.builds(BitAllInStrategy, st.text(alphabet="01", min_size=1, max_size=3)),
+        st.builds(LikelihoodRatioStrategy, _split_tables()),
+        _table_strategies(),
+        cylinder_sets.map(lambda gens: randlab.doubling_strategy(gens, randlab.fair_coin())),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (StrategyViolation, ZeroDivisionError) as exc:
+        return repr(exc)
+
+
+@given(
+    _split_tables(),
+    _builtin_strategies(),
+    st.text(alphabet="01", max_size=4),
+    st.one_of(st.sampled_from(_STARTS), st.fractions(-2, 3, max_denominator=6)),
+)
+@settings(max_examples=300, deadline=None)
+@example(randlab.fair_coin(), BitAllInStrategy("0"), "", F(0))
+@example(randlab.fair_coin(), BitAllInStrategy("0"), "", F(-1))
+@example(randlab.bernoulli(F(1, 3)), LikelihoodRatioStrategy(randlab.fair_coin()), "01", F(0))
+@example(randlab.bernoulli(F(1, 3)), LikelihoodRatioStrategy(randlab.fair_coin()), "", F(-1))
+@example(randlab.fair_coin(), TableStrategy({"": (_BIT1, F(1, 2))}), "", F(0))  # a stake without a share
+def test_share_form_agrees_with_bet(mu, strategy, history, capital):
+    # the same event, and the stake bet() states is capital * share, or the
+    # stake share() hands on where it states one
+    knowledge = KnowledgeState((history,), mu.mass(history), (F(1),))
+    shared = _outcome(lambda: strategy.share(history, capital, knowledge, mu))
+    stated = _outcome(lambda: strategy.bet(history, capital, knowledge, mu))
+    if shared is None or isinstance(shared, str):
+        assert shared == stated
+        return
+    event, (n, d), stake = shared
+    assert d > 0 and event == stated[0]
+    assert F(stated[1]) == (capital * F(n, d) if stake is None else stake)
+    if capital:
+        assert capital * F(n, d) == F(stated[1])
+    if isinstance(strategy, BitAllInStrategy):
+        assert (event, stated[1]) == (BitEvent(len(history), int(strategy.sides[len(history) % len(strategy.sides)])), capital)
+
+
+class _ShareTableStrategy(BettingStrategy):
+    """A hand-built strategy that states its bets as shares of the capital:
+    history -> (event, share)."""
+
+    def __init__(self, nodes, start_capital):
+        self.nodes, self.start_capital = nodes, start_capital
+
+    def share(self, history, capital, knowledge, mu):
+        decision = self.nodes.get(history)
+        if decision is None:
+            return None
+        event, share = decision
+        return event, (share.numerator, share.denominator), None
+
+
+def _share_tables():
+    """Share strategies that bet at the root, with shares that may be
+    negative, 0, 1 or above 1, and start capitals below, at and above 0."""
+    histories = st.text(alphabet="01", min_size=1, max_size=4)
+    shares = st.one_of(st.sampled_from([F(-1), F(0), F(1), F(3, 2)]), st.fractions(-1, 3, max_denominator=4))
+    bets = st.tuples(_events(), shares)
+    return st.builds(
+        lambda root, nodes, start: _ShareTableStrategy({"": root, **nodes}, start),
+        bets,
+        st.dictionaries(histories, bets, max_size=12),
+        st.sampled_from(_STARTS),
+    )
+
+
+@given(_split_tables(), _share_tables(), _SAMPLES)
+@settings(max_examples=200, deadline=None)
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(-1, 2))}, F(1)), "1")  # negative stake -1/2
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(3, 2))}, F(2)), "1")  # stake 3 exceeds capital 2
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(1, 2))}, F(-1)), "1")  # negative stake -1/2
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(-1, 2))}, F(-1)), "1")  # stake 1/2 exceeds capital -1
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(0))}, F(-1)), "1")  # stake 0 exceeds capital -1
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(5))}, F(0)), "1")  # stake 0 at capital 0 passes
+@example(randlab.fair_coin(), _ShareTableStrategy({"": (_BIT1, F(1)), "0": (BitEvent(1, 1), F(-3))}, F(1)), "00")
+def test_share_strategy_violations_match_the_stake_definition(mu, strategy, x):
+    # the violations of stated shares are those of their stakes, capital *
+    # share, read by _reference_play through bet()
+    _assert_play_matches_reference(strategy, mu, x)
+
+
+@given(
+    _split_tables(),
+    st.one_of(
+        st.builds(LikelihoodRatioStrategy, _split_tables()),
+        st.builds(BitAllInStrategy, st.text(alphabet="01", min_size=1, max_size=3)),
+        _share_table_strategies(),
+        _share_tables(),
+    ),
+    st.text(alphabet="01", max_size=14),
+)
+@settings(max_examples=200, deadline=None)
+def test_max_attained_is_the_largest_value(mu, strategy, x):
+    try:
+        result = randlab.play(strategy, mu, x)
+    except StrategyViolation:
+        return  # a likelihood-ratio strategy refuses a degenerate base
+    assert result.max_attained == max(result.values)
+
+
+def test_max_attained_over_a_long_rising_play():
+    # a fair model over a bernoulli(1/3) base on fair bits: the capital
+    # rises by about (9/8)^(1/2) a step, with a new maximum every few steps
+    rng = random.Random(3)
+    x = "".join(rng.choice("01") for _ in range(1500))
+    result = randlab.play(LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3)), x)
+    assert len(result.values) == 1501
+    assert result.max_attained == max(result.values) > result.values[0]

@@ -661,6 +661,30 @@ def test_natural_points_must_be_bit_strings(capsys, tmp_path, args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["name", "--decomposition", "natural:fair", "--point", "0110", "--length", "-1"],
+        ["name", "--decomposition", "ternary", "--point", "1/3", "--length", "-4"],
+        ["deficiency", "--machine", "{machine}", "--decomposition", "natural:fair", "--point", "0110", "--length", "-1"],
+        ["deficiency", "--machine", "{machine}", "--point", "7/8", "--length", "-3"],
+        ["bet", "--strategy", "null", "--measure", "fair", "--source", "literal:0101", "--length", "-2"],
+        ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "fair", "--source", "prng:1", "--length", "-1"],
+    ],
+    ids=lambda args: "-".join(args[:1] + args[-3:]),
+)
+def test_negative_lengths_are_usage_errors(capsys, tmp_path, args):
+    # "name ... natural:fair --point 0110 --length -1" printed "name: 011" and
+    # "bet ... --length -2" printed "steps=0", both with exit 0
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    code, out, err = run_cli(capsys, *(a.format(machine=mfile) for a in args))
+    assert (code, out) == (2, "")
+    assert f"usage error: --length must be nonnegative, got {args[-1]}" in err
+    code, out, _ = run_cli(capsys, *(a.format(machine=mfile) for a in args[:-1]), "0")
+    assert code == 0 and "timing_s" in out  # a zero length still runs
+
+
+@pytest.mark.parametrize(
     "dec, point",
     [("ternary", "3/2"), ("ternary", "-1/2"), ("binary", "-1/2"), ("interleave:2", "3/2,1/3"), ("interleave:2", "1/3,-1/2")],
 )

@@ -6,8 +6,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
 
-from .errors import PreconditionError, check_enumeration_depth
-from .measure import AuditReport, Measure, PathCache, from_masses
+from .errors import ConstructionError, PreconditionError, check_enumeration_depth
+from .measure import AuditReport, Measure, PathCache, _MassBackedMeasure
 from .rationals import ONE, RAT, ZERO
 
 
@@ -187,13 +187,12 @@ class CapitalFnKernel(_PairKernel):
 
 def from_measures(nu: Measure, mu: Measure, label=None) -> Martingale:
     """The quotient martingale capital(sigma) = nu(sigma)/mu(sigma)."""
-    source = getattr(nu, "derived_from_martingale", None)
-    if source is not None and source.base is mu and not isinstance(source.kernel, CapitalFnKernel):
+    if isinstance(nu, MartingaleMeasure) and nu.martingale.base is mu and not isinstance(nu.martingale.kernel, CapitalFnKernel):
         # nu is capital*mass for a library martingale over the same base, so
         # the quotient's values coincide with that martingale's node for node;
         # a hand-built function need not be fair or None on null cylinders,
         # so its quotient keeps reading the masses
-        kernel = source.kernel
+        kernel = nu.martingale.kernel
     else:
         kernel = QuotientKernel(nu, mu)
     return Martingale(mu, label=label or f"{nu.label}/{mu.label}", kernel=kernel)
@@ -221,26 +220,54 @@ def table_martingale(base: Measure, entries, start=ONE, label="table") -> Martin
     return Martingale(base, capital, label)
 
 
-def to_measure(mart: Martingale, label=None) -> Measure:
+class MartingaleMeasure(_MassBackedMeasure):
     """The measure nu with nu = capital * mass, extended through null cylinders.
 
     On a positive cylinder the value is forced to capital(sigma)*mu(sigma);
     when one child is null its mass is recovered from the sibling by
     additivity, and below a fully null node everything is squeezed to zero.
-    """
-    read, payload = mart.kernel.read_pair, mart.payload
+    split_rows[i], empty until a conversion records them, is split_row's row
+    of the i-th string in heap order ("", "0", "1", "00", ...); children_pairs
+    and split answer from a row above the rows' depth, from nu below it."""
 
-    def nu(sigma: str) -> Fraction:
-        here = read(payload(sigma))
-        if here[0] > 0 or not sigma:
-            return RAT(*_capital_mass(here))
-        p = sigma[:-1]  # a null cylinder: its mass follows from its parent and sibling
-        kids = _children_masses(*_capital_mass(read(payload(p))), read(payload(p + "0")), read(payload(p + "1")))
-        return RAT(*kids[sigma[-1] == "1"])
+    def __init__(self, mart: Martingale, label=None):
+        read, payload = mart.kernel.read_pair, mart.payload
 
-    out = from_masses(nu, label=label or f"measure({mart.label})")
-    out.derived_from_martingale = mart
-    return out
+        def nu(sigma: str) -> Fraction:
+            here = read(payload(sigma))
+            if here[0] > 0 or not sigma:
+                return RAT(*_capital_mass(here))
+            p = sigma[:-1]  # a null cylinder: its mass follows from its parent and sibling
+            kids = _children_masses(*_capital_mass(read(payload(p))), read(payload(p + "0")), read(payload(p + "1")))
+            return RAT(*kids[sigma[-1] == "1"])
+
+        super().__init__(nu, label=label or f"measure({mart.label})")
+        self.martingale = mart
+        self.split_rows = []
+
+    def _row(self, sigma: str):
+        i = int("1" + sigma, 2) - 1  # heap order: past the last row from the rows' depth on
+        return self.split_rows[i] if i < len(self.split_rows) else None
+
+    def children_pairs(self, sigma: str, n: int, d: int):
+        row = self._row(sigma)
+        if row is None:
+            return super().children_pairs(sigma, n, d)
+        if len(row) != 3:  # explicit children pairs
+            return row[-2:]
+        a, b, _ = row
+        return (n * (b - a), d * b), (n * a, d * b)
+
+    def split(self, sigma: str):
+        row = self._row(sigma)
+        if row is None or len(row) == 2:  # below the rows, or a node of mass <= 0
+            return super().split(sigma)
+        if not 0 <= row[0] <= row[1]:
+            raise ConstructionError(f"split outside [0,1] at {sigma!r}: {row[2]}")
+        return row[2]
+
+
+to_measure = MartingaleMeasure
 
 
 def _capital_mass(read_pair) -> tuple:
@@ -260,51 +287,19 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
     return (n0, d0), (n1, d1)
 
 
-def mass_pairs(mu: Measure, depth: int):
-    """(root, children, split) of a walk over mu's masses to depth: states are
-    (num, den, slot), children(sigma, state) gives both children's, and split
-    gives a positive node's reduced split (a, b, "a/b") from its state and its
-    children's.  Rows recorded to the depth (split_row) step the masses, slot
-    the heap index; a to_measure without them reads its martingale's kernel,
-    slot the payload; any other measure its own children_pairs, slot None."""
-    rows, mart, m = getattr(mu, "split_rows", None), getattr(mu, "derived_from_martingale", None), mu.mass("")
-    if rows is not None and depth <= len(rows).bit_length():  # 2^D - 1 rows reach depth D
-
-        def children(sigma, state):
-            (n, d, i), row = state, rows[state[2]]
-            if len(row) != 3:  # explicit children pairs
-                return row[-2] + (2 * i + 1,), row[-1] + (2 * i + 2,)
-            a, b, _ = row
-            return (n * (b - a), d * b, 2 * i + 1), (n * a, d * b, 2 * i + 2)
-
-        return (m.numerator, m.denominator, 0), children, lambda state, kids: rows[state[2]][:3]
-    if mart is None:
-        return (m.numerator, m.denominator, None), lambda sigma, s: [p + (None,) for p in mu.children_pairs(sigma, *s[:2])], _split
-    kernel, read = mart.kernel, mart.kernel.read_pair
-
-    def children(sigma, state):
-        p0, p1 = kernel.children(sigma, state[2])
-        (n0, d0), (n1, d1) = _children_masses(state[0], state[1], read(p0), read(p1))
-        return (n0, d0, p0), (n1, d1, p1)
-
-    return (m.numerator, m.denominator, kernel.root()), children, _split
-
-
-def _split(state, kids) -> tuple:
-    a, b = kids[1][0] * state[1], kids[1][1] * state[0]
-    g = gcd(a, b)
-    return a // g, b // g, f"{a // g}/{b // g}"
-
-
 def split_row(pn: int, pd: int, read0, read1, interned: dict) -> tuple:
     """to_measure's children masses of a node of mass pn/pd from their kernel
-    reads, and its mass_pairs row: its split (one tuple per distinct split in
-    interned) if that rebuilds both; else their pairs, after it where pn > 0."""
+    reads, and its MartingaleMeasure row: its reduced split (a, b, a/b), one
+    tuple per (a, b) in interned, if that rebuilds both; else their pairs,
+    after it where pn > 0."""
     kids = _children_masses(pn, pd, read0, read1)
     if pn <= 0:
         return kids, kids
-    a, b, text = row = _split((pn, pd), kids)
-    row, (n0, d0) = interned.setdefault(text, row), kids[0]
+    (n0, d0), (n1, d1) = kids
+    a, b = n1 * pd, d1 * pn
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = interned.get((a, b)) or interned.setdefault((a, b), (a, b, RAT(a, b)))
     return kids, row if n0 * pd * b == pn * (b - a) * d0 else row + kids  # 0-child: parent * (1 - a/b)
 
 
@@ -428,6 +423,13 @@ class VilleReport:
     passed: bool
 
 
+def _ville_threshold(n: int, c) -> Fraction:
+    q = RAT(c)  # both ville audits bound the hitting mass of paths of length n by capital("")/q
+    if n < 0 or q <= 0:
+        raise PreconditionError(f"ville needs n >= 0 and c > 0, got n={n} and c={q}")
+    return q
+
+
 def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | list[VilleReport]:
     """Exact mass of {x of length n : some prefix capital >= c} vs capital("")/c.
 
@@ -438,7 +440,7 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
     check_enumeration_depth(n)
     start = _start_capital(mart)
     many = thresholds is not None
-    cs = [RAT(q) for q in (thresholds if many else [c])]
+    cs = [_ville_threshold(n, q) for q in (thresholds if many else [c])]
     qs = [(q.numerator, q.denominator) for q in cs]
     hits = [{} for _ in cs]  # per threshold: leaf mass denominator -> summed numerators
     kernel = mart.kernel
@@ -477,7 +479,7 @@ def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0):
 
     start = _start_capital(mart)
     rng = _random.Random(seed)
-    threshold = RAT(c)
+    threshold = _ville_threshold(n, c)
     qn, qd = threshold.numerator, threshold.denominator
     mu, kernel = mart.base, mart.kernel
     root = kernel.root()

@@ -172,7 +172,7 @@ class _MassBackedMeasure(Measure):
 def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) -> Measure:
     """Measure with the splits induced by a mass function, which must be
     additive (children masses summing to the parent's) with mass_fn("") as
-    the total; to_measure builds its measure here.
+    the total; the measure to_measure builds is one of these.
 
     mass() returns mass_fn itself, so even a non-additive function is read
     as given (check_additivity reports it).  Nothing is cached: every read
@@ -304,13 +304,14 @@ def check_additivity(mu: Measure, depth: int) -> AuditReport:
 
 
 def measures_agree(a: Measure, b: Measure, depth: int) -> bool:
-    """Extensional equality of masses at every string of length <= depth."""
-    stack = [""]
+    """Extensional equality of masses at every string of length <= depth, as
+    int pairs stepped down both measures' children_pairs (see there)."""
+    stack = [("", a.total.numerator, a.total.denominator, b.total.numerator, b.total.denominator)]
     while stack:
-        sigma = stack.pop()
-        if a.mass(sigma) != b.mass(sigma):
+        sigma, an, ad, bn, bd = stack.pop()
+        if an * bd != bn * ad:
             return False
         if len(sigma) < depth:
-            stack.append(sigma + "1")
-            stack.append(sigma + "0")
+            (a0, a1), (b0, b1) = a.children_pairs(sigma, an, ad), b.children_pairs(sigma, bn, bd)
+            stack += [(sigma + "1", *a1, *b1), (sigma + "0", *a0, *b0)]
     return True

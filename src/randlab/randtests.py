@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .martingale import Martingale, SavingsPair, from_measures, mass_pairs, split_row, to_measure
+from .martingale import Martingale, SavingsPair, from_measures, split_row, to_measure
 from .measure import AuditReport, Measure, fair_coin
 from .rationals import RAT, ZERO
 
@@ -131,13 +131,13 @@ def _weighted(values: dict) -> list:
 def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=True):
     """Iterative post-order walk over the prefixes of length <= depth (all when
     full, else those a generator extends), yielding (sigma, mu, nu, integrals):
-    the base mass as an int pair, the bound's mass_pairs state, and per set of
-    sorted (generator, weight_num, weight_den) the integral over [sigma] of its
-    weighted indicators, summed up from deeper generators.  The stack holds one
-    path and its pending siblings, so memory is bounded by the depth."""
-    nu_root, nu_children, _ = mass_pairs(bound, depth) if bound is not None else (None, None, None)
+    the base and bound masses as int pairs (nu None without a bound), and per
+    set of sorted (generator, weight_num, weight_den) the integral over [sigma]
+    of its weighted indicators, summed up from deeper generators.  The stack
+    holds one path and its pending siblings, so memory is bounded by the depth."""
     m = base.mass("")
-    stack = [("", m.numerator, m.denominator, nu_root, [(0, len(s), 0, 1) for s in sets], None)]
+    nu = None if bound is None else (bound.total.numerator, bound.total.denominator)
+    stack = [("", m.numerator, m.denominator, nu, [(0, len(s), 0, 1) for s in sets], None)]
     while stack:
         sigma, mn, md, nu, states, up = stack.pop()
         k = len(sigma)
@@ -155,7 +155,7 @@ def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=Tru
             if deeper:
                 stack.append((sigma, mn, md, nu, None, (acc, up)))
                 kids = base.children_pairs(sigma, mn, md)
-                nus = nu_children(sigma, nu) if nu is not None and k < depth else (None, None)
+                nus = bound.children_pairs(sigma, *nu) if nu is not None and k < depth else (None, None)
                 mids = [bisect_left(entries, (sigma + "1",), lo, hi) for entries, (lo, hi, _, _) in zip(sets, here)]
                 for b in (1, 0):
                     split = [(mid, hi, wn, wd) if b else (lo, mid, wn, wd) for mid, (lo, hi, wn, wd) in zip(mids, here)]
@@ -170,14 +170,13 @@ def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=Tru
 
 def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
     """Step function equal to the savings floor on depth-d cells, bounded by
-    the measure total*base carried through null cylinders, whose rows the one
-    walk of the savings kernel records for the verifier and the snapshot."""
+    the measure total*base carried through null cylinders, whose split rows the
+    one walk of the savings kernel records for the verifier and the snapshot."""
     check_enumeration_depth(depth)
     kernel, values, floors, splits = sp.total.kernel, {}, {}, {}
     read, bound, root = kernel.read_pair, to_measure(sp.total), kernel.root()
     bound.split_rows = rows = [None] * ((1 << depth) - 1)
-    m = bound.mass("")
-    stack = [("", root, read(root), m.numerator, m.denominator, 0)]
+    stack = [("", root, read(root), bound.total.numerator, bound.total.denominator, 0)]
     while stack:
         cell, payload, here, pn, pd, i = stack.pop()
         if len(cell) < depth:  # null subtrees too: they have rows, though no floor
@@ -287,7 +286,7 @@ def _check_bounds(test, depth: int, report: AuditReport, sets: list, text=None, 
     over, under, top = [], [], -1 if witness is None else witness.depth
     extra = [] if witness is None or witness is test else [_weighted(witness.values)]
     checked = len(sets) if text else 0
-    for sigma, (mn, md), (bn, bd, _), ints in _walk(test.base, test.bound, depth, sets + extra):
+    for sigma, (mn, md), (bn, bd), ints in _walk(test.base, test.bound, depth, sets + extra):
         k = len(sigma)
         report.checked += checked + (k <= top)
         for n in range(1, checked + 1):
@@ -305,14 +304,14 @@ def _check_bounds(test, depth: int, report: AuditReport, sets: list, text=None, 
 def check_coverage_transfer(sp: SavingsPair, test: BoundedMLTest, depth: int) -> AuditReport:
     """Check that a savings floor of at least 2^n at a prefix puts the whole
     prefix cylinder inside level n, for every prefix of length <= depth.  One
-    walk reads the floor off the savings kernel and each level's integral under
-    the fair coin, which is 2^-|p| exactly when the level covers [p]."""
+    walk reads each level's integral under the fair coin, which is 2^-|p|
+    exactly when the level covers [p], and the floor at p off the savings pair."""
     check_enumeration_depth(depth)
-    report, kernel, failed = AuditReport(), sp.total.kernel, []
-    for p, (mn, md), (_, _, payload), within in _walk(fair_coin(), to_measure(sp.total), depth, _level_sets(test.levels)):
-        f = kernel.read_floor(payload) if kernel.read_pair(payload)[0] else ZERO  # no floor on a null cylinder
+    report, failed = AuditReport(), []
+    for p, (mn, md), _, within in _walk(fair_coin(), None, depth, _level_sets(test.levels)):
+        f = sp.savings(p)  # None on a null cylinder, which has no floor
         for n, (a, b) in enumerate(within, 1):
-            if f >= 2**n:
+            if f is not None and f >= 2**n:
                 report.checked += 1
                 if a * md != mn * b:
                     failed.append((len(p), p, n, f"prefix {p!r} with floor {f} escapes level {n}"))

@@ -28,9 +28,9 @@ import json
 from . import betting, cells
 from .bits import prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
-from .martingale import Martingale, from_measures, mass_pairs, table_martingale
+from .martingale import Martingale, from_measures, table_martingale
 from .measure import Measure, MeasureSpec, build_measure
-from .rationals import RAT, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .sources import SourceSpec
 
 
@@ -63,6 +63,8 @@ def measure_doc_to_spec(doc: dict) -> MeasureSpec:
 
 
 def measure_spec_to_doc(spec: MeasureSpec) -> dict:
+    if not isinstance(spec, MeasureSpec):  # a measure, or an interleave factor, built without one
+        raise SpecParseError("measure has no spec")
     if spec.kind == "fair_coin":
         return {"kind": "fair_coin"}
     if spec.kind == "bernoulli":
@@ -87,22 +89,19 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
 
 
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
-    """Lossless-to-depth serialization of any measure as an explicit table,
-    its splits read off one mass_pairs walk (a converted bound's own rows)."""
-    entries = []
-    root, children, split = mass_pairs(mu, depth)
-    stack = [("", root)] if depth > 0 else []
+    """Lossless-to-depth serialization of any measure as an explicit table:
+    mu.split at each positive string shorter than depth, positivity read off
+    one walk of mu.children_pairs."""
+    entries, texts = [], {}  # split id -> (split, its text): the split stays alive, so its id is not reused
+    stack = [("", mu.total.numerator, mu.total.denominator)] if depth > 0 else []
     while stack:
-        sigma, state = stack.pop()
-        kids = children(sigma, state)
-        if state[0] > 0:
-            a, b, text = split(state, kids)
-            if not 0 <= a <= b:
-                raise ConstructionError(f"split outside [0,1] at {sigma!r}: {RAT(a, b)}")
-            entries.append([sigma, text])
+        sigma, n, d = stack.pop()
+        if n > 0:
+            s = mu.split(sigma)
+            entries.append([sigma, (texts.get(id(s)) or texts.setdefault(id(s), (s, format_rational(s))))[1]])
         if len(sigma) + 1 < depth:
-            stack.append((sigma + "1", kids[1]))
-            stack.append((sigma + "0", kids[0]))
+            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d)
+            stack += [(sigma + "1", n1, d1), (sigma + "0", n0, d0)]
     return {
         "kind": "split_table",
         "entries": entries,
@@ -112,12 +111,10 @@ def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
 
 
 def measure_to_doc(mu: Measure, depth: int = 12) -> dict:
-    if isinstance(mu.spec, MeasureSpec):
-        try:
-            return measure_spec_to_doc(mu.spec)
-        except SpecParseError:
-            pass
-    return measure_snapshot_doc(mu, depth)
+    try:
+        return measure_spec_to_doc(mu.spec)
+    except SpecParseError:
+        return measure_snapshot_doc(mu, depth)
 
 
 def parse_measure(text: str) -> Measure:

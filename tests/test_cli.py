@@ -143,6 +143,22 @@ def test_ville_negative_n_is_refused_in_a_bounded_child():
     assert "must be nonnegative" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "4", "--c", "0"], "ville needs n >= 0 and c > 0, got n=4 and c=0"),
+        (["--n", "4", "--c", "-1"], "ville needs n >= 0 and c > 0, got n=4 and c=-1"),
+        (["--n", "4", "--c", "-2", "--mc-samples", "5"], "ville needs n >= 0 and c > 0, got n=4 and c=-2"),
+        (["--n", "-3", "--c", "2", "--mc-samples", "5"], "ville needs n >= 0 and c > 0, got n=-3 and c=2"),
+    ],
+)
+def test_ville_threshold_and_length_are_checked_on_both_paths(capsys, args, message):
+    head = ["audit", "--measure", "fair", "--martingale", "all_in:0", "--check", "ville"]
+    code, out, err = run_cli(capsys, *head, *args)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_depth_zero_stays_valid(capsys):
     for args in (
         ["audit", "--measure", "fair", "--check", "additivity", "--depth", "0"],

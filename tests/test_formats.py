@@ -58,6 +58,21 @@ def test_measure_snapshot_exact_to_depth():
     assert randlab.measures_agree(nu, rebuilt, 6)
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [
+        lambda: randlab.to_measure(randlab.from_measures(randlab.bernoulli(F(2, 3)), randlab.fair_coin())),
+        lambda: randlab.Measure(lambda s: F(1, 3)),
+    ],
+    ids=["to_measure", "split_fn"],
+)
+def test_interleave_with_a_factor_without_spec_is_snapshot(factor):
+    prod = randlab.interleave_product(factor(), randlab.fair_coin())
+    doc = specfmt.measure_to_doc(prod, 6)
+    assert doc["kind"] == "split_table"
+    assert randlab.measures_agree(prod, randlab.build_measure(specfmt.measure_doc_to_spec(doc)), 6)
+
+
 def test_parse_measure_compact(tmp_path):
     assert specfmt.parse_measure("fair").mass("01") == F(1, 4)
     assert specfmt.parse_measure("bernoulli:1/3").mass("1") == F(1, 3)

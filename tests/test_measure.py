@@ -172,6 +172,23 @@ def test_interleave_mixes_factors(bern13):
     assert prod.mass("110") == Fraction(1, 3) * Fraction(1, 2) * Fraction(2, 3)
 
 
+def test_measures_agree_sees_a_difference_only_at_the_deepest_level():
+    entries = {"0" * k: Fraction(1, 2) for k in range(4)}
+    mu, nu = randlab.split_table(entries), randlab.split_table({**entries, "000": Fraction(1, 3)})
+    assert randlab.measures_agree(mu, nu, 3)
+    assert not randlab.measures_agree(mu, nu, 4)
+    assert not randlab.measures_agree(nu, mu, 4)
+
+
+def test_measures_agree_compares_a_non_additive_function_by_its_own_values(fair):
+    # its derived splits match the fair coin's, but its masses at "0" do not
+    lopsided = randlab.from_masses(lambda s: Fraction(3, 4) if s == "0" else Fraction(1, 2) ** len(s))
+    assert lopsided.split("") == fair.split("")
+    assert not randlab.measures_agree(lopsided, fair, 1)
+    assert randlab.measures_agree(lopsided, lopsided, 6)
+    assert randlab.measures_agree(randlab.from_masses(lambda s: Fraction(1, 2) ** len(s)), fair, 6)
+
+
 def test_scaled_total():
     mu = randlab.fair_coin().scaled(Fraction(2))
     assert mu.mass("") == 2

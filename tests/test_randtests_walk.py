@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import randlab
 import randlab.cli
 from randlab import BoundedMLTest, CylinderSet, IntegralStep, MLTest, VitaliTest, bits, measure, specfmt
-from randlab.martingale import SavingsKernel, mass_pairs
+from randlab.martingale import SavingsKernel
 from randlab.measure import AuditReport
 from randlab.randtests import check_coverage_transfer
 from randlab.rationals import format_rational
@@ -143,15 +143,15 @@ def ref_snapshot_entries(mu, depth):
 
 
 def mass_states(mu, depth):
-    """Each mass_pairs state's mass as a rational, in walk order."""
-    root, children, _ = mass_pairs(mu, depth)
-    out, stack = [], [("", root)]
+    """Each string's mass as a rational, stepped down mu.children_pairs, in walk order."""
+    m = mu.mass("")
+    out, stack = [], [("", m.numerator, m.denominator)]
     while stack:
-        sigma, state = stack.pop()
-        out.append((sigma, Fraction(state[0], state[1])))
+        sigma, n, d = stack.pop()
+        out.append((sigma, Fraction(n, d)))
         if len(sigma) < depth:
-            kids = children(sigma, state)
-            stack += [(sigma + "1", kids[1]), (sigma + "0", kids[0])]
+            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d)
+            stack += [(sigma + "1", n1, d1), (sigma + "0", n0, d0)]
     return out
 
 
@@ -212,7 +212,7 @@ def test_conversion_chain_matches_the_string_reading_verifiers(case):
         assert_same(obj, depth)
     got, want = check_coverage_transfer(sp, bounded, depth), ref_coverage(sp, bounded, depth)
     assert (got.violations, got.checked) == (want.violations, want.checked)
-    # the bound's recorded rows read as its kernel does, to the step depth;
+    # the bound's recorded rows read as capital * mass does, to the step depth;
     # an unfair bound can have a split outside [0, 1]: all refuse it at the same prefix
     kernel_bound = randlab.to_measure(sp.total)
     assert len(step.bound.split_rows) == 2**step_depth - 1
@@ -231,8 +231,9 @@ _NULL_CORNER = (randlab.split_table({"": 0}), {"0": Fraction(3), "00": Fraction(
 @settings(max_examples=40, deadline=None)
 @example((_NULL_CORNER[0], randlab.table_martingale(*_NULL_CORNER), 2, 3))
 def test_bounded_ml_verified_past_its_step_depth_reads_the_kernel(case):
-    # rows reach the step depth only: a deeper verify reads the kernel, as a
-    # bound without rows does, and both match the string-reading verifier
+    # rows reach the step depth only: a deeper verify reads capital * mass
+    # below them, as a bound without rows does, and both match the
+    # string-reading verifier
     base, mart, step_depth, extra = case
     sp = randlab.savings_transform(mart)
     step = randlab.martingale_to_integral(sp, step_depth)
@@ -242,6 +243,22 @@ def test_bounded_ml_verified_past_its_step_depth_reads_the_kernel(case):
     got, want = randlab.verify_test_bounds(bounded, depth), randlab.verify_test_bounds(unrecorded, depth)
     assert (got.violations, got.checked, got.notes) == (want.violations, want.checked, want.notes)
     assert_same(bounded, depth)
+
+
+@given(chains())
+@settings(max_examples=40, deadline=None)
+@example((_NULL_CORNER[0], randlab.table_martingale(*_NULL_CORNER), 2, 0))
+def test_converted_bound_reads_as_a_fresh_to_measure(case):
+    # rows above the step depth, capital * mass below it: across that boundary
+    # the bound's children_pairs and split are those of a bound without rows
+    base, mart, step_depth, _ = case
+    sp = randlab.savings_transform(mart)
+    bound, fresh = randlab.martingale_to_integral(sp, step_depth).bound, randlab.to_measure(sp.total)
+    for sigma in ref_prefixes(step_depth + 2):
+        m = fresh.mass(sigma)
+        pairs = [bound.children_pairs(sigma, m.numerator, m.denominator), fresh.children_pairs(sigma, m.numerator, m.denominator)]
+        assert [[Fraction(*p) for p in kids] for kids in pairs] == [[fresh.mass(sigma + "0"), fresh.mass(sigma + "1")]] * 2
+        assert outcome(lambda: bound.split(sigma)) == outcome(lambda: fresh.split(sigma))
 
 
 @pytest.mark.parametrize("target, walks", [("integral", 1), ("vitali", 1), ("bounded_ml", 1), ("cycle", 2)])

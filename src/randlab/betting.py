@@ -377,10 +377,13 @@ def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
 
 @dataclass
 class PlayResult:
-    """One play of a strategy against a concrete sample."""
+    """One play of a strategy against a concrete sample.  factors[k] is the
+    capital factor of step k as an int pair (num, den), not always in lowest
+    terms: values[k + 1] == values[k] * num / den.  Equal pairs are one tuple."""
 
     history: str
     values: list
+    factors: list
     events: list
     knowledge_masses: list
     undetermined: bool = False
@@ -403,7 +406,8 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
     if max_steps is None:
         max_steps = len(x)
     node = StrategyKernel(strategy, mu, max_steps).root()
-    values, events, masses = [node.capital], [], [node.knowledge.mass]
+    values, factors, events, masses = [node.capital], [], [], [node.knowledge.mass]
+    seen = {}  # each factor pair once, so a bet that repeats its factors holds a few tuples
     best, rn, rd = node.capital, 1, 1  # rn/rd: the capital over best, the product of the factors since
     for _ in range(max_steps):
         decision = strategy.share(node.history, node.capital, node.knowledge, mu)
@@ -411,18 +415,20 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
             break
         outcome = _membership(decision[0], x)
         if outcome is None:
-            return PlayResult(node.history, values, events, masses, undetermined=True, max_attained=best)
+            return PlayResult(node.history, values, factors, events, masses, undetermined=True, max_attained=best)
         try:
-            _, ((node, (fn, fd)),) = _resolve_bet(node, *decision, mu, (outcome,))
+            _, ((node, factor),) = _resolve_bet(node, *decision, mu, (outcome,))
         except StrategyViolation as exc:
-            return PlayResult(node.history, values, events, masses, violation=str(exc), max_attained=best)
+            return PlayResult(node.history, values, factors, events, masses, violation=str(exc), max_attained=best)
+        fn, fd = factor = seen.setdefault(factor, factor)
         rn, rd = rn * fn, rd * fd
         if rn > rd:
             best, rn, rd = node.capital, 1, 1
         values.append(node.capital)
+        factors.append(factor)
         events.append(decision[0].describe())
         masses.append(node.knowledge.mass)
-    return PlayResult(node.history, values, events, masses, max_attained=best)
+    return PlayResult(node.history, values, factors, events, masses, max_attained=best)
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):

@@ -13,6 +13,8 @@ import itertools
 import json
 import sys
 import time
+from math import gcd
+
 from . import betting, cells, machines, randtests, specfmt
 from .errors import RandlabError, ResourceLimitError, SpecParseError, StrategyViolation
 from .martingale import check_fairness, savings_transform, ville_audit, ville_monte_carlo
@@ -80,19 +82,38 @@ def _write_csv(path, header, rows):
             target.write(",".join(map(_csv_field, row)) + "\r\n")
 
 
-@contextlib.contextmanager
-def _exact_digits():
-    """Lift Python's int->str digit limit (3.11+) while exact values are
-    rendered, and restore the previous limit afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+def _exact_context():
+    """Decimal arithmetic that never rounds: integers of any size stay exact,
+    and anything that would lose a digit raises instead."""
+    import decimal  # only bet reads it, so the other commands skip the import
+
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero]
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps)
+
+
+def _capital_digits(start, factors):
+    """The decimal digits (num, den) of a play's capitals in lowest terms:
+    start, then start stepped through each factor pair.  The pair is held as
+    two exact Decimals, which print in linear time where a big int's str() is
+    quadratic; each step reduces as Fraction's product does, each gcd taken
+    against the factor's own small terms.  Every operation names the exact
+    context: a generator must not set its caller's."""
+    ex = _exact_context()
+    n, d = ex.create_decimal(int(start.numerator)), ex.create_decimal(int(start.denominator))
+    yield str(n), str(d)
+    for fn, fd in factors:
+        g = gcd(fn, fd)
+        fn, fd = fn // g, fd // g
+        if not fn:  # a bust: the capital is 0/1 from here on
+            n, d = ex.create_decimal(0), ex.create_decimal(1)
+        else:
+            g, h = gcd(fd, int(ex.remainder(n, fd))), gcd(fn, int(ex.remainder(d, fn)))
+            if g > 1:
+                n, fd = ex.divide_int(n, g), fd // g
+            if h > 1:
+                d, fn = ex.divide_int(d, h), fn // h
+            n, d = ex.multiply(n, fn), ex.multiply(d, fd)
+        yield str(n), str(d)
 
 
 def cmd_audit(opts, raw_args) -> Report:
@@ -127,10 +148,10 @@ def cmd_audit(opts, raw_args) -> Report:
                 raise SpecParseError("ville check needs --martingale")
             cs = opts.c.split(",")
             if opts.mc_samples is not None:
-                for c in cs:
-                    estimate, bound = ville_monte_carlo(
-                        mart, opts.n, parse_rational(c), opts.mc_samples, seed=opts.seed
-                    )
+                estimates = ville_monte_carlo(
+                    mart, opts.n, None, opts.mc_samples, seed=opts.seed, thresholds=[parse_rational(c) for c in cs]
+                )
+                for c, (estimate, bound) in zip(cs, estimates):
                     line = (
                         f"check ville n={opts.n} c={c}: statistical estimate={estimate:.4f} "
                         f"bound={bound:.4f} samples={opts.mc_samples} seed={opts.seed}"
@@ -273,17 +294,15 @@ def cmd_bet(opts, raw_args) -> Report:
     strategy = specfmt.parse_strategy(opts.strategy, mu)
     result = betting.play(strategy, mu, x)
     rows = (
-        (step, x[:step], value.numerator, value.denominator, result.events[step - 1] if step else "")
-        for step, value in enumerate(result.values)
+        (step, x[:step], num, den, result.events[step - 1] if step else "")
+        for step, (num, den) in enumerate(_capital_digits(result.values[0], result.factors))
     )
     report.digest("source", opts.source)
     final = result.final
-    with _exact_digits():
-        _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
-        summary = (
-            f"summary: steps={len(result.values) - 1} final={format_rational(final)} "
-            f"max={format_rational(result.max_attained)}"
-        )
+    _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
+    # printed as the trace's rows are, so Python's int->str digit limit never applies
+    final_text, max_text = ("/".join(next(_capital_digits(q, ()))) for q in (final, result.max_attained))
+    summary = f"summary: steps={len(result.values) - 1} final={final_text} max={max_text}"
     if final > 0:
         summary += f" log2_final~{frac_log2(final):.4f}"
     report.line(summary)

@@ -245,12 +245,12 @@ class MartingaleMeasure(_MassBackedMeasure):
         self.martingale = mart
         self.split_rows = []
 
-    def _row(self, sigma: str):
-        i = int("1" + sigma, 2) - 1  # heap order: past the last row from the rows' depth on
+    def _row(self, sigma: str, index):
+        i = int("1" + sigma, 2) - 1 if index is None else index  # past the last row from the rows' depth on
         return self.split_rows[i] if i < len(self.split_rows) else None
 
-    def children_pairs(self, sigma: str, n: int, d: int):
-        row = self._row(sigma)
+    def children_pairs(self, sigma: str, n: int, d: int, index=None):
+        row = self._row(sigma, index)
         if row is None:
             return super().children_pairs(sigma, n, d)
         if len(row) != 3:  # explicit children pairs
@@ -258,8 +258,8 @@ class MartingaleMeasure(_MassBackedMeasure):
         a, b, _ = row
         return (n * (b - a), d * b), (n * a, d * b)
 
-    def split(self, sigma: str):
-        row = self._row(sigma)
+    def split(self, sigma: str, index=None):
+        row = self._row(sigma, index)
         if row is None or len(row) == 2:  # below the rows, or a node of mass <= 0
             return super().split(sigma)
         if not 0 <= row[0] <= row[1]:
@@ -468,9 +468,11 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
     return reports if many else reports[0]
 
 
-def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0):
+def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0, thresholds=None):
     """Sampled estimate of the hitting fraction for depths past the exhaustive
-    cap.  Statistical, not exact: returns (estimate, bound) as floats.
+    cap.  Statistical, not exact: returns (estimate, bound) as floats; pass
+    several thresholds to estimate them all from the same samples (a list of
+    pairs is returned in that case).
 
     Each sample steps kernel payloads down its path and compares capitals as
     int pairs by cross-multiplication, so no per-prefix value is cached.
@@ -479,12 +481,13 @@ def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0):
 
     start = _start_capital(mart)
     rng = _random.Random(seed)
-    threshold = _ville_threshold(n, c)
-    qn, qd = threshold.numerator, threshold.denominator
+    many = thresholds is not None
+    cs = [_ville_threshold(n, q) for q in (thresholds if many else [c])]
+    qs = [(q.numerator, q.denominator) for q in cs]
     mu, kernel = mart.base, mart.kernel
     root = kernel.root()
     _, _, root_n, root_d = kernel.read_pair(root)
-    hits = 0
+    hits = [0] * len(cs)
     for _ in range(samples):
         sigma, payload = "", root
         best_n, best_d = root_n, root_d
@@ -498,6 +501,8 @@ def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0):
                 break
             if cn * best_d > best_n * cd:
                 best_n, best_d = cn, cd
-        if best_n * qd >= qn * best_d:
-            hits += 1
-    return hits / samples, float(start / threshold)
+        for i, (qn, qd) in enumerate(qs):
+            if best_n * qd >= qn * best_d:
+                hits[i] += 1
+    results = [(h / samples, float(start / q)) for h, q in zip(hits, cs)]
+    return results if many else results[0]

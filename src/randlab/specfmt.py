@@ -91,17 +91,17 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
     """Lossless-to-depth serialization of any measure as an explicit table:
     mu.split at each positive string shorter than depth, positivity read off
-    one walk of mu.children_pairs."""
+    one walk of mu.children_pairs, which carries each string's heap index."""
     entries, texts = [], {}  # split id -> (split, its text): the split stays alive, so its id is not reused
-    stack = [("", mu.total.numerator, mu.total.denominator)] if depth > 0 else []
+    stack = [("", 0, mu.total.numerator, mu.total.denominator)] if depth > 0 else []
     while stack:
-        sigma, n, d = stack.pop()
+        sigma, i, n, d = stack.pop()
         if n > 0:
-            s = mu.split(sigma)
+            s = mu.split(sigma, i)
             entries.append([sigma, (texts.get(id(s)) or texts.setdefault(id(s), (s, format_rational(s))))[1]])
         if len(sigma) + 1 < depth:
-            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d)
-            stack += [(sigma + "1", n1, d1), (sigma + "0", n0, d0)]
+            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d, i)
+            stack += [(sigma + "1", 2 * i + 2, n1, d1), (sigma + "0", 2 * i + 1, n0, d0)]
     return {
         "kind": "split_table",
         "entries": entries,
@@ -203,6 +203,10 @@ def _event_from_doc(doc: dict):
     kind = _object(doc, "bet event").get("kind")
     if kind == "bit":
         index, side = (_parse_int(_field(doc, name, "bit event"), f"bit {name}") for name in ("index", "side"))
+        if index < 0:
+            raise SpecParseError(f"bit event field 'index' must be nonnegative, got {index}")
+        if side not in (0, 1):
+            raise SpecParseError(f"bit event field 'side' must be 0 or 1, got {side}")
         return betting.BitEvent(index=index, side=side)
     if kind == "cylinders":
         return betting.CylinderEvent(generators=tuple(validate_bits(s) for s in _field(doc, "strings", "cylinder event")))
@@ -233,6 +237,8 @@ def parse_source(text: str) -> SourceSpec:
                 seed = _parse_int(part.split("=", 1)[1], "source seed")
             else:
                 raise SpecParseError(f"bad source option {part!r}")
+        if not 0 <= p <= 1:
+            raise SpecParseError(f"bernoulli source parameter outside [0,1]: {p}")
         return SourceSpec(kind="bernoulli", p=p, seed=seed)
     raise SpecParseError(f"cannot parse source spec {text!r}")
 
@@ -314,37 +320,6 @@ def load_machine_file(path: str):
     from .machines import PrefixFreeMachine
 
     return PrefixFreeMachine(table)
-
-
-def load_request_file(path: str) -> list:
-    """Lines "n<TAB>sigma"."""
-    requests = []
-    with open(path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise SpecParseError(f"{path}:{lineno}: expected n<TAB>sigma")
-            n, sigma = line.split("\t", 1)
-            requests.append((_parse_int(n, f"{path}:{lineno}: length"), validate_bits(sigma.strip())))
-    return requests
-
-
-def parse_region(lines) -> cells.Region:
-    """Interval pairs "num/den,num/den", one per line."""
-    pairs = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        lo, _, hi = line.partition(",")
-        pairs.append((parse_rational(lo), parse_rational(hi)))
-    return cells.Region.from_pairs(pairs)
-
-
-def region_to_lines(region: cells.Region) -> list:
-    return [f"{format_rational(lo)},{format_rational(hi)}" for lo, hi in region.intervals]
 
 
 # ------------------------------------------------------------ test bundles

@@ -872,3 +872,54 @@ def test_max_attained_over_a_long_rising_play():
     result = randlab.play(LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3)), x)
     assert len(result.values) == 1501
     assert result.max_attained == max(result.values) > result.values[0]
+
+
+_BERNOULLI = st.fractions(min_value=0, max_value=1, max_denominator=12).map(randlab.bernoulli)
+_INNER_BERNOULLI = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12).map(randlab.bernoulli)
+
+
+@given(
+    st.one_of(
+        st.tuples(
+            st.builds(LikelihoodRatioStrategy, _BERNOULLI, st.sampled_from(_STARTS)),
+            _INNER_BERNOULLI,
+            st.text(alphabet="01", max_size=120),
+        ),
+        st.tuples(
+            st.builds(BitAllInStrategy, st.text(alphabet="01", min_size=1, max_size=3), st.sampled_from(_STARTS)),
+            _split_tables(),
+            _SAMPLES,
+        ),
+        st.tuples(st.one_of(_share_table_strategies(), _share_tables()), _split_tables(), _SAMPLES),
+    )
+)
+@settings(max_examples=200, deadline=None)
+@example((LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3)), "1101" * 25))
+@example((LikelihoodRatioStrategy(randlab.bernoulli(F(1, 3)), F(5, 2)), randlab.bernoulli(F(2, 3)), "0110"))
+@example((BitAllInStrategy("0", F(1, 3)), randlab.fair_coin(), "0010"))  # busts at step 3, then learns
+@example((TableStrategy({"": (_BIT1, F(1, 2)), "1": (BitEvent(1, 0), F(5))}, F(3)), randlab.fair_coin(), "11"))  # over-stake
+@example((TableStrategy({"": (_BIT1, F(1, 3)), "1": (BitEvent(5, 0), F(1, 4))}), randlab.fair_coin(), "11"))  # undetermined
+def test_capital_digits_step_the_play_values(play_args):
+    # the capital trace's digits come from the start capital stepped through
+    # play's factors, not from the values; they must print the same pairs
+    from randlab.cli import _capital_digits
+
+    try:
+        result = randlab.play(*play_args)
+    except StrategyViolation:
+        return  # a likelihood-ratio strategy refuses a degenerate base
+    assert len(result.factors) == len(result.values) - 1
+    digits = list(_capital_digits(result.values[0], result.factors))
+    assert digits == [(str(v.numerator), str(v.denominator)) for v in result.values]
+
+
+def test_capital_digits_context_never_rounds():
+    import decimal
+
+    from randlab.cli import _exact_context
+
+    exact = _exact_context()
+    assert exact.traps[decimal.Inexact] and exact.traps[decimal.Rounded]
+    assert exact.prec == decimal.MAX_PREC
+    with pytest.raises(decimal.Inexact):
+        exact.to_integral_exact(decimal.Decimal("5.5"))

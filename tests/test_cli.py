@@ -252,6 +252,28 @@ MALFORMED_INPUTS = {
         "bad bit index 'x'",
         {"nodes": {"": {"event": {"kind": "bit", "index": "x", "side": 1}, "stake": "1/2"}}},
     ),
+    "bit-index-negative": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "bit event field 'index' must be nonnegative, got -1",
+        {"nodes": {"": {"event": {"kind": "bit", "index": -1, "side": 1}, "stake": "1/2"}}},
+    ),
+    "bit-side": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "bit event field 'side' must be 0 or 1, got 2",
+        {"nodes": {"": {"event": {"kind": "bit", "index": 0, "side": 2}, "stake": "1/2"}}},
+    ),
+    "source-bernoulli-above": (
+        ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "fair", "--source", "bernoulli:2,seed=1", "--length", "4"],
+        "bernoulli source parameter outside [0,1]: 2",
+    ),
+    "source-bernoulli-negative": (
+        ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "fair", "--source", "bernoulli:-1,seed=1", "--length", "4"],
+        "bernoulli source parameter outside [0,1]: -1",
+    ),
+    "measure-bernoulli-above": (
+        ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "bernoulli:3/2", "--source", "prng:1", "--length", "4"],
+        "bernoulli parameter outside [0,1]: 3/2",
+    ),
     "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
     "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
 }
@@ -352,6 +374,21 @@ def test_audit_mc_band_verdicts(capsys, tmp_path):
     )
     assert code == 1
     assert "check ville n=8 c=2: statistical estimate=1.0000 bound=0.5000 samples=20 seed=0 band=0.25 verdict=FAIL" in out
+
+
+def test_audit_mc_thresholds_share_one_sweep(capsys, monkeypatch):
+    args = [*VILLE_MC, "--martingale", "quotient:bernoulli:2/3/fair", "--mc-samples", "40", "--seed", "5"]
+    singles = []
+    for c in ("2", "4", "8"):
+        code, out, _ = run_cli(capsys, *args, "--c", c)
+        assert code == 0
+        singles += [line for line in out.splitlines() if line.startswith("check ville")]
+    sweeps = []
+    real = randlab.cli.ville_monte_carlo
+    monkeypatch.setattr(randlab.cli, "ville_monte_carlo", lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    code, out, _ = run_cli(capsys, *args, "--c", "2,4,8")
+    assert (code, len(sweeps)) == (0, 1)
+    assert [line for line in out.splitlines() if line.startswith("check ville")] == singles
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import randlab
-from randlab import SpecParseError, cells, specfmt
+from randlab import SpecParseError, specfmt
 from randlab.rationals import format_rational, neg_log2_bracket, parse_rational
 from randlab.sources import SourceSpec, champernowne_bits, generate_bits
 
@@ -128,7 +128,7 @@ def test_cylinder_file_validation(tmp_path):
         specfmt.load_cylinder_file(str(bad))
 
 
-def test_machine_and_request_files(tmp_path):
+def test_machine_files(tmp_path):
     mfile = tmp_path / "m.machine"
     mfile.write_text("0\t0\n10\t11\n")
     machine = specfmt.load_machine_file(str(mfile))
@@ -137,25 +137,6 @@ def test_machine_and_request_files(tmp_path):
     bad.write_text("0 0\n")
     with pytest.raises(SpecParseError):
         specfmt.load_machine_file(str(bad))
-    rfile = tmp_path / "r.requests"
-    rfile.write_text("1\t0\n2\t11\n")
-    assert specfmt.load_request_file(str(rfile)) == [(1, "0"), (2, "11")]
-
-
-def test_region_lines_roundtrip():
-    region = cells.Region.from_pairs([(F(1, 3), F(1, 2)), (F(3, 4), F(7, 8))])
-    lines = specfmt.region_to_lines(region)
-    assert lines == ["1/3,1/2", "3/4,7/8"]
-    assert specfmt.parse_region(lines) == region
-
-
-def test_malformed_request_and_region_lines_are_parse_errors(tmp_path):
-    rfile = tmp_path / "r.requests"
-    rfile.write_text("x\t0\n")
-    with pytest.raises(SpecParseError, match="length 'x': not an integer"):
-        specfmt.load_request_file(str(rfile))
-    with pytest.raises(SpecParseError, match="bad rational ''"):
-        specfmt.parse_region(["1/3"])
 
 
 def test_test_bundle_roundtrip(battery_marts):

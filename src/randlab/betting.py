@@ -385,7 +385,6 @@ class PlayResult:
     values: list
     factors: list
     events: list
-    knowledge_masses: list
     undetermined: bool = False
     violation: Optional[str] = None
     max_attained: Optional[Fraction] = None  # max(values), kept by play as it steps
@@ -406,7 +405,7 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
     if max_steps is None:
         max_steps = len(x)
     node = StrategyKernel(strategy, mu, max_steps).root()
-    values, factors, events, masses = [node.capital], [], [], [node.knowledge.mass]
+    values, factors, events = [node.capital], [], []
     seen = {}  # each factor pair once, so a bet that repeats its factors holds a few tuples
     best, rn, rd = node.capital, 1, 1  # rn/rd: the capital over best, the product of the factors since
     for _ in range(max_steps):
@@ -415,11 +414,11 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
             break
         outcome = _membership(decision[0], x)
         if outcome is None:
-            return PlayResult(node.history, values, factors, events, masses, undetermined=True, max_attained=best)
+            return PlayResult(node.history, values, factors, events, undetermined=True, max_attained=best)
         try:
             _, ((node, factor),) = _resolve_bet(node, *decision, mu, (outcome,))
         except StrategyViolation as exc:
-            return PlayResult(node.history, values, factors, events, masses, violation=str(exc), max_attained=best)
+            return PlayResult(node.history, values, factors, events, violation=str(exc), max_attained=best)
         fn, fd = factor = seen.setdefault(factor, factor)
         rn, rd = rn * fn, rd * fd
         if rn > rd:
@@ -427,8 +426,7 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
         values.append(node.capital)
         factors.append(factor)
         events.append(decision[0].describe())
-        masses.append(node.knowledge.mass)
-    return PlayResult(node.history, values, factors, events, masses, max_attained=best)
+    return PlayResult(node.history, values, factors, events, max_attained=best)
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):

@@ -119,11 +119,16 @@ class NamingOutcome:
         return self.undetermined_at is None
 
 
-def _unit_coordinate(x):
-    x = RAT(x)
-    if not ZERO <= x <= ONE:
-        raise PreconditionError(f"point coordinate {x} lies outside [0, 1]")
-    return x
+def _unit_coordinates(point, dim: int) -> tuple:
+    """A point of [0, 1]^dim as a tuple of rationals, from a tuple or, in one
+    dimension, a bare coordinate."""
+    point = tuple(map(RAT, point if isinstance(point, (tuple, list)) else (point,)))
+    if len(point) != dim:
+        raise PreconditionError(f"expected {dim} coordinates, got {len(point)}")
+    for x in point:
+        if not ZERO <= x <= ONE:
+            raise PreconditionError(f"point coordinate {x} lies outside [0, 1]")
+    return point
 
 
 class CellDecomposition:
@@ -226,7 +231,7 @@ class BaryGroupedDecomposition(CellDecomposition):
         return self._splits[(len(sigma) - len(sigma.rstrip("1"))) % (self.base - 1)]
 
     def _point(self, x):
-        x = _unit_coordinate(x)
+        (x,) = _unit_coordinates(x, 1)
         return x.numerator, x.denominator
 
     def _locate(self, x, sigma, state):
@@ -269,10 +274,7 @@ class InterleaveDecomposition(CellDecomposition):
         return HALF
 
     def _point(self, point):
-        point = point if isinstance(point, (tuple, list)) else (point,)
-        if len(point) != self.dim:
-            raise PreconditionError(f"expected {self.dim} coordinates, got {len(point)}")
-        return tuple(map(_unit_coordinate, point))
+        return _unit_coordinates(point, self.dim)
 
     def _locate(self, point, sigma, box):
         axis = len(sigma) % self.dim

@@ -104,7 +104,7 @@ def _capital_digits(start, factors):
     for fn, fd in factors:
         g = gcd(fn, fd)
         fn, fd = fn // g, fd // g
-        if not fn:  # a bust: the capital is 0/1 from here on
+        if not (fn and n):  # a bust, or a step from capital 0: the capital is 0/1, never -0
             n, d = ex.create_decimal(0), ex.create_decimal(1)
         else:
             g, h = gcd(fd, int(ex.remainder(n, fd))), gcd(fn, int(ex.remainder(d, fn)))
@@ -351,11 +351,9 @@ def _render_extended(v):
     return v
 
 
-def _parse_point(text: str, dec=None):
-    if dec is not None and dec.kind == "natural":
-        return text
-    parts = [parse_rational(p) for p in text.split(",")]
-    return parts[0] if len(parts) == 1 else tuple(parts)
+def _parse_point(text: str, dec):
+    """The point: a bit string for a natural decomposition, else its comma-separated coordinates."""
+    return text if dec.kind == "natural" else tuple(parse_rational(p) for p in text.split(","))
 
 
 def cmd_name(opts, raw_args) -> Report:

@@ -226,9 +226,9 @@ class MartingaleMeasure(_MassBackedMeasure):
     On a positive cylinder the value is forced to capital(sigma)*mu(sigma);
     when one child is null its mass is recovered from the sibling by
     additivity, and below a fully null node everything is squeezed to zero.
-    split_rows[i], empty until a conversion records them, is split_row's row
-    of the i-th string in heap order ("", "0", "1", "00", ...); children_pairs
-    and split answer from a row above the rows' depth, from nu below it."""
+    split_rows maps a string to the row record_row made for it, and is empty
+    until a conversion records them; children_pairs and split answer from a
+    string's row, and from nu where it has none."""
 
     def __init__(self, mart: Martingale, label=None):
         read, payload = mart.kernel.read_pair, mart.payload
@@ -243,14 +243,27 @@ class MartingaleMeasure(_MassBackedMeasure):
 
         super().__init__(nu, label=label or f"measure({mart.label})")
         self.martingale = mart
-        self.split_rows = []
+        self.split_rows, self._splits = {}, {}
 
-    def _row(self, sigma: str, index):
-        i = int("1" + sigma, 2) - 1 if index is None else index  # past the last row from the rows' depth on
-        return self.split_rows[i] if i < len(self.split_rows) else None
+    def record_row(self, sigma: str, pn: int, pd: int, read0, read1) -> tuple:
+        """Record sigma's row from its children's kernel reads, given its own
+        mass pn/pd, and return both children's masses as int pairs.  The row
+        is their reduced split (a, b, a/b), one tuple per (a, b), if that
+        rebuilds both masses; else their pairs follow it, and they alone are
+        the row where pn <= 0."""
+        row = kids = _children_masses(pn, pd, read0, read1)
+        if pn > 0:
+            (n0, d0), (n1, d1) = kids
+            a, b = n1 * pd, d1 * pn
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            split = self._splits.get((a, b)) or self._splits.setdefault((a, b), (a, b, RAT(a, b)))
+            row = split if n0 * pd * b == pn * (b - a) * d0 else split + kids  # 0-child: parent * (1 - a/b)
+        self.split_rows[sigma] = row
+        return kids
 
-    def children_pairs(self, sigma: str, n: int, d: int, index=None):
-        row = self._row(sigma, index)
+    def children_pairs(self, sigma: str, n: int, d: int):
+        row = self.split_rows.get(sigma)
         if row is None:
             return super().children_pairs(sigma, n, d)
         if len(row) != 3:  # explicit children pairs
@@ -258,8 +271,8 @@ class MartingaleMeasure(_MassBackedMeasure):
         a, b, _ = row
         return (n * (b - a), d * b), (n * a, d * b)
 
-    def split(self, sigma: str, index=None):
-        row = self._row(sigma, index)
+    def split(self, sigma: str):
+        row = self.split_rows.get(sigma)
         if row is None or len(row) == 2:  # below the rows, or a node of mass <= 0
             return super().split(sigma)
         if not 0 <= row[0] <= row[1]:
@@ -285,22 +298,6 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
     elif read1[0] <= 0 < read0[0]:
         n1, d1 = pn * d0 - n0 * pd, pd * d0
     return (n0, d0), (n1, d1)
-
-
-def split_row(pn: int, pd: int, read0, read1, interned: dict) -> tuple:
-    """to_measure's children masses of a node of mass pn/pd from their kernel
-    reads, and its MartingaleMeasure row: its reduced split (a, b, a/b), one
-    tuple per (a, b) in interned, if that rebuilds both; else their pairs,
-    after it where pn > 0."""
-    kids = _children_masses(pn, pd, read0, read1)
-    if pn <= 0:
-        return kids, kids
-    (n0, d0), (n1, d1) = kids
-    a, b = n1 * pd, d1 * pn
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    row = interned.get((a, b)) or interned.setdefault((a, b), (a, b, RAT(a, b)))
-    return kids, row if n0 * pd * b == pn * (b - a) * d0 else row + kids  # 0-child: parent * (1 - a/b)
 
 
 @dataclass

@@ -86,12 +86,8 @@ class Measure:
     def __repr__(self):
         return f"Measure({self.label})"
 
-    def split(self, sigma: str, index=None):
-        """Conditional weight of the 1-child (1/2 convention below nulls).
-
-        index, here and in children_pairs, is sigma's heap index ("" is 0,
-        sigma + b is 2 * index + 1 + b) where a walk carries it: a measure
-        that keeps rows in heap order reads them by it, the others ignore it."""
+    def split(self, sigma: str):
+        """Conditional weight of the 1-child (1/2 convention below nulls)."""
         s = self._split_fn(sigma)
         if not isinstance(s, RAT):
             s = RAT(s)
@@ -107,7 +103,7 @@ class Measure:
     def _pair(self, sigma: str):
         return self._path.read(sigma, lambda prefix, pair: self.children_pairs(prefix, *pair))
 
-    def children_pairs(self, sigma: str, n: int, d: int, index=None):
+    def children_pairs(self, sigma: str, n: int, d: int):
         """Children masses as unnormalized (num, den) int pairs, den > 0,
         given mass(sigma) == n/d; mass() and the exhaustive tree walks read
         masses through it.
@@ -165,7 +161,7 @@ class _MassBackedMeasure(Measure):
     def is_null(self, sigma: str) -> bool:
         return self._mass_fn(sigma) == 0
 
-    def children_pairs(self, sigma: str, n: int, d: int, index=None):
+    def children_pairs(self, sigma: str, n: int, d: int):
         # read the function directly, below a null cylinder too: additivity
         # audits then check the function itself rather than an arithmetic
         # identity, and see a massive child of a null cylinder

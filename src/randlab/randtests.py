@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .martingale import Martingale, SavingsPair, from_measures, split_row, to_measure
+from .martingale import Martingale, SavingsPair, from_measures, to_measure
 from .measure import AuditReport, Measure, fair_coin
 from .rationals import RAT, ZERO
 
@@ -173,16 +173,15 @@ def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
     the measure total*base carried through null cylinders, whose split rows the
     one walk of the savings kernel records for the verifier and the snapshot."""
     check_enumeration_depth(depth)
-    kernel, values, floors, splits = sp.total.kernel, {}, {}, {}
+    kernel, values, floors = sp.total.kernel, {}, {}
     read, bound, root = kernel.read_pair, to_measure(sp.total), kernel.root()
-    bound.split_rows = rows = [None] * ((1 << depth) - 1)
-    stack = [("", root, read(root), bound.total.numerator, bound.total.denominator, 0)]
+    stack = [("", root, read(root), bound.total.numerator, bound.total.denominator)]
     while stack:
-        cell, payload, here, pn, pd, i = stack.pop()
+        cell, payload, here, pn, pd = stack.pop()
         if len(cell) < depth:  # null subtrees too: they have rows, though no floor
             p0, p1 = kernel.children(cell, payload)
-            ((n0, d0), (n1, d1)), rows[i] = split_row(pn, pd, r0 := read(p0), r1 := read(p1), splits)
-            stack += [(cell + "1", p1, r1, n1, d1, 2 * i + 2), (cell + "0", p0, r0, n0, d0, 2 * i + 1)]
+            (n0, d0), (n1, d1) = bound.record_row(cell, pn, pd, r0 := read(p0), r1 := read(p1))
+            stack += [(cell + "1", p1, r1, n1, d1), (cell + "0", p0, r0, n0, d0)]
         elif here[0] and payload[2]:  # a positive cell's nonzero floor F/D, one value per (F, D)
             values[cell] = floors.get(payload[2:]) or floors.setdefault(payload[2:], kernel.read_floor(payload))
     return IntegralStep(base=sp.base, depth=depth, values=values, bound=bound, unit_witness=True)

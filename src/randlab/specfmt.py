@@ -1,5 +1,5 @@
-"""Textual formats for measures, martingales, strategies, sources, machines,
-tests and regions.
+"""Textual formats for measures, martingales, strategies, sources, machines
+and tests.
 
 Measure documents are JSON with a "kind" field:
 
@@ -91,17 +91,17 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
     """Lossless-to-depth serialization of any measure as an explicit table:
     mu.split at each positive string shorter than depth, positivity read off
-    one walk of mu.children_pairs, which carries each string's heap index."""
+    one walk of mu.children_pairs."""
     entries, texts = [], {}  # split id -> (split, its text): the split stays alive, so its id is not reused
-    stack = [("", 0, mu.total.numerator, mu.total.denominator)] if depth > 0 else []
+    stack = [("", mu.total.numerator, mu.total.denominator)] if depth > 0 else []
     while stack:
-        sigma, i, n, d = stack.pop()
+        sigma, n, d = stack.pop()
         if n > 0:
-            s = mu.split(sigma, i)
+            s = mu.split(sigma)
             entries.append([sigma, (texts.get(id(s)) or texts.setdefault(id(s), (s, format_rational(s))))[1]])
         if len(sigma) + 1 < depth:
-            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d, i)
-            stack += [(sigma + "1", 2 * i + 2, n1, d1), (sigma + "0", 2 * i + 1, n0, d0)]
+            (n0, d0), (n1, d1) = mu.children_pairs(sigma, n, d)
+            stack += [(sigma + "1", n1, d1), (sigma + "0", n0, d0)]
     return {
         "kind": "split_table",
         "entries": entries,
@@ -190,8 +190,10 @@ def parse_strategy(text: str, mu: Measure) -> betting.BettingStrategy:
         return betting.LikelihoodRatioStrategy(parse_measure(text.split(":", 1)[1]))
     if text.startswith("table:"):
         doc = _object(load_json(text.split(":", 1)[1]), "table strategy doc")
+        rows, extra = _doc_field(doc, "nodes", what="table strategy doc"), sorted(set(doc) - {"start", "nodes"})
+        if extra:
+            raise SpecParseError(f"table strategy doc has unknown field {extra[0]!r}; it holds only 'start' and 'nodes'")
         nodes = {}
-        rows = _doc_field(doc, "nodes", what="table strategy doc") if "nodes" in doc else {}
         for history, node in rows.items():
             event, stake = (_field(node, name, f"strategy node {history!r}") for name in ("event", "stake"))
             nodes[validate_bits(history)] = (_event_from_doc(event), parse_rational(stake))
@@ -209,7 +211,7 @@ def _event_from_doc(doc: dict):
             raise SpecParseError(f"bit event field 'side' must be 0 or 1, got {side}")
         return betting.BitEvent(index=index, side=side)
     if kind == "cylinders":
-        return betting.CylinderEvent(generators=tuple(validate_bits(s) for s in _field(doc, "strings", "cylinder event")))
+        return betting.CylinderEvent(generators=_generators(_field(doc, "strings", "cylinder event"), "cylinder event field 'strings'"))
     raise SpecParseError(f"unknown event kind {kind!r}")
 
 
@@ -296,13 +298,18 @@ def load_json(path: str):
 def load_cylinder_file(path: str) -> tuple:
     """Newline-separated generators, validated prefix-free."""
     with open(path, errors="replace") as fh:  # an undecodable byte fails validate_bits
-        strings = [line.strip() for line in fh if line.strip()]
-    for s in strings:
-        validate_bits(s)
-    bad = prefix_free_violation(strings)
+        return tuple(sorted(_generators([line.strip() for line in fh if line.strip()], "cylinder file")))
+
+
+def _generators(strings, what: str) -> tuple:
+    """A list of bit strings, none a prefix of another, as a tuple; anything
+    else is a parse error that names what holds it."""
+    if not (isinstance(strings, list) and all(isinstance(g, str) for g in strings)):
+        raise SpecParseError(f"{what} must be a list of bit strings, got {json.dumps(strings)[:80]}")
+    bad = prefix_free_violation([validate_bits(g) for g in strings])
     if bad is not None:
-        raise SpecParseError(f"cylinder file not prefix-free: {bad[0]!r} < {bad[1]!r}")
-    return tuple(sorted(strings))
+        raise SpecParseError(f"{what} not prefix-free: {bad[0]!r} < {bad[1]!r}")
+    return tuple(strings)
 
 
 def load_machine_file(path: str):
@@ -315,8 +322,10 @@ def load_machine_file(path: str):
                 continue
             if "\t" not in line:
                 raise SpecParseError(f"{path}:{lineno}: expected codeword<TAB>output")
-            codeword, output = line.split("\t", 1)
-            table[validate_bits(codeword.strip())] = validate_bits(output.strip())
+            codeword, output = (validate_bits(part.strip()) for part in line.split("\t", 1))
+            if codeword in table:
+                raise SpecParseError(f"{path}:{lineno}: codeword {codeword!r} repeats an earlier line")
+            table[codeword] = output
     from .machines import PrefixFreeMachine
 
     return PrefixFreeMachine(table)

@@ -18,6 +18,7 @@ from randlab.betting import (
     KnowledgeState,
     LikelihoodRatioStrategy,
     NullStrategy,
+    StrategyKernel,
     TableStrategy,
     walk_strategy,
 )
@@ -308,11 +309,24 @@ def _reference_play(strategy, mu, x):
     return stop()
 
 
+def _knowledge_masses(strategy, mu, history):
+    """The knowledge mass at each prefix of a played history, read off the
+    nodes of the strategy's tree kernel (play keeps only the capitals)."""
+    kernel = StrategyKernel(strategy, mu, len(history))
+    node = kernel.root()
+    masses = [node.knowledge.mass]
+    for bit in history:
+        node = kernel.children(node.history, node)[bit == "1"]
+        masses.append(node.knowledge.mass)
+    return masses
+
+
 def _assert_play_matches_reference(strategy, mu, x):
     # a strategy's own refusal to bet propagates from both
     try:
         played = randlab.play(strategy, mu, x)
-        got = (played.values, played.events, played.knowledge_masses, played.undetermined, played.violation)
+        masses = _knowledge_masses(strategy, mu, played.history)
+        got = (played.values, played.events, masses, played.undetermined, played.violation)
     except StrategyViolation as exc:
         got = ("raised", str(exc))
     try:
@@ -479,7 +493,7 @@ def test_bet_odds_come_from_splits_of_a_non_additive_mass_function():
     # of mass("00") / mass("0") would call it sure and double the capital)
     result = randlab.play(BitAllInStrategy("0"), mu, "00")
     assert result.values == [1, 2]
-    assert result.knowledge_masses == [1, F(1, 2)]
+    assert _knowledge_masses(BitAllInStrategy("0"), mu, result.history) == [1, F(1, 2)]
     assert result.violation == "bet on a conditionally null or sure event at '1': bit[1]=0"
 
 
@@ -586,8 +600,8 @@ def test_far_bit_bet_is_not_quadratic(bern13):
     start = time.perf_counter()
     result = randlab.play(strategy, bern13, "0" * 13 + "1")
     elapsed = time.perf_counter() - start
-    assert result.values == [1, 2] and result.knowledge_masses == [1, F(1, 3)]
     assert elapsed < 1.5, elapsed
+    assert result.values == [1, 2] and _knowledge_masses(strategy, bern13, result.history) == [1, F(1, 3)]
 
 
 def test_far_bit_bet_reads_each_split_once():
@@ -600,10 +614,11 @@ def test_far_bit_bet_reads_each_split_once():
         calls.append(sigma)
         return F(1, 3)
 
-    mu = randlab.Measure(split)
-    result = randlab.play(TableStrategy({"": (BitEvent(13, 1), F(1, 2))}), mu, "0" * 13 + "1")
-    assert result.values == [1, 2] and result.knowledge_masses == [1, F(1, 3)]
+    mu, strategy = randlab.Measure(split), TableStrategy({"": (BitEvent(13, 1), F(1, 2))})
+    result = randlab.play(strategy, mu, "0" * 13 + "1")
+    assert result.values == [1, 2]
     assert len(calls) == len(set(calls)) == 2**14 - 1
+    assert _knowledge_masses(strategy, mu, result.history) == [1, F(1, 3)]
     # a cylinder bet below a knowledge set of several generators reads each
     # split between them and the side's generators once, too
     calls.clear()
@@ -670,7 +685,8 @@ def test_transport_matches_play_and_is_fair(mu, strategy, x):
         played = None  # a likelihood-ratio strategy refuses a degenerate base
     nu, mart = randlab.strategy_to_cantor(strategy, mu, len(x))
     if played is not None:
-        for k, (value, mass) in enumerate(zip(played.values, played.knowledge_masses)):
+        masses = _knowledge_masses(strategy, mu, played.history)
+        for k, (value, mass) in enumerate(zip(played.values, masses)):
             assert mart.capital(played.history[:k]) == value, k
             assert nu.mass(played.history[:k]) == mass, k
     # the audit resolves the bet at every history the walk does
@@ -899,6 +915,8 @@ _INNER_BERNOULLI = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_den
 @example((BitAllInStrategy("0", F(1, 3)), randlab.fair_coin(), "0010"))  # busts at step 3, then learns
 @example((TableStrategy({"": (_BIT1, F(1, 2)), "1": (BitEvent(1, 0), F(5))}, F(3)), randlab.fair_coin(), "11"))  # over-stake
 @example((TableStrategy({"": (_BIT1, F(1, 3)), "1": (BitEvent(5, 0), F(1, 4))}), randlab.fair_coin(), "11"))  # undetermined
+@example((_ShareTableStrategy({"": (_BIT1, F(-1))}, F(0)), randlab.bernoulli(F(1, 3)), "1"))  # 0 won at factor -1
+@example((_ShareTableStrategy({"": (_BIT1, F(5))}, F(0)), randlab.fair_coin(), "0"))  # 0 lost at factor -4
 def test_capital_digits_step_the_play_values(play_args):
     # the capital trace's digits come from the start capital stepped through
     # play's factors, not from the values; they must print the same pairs

@@ -210,10 +210,11 @@ def test_malformed_input_docs_are_usage_errors(capsys, tmp_path, name):
     assert err == f"usage error: {message}\n"
 
 
-# inputs that once reached the CLI as a raw ValueError or KeyError: each is now
-# a parse error (exit 2) whose message names the input; "{json}", "{binary}"
-# and "{doc}" stand for files holding non-JSON text, undecodable bytes and
-# the case's document
+# inputs that once reached the CLI as a raw ValueError, KeyError or TypeError,
+# or were played as something else (exit 0 or 1): each is now a parse error
+# (exit 2) whose message names the input; "{json}", "{binary}" and "{doc}"
+# stand for files holding non-JSON text, undecodable bytes and the case's
+# document (or its text)
 MALFORMED_INPUTS = {
     "bary-base": (["name", "--decomposition", "bary:x", "--point", "1/3"], "bad digit base 'x'"),
     "interleave-dim": (["name", "--decomposition", "interleave:two", "--point", "1/3"], "bad dimension 'two'"),
@@ -274,6 +275,35 @@ MALFORMED_INPUTS = {
         ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "bernoulli:3/2", "--source", "prng:1", "--length", "4"],
         "bernoulli parameter outside [0,1]: 3/2",
     ),
+    "cylinders-string": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "cylinder event field 'strings' must be a list of bit strings, got \"01\"",
+        {"nodes": {"": {"event": {"kind": "cylinders", "strings": "01"}, "stake": "1/2"}}},
+    ),
+    "cylinders-prefix": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "cylinder event field 'strings' not prefix-free: '0' < '01'",
+        {"nodes": {"": {"event": {"kind": "cylinders", "strings": ["0", "01"]}, "stake": "1/2"}}},
+    ),
+    "strategy-bare-nodes": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "table strategy doc has no 'nodes' field",
+        {"": {"event": {"kind": "bit", "index": 0, "side": 1}, "stake": "1/2"}},
+    ),
+    "strategy-unknown-field": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "table strategy doc has unknown field 'node'; it holds only 'start' and 'nodes'",
+        {"start": "1/1", "nodes": {}, "node": {}},
+    ),
+    "point-binary": (["name", "--decomposition", "binary", "--point", "1/3,1/2"], "expected 1 coordinates, got 2"),
+    "point-ternary": (["name", "--decomposition", "ternary", "--point", "1/3,1/2", "--length", "4"], "expected 1 coordinates, got 2"),
+    "point-bary": (["name", "--decomposition", "bary:5", "--point", "1/3,1/2"], "expected 1 coordinates, got 2"),
+    "point-deficiency": (["deficiency", "--machine", "{doc}", "--point", "1/3,1/2"], "expected 1 coordinates, got 2", "0\t1\n"),
+    "machine-repeated-codeword": (
+        ["deficiency", "--machine", "{doc}", "--point", "1/3"],
+        ":2: codeword '0' repeats an earlier line",
+        "0\t1\n0\t0\n",
+    ),
     "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
     "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
 }
@@ -285,7 +315,7 @@ def test_malformed_inputs_are_parse_errors(capsys, tmp_path, name):
     files = {"json": tmp_path / "bad.json", "binary": tmp_path / "bad.bin", "doc": tmp_path / "doc.json"}
     files["json"].write_text("{not json")
     files["binary"].write_bytes(b"01\t\xff\xfe1\n")
-    files["doc"].write_text(json.dumps(doc[0] if doc else {}))
+    files["doc"].write_text(doc[0] if doc and isinstance(doc[0], str) else json.dumps(doc[0] if doc else {}))
     args = [a.format(**files) for a in args]
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")

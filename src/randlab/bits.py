@@ -11,8 +11,11 @@ from itertools import product
 from .errors import ConstructionError
 
 
+_BITS = frozenset("01")
+
+
 def validate_bits(s: str) -> str:
-    if any(ch not in "01" for ch in s):
+    if not _BITS.issuperset(s):
         raise ConstructionError(f"not a binary string: {s!r}")
     return s
 
@@ -24,8 +27,9 @@ def all_strings(n: int):
 
 
 def prefix_free_violation(strings) -> tuple[str, str] | None:
-    """Return a (prefix, extension) pair violating prefix-freeness, or None."""
-    ordered = sorted(set(strings))
+    """Return a (prefix, extension) pair violating prefix-freeness, or None;
+    a repeated string is a pair of itself."""
+    ordered = sorted(strings)
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             return (a, b)

@@ -8,6 +8,7 @@ errors, and 3 when a resource cap is hit.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -385,6 +386,7 @@ def cmd_refine(opts, raw_args) -> Report:
     return report
 
 
+@functools.cache  # built at the first main() call, then shared: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,7 @@ from typing import Optional
 from . import bits
 from .errors import ConstructionError, PreconditionError
 from .measure import Measure
-from .rationals import ZERO, neg_log2_bracket
+from .rationals import RAT, ZERO, neg_log2_bracket
 
 INF = math.inf
 
@@ -37,8 +37,9 @@ class PrefixFreeMachine:
     def __len__(self):
         return len(self.table)
 
-    def kraft_weight(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(c)) for c in self.table), ZERO)
+    def kraft_weight(self):
+        top = max(map(len, self.table), default=0)  # one integer sum over the common denominator 2**top
+        return RAT(sum(1 << (top - len(c)) for c in self.table), 1 << top)
 
     def complexity(self, sigma: str):
         """Length of the shortest codeword producing sigma, or math.inf."""

@@ -168,7 +168,7 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
     if text.startswith(("table:", "file:")):
         if base is None:
             raise SpecParseError("table martingale needs a base measure")
-        doc = _object(load_json(text.split(":", 1)[1]), "table martingale doc")
+        doc = _known_fields(load_json(text.split(":", 1)[1]), "table martingale doc", ("start", "entries"))
         rows = _doc_field(doc, "entries", what="table martingale doc") if "entries" in doc else {}
         entries = {validate_bits(s): parse_rational(v) for s, v in rows.items()}
         return table_martingale(base, entries, start=parse_rational(doc.get("start", "1/1")))
@@ -189,10 +189,9 @@ def parse_strategy(text: str, mu: Measure) -> betting.BettingStrategy:
     if text.startswith("likelihood_ratio:"):
         return betting.LikelihoodRatioStrategy(parse_measure(text.split(":", 1)[1]))
     if text.startswith("table:"):
-        doc = _object(load_json(text.split(":", 1)[1]), "table strategy doc")
-        rows, extra = _doc_field(doc, "nodes", what="table strategy doc"), sorted(set(doc) - {"start", "nodes"})
-        if extra:
-            raise SpecParseError(f"table strategy doc has unknown field {extra[0]!r}; it holds only 'start' and 'nodes'")
+        doc = load_json(text.split(":", 1)[1])
+        rows = _doc_field(doc, "nodes", what="table strategy doc")
+        _known_fields(doc, "table strategy doc", ("start", "nodes"))
         nodes = {}
         for history, node in rows.items():
             event, stake = (_field(node, name, f"strategy node {history!r}") for name in ("event", "stake"))
@@ -278,6 +277,14 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
+def _known_fields(doc, what: str, names: tuple) -> dict:
+    """doc itself; a JSON object with a field outside names is a parse error that names the field."""
+    extra = sorted(set(_object(doc, what)) - set(names))
+    if extra:
+        raise SpecParseError(f"{what} has unknown field {extra[0]!r}; it holds only {' and '.join(map(repr, names))}")
+    return doc
+
+
 def _field(doc, name: str, what: str):
     """doc[name]; a missing field, or a doc that is no JSON object, is a parse
     error that names it."""
@@ -302,11 +309,13 @@ def load_cylinder_file(path: str) -> tuple:
 
 
 def _generators(strings, what: str) -> tuple:
-    """A list of bit strings, none a prefix of another, as a tuple; anything
-    else is a parse error that names what holds it."""
+    """A list of distinct bit strings, none a prefix of another, as a tuple;
+    anything else is a parse error that names what holds it."""
     if not (isinstance(strings, list) and all(isinstance(g, str) for g in strings)):
         raise SpecParseError(f"{what} must be a list of bit strings, got {json.dumps(strings)[:80]}")
     bad = prefix_free_violation([validate_bits(g) for g in strings])
+    if bad is not None and bad[0] == bad[1]:
+        raise SpecParseError(f"{what} repeats the string {bad[0]!r}")
     if bad is not None:
         raise SpecParseError(f"{what} not prefix-free: {bad[0]!r} < {bad[1]!r}")
     return tuple(strings)

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab.cli
 from randlab.cli import main
@@ -284,6 +290,21 @@ MALFORMED_INPUTS = {
         ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
         "cylinder event field 'strings' not prefix-free: '0' < '01'",
         {"nodes": {"": {"event": {"kind": "cylinders", "strings": ["0", "01"]}, "stake": "1/2"}}},
+    ),
+    "cylinders-repeat": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "cylinder event field 'strings' repeats the string '0'",
+        {"nodes": {"": {"event": {"kind": "cylinders", "strings": ["0", "0"]}, "stake": "1/2"}}},
+    ),
+    "cylinder-file-repeat": (
+        ["bet", "--strategy", "doubling:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "cylinder file repeats the string '000'",
+        "000\n000\n",
+    ),
+    "martingale-unknown-field": (
+        ["audit", "--measure", "fair", "--martingale", "table:{doc}", "--check", "fairness", "--depth", "3"],
+        "table martingale doc has unknown field 'entrys'; it holds only 'start' and 'entries'",
+        {"start": "1/1", "entrys": {"0": "2/1", "1": "0/1"}},
     ),
     "strategy-bare-nodes": (
         ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
@@ -981,3 +1002,189 @@ def test_bet_output_is_exact_past_the_int_digit_limit(capsys, tmp_path):
     assert code == 0
     assert expected in out
     assert out_csv.read_text().splitlines()[-1] == last_row
+
+
+def test_table_martingale_without_entries_is_its_start_capital(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"start": "2/1"}')
+    code, out, _ = run_cli(capsys, "audit", "--measure", "fair", "--martingale", f"table:{path}", "--check", "fairness", "--depth", "3")
+    assert code == 0 and "check fairness@3: pass (7 checked)" in out
+
+
+# ------------------------------------------------------------ one parser
+
+REUSED_JOBS = [
+    ["audit", "--measure", "bernoulli:1/3", "--martingale", "quotient:fair/bernoulli:1/3",
+     "--check", "additivity,fairness,ville", "--depth", "4", "--n", "4", "--c", "2"],
+    ["bet", "--strategy", "likelihood_ratio:fair", "--measure", "bernoulli:1/3", "--source", "prng:1", "--length", "12"],
+    ["deficiency", "--machine", "{machine}", "--decomposition", "ternary", "--point", "2/7", "--length", "6"],
+]
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    machine = tmp_path / "kc.machine"
+    machine.write_text("0\t1\n10\t01\n110\t\n")
+    jobs = [[a.format(machine=machine) for a in argv] for argv in REUSED_JOBS]
+
+    def outcomes():
+        return [(code, strip_timing(out), err) for code, out, err in (run_cli(capsys, *argv) for argv in jobs)]
+
+    first = outcomes()
+    usage = run_cli(capsys, "bet", "--strategy", "null", "--length", "x")
+    between = outcomes()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run_cli(capsys, "deficiency", "--help")
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run_cli(capsys, "deficiency", "--help")
+    after = outcomes()
+    assert first == between == after
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert usage[:2] == (2, "") and usage[2].endswith("randlab bet: error: argument --length: invalid int value: 'x'\n")
+    assert narrow[0] == wide[0] == 0 and narrow[1].startswith("usage: randlab deficiency")
+    assert narrow[1] != wide[1]  # wrapped to COLUMNS at each call
+    assert randlab.cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["bet", "--help"], ["audit"], ["convert", "--depth", "x"], ["nosuch"], []], ids=repr
+)
+def test_the_shared_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as stop:
+        randlab.cli.build_parser.__wrapped__().parse_args(argv)
+    fresh = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert (out, err) == (fresh.out, fresh.err)
+    assert code == (0 if stop.value.code == 0 else 2)
+
+
+def test_the_parser_is_built_at_the_first_call_not_at_import():
+    script = (
+        "import randlab.cli as cli\n"
+        "built_at_import = cli.build_parser.cache_info().currsize\n"
+        "codes = [cli.main(['name', '--point', '1/3', '--length', '4']) for _ in range(3)]\n"
+        "print(built_at_import, codes, cli.build_parser.cache_info().misses)\n"
+    )
+    src = os.path.dirname(os.path.dirname(randlab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [0, 0, 0] 1"
+
+
+# ---------------------------------------------------- argv property
+
+HUGE = str(10**30)
+
+
+def _mostly(usual, *odd):
+    """usual values three times in four, so that an odd value mostly meets otherwise valid arguments."""
+    return st.one_of(usual, usual, usual, st.sampled_from(odd))
+
+
+# integers as argv spells them; the only huge one is negative, since a huge
+# count of bits, samples, levels, digits or dimensions is a long job, not a
+# malformed input
+ODD_INTS = ("-1", "0", "-0", "+2", "007", " 3", "\u0663", "x", "", "1.5", "1e3", "inf", "nan", "0x10", "-" + HUGE)
+INTS = _mostly(st.sampled_from(["1", "2", "3"]), *ODD_INTS)
+SEEDS = _mostly(st.sampled_from(["0", "1", "7"]), *ODD_INTS, HUGE)
+DEPTHS = _mostly(st.sampled_from(["1", "2", "3"]), *ODD_INTS, HUGE, "21")  # a depth is capped: a huge one exits 3
+RATIONALS = _mostly(
+    st.sampled_from(["1/3", "2/3", "1/2", "3/7"]),
+    "0", "1", "0/1", "-1/2", "3/2", "1/0", "0/0", "inf", "-inf", "nan", "1e400", "0.5", "x", "", "1/3/5", " 1/2",
+    HUGE, f"1/{HUGE}", f"{HUGE}/{HUGE}1", f"-{HUGE}",
+)
+FLOATS = _mostly(st.sampled_from(["0.1", "0.5"]), "0", "-1", "inf", "-inf", "nan", "1e400", "x", "", HUGE)
+NOWHERE = "/nonexistent/randlab-input"
+
+
+def _measures(depth=2):
+    """Measure specs, nested to depth."""
+    usual = st.one_of(st.sampled_from(["fair", "fair_coin", "push:ternary"]), RATIONALS.map("bernoulli:{}".format))
+    if depth > 1:
+        inner = _measures(depth - 1)
+        usual = st.one_of(usual, st.tuples(inner, inner).map("interleave:{0[0]}*{0[1]}".format), inner.map("push:natural:{}".format))
+    return _mostly(usual, "push:bary:1", "bernoulli", "interleave:fair", "bogus", "", f"doc:{NOWHERE}")
+
+
+MEASURES = _measures()
+MARTINGALES = _mostly(
+    st.one_of(st.tuples(MEASURES, MEASURES).map("quotient:{0[0]}/{0[1]}".format), st.sampled_from(["all_in:0", "all_in:1"])),
+    "all_in:2", "all_in:", "quotient:fair", f"table:{NOWHERE}", "bogus",
+)
+DECOMPOSITIONS = _mostly(
+    st.one_of(
+        st.sampled_from(["binary", "ternary", "bary:5", "interleave:2"]),
+        _mostly(st.sampled_from(["2", "3", "5"]), *ODD_INTS).map("bary:{}".format),
+        INTS.map("interleave:{}".format),
+        MEASURES.map("natural:{}".format),
+    ),
+    "bogus", "bary:", "interleave:",
+)
+POINTS = _mostly(st.one_of(RATIONALS, st.tuples(RATIONALS, RATIONALS).map("{0[0]},{0[1]}".format)), "0101", "012", "", ",")
+SOURCES = _mostly(
+    st.one_of(
+        st.sampled_from(["champernowne", "literal:0110"]),
+        SEEDS.map("prng:{}".format),
+        st.tuples(RATIONALS, SEEDS).map("bernoulli:{0[0]},seed={0[1]}".format),
+    ),
+    "literal:012", "literal:", f"file:{NOWHERE}", "bernoulli:1/3,x=1", "bogus",
+)
+STRATEGIES = _mostly(
+    st.one_of(st.sampled_from(["null", "bit_all_in:01", "bit_all_in:1"]), MEASURES.map("likelihood_ratio:{}".format)),
+    "bit_all_in:", "bit_all_in:2", f"doubling:{NOWHERE}", f"table:{NOWHERE}", "bogus",
+)
+CHECKS = _mostly(st.lists(st.sampled_from(["additivity", "fairness", "savings", "ville"]), min_size=1, max_size=2).map(",".join), "bogus", "", ",")
+
+
+def _argv(command, required, optional):
+    """argv for command: each required option with a value, each optional one present or absent."""
+    parts = [value.map(lambda v, flag=flag: [flag, v]) for flag, value in required.items()]
+    parts += [st.one_of(st.just([]), value.map(lambda v, flag=flag: [flag, v])) for flag, value in optional.items()]
+    return st.tuples(*parts).map(lambda words: [command] + [word for pair in words for word in pair])
+
+
+ARGVS = st.one_of(
+    _argv(
+        "audit", {"--measure": MEASURES, "--check": CHECKS, "--depth": DEPTHS, "--n": INTS},
+        {"--martingale": MARTINGALES, "--c": st.one_of(RATIONALS, st.tuples(RATIONALS, RATIONALS).map(",".join)),
+           "--mc-samples": INTS, "--mc-band": FLOATS, "--seed": SEEDS},
+    ),
+    _argv(
+        "convert", {"--martingale": MARTINGALES, "--depth": DEPTHS},
+        {"--measure": MEASURES, "--to": _mostly(st.sampled_from(["savings", "integral", "bounded_ml", "vitali", "cycle"]), "martingale", "bogus"),
+           "--levels": INTS},
+    ),
+    st.tuples(DECOMPOSITIONS, DECOMPOSITIONS, MEASURES, DEPTHS, DEPTHS).map(
+        lambda p: ["convert", "--transfer", f"A={p[0]}", f"B={p[1]}", "--measure", p[2], "--depth", p[3], "--target-depth", p[4]]
+    ),
+    _argv("bet", {"--strategy": STRATEGIES, "--measure": MEASURES, "--source": SOURCES}, {"--length": INTS}),
+    _argv("deficiency", {"--machine": st.just("{machine}"), "--point": POINTS}, {"--decomposition": DECOMPOSITIONS, "--length": INTS}),
+    _argv("name", {"--point": POINTS}, {"--decomposition": DECOMPOSITIONS, "--length": INTS}),
+    _argv("refine", {"--source-dec": DECOMPOSITIONS, "--target-dec": DECOMPOSITIONS}, {"--depth": INTS, "--target-depth": DEPTHS}),
+)
+
+
+@pytest.fixture(scope="module")
+def machine_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("machine") / "kc.machine"
+    path.write_text("0\t1\n10\t01\n110\t\n")
+    return str(path)
+
+
+# every command through the one shared parser, each depth given so that an
+# example takes milliseconds: a raw exception fails the test, and exit 1 must
+# say which check failed or what was flagged
+@given(ARGVS)
+@settings(max_examples=1000, deadline=None)
+def test_no_argv_gets_a_raw_error_or_a_wrong_exit_code(machine_file, argv):
+    argv = [word.replace("{machine}", machine_file) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert re.search(r"FAIL|flag:|undetermined|strategy violation", out + err), (argv, out, err)

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
 from randlab import ConstructionError, PreconditionError, PrefixFreeMachine
 from randlab import cells
+from randlab.bits import validate_bits
 from randlab.machines import semimeasure_superadditive
+from randlab.rationals import RAT
 
 
 F = Fraction
@@ -90,6 +92,47 @@ def test_kc_build_postconditions(seed):
     for n, sigma in reqs:
         assert any(len(c) == n and out == sigma for c, out in m.table.items())
         assert m.complexity(sigma) <= n
+
+
+TEXT = st.one_of(
+    st.text(alphabet="01", max_size=40),
+    st.text(alphabet="01 \t\n\ufffd\u00e9\u0661\u2070", max_size=12),
+    st.text(max_size=12),
+)
+
+
+@given(TEXT)
+@settings(max_examples=300, deadline=None)
+@example("")
+@example(" ")
+@example("0 1")
+@example("01\n")
+@example("\ufffd")
+@example("0\ufffd1")
+@example("\u0661")  # a digit to int(), not a bit
+def test_validate_bits_accepts_exactly_what_the_character_scan_accepted(s):
+    scan_accepts = not any(ch not in "01" for ch in s)
+    try:
+        assert validate_bits(s) is s
+        accepted = True
+    except ConstructionError as exc:
+        assert str(exc) == f"not a binary string: {s!r}"
+        accepted = False
+    assert accepted == scan_accepts
+
+
+@given(st.lists(st.text(alphabet="01", max_size=14), max_size=40))
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([""])
+@example(["0", "10", "110", "111"])
+def test_integer_kraft_weight_equals_the_fraction_sum(strings):
+    # the minimal strings of any list are prefix-free
+    domain = {g for g in strings if not any(h != g and g.startswith(h) for h in strings)}
+    m = PrefixFreeMachine(dict.fromkeys(domain, "1"))
+    weight = m.kraft_weight()
+    assert isinstance(weight, RAT)
+    assert weight == sum((F(1, 2 ** len(c)) for c in domain), F(0))
 
 
 def test_classify_bounded(fair):

@@ -28,6 +28,8 @@ def markov_fixture(fair):
 def test_cylinder_set_prefix_free():
     with pytest.raises(ConstructionError):
         CylinderSet(generators=("0", "01"), depth=4)
+    with pytest.raises(ConstructionError, match="'0' < '0'"):  # a repeat would count its mass twice
+        CylinderSet(generators=("0", "0"), depth=1)
     cs = CylinderSet.from_strings(["10", "11", "01"])
     assert cs.generators == ("01", "1")  # siblings merged, sorted
 

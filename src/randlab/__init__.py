@@ -17,7 +17,6 @@ from .measure import (
     Measure,
     MeasureSpec,
     bernoulli,
-    build_measure,
     check_additivity,
     fair_coin,
     from_masses,

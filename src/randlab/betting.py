@@ -138,6 +138,8 @@ class BettingStrategy:
         the capital as an int pair (num, den), den > 0, and stake the stake
         bet() states, or None where it is capital * share.  A stake at a
         capital of 0 has no share: the share is 0 and the stake is checked."""
+        if type(self).bet is BettingStrategy.bet:  # the two defaults would call each other
+            raise PreconditionError(f"{type(self).__name__} overrides neither bet() nor share()")
         decision = self.bet(history, capital, knowledge, mu)
         if decision is None:
             return None

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bits
-from .errors import ConstructionError, PreconditionError
+from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .measure import Measure
 from .rationals import RAT, ZERO, neg_log2_bracket
 
@@ -25,7 +25,11 @@ class PrefixFreeMachine:
     """
 
     def __init__(self, table: dict, relaxed: bool = False):
-        self.table = {bits.validate_bits(c): bits.validate_bits(o) for c, o in dict(table).items()}
+        self.table, self._shortest = {}, {}  # _shortest: output -> length of its shortest codeword
+        for c, o in dict(table).items():
+            c, o = bits.validate_bits(c), bits.validate_bits(o)
+            self.table[c] = o
+            self._shortest[o] = min(len(c), self._shortest.get(o, INF))
         self.relaxed = relaxed
         if not relaxed:
             bad = bits.prefix_free_violation(self.table.keys())
@@ -43,8 +47,7 @@ class PrefixFreeMachine:
 
     def complexity(self, sigma: str):
         """Length of the shortest codeword producing sigma, or math.inf."""
-        lengths = [len(c) for c, out in self.table.items() if out == sigma]
-        return min(lengths) if lengths else INF
+        return self._shortest.get(sigma, INF)
 
     def semimeasure(self, sigma: str) -> Fraction:
         """Total weight of codewords whose output extends sigma."""
@@ -69,15 +72,10 @@ def classify_machine(machine: PrefixFreeMachine, nu: Optional[Measure] = None) -
     to the longest output."""
     bounded = None
     if nu is not None:
-        bounded = True
         depth = machine.max_output_length()
-        for n in range(depth + 1):
-            for sigma in bits.all_strings(n):
-                if machine.semimeasure(sigma) > nu.mass(sigma):
-                    bounded = False
-                    break
-            if bounded is False:
-                break
+        check_enumeration_depth(depth)
+        strings = (sigma for n in range(depth + 1) for sigma in bits.all_strings(n))
+        bounded = all(machine.semimeasure(sigma) <= nu.mass(sigma) for sigma in strings)
     return MachineClass(computable_measure=True, bounded_by=bounded)
 
 

@@ -23,7 +23,8 @@ from .rationals import HALF, ONE, RAT
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Construction recipe for build_measure; see specfmt for the file format."""
+    """The constructor and arguments a measure was built from, which
+    specfmt.measure_to_doc writes; an interleave's factors are measures."""
 
     kind: str
     p: Optional[Fraction] = None
@@ -235,28 +236,6 @@ def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
 
     spec = MeasureSpec("interleave", factors=(mu1, mu2))
     return Measure(split, mu1.total * mu2.total, label=f"interleave({mu1.label},{mu2.label})", spec=spec)
-
-
-def build_measure(spec: MeasureSpec) -> Measure:
-    """Build a measure from a recipe (fair_coin, bernoulli, split_table,
-    interleave, or a pushforward handle from the cells module)."""
-    kind = spec.kind
-    if kind == "fair_coin":
-        return fair_coin()
-    if kind == "bernoulli":
-        return bernoulli(spec.p)
-    if kind == "split_table":
-        return split_table(dict(spec.entries), default=spec.default, total=spec.total)
-    if kind == "interleave":
-        mu1, mu2 = spec.factors
-        if isinstance(mu1, MeasureSpec):
-            mu1 = build_measure(mu1)
-        if isinstance(mu2, MeasureSpec):
-            mu2 = build_measure(mu2)
-        return interleave_product(mu1, mu2)
-    if kind == "pushforward":
-        return spec.decomposition.pushforward()
-    raise ConstructionError(f"unknown measure kind {kind!r}")
 
 
 @dataclass

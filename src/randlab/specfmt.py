@@ -10,7 +10,11 @@ Measure documents are JSON with a "kind" field:
     {"kind": "interleave", "factors": [<doc>, <doc>]}
     {"kind": "pushforward", "decomposition": "bary:3"}
 
-Rationals are always "num/den" strings and documents round-trip losslessly.
+measure_from_doc reads a document straight into its measure.  A document
+holds only the fields its kind names, as do test documents (test_from_doc)
+and martingale and strategy documents; an unknown field, a missing one or
+one of the wrong JSON type is a SpecParseError that names it.  Rationals are
+always "num/den" strings and documents round-trip losslessly.
 The CLI also accepts compact one-line forms:
 
     measures        fair | bernoulli:1/3 | split_table:FILE |
@@ -29,26 +33,34 @@ from . import betting, cells
 from .bits import prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
 from .martingale import Martingale, from_measures, table_martingale
-from .measure import Measure, MeasureSpec, build_measure
+from .measure import Measure, MeasureSpec, bernoulli, fair_coin, interleave_product, split_table
 from .rationals import format_rational, parse_rational
 from .sources import SourceSpec
 
 
 # ---------------------------------------------------------------- measures
 
-def measure_doc_to_spec(doc: dict) -> MeasureSpec:
+_MEASURE_FIELDS = {
+    "fair_coin": (), "bernoulli": ("p",), "split_table": ("entries", "default", "total"),
+    "interleave": ("factors",), "pushforward": ("decomposition",),
+}
+
+
+def measure_from_doc(doc) -> Measure:
+    """The measure a measure document names (see the module docstring)."""
     kind = _object(doc, "measure doc").get("kind")
+    if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
+        raise SpecParseError(f"unknown measure kind {kind!r}")
     what = f"{kind} measure doc"
+    _known_fields(doc, what, ("kind",) + _MEASURE_FIELDS[kind])
     if kind == "fair_coin":
-        return MeasureSpec("fair_coin")
+        return fair_coin()
     if kind == "bernoulli":
-        return MeasureSpec("bernoulli", p=parse_rational(_field(doc, "p", what), f"{what} field 'p'"))
+        return bernoulli(parse_rational(_field(doc, "p", what), f"{what} field 'p'"))
     if kind == "split_table":
         rows = _doc_field(doc, "entries", 2, what) if "entries" in doc else []
-        entries = tuple((validate_bits(sigma), parse_rational(q)) for sigma, q in rows)
-        return MeasureSpec(
-            "split_table",
-            entries=entries,
+        return split_table(
+            [(validate_bits(sigma), parse_rational(q)) for sigma, q in rows],
             default=parse_rational(doc.get("default", "1/2"), f"{what} field 'default'"),
             total=parse_rational(doc.get("total", "1/1"), f"{what} field 'total'"),
         )
@@ -56,10 +68,11 @@ def measure_doc_to_spec(doc: dict) -> MeasureSpec:
         factors = _field(doc, "factors", what)
         if not isinstance(factors, list) or len(factors) != 2:
             raise SpecParseError(f"{what} field 'factors' must list two measure docs")
-        return MeasureSpec("interleave", factors=tuple(measure_doc_to_spec(f) for f in factors))
-    if kind == "pushforward":
-        return MeasureSpec("pushforward", decomposition=parse_decomposition(_field(doc, "decomposition", what)))
-    raise SpecParseError(f"unknown measure kind {kind!r}")
+        return interleave_product(*map(measure_from_doc, factors))
+    name = _field(doc, "decomposition", what)
+    if not isinstance(name, str):
+        raise SpecParseError(f"{what} field 'decomposition' must be a string, got {json.dumps(name)[:80]}")
+    return parse_decomposition(name).pushforward()
 
 
 def measure_spec_to_doc(spec: MeasureSpec) -> dict:
@@ -77,12 +90,7 @@ def measure_spec_to_doc(spec: MeasureSpec) -> dict:
             "total": format_rational(spec.total),
         }
     if spec.kind == "interleave":
-        docs = []
-        for factor in spec.factors:
-            docs.append(
-                measure_spec_to_doc(factor if isinstance(factor, MeasureSpec) else factor.spec)
-            )
-        return {"kind": "interleave", "factors": docs}
+        return {"kind": "interleave", "factors": [measure_spec_to_doc(factor.spec) for factor in spec.factors]}
     if spec.kind == "pushforward":
         return {"kind": "pushforward", "decomposition": spec.decomposition.spec_name}
     raise SpecParseError(f"unknown measure kind {spec.kind!r}")
@@ -121,19 +129,17 @@ def parse_measure(text: str) -> Measure:
     """Compact one-line measure spec (see module docstring)."""
     text = text.strip()
     if text in ("fair", "fair_coin"):
-        return build_measure(MeasureSpec("fair_coin"))
+        return fair_coin()
     if text.startswith("bernoulli:"):
-        return build_measure(MeasureSpec("bernoulli", p=parse_rational(text.split(":", 1)[1])))
+        return bernoulli(parse_rational(text.split(":", 1)[1]))
     if text.startswith(("split_table:", "doc:")):
-        return build_measure(measure_doc_to_spec(load_json(text.split(":", 1)[1])))
+        return measure_from_doc(load_json(text.split(":", 1)[1]))
     if text.startswith("interleave:"):
         body = text.split(":", 1)[1]
         if "*" not in body:
             raise SpecParseError("interleave needs SPEC*SPEC")
         left, right = body.split("*", 1)
-        return build_measure(
-            MeasureSpec("interleave", factors=(parse_measure(left), parse_measure(right)))
-        )
+        return interleave_product(parse_measure(left), parse_measure(right))
     if text.startswith("push:"):
         return parse_decomposition(text.split(":", 1)[1]).pushforward()
     raise SpecParseError(f"cannot parse measure spec {text!r}")
@@ -264,10 +270,14 @@ def parse_decomposition(text: str) -> cells.CellDecomposition:
 # ------------------------------------------------------------------- files
 
 def _parse_int(text, what: str) -> int:
+    """An int, or a string that spells one; anything else (a JSON float,
+    boolean, list or object too) is a parse error that names it."""
     try:
-        return int(text)
+        if isinstance(text, (str, int)) and not isinstance(text, bool):
+            return int(text)
     except ValueError:
-        raise SpecParseError(f"bad {what} {text!r}: not an integer") from None
+        pass
+    raise SpecParseError(f"bad {what} {text!r}: not an integer")
 
 
 def _object(doc, what: str) -> dict:
@@ -381,26 +391,35 @@ def _doc_field(doc: dict, name: str, row_length=None, what="test doc"):
     return value
 
 
+_TEST_FIELDS = {
+    "ml": ("levels",), "bounded_ml": ("levels", "bound"), "vitali": ("pieces", "bound"),
+    "integral": ("values", "bound", "unit_witness"),
+}
+
+
 def test_from_doc(doc):
     from . import randtests
 
     if not isinstance(doc, dict):
         raise SpecParseError(f"test doc must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind not in ("ml", "bounded_ml", "vitali", "integral"):
+    if not isinstance(kind, str) or kind not in _TEST_FIELDS:
         raise SpecParseError(f"unknown test kind {kind!r}")
-    base = build_measure(measure_doc_to_spec(_doc_field(doc, "base")))
+    _known_fields(doc, f"{kind} test doc", ("kind", "base", "depth") + _TEST_FIELDS[kind])
+    base = measure_from_doc(_doc_field(doc, "base"))
     depth = _parse_int(doc.get("depth", 0), "test depth")
     if kind != "integral":
         rows = _doc_field(doc, "pieces" if kind == "vitali" else "levels", 0)
         sets = [randtests.CylinderSet.from_strings([validate_bits(g) for g in gens], depth) for gens in rows]
     if kind == "ml":
         return randtests.MLTest(base=base, levels=sets)
-    bound = build_measure(measure_doc_to_spec(_doc_field(doc, "bound")))
+    bound = measure_from_doc(_doc_field(doc, "bound"))
     if kind == "bounded_ml":
         return randtests.BoundedMLTest(base=base, levels=sets, bound=bound)
     if kind == "vitali":
         return randtests.VitaliTest(base=base, pieces=sets, bound=bound)
     values = {validate_bits(cell): parse_rational(v) for cell, v in _doc_field(doc, "values", 2)}
-    unit_witness = bool(doc.get("unit_witness", False))
+    unit_witness = doc.get("unit_witness", False)
+    if not isinstance(unit_witness, bool):
+        raise SpecParseError(f"test doc field 'unit_witness' must be true or false, got {json.dumps(unit_witness)[:80]}")
     return randtests.IntegralStep(base=base, depth=depth, values=values, bound=bound, unit_witness=unit_witness)

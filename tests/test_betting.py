@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -65,6 +66,21 @@ def test_doubling_preconditions(fair, null_at_one):
         randlab.doubling_strategy(["0", "10"], fair)  # mass 3/4 > 1/2
     with pytest.raises(PreconditionError):
         randlab.doubling_strategy(["11"], null_at_one)  # null generator
+
+
+class _Silent(BettingStrategy):
+    """States neither bet() nor share()."""
+
+
+def test_a_strategy_that_states_no_bet_is_a_precondition_error(fair):
+    # the base bet() and share() read each other: this was a RecursionError
+    message = re.escape("_Silent overrides neither bet() nor share()")
+    with pytest.raises(PreconditionError, match=message):
+        randlab.play(_Silent(), fair, "0101")
+    with pytest.raises(PreconditionError, match=message):
+        walk_strategy(_Silent(), fair, 2)
+    with pytest.raises(PreconditionError, match=message):
+        _Silent().bet("", F(1), KnowledgeState(("",), F(1), (F(1),)), fair)
 
 
 def test_doubling_empty_target(fair):

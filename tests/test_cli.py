@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -316,6 +317,37 @@ MALFORMED_INPUTS = {
         "table strategy doc has unknown field 'node'; it holds only 'start' and 'nodes'",
         {"start": "1/1", "nodes": {}, "node": {}},
     ),
+    "measure-unknown-field": (
+        ["audit", "--measure", "doc:{doc}"],
+        "bernoulli measure doc has unknown field 'q'; it holds only 'kind' and 'p'",
+        {"kind": "bernoulli", "p": "1/3", "q": "x"},
+    ),
+    "split-table-unknown-field": (
+        ["audit", "--measure", "split_table:{doc}"],
+        "split_table measure doc has unknown field 'totals'; it holds only 'kind' and 'entries' and 'default' and 'total'",
+        {"kind": "split_table", "entries": [["", "1/3"]], "totals": "1/1"},
+    ),
+    "factor-unknown-field": (
+        ["audit", "--measure", "doc:{doc}"],
+        "fair_coin measure doc has unknown field 'p'; it holds only 'kind'",
+        {"kind": "interleave", "factors": [FAIR, {"kind": "fair_coin", "p": "1/3"}]},
+    ),
+    "test-unknown-field": (
+        ["convert", "--input", "{doc}"],
+        "integral test doc has unknown field 'unit_witnes'; it holds only 'kind' and 'base' and 'depth' and 'values' and 'bound' and 'unit_witness'",
+        {"kind": "integral", "base": FAIR, "bound": FAIR, "values": [], "depth": 1, "unit_witnes": True},
+    ),
+    "test-base-unknown-field": (
+        ["convert", "--input", "{doc}"],
+        "fair_coin measure doc has unknown field 'total'; it holds only 'kind'",
+        {"kind": "vitali", "base": {"kind": "fair_coin", "total": "1/1"}, "bound": FAIR, "pieces": [], "depth": 1},
+    ),
+    # an interleave builds its left factor before it reads its right one
+    "interleave-left-factor-first": (
+        ["audit", "--measure", "doc:{doc}"],
+        "error: bernoulli parameter outside [0,1]: 3/2",
+        {"kind": "interleave", "factors": [{"kind": "bernoulli", "p": "3/2"}, {"kind": "nonsense"}]},
+    ),
     "point-binary": (["name", "--decomposition", "binary", "--point", "1/3,1/2"], "expected 1 coordinates, got 2"),
     "point-ternary": (["name", "--decomposition", "ternary", "--point", "1/3,1/2", "--length", "4"], "expected 1 coordinates, got 2"),
     "point-bary": (["name", "--decomposition", "bary:5", "--point", "1/3,1/2"], "expected 1 coordinates, got 2"),
@@ -356,6 +388,31 @@ WRONG_JSON_TYPES = {
         {"nodes": ["", {"event": {"kind": "bit", "index": 0, "side": 1}, "stake": "1/2"}]},
     ),
     "measure-list": (["audit", "--measure", "doc:{doc}"], "measure doc must be a JSON object", [FAIR]),
+    "pushforward-decomposition": (
+        ["audit", "--measure", "doc:{doc}"],
+        "pushforward measure doc field 'decomposition' must be a string, got 3",
+        {"kind": "pushforward", "decomposition": 3},
+    ),
+    "test-depth-list": (
+        ["convert", "--input", "{doc}"],
+        "bad test depth []: not an integer",
+        {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": [], "depth": []},
+    ),
+    "test-depth-float": (
+        ["convert", "--input", "{doc}"],
+        "bad test depth 1.5: not an integer",
+        {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": [], "depth": 1.5},
+    ),
+    "unit-witness-string": (
+        ["convert", "--input", "{doc}"],
+        "test doc field 'unit_witness' must be true or false, got \"false\"",
+        {"kind": "integral", "base": FAIR, "bound": FAIR, "values": [], "depth": 1, "unit_witness": "false"},
+    ),
+    "bit-side-boolean": (
+        ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
+        "bad bit side True: not an integer",
+        {"nodes": {"": {"event": {"kind": "bit", "index": 0, "side": True}, "stake": "1/2"}}},
+    ),
     "martingale-list": (
         ["audit", "--measure", "fair", "--martingale", "table:{doc}", "--check", "fairness"],
         "table martingale doc must be a JSON object",
@@ -1099,9 +1156,72 @@ FLOATS = _mostly(st.sampled_from(["0.1", "0.5"]), "0", "-1", "inf", "-inf", "nan
 NOWHERE = "/nonexistent/randlab-input"
 
 
+# JSON documents go into argv as "\0<json>\1", which the test writes to a
+# file and replaces by its path; json.dumps escapes both control characters
+JSON_ODD = st.sampled_from([None, True, False, 0, -1, 2, 1.5, "", "x", "1/2", [], ["0"], [["0", "1/2"]], {}, {"kind": "fair_coin"}])
+
+
+def _embed(doc):
+    return "\0" + json.dumps(doc) + "\1"
+
+
+@st.composite
+def _spoiled(draw, docs):
+    """A document from docs three times in four; else one with a field
+    dropped, added or of another JSON type, or no object at all."""
+    doc = dict(draw(docs))
+    how = draw(st.sampled_from(["keep"] * 12 + ["drop", "add", "retype", "whole"]))
+    if how == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif how in ("add", "retype"):
+        name = draw(st.sampled_from(sorted(doc))) if how == "retype" else draw(st.sampled_from(["q", "kind2", "p", "bound", "totl"]))
+        doc[name] = draw(JSON_ODD)
+    elif how == "whole":
+        return draw(JSON_ODD)
+    return doc
+
+
+def _measure_docs(depth=2):
+    """Measure documents, nested to depth."""
+    cells = st.sampled_from(["", "0", "1", "01", "2"])
+    usual = st.one_of(
+        st.just({"kind": "fair_coin"}),
+        RATIONALS.map(lambda p: {"kind": "bernoulli", "p": p}),
+        st.fixed_dictionaries(
+            {"kind": st.just("split_table"), "entries": st.lists(st.tuples(cells, RATIONALS).map(list), max_size=3)},
+            optional={"default": RATIONALS, "total": RATIONALS},
+        ),
+        st.sampled_from(["binary", "ternary", "bary:3", "interleave:2", "bary:1"]).map(lambda d: {"kind": "pushforward", "decomposition": d}),
+    )
+    if depth > 1:
+        usual = st.one_of(usual, st.lists(_measure_docs(depth - 1), min_size=2, max_size=2).map(lambda f: {"kind": "interleave", "factors": f}))
+    return _spoiled(usual)
+
+
+MEASURE_DOCS = _measure_docs()
+GENERATORS = st.lists(st.lists(st.sampled_from(["0", "1", "00", "01", "10", "11", "2"]), max_size=3), max_size=3)
+TEST_DOCS = _spoiled(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("ml"), "base": MEASURE_DOCS, "levels": GENERATORS}, optional={"depth": st.integers(0, 3)}),
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["bounded_ml", "vitali"]), "base": MEASURE_DOCS, "bound": MEASURE_DOCS, "levels": GENERATORS},
+            optional={"depth": st.integers(0, 3)},
+        ).map(lambda d: dict(d, pieces=d.pop("levels")) if d["kind"] == "vitali" else d),
+        st.fixed_dictionaries(
+            {"kind": st.just("integral"), "base": MEASURE_DOCS, "bound": MEASURE_DOCS,
+             "values": st.lists(st.tuples(st.sampled_from(["0", "1", "00", "11"]), RATIONALS).map(list), max_size=3)},
+            optional={"depth": st.integers(0, 3), "unit_witness": st.booleans()},
+        ),
+    )
+)
+
+
 def _measures(depth=2):
     """Measure specs, nested to depth."""
-    usual = st.one_of(st.sampled_from(["fair", "fair_coin", "push:ternary"]), RATIONALS.map("bernoulli:{}".format))
+    usual = st.one_of(
+        st.sampled_from(["fair", "fair_coin", "push:ternary"]), RATIONALS.map("bernoulli:{}".format),
+        MEASURE_DOCS.map(lambda d: "doc:" + _embed(d)), MEASURE_DOCS.map(lambda d: "split_table:" + _embed(d)),
+    )
     if depth > 1:
         inner = _measures(depth - 1)
         usual = st.one_of(usual, st.tuples(inner, inner).map("interleave:{0[0]}*{0[1]}".format), inner.map("push:natural:{}".format))
@@ -1156,6 +1276,10 @@ ARGVS = st.one_of(
         {"--measure": MEASURES, "--to": _mostly(st.sampled_from(["savings", "integral", "bounded_ml", "vitali", "cycle"]), "martingale", "bogus"),
            "--levels": INTS},
     ),
+    _argv(
+        "convert", {"--input": TEST_DOCS.map(_embed), "--depth": DEPTHS},
+        {"--to": st.sampled_from(["martingale", "integral", "bounded_ml", "vitali", "bogus"]), "--levels": INTS},
+    ),
     st.tuples(DECOMPOSITIONS, DECOMPOSITIONS, MEASURES, DEPTHS, DEPTHS).map(
         lambda p: ["convert", "--transfer", f"A={p[0]}", f"B={p[1]}", "--measure", p[2], "--depth", p[3], "--target-depth", p[4]]
     ),
@@ -1167,19 +1291,32 @@ ARGVS = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def machine_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("machine") / "kc.machine"
-    path.write_text("0\t1\n10\t01\n110\t\n")
-    return str(path)
+def input_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs")
+    (path / "kc.machine").write_text("0\t1\n10\t01\n110\t\n")
+    return path
+
+
+def _write_docs(argv, directory):
+    """argv with each embedded document written to a file of its own and replaced by its path."""
+    numbers = itertools.count()
+
+    def write(match):
+        path = directory / f"doc{next(numbers)}.json"
+        path.write_text(match.group(1))
+        return str(path)
+
+    return [re.sub("\0(.*?)\1", write, word) for word in argv]
 
 
 # every command through the one shared parser, each depth given so that an
-# example takes milliseconds: a raw exception fails the test, and exit 1 must
-# say which check failed or what was flagged
+# example takes milliseconds, with measure and test documents that miss a
+# field, hold an unknown one or one of another JSON type: a raw exception
+# fails the test, and exit 1 must say which check failed or what was flagged
 @given(ARGVS)
 @settings(max_examples=1000, deadline=None)
-def test_no_argv_gets_a_raw_error_or_a_wrong_exit_code(machine_file, argv):
-    argv = [word.replace("{machine}", machine_file) for word in argv]
+def test_no_argv_gets_a_raw_error_or_a_wrong_exit_code(input_dir, argv):
+    argv = _write_docs([word.replace("{machine}", str(input_dir / "kc.machine")) for word in argv], input_dir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -43,18 +43,24 @@ def test_measure_doc_roundtrip():
         {"kind": "pushforward", "decomposition": "bary:3"},
     ]
     for doc in docs:
-        spec = specfmt.measure_doc_to_spec(doc)
-        mu = randlab.build_measure(spec)
+        mu = specfmt.measure_from_doc(doc)
         again = specfmt.measure_to_doc(mu)
-        assert specfmt.measure_doc_to_spec(again) is not None
-        mu2 = randlab.build_measure(specfmt.measure_doc_to_spec(again))
-        assert randlab.measures_agree(mu, mu2, 6)
+        assert again == doc
+        assert randlab.measures_agree(mu, specfmt.measure_from_doc(again), 6)
+
+
+@pytest.mark.parametrize("kind", ["nonsense", "fair", None, 3, [], {}])
+def test_measure_from_doc_refuses_an_unknown_kind(kind):
+    doc = {} if kind is None else {"kind": kind}
+    with pytest.raises(SpecParseError) as err:
+        specfmt.measure_from_doc(doc)
+    assert str(err.value) == f"unknown measure kind {kind!r}"
 
 
 def test_measure_snapshot_exact_to_depth():
     nu = randlab.to_measure(randlab.from_measures(randlab.bernoulli(F(2, 3)), randlab.fair_coin()))
     doc = specfmt.measure_snapshot_doc(nu, 6)
-    rebuilt = randlab.build_measure(specfmt.measure_doc_to_spec(doc))
+    rebuilt = specfmt.measure_from_doc(doc)
     assert randlab.measures_agree(nu, rebuilt, 6)
 
 
@@ -70,7 +76,7 @@ def test_interleave_with_a_factor_without_spec_is_snapshot(factor):
     prod = randlab.interleave_product(factor(), randlab.fair_coin())
     doc = specfmt.measure_to_doc(prod, 6)
     assert doc["kind"] == "split_table"
-    assert randlab.measures_agree(prod, randlab.build_measure(specfmt.measure_doc_to_spec(doc)), 6)
+    assert randlab.measures_agree(prod, specfmt.measure_from_doc(doc), 6)
 
 
 def test_parse_measure_compact(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
-from randlab import ConstructionError, PreconditionError, PrefixFreeMachine
+from randlab import ConstructionError, PreconditionError, PrefixFreeMachine, ResourceLimitError
 from randlab import cells
 from randlab.bits import validate_bits
 from randlab.machines import semimeasure_superadditive
@@ -23,6 +23,8 @@ def test_complexity_table_scan():
     assert m.complexity("11") == 2
     assert m.complexity("0") == 1
     assert m.complexity("01") == math.inf
+    # one output of three codewords, the shortest neither first nor last
+    assert PrefixFreeMachine({"111": "0", "0": "0", "10": "0"}).complexity("0") == 1
 
 
 def test_semimeasure_values():
@@ -147,6 +149,17 @@ def test_classify_unbounded(fair):
     assert m.semimeasure("0") == F(3, 4)
     assert randlab.classify_machine(m, fair).bounded_by is False
     assert randlab.classify_machine(m).bounded_by is None
+
+
+def test_classify_machine_keeps_to_the_depth_cap(monkeypatch, fair):
+    # the domination check walks every string up to the longest output (7 bits)
+    m = PrefixFreeMachine({"0": "0101010", "1": ""})
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "6")
+    with pytest.raises(ResourceLimitError, match="depth 7 exceeds cap 6"):
+        randlab.classify_machine(m, fair)
+    assert randlab.classify_machine(m).bounded_by is None  # no measure, no walk
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "7")
+    assert randlab.classify_machine(m, fair).bounded_by is False  # semimeasure('01') = 1/2 > 1/4
 
 
 def test_superadditivity_direct():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import randlab
 from randlab import ConstructionError, cells
-from randlab.measure import MeasureSpec
 
 
 def test_fair_coin_masses(fair):
@@ -62,13 +61,6 @@ def test_path_cache_reads_on_after_a_read_that_raised():
         with pytest.raises(ConstructionError):
             mu.mass("011")
     assert [mu.mass(s) for s in ("0000", "00", "01", "1", "")] == [Fraction(1, 2**k) for k in (4, 2, 2, 1, 0)]
-
-
-def test_build_measure_dispatch():
-    mu = randlab.build_measure(MeasureSpec("bernoulli", p=Fraction(1, 3)))
-    assert mu.mass("11") == Fraction(1, 9)
-    with pytest.raises(ConstructionError):
-        randlab.build_measure(MeasureSpec("nonsense"))
 
 
 def test_total_mass_one_for_all_builtins(builtin_measure_map):

@@ -91,6 +91,6 @@ from .machines import (
     semimeasure_superadditive,
 )
 from .battery import all_in_on_bit, battery, builtin_measures
-from .sources import SourceSpec, champernowne_bits, generate_bits
+from .bits import champernowne_bits
 
 __version__ = "0.1.0"

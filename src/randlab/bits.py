@@ -20,6 +20,19 @@ def validate_bits(s: str) -> str:
     return s
 
 
+def champernowne_bits(length: int) -> str:
+    """Concatenated binary numerals 1, 10, 11, 100, ... truncated to length."""
+    out = []
+    total = 0
+    k = 1
+    while total < length:
+        chunk = format(k, "b")
+        out.append(chunk)
+        total += len(chunk)
+        k += 1
+    return "".join(out)[:length]
+
+
 def all_strings(n: int):
     """All binary strings of length n, in lexicographic order."""
     for bits in product("01", repeat=n):

@@ -197,25 +197,13 @@ def cmd_convert(opts, raw_args) -> Report:
         report.digest("input", opts.input)
     else:
         raise SpecParseError("convert needs --martingale or --input")
-    target = opts.to
-    path = _conversion_path(start, target)
+    path = _conversion_path(start, opts.to)
     report.line(f"path: {' -> '.join(path)}")
-    for step_from, step_to in zip(path, path[1:]):
-        if (step_from, step_to) == ("martingale", "savings"):
-            obj = savings_transform(obj)
-        elif (step_from, step_to) == ("savings", "integral"):
-            obj = randtests.martingale_to_integral(obj, opts.depth)
-        elif (step_from, step_to) == ("integral", "bounded_ml"):
-            obj = randtests.integral_to_bounded_ml(obj, n_levels=opts.levels)
-        elif (step_from, step_to) == ("bounded_ml", "vitali"):
-            obj = randtests.bounded_ml_to_vitali(obj)
-        elif (step_from, step_to) == ("vitali", "integral"):
-            obj = randtests.vitali_to_integral(obj, opts.depth)
-        elif (step_from, step_to) == ("integral", "martingale"):
-            obj = randtests.integral_to_martingale(obj)
-        else:
-            raise SpecParseError(f"no conversion from {step_from} to {step_to}")
-    if isinstance(obj, (randtests.MLTest, randtests.VitaliTest, randtests.IntegralStep)):
+    for edge in zip(path, path[1:]):
+        obj = _STEPS[edge](obj, opts)
+    if path[-1] in ("martingale", "savings"):
+        report.check(f"fairness@{opts.depth}", check_fairness(obj.total if path[-1] == "savings" else obj, opts.depth))
+    else:
         report.check(f"bounds@{opts.depth}", randtests.verify_test_bounds(obj, opts.depth))
         doc = specfmt.test_to_doc(obj, depth=opts.depth)
         del obj  # only the document is written from here on; free the step's cells before encoding it
@@ -223,40 +211,37 @@ def cmd_convert(opts, raw_args) -> Report:
             with open(opts.out_test, "w") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)
         report.digest("output", json.dumps(doc, sort_keys=True))
-    else:
-        report.check(f"fairness@{opts.depth}", check_fairness(obj.total if hasattr(obj, "total") else obj, opts.depth))
     return report
 
 
-_PATHS = {
-    ("martingale", "savings"): ["martingale", "savings"],
-    ("martingale", "integral"): ["martingale", "savings", "integral"],
-    ("martingale", "bounded_ml"): ["martingale", "savings", "integral", "bounded_ml"],
-    ("martingale", "vitali"): ["martingale", "savings", "integral", "bounded_ml", "vitali"],
-    ("martingale", "cycle"): [
-        "martingale", "savings", "integral", "bounded_ml", "vitali", "integral", "martingale",
-    ],
-    ("integral", "bounded_ml"): ["integral", "bounded_ml"],
-    ("integral", "vitali"): ["integral", "bounded_ml", "vitali"],
-    ("integral", "martingale"): ["integral", "martingale"],
-    ("bounded_ml", "vitali"): ["bounded_ml", "vitali"],
-    ("bounded_ml", "integral"): ["bounded_ml", "vitali", "integral"],
-    ("bounded_ml", "martingale"): ["bounded_ml", "vitali", "integral", "martingale"],
-    ("vitali", "integral"): ["vitali", "integral"],
-    ("vitali", "martingale"): ["vitali", "integral", "martingale"],
+# convert walks this chain: a path is its shortest stretch from the start
+# kind to the target, and the target "cycle" is the whole chain
+_CHAIN = ("martingale", "savings", "integral", "bounded_ml", "vitali", "integral", "martingale")
+_STEPS = {
+    ("martingale", "savings"): lambda obj, opts: savings_transform(obj),
+    ("savings", "integral"): lambda obj, opts: randtests.martingale_to_integral(obj, opts.depth),
+    ("integral", "bounded_ml"): lambda obj, opts: randtests.integral_to_bounded_ml(obj, n_levels=opts.levels),
+    ("bounded_ml", "vitali"): lambda obj, opts: randtests.bounded_ml_to_vitali(obj),
+    ("vitali", "integral"): lambda obj, opts: randtests.vitali_to_integral(obj, opts.depth),
+    ("integral", "martingale"): lambda obj, opts: randtests.integral_to_martingale(obj),
 }
 
 
-def _conversion_path(start: str, target: str) -> list:
-    path = _PATHS.get((start, target))
-    if path is None:
-        known = sorted({t for _, t in _PATHS} | {"cycle"})
+def _conversion_path(start: str, target: str) -> tuple:
+    first = _CHAIN.index(start)
+    targets = list(dict.fromkeys(kind for kind in _CHAIN[first + 1 :] if kind != start))
+    targets += ["cycle"] if start == _CHAIN[0] else []
+    if target not in targets:
         raise SpecParseError(
             f"no conversion path {start} -> {target}; targets from {start}: "
-            + ", ".join(t for s, t in _PATHS if s == start)
-            + f" (all kinds: {', '.join(known)})"
+            + ", ".join(targets)
+            + f" (all kinds: {', '.join(sorted(set(_CHAIN) | {'cycle'}))})"
         )
-    return path
+    if target == "cycle":
+        return _CHAIN
+    end = _CHAIN.index(target, first + 1)
+    begin = max(i for i in range(first, end) if _CHAIN[i] == start)
+    return _CHAIN[begin : end + 1]
 
 
 def _convert_transfer(opts, report: Report) -> Report:
@@ -288,10 +273,7 @@ def cmd_bet(opts, raw_args) -> Report:
     _check_length(opts)
     report = Report(raw_args)
     mu = specfmt.parse_measure(opts.measure)
-    source = specfmt.parse_source(opts.source)
-    from .sources import generate_bits
-
-    x = generate_bits(source, opts.length)
+    x = specfmt.parse_source(opts.source, opts.length)
     strategy = specfmt.parse_strategy(opts.strategy, mu)
     result = betting.play(strategy, mu, x)
     rows = (

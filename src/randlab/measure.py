@@ -145,14 +145,14 @@ class Measure:
 class _MassBackedMeasure(Measure):
     """Measure defined by an additive mass function; splits are derived."""
 
-    def __init__(self, mass_fn, label="measure", spec=None):
+    def __init__(self, mass_fn, label="measure"):
         def split(sigma: str):
             m = RAT(mass_fn(sigma))
             if m == 0:
                 return HALF
             return RAT(mass_fn(sigma + "1")) / m
 
-        super().__init__(split, mass_fn(""), label=label, spec=spec)
+        super().__init__(split, mass_fn(""), label=label)
         self._mass_fn = mass_fn
 
     def mass(self, sigma: str) -> Fraction:
@@ -170,7 +170,7 @@ class _MassBackedMeasure(Measure):
         return (m0.numerator, m0.denominator), (m1.numerator, m1.denominator)
 
 
-def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) -> Measure:
+def from_masses(mass_fn: Callable[[str], Fraction], label="measure") -> Measure:
     """Measure with the splits induced by a mass function, which must be
     additive (children masses summing to the parent's) with mass_fn("") as
     the total; the measure to_measure builds is one of these.
@@ -179,7 +179,7 @@ def from_masses(mass_fn: Callable[[str], Fraction], label="measure", spec=None) 
     as given (check_additivity reports it).  Nothing is cached: every read
     calls mass_fn.
     """
-    return _MassBackedMeasure(mass_fn, label=label, spec=spec)
+    return _MassBackedMeasure(mass_fn, label=label)
 
 
 def fair_coin() -> Measure:

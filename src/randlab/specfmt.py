@@ -13,8 +13,9 @@ Measure documents are JSON with a "kind" field:
 measure_from_doc reads a document straight into its measure.  A document
 holds only the fields its kind names, as do test documents (test_from_doc)
 and martingale and strategy documents; an unknown field, a missing one or
-one of the wrong JSON type is a SpecParseError that names it.  Rationals are
-always "num/den" strings and documents round-trip losslessly.
+one of the wrong JSON type is a SpecParseError that names it, as is a split
+table that lists one string twice.  Rationals are always "num/den" strings
+and documents round-trip losslessly.
 The CLI also accepts compact one-line forms:
 
     measures        fair | bernoulli:1/3 | split_table:FILE |
@@ -25,17 +26,21 @@ The CLI also accepts compact one-line forms:
     sources         prng:SEED | bernoulli:P,seed=SEED | champernowne |
                     file:PATH | literal:BITS
     decompositions  binary | ternary | bary:B | interleave:D
+
+parse_source(text, length) reads a source spec straight into its first
+length bits.  prng:SEED is the bernoulli:1/2,seed=SEED stream: both compare
+random.Random(seed).random() with p.
 """
 
 import json
+import random
 
 from . import betting, cells
-from .bits import prefix_free_violation, validate_bits
+from .bits import champernowne_bits, prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
 from .martingale import Martingale, from_measures, table_martingale
 from .measure import Measure, MeasureSpec, bernoulli, fair_coin, interleave_product, split_table
 from .rationals import format_rational, parse_rational
-from .sources import SourceSpec
 
 
 # ---------------------------------------------------------------- measures
@@ -58,9 +63,13 @@ def measure_from_doc(doc) -> Measure:
     if kind == "bernoulli":
         return bernoulli(parse_rational(_field(doc, "p", what), f"{what} field 'p'"))
     if kind == "split_table":
-        rows = _doc_field(doc, "entries", 2, what) if "entries" in doc else []
+        table = {}
+        for sigma, q in _doc_field(doc, "entries", 2, what) if "entries" in doc else []:
+            if validate_bits(sigma) in table:
+                raise SpecParseError(f"{what} field 'entries' repeats the string {sigma!r}")
+            table[sigma] = parse_rational(q)
         return split_table(
-            [(validate_bits(sigma), parse_rational(q)) for sigma, q in rows],
+            table,
             default=parse_rational(doc.get("default", "1/2"), f"{what} field 'default'"),
             total=parse_rational(doc.get("total", "1/1"), f"{what} field 'total'"),
         )
@@ -222,32 +231,36 @@ def _event_from_doc(doc: dict):
 
 # ----------------------------------------------------------------- sources
 
-def parse_source(text: str) -> SourceSpec:
+def parse_source(text: str, length: int) -> str:
+    """The first length bits of the source the text names; a literal or file
+    source must hold at least length bits."""
     text = text.strip()
     if text == "champernowne":
-        return SourceSpec(kind="champernowne")
-    if text.startswith("literal:"):
-        return SourceSpec(kind="literal", bits=validate_bits(text.split(":", 1)[1]))
-    if text.startswith("file:"):
-        return SourceSpec(kind="file", path=text.split(":", 1)[1])
+        return champernowne_bits(length)
+    kind, _, body = text.partition(":")
+    if text.startswith(("literal:", "file:")):
+        if kind == "file":
+            with open(body, errors="replace") as fh:  # an undecodable byte fails validate_bits
+                body = "".join(fh.read().split())
+        if len(validate_bits(body)) < length:
+            raise SpecParseError(f"{kind} source has {len(body)} bits, {length} requested")
+        return body[:length]
     if text.startswith("prng:"):
-        body = text.split(":", 1)[1]
-        seed = body.split("=", 1)[1] if body.startswith("seed=") else body
-        return SourceSpec(kind="prng", seed=_parse_int(seed, "source seed"))
-    if text.startswith("bernoulli:"):
-        body = text.split(":", 1)[1]
+        p, seed = 0.5, _parse_int(body.removeprefix("seed="), "source seed")
+    elif text.startswith("bernoulli:"):
         parts = body.split(",")
-        p = parse_rational(parts[0])
-        seed = 0
+        p, seed = parse_rational(parts[0]), 0
         for part in parts[1:]:
-            if part.startswith("seed="):
-                seed = _parse_int(part.split("=", 1)[1], "source seed")
-            else:
+            if not part.startswith("seed="):
                 raise SpecParseError(f"bad source option {part!r}")
+            seed = _parse_int(part.split("=", 1)[1], "source seed")
         if not 0 <= p <= 1:
             raise SpecParseError(f"bernoulli source parameter outside [0,1]: {p}")
-        return SourceSpec(kind="bernoulli", p=p, seed=seed)
-    raise SpecParseError(f"cannot parse source spec {text!r}")
+        p = float(p)
+    else:
+        raise SpecParseError(f"cannot parse source spec {text!r}")
+    rng = random.Random(seed)
+    return "".join("1" if rng.random() < p else "0" for _ in range(length))
 
 
 # --------------------------------------------------------- decompositions

@@ -19,7 +19,7 @@ from randlab import cells
 from randlab.battery import battery, builtin_measures
 from randlab.randtests import check_coverage_transfer
 from randlab.rationals import frac_log2
-from randlab.sources import SourceSpec, generate_bits
+from randlab.specfmt import parse_source
 
 F = Fraction
 
@@ -284,7 +284,7 @@ def test_criterion_10_likelihood_ratio_growth():
     length, streams = 2000, 200
     rates = []
     for seed in range(streams):
-        bits = generate_bits(SourceSpec(kind="bernoulli", p=F(3, 4), seed=seed), length)
+        bits = parse_source(f"bernoulli:3/4,seed={seed}", length)
         capital = F(1)
         for b in bits:
             capital *= ratio[int(b)]

@@ -6,9 +6,11 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,11 @@ MALFORMED_INPUTS = {
         ":2: codeword '0' repeats an earlier line",
         "0\t1\n0\t0\n",
     ),
+    "split-table-repeated-string": (
+        ["audit", "--measure", "doc:{doc}"],
+        "split_table measure doc field 'entries' repeats the string ''",
+        {"kind": "split_table", "entries": [["", "1/3"], ["", "2/3"]]},
+    ),
     "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
     "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
 }
@@ -678,6 +685,58 @@ def test_convert_impossible_path(capsys):
     )
     assert code == 2
     assert "martingale" in err and "bounded_ml" in err
+
+
+TARGETS_FROM = {
+    "martingale": "savings, integral, bounded_ml, vitali, cycle",
+    "integral": "bounded_ml, vitali, martingale",
+    "bounded_ml": "vitali, integral, martingale",
+    "vitali": "integral, martingale",
+}
+CONVERSION_PATHS = {
+    ("martingale", "savings"): "martingale -> savings",
+    ("martingale", "integral"): "martingale -> savings -> integral",
+    ("martingale", "bounded_ml"): "martingale -> savings -> integral -> bounded_ml",
+    ("martingale", "vitali"): "martingale -> savings -> integral -> bounded_ml -> vitali",
+    ("martingale", "cycle"): "martingale -> savings -> integral -> bounded_ml -> vitali -> integral -> martingale",
+    ("integral", "bounded_ml"): "integral -> bounded_ml",
+    ("integral", "vitali"): "integral -> bounded_ml -> vitali",
+    ("integral", "martingale"): "integral -> martingale",
+    ("bounded_ml", "vitali"): "bounded_ml -> vitali",
+    ("bounded_ml", "integral"): "bounded_ml -> vitali -> integral",
+    ("bounded_ml", "martingale"): "bounded_ml -> vitali -> integral -> martingale",
+    ("vitali", "integral"): "vitali -> integral",
+    ("vitali", "martingale"): "vitali -> integral -> martingale",
+}
+
+
+@pytest.fixture(scope="module")
+def start_tests(tmp_path_factory):
+    """Depth-3 test documents of each kind convert reads with --input."""
+    folder = tmp_path_factory.mktemp("starts")
+    for kind in ("integral", "bounded_ml", "vitali"):
+        head = ["convert", "--measure", "fair", "--martingale", "all_in:0", "--to", kind, "--depth", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(head + ["--out-test", str(folder / f"{kind}.json")]) == 0
+    return folder
+
+
+@pytest.mark.parametrize("start", sorted(TARGETS_FROM))
+@pytest.mark.parametrize(
+    "target", ["martingale", "savings", "integral", "bounded_ml", "vitali", "cycle", "ml", "nowhere", ""]
+)
+def test_convert_paths_and_refusals(capsys, start_tests, start, target):
+    head = ["--martingale", "all_in:0"] if start == "martingale" else ["--input", str(start_tests / f"{start}.json")]
+    code, out, err = run_cli(capsys, "convert", "--measure", "fair", *head, "--to", target, "--depth", "3")
+    if (start, target) in CONVERSION_PATHS:
+        assert (code, err) == (0, "")
+        assert f"path: {CONVERSION_PATHS[start, target]}\n" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: no conversion path {start} -> {target}; targets from {start}: {TARGETS_FROM[start]} "
+            "(all kinds: bounded_ml, cycle, integral, martingale, savings, vitali)\n"
+        )
 
 
 def test_convert_transfer_report(capsys):
@@ -1325,3 +1384,32 @@ def test_no_argv_gets_a_raw_error_or_a_wrong_exit_code(input_dir, argv):
     assert "Traceback" not in err
     if code == 1:
         assert re.search(r"FAIL|flag:|undetermined|strategy violation", out + err), (argv, out, err)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """The commands of the sh block in README's "Command line" section, one
+    argv each, without the leading "randlab"."""
+    section = README.read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert all(line.startswith("randlab ") for line in lines)
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.cylinders").write_text("00\n")
+    (tmp_path / "m.machine").write_text("00\t11\n")
+    codes = []
+    for argv in _readme_commands():
+        code, out, err = run_cli(capsys, *argv)
+        assert "Traceback" not in err, argv
+        codes.append((argv[0], code))
+    # the deficiency point 7/8 is a cell endpoint, so its name is undetermined
+    assert codes == [
+        ("audit", 0), ("audit", 0), ("convert", 0), ("convert", 0), ("convert", 0),
+        ("bet", 0), ("bet", 0), ("deficiency", 1), ("name", 0), ("refine", 0),
+    ]

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import randlab
 from randlab import SpecParseError, specfmt
 from randlab.rationals import format_rational, neg_log2_bracket, parse_rational
-from randlab.sources import SourceSpec, champernowne_bits, generate_bits
+from randlab.bits import champernowne_bits
 
 F = Fraction
 
@@ -159,38 +160,48 @@ def test_test_bundle_roundtrip(battery_marts):
     assert randlab.verify_test_bounds(step_back, 6).ok
 
 
+def _stream(p, seed, length):
+    rng = random.Random(seed)
+    return "".join("1" if rng.random() < p else "0" for _ in range(length))
+
+
 def test_sources_deterministic():
-    spec = SourceSpec(kind="prng", seed=42)
-    assert generate_bits(spec, 64) == generate_bits(spec, 64)
-    bern = SourceSpec(kind="bernoulli", p=F(3, 4), seed=7)
-    stream = generate_bits(bern, 500)
-    assert stream == generate_bits(bern, 500)
+    assert specfmt.parse_source("prng:42", 64) == specfmt.parse_source("prng:42", 64) == _stream(0.5, 42, 64)
+    assert specfmt.parse_source("bernoulli:3/4,seed=7", 64) == _stream(0.75, 7, 64)
+    stream = specfmt.parse_source("bernoulli:3/4,seed=7", 500)
+    assert stream == specfmt.parse_source("bernoulli:3/4,seed=7", 500)
     assert 0.6 < stream.count("1") / 500 < 0.9
+    for seed in (0, 9, 42):
+        fair = {specfmt.parse_source(text, 200) for text in (f"prng:{seed}", f"prng:seed={seed}", f"bernoulli:1/2,seed={seed}")}
+        assert len(fair) == 1
 
 
 def test_champernowne_prefix():
     assert champernowne_bits(10) == "1101110010"
     assert champernowne_bits(3) == "110"
+    assert randlab.champernowne_bits is champernowne_bits
+    assert specfmt.parse_source("champernowne", 10) == "1101110010"
 
 
 def test_literal_and_file_sources(tmp_path):
-    assert generate_bits(SourceSpec(kind="literal", bits="0101"), 3) == "010"
-    with pytest.raises(SpecParseError):
-        generate_bits(SourceSpec(kind="literal", bits="01"), 3)
+    assert specfmt.parse_source("literal:0101", 3) == "010"
+    with pytest.raises(SpecParseError, match="literal source has 2 bits, 3 requested"):
+        specfmt.parse_source("literal:01", 3)
     path = tmp_path / "bits.txt"
     path.write_text("0101 11\n01\n")
-    assert generate_bits(SourceSpec(kind="file", path=str(path)), 8) == "01011101"
+    assert specfmt.parse_source(f"file:{path}", 8) == "01011101"
+    with pytest.raises(SpecParseError, match="file source has 8 bits, 9 requested"):
+        specfmt.parse_source(f"file:{path}", 9)
 
 
 def test_parse_source():
-    assert specfmt.parse_source("champernowne").kind == "champernowne"
-    assert specfmt.parse_source("prng:9").seed == 9
-    assert specfmt.parse_source("prng:seed=9").seed == 9
-    spec = specfmt.parse_source("bernoulli:3/4,seed=7")
-    assert spec.p == F(3, 4) and spec.seed == 7
-    assert specfmt.parse_source("literal:0101").bits == "0101"
-    with pytest.raises(SpecParseError):
-        specfmt.parse_source("bernoulli:3/4,speed=7")
+    assert specfmt.parse_source("prng:9", 0) == ""
+    assert specfmt.parse_source("prng:seed=9", 40) == _stream(0.5, 9, 40)
+    assert specfmt.parse_source("bernoulli:3/4", 40) == _stream(0.75, 0, 40)
+    assert specfmt.parse_source(" literal:0101 ", 4) == "0101"
+    for text in ("bernoulli:3/4,speed=7", "bernoulli:2,seed=1", "prng:abc", "nosuch:1"):
+        with pytest.raises(SpecParseError):
+            specfmt.parse_source(text, 4)
 
 
 def test_parse_decomposition():

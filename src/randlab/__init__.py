@@ -15,7 +15,6 @@ from .errors import (
 from .measure import (
     AuditReport,
     Measure,
-    MeasureSpec,
     bernoulli,
     check_additivity,
     fair_coin,

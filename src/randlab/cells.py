@@ -21,7 +21,7 @@ from typing import Optional
 
 from .bits import validate_bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .measure import Measure, MeasureSpec, PathCache
+from .measure import Measure, PathCache
 from .rationals import HALF, ONE, RAT, ZERO
 
 
@@ -185,7 +185,8 @@ class CellDecomposition:
     def pushforward(self) -> Measure:
         """The measure on names, mass(sigma) = Lebesgue mass of cell(sigma),
         given by the share of each cell that its 1-child carries."""
-        return Measure(self._split, label=f"push({self.label})", spec=MeasureSpec("pushforward", decomposition=self))
+        doc = lambda: {"kind": "pushforward", "decomposition": self.spec_name}
+        return Measure(self._split, label=f"push({self.label})", doc=doc)
 
 
 class BaryGroupedDecomposition(CellDecomposition):

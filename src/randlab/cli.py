@@ -148,10 +148,9 @@ def cmd_audit(opts, raw_args) -> Report:
             if mart is None:
                 raise SpecParseError("ville check needs --martingale")
             cs = opts.c.split(",")
+            thresholds = [parse_rational(c) for c in cs]
             if opts.mc_samples is not None:
-                estimates = ville_monte_carlo(
-                    mart, opts.n, None, opts.mc_samples, seed=opts.seed, thresholds=[parse_rational(c) for c in cs]
-                )
+                estimates = ville_monte_carlo(mart, opts.n, thresholds, opts.mc_samples, seed=opts.seed)
                 for c, (estimate, bound) in zip(cs, estimates):
                     line = (
                         f"check ville n={opts.n} c={c}: statistical estimate={estimate:.4f} "
@@ -164,7 +163,7 @@ def cmd_audit(opts, raw_args) -> Report:
                             report.failed = True
                     report.line(line)
             else:
-                for res in ville_audit(mart, opts.n, None, thresholds=[parse_rational(c) for c in cs]):
+                for res in ville_audit(mart, opts.n, thresholds):
                     verdict = "pass" if res.passed else "FAIL"
                     report.line(
                         f"check ville n={res.n} c={format_rational(res.threshold)}: {verdict} "

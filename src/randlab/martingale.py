@@ -427,17 +427,16 @@ def _ville_threshold(n: int, c) -> Fraction:
     return q
 
 
-def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | list[VilleReport]:
-    """Exact mass of {x of length n : some prefix capital >= c} vs capital("")/c.
+def ville_audit(mart: Martingale, n: int, thresholds) -> list[VilleReport]:
+    """Exact mass of {x of length n : some prefix capital >= c} vs capital("")/c,
+    one report per threshold c.
 
-    Enumerates the full depth-n tree once; pass several thresholds to audit
-    them in the same sweep (a list is returned in that case).  Null subtrees
-    carry no mass and are skipped.
+    Enumerates the full depth-n tree once, auditing every threshold in the
+    same sweep.  Null subtrees carry no mass and are skipped.
     """
     check_enumeration_depth(n)
     start = _start_capital(mart)
-    many = thresholds is not None
-    cs = [_ville_threshold(n, q) for q in (thresholds if many else [c])]
+    cs = [_ville_threshold(n, q) for q in thresholds]
     qs = [(q.numerator, q.denominator) for q in cs]
     hits = [{} for _ in cs]  # per threshold: leaf mass denominator -> summed numerators
     kernel = mart.kernel
@@ -462,14 +461,13 @@ def ville_audit(mart: Martingale, n: int, c, thresholds=None) -> VilleReport | l
         fraction = sum((RAT(num, den) for den, num in hit.items()), ZERO)
         bound = start / q
         reports.append(VilleReport(n=n, threshold=q, fraction=fraction, bound=bound, passed=fraction <= bound))
-    return reports if many else reports[0]
+    return reports
 
 
-def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0, thresholds=None):
+def ville_monte_carlo(mart: Martingale, n: int, thresholds, samples: int, seed: int = 0) -> list[tuple]:
     """Sampled estimate of the hitting fraction for depths past the exhaustive
-    cap.  Statistical, not exact: returns (estimate, bound) as floats; pass
-    several thresholds to estimate them all from the same samples (a list of
-    pairs is returned in that case).
+    cap.  Statistical, not exact: returns one (estimate, bound) pair of floats
+    per threshold, all estimated from the same samples.
 
     Each sample steps kernel payloads down its path and compares capitals as
     int pairs by cross-multiplication, so no per-prefix value is cached.
@@ -478,8 +476,7 @@ def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0, 
 
     start = _start_capital(mart)
     rng = _random.Random(seed)
-    many = thresholds is not None
-    cs = [_ville_threshold(n, q) for q in (thresholds if many else [c])]
+    cs = [_ville_threshold(n, q) for q in thresholds]
     qs = [(q.numerator, q.denominator) for q in cs]
     mu, kernel = mart.base, mart.kernel
     root = kernel.root()
@@ -501,5 +498,4 @@ def ville_monte_carlo(mart: Martingale, n: int, c, samples: int, seed: int = 0, 
         for i, (qn, qd) in enumerate(qs):
             if best_n * qd >= qn * best_d:
                 hits[i] += 1
-    results = [(h / samples, float(start / q)) for h, q in zip(hits, cs)]
-    return results if many else results[0]
+    return [(h / samples, float(start / q)) for h, q in zip(hits, cs)]

@@ -18,21 +18,7 @@ from typing import Callable, Optional
 
 from .bits import validate_bits
 from .errors import ConstructionError, check_enumeration_depth
-from .rationals import HALF, ONE, RAT
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """The constructor and arguments a measure was built from, which
-    specfmt.measure_to_doc writes; an interleave's factors are measures."""
-
-    kind: str
-    p: Optional[Fraction] = None
-    entries: tuple = ()
-    default: Fraction = HALF
-    total: Fraction = ONE
-    factors: tuple = ()
-    decomposition: object = None
+from .rationals import HALF, ONE, RAT, format_rational
 
 
 class PathCache:
@@ -73,15 +59,16 @@ class PathCache:
 
 
 class Measure:
-    """Finite measure on the binary tree, immutable apart from its path cache."""
+    """Finite measure on the binary tree, immutable apart from its path cache;
+    doc, if given, returns a fresh document of the constructor call (see specfmt)."""
 
-    def __init__(self, split_fn: Callable[[str], Fraction], total=ONE, label="measure", spec=None):
+    def __init__(self, split_fn: Callable[[str], Fraction], total=ONE, label="measure", doc=None):
         self._split_fn = split_fn
         self._total = RAT(total)
         if self._total < 0:
             raise ConstructionError("total mass must be nonnegative")
         self.label = label
-        self.spec = spec
+        self.doc = doc
         self._path = PathCache((self._total.numerator, self._total.denominator))
 
     def __repr__(self):
@@ -183,14 +170,14 @@ def from_masses(mass_fn: Callable[[str], Fraction], label="measure") -> Measure:
 
 
 def fair_coin() -> Measure:
-    return Measure(lambda sigma: HALF, label="fair_coin", spec=MeasureSpec("fair_coin"))
+    return Measure(lambda sigma: HALF, label="fair_coin", doc=lambda: {"kind": "fair_coin"})
 
 
 def bernoulli(p) -> Measure:
     p = RAT(p)
     if not (0 <= p <= 1):
         raise ConstructionError(f"bernoulli parameter outside [0,1]: {p}")
-    return Measure(lambda sigma: p, label=f"bernoulli({p})", spec=MeasureSpec("bernoulli", p=p))
+    return Measure(lambda sigma: p, label=f"bernoulli({p})", doc=lambda: {"kind": "bernoulli", "p": format_rational(p)})
 
 
 def split_table(entries, default=HALF, total=ONE) -> Measure:
@@ -208,18 +195,13 @@ def split_table(entries, default=HALF, total=ONE) -> Measure:
     default = RAT(default)
     if not (0 <= default <= 1):
         raise ConstructionError(f"default split outside [0,1]: {default}")
-    spec = MeasureSpec(
-        "split_table",
-        entries=tuple(sorted(table.items())),
-        default=default,
-        total=RAT(total),
-    )
-    return Measure(
-        lambda sigma: table.get(sigma, default),
-        total=total,
-        label="split_table",
-        spec=spec,
-    )
+    total = RAT(total)
+
+    def doc():
+        entries = [[sigma, format_rational(q)] for sigma, q in sorted(table.items())]
+        return {"kind": "split_table", "entries": entries, "default": format_rational(default), "total": format_rational(total)}
+
+    return Measure(lambda sigma: table.get(sigma, default), total=total, label="split_table", doc=doc)
 
 
 def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
@@ -234,8 +216,8 @@ def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
     def split(sigma: str):
         return mu2.split(sigma[1::2]) if len(sigma) % 2 else mu1.split(sigma[0::2])
 
-    spec = MeasureSpec("interleave", factors=(mu1, mu2))
-    return Measure(split, mu1.total * mu2.total, label=f"interleave({mu1.label},{mu2.label})", spec=spec)
+    doc = (lambda: {"kind": "interleave", "factors": [mu1.doc(), mu2.doc()]}) if mu1.doc and mu2.doc else None
+    return Measure(split, mu1.total * mu2.total, label=f"interleave({mu1.label},{mu2.label})", doc=doc)
 
 
 @dataclass

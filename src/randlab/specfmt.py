@@ -10,13 +10,16 @@ Measure documents are JSON with a "kind" field:
     {"kind": "interleave", "factors": [<doc>, <doc>]}
     {"kind": "pushforward", "decomposition": "bary:3"}
 
-measure_from_doc reads a document straight into its measure.  A document
-holds only the fields its kind names, as do test documents (test_from_doc)
-and martingale and strategy documents; an unknown field, a missing one or
-one of the wrong JSON type is a SpecParseError that names it, as is a split
-table that lists one string twice.  Rationals are always "num/den" strings
-and documents round-trip losslessly.
-The CLI also accepts compact one-line forms:
+measure_from_doc reads a document straight into its measure, and
+measure_to_doc writes mu.doc(), the document mu's constructor gave it; a
+measure without one (scaled, from_masses, a converted bound) is written as
+its split_table snapshot to the bundle depth.  A document holds only the
+fields its kind names, as do test documents (test_from_doc) and martingale
+and strategy documents; an unknown field, a missing one or one of the wrong
+JSON type is a SpecParseError that names it, as is a split table that lists
+one string twice or an interleave nested deeper than MAX_NESTING, in a
+document or a compact spec.  Rationals are always "num/den" strings and
+documents round-trip losslessly.  The CLI also accepts compact one-line forms:
 
     measures        fair | bernoulli:1/3 | split_table:FILE |
                     interleave:SPEC*SPEC | push:DEC
@@ -39,11 +42,13 @@ from . import betting, cells
 from .bits import champernowne_bits, prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
 from .martingale import Martingale, from_measures, table_martingale
-from .measure import Measure, MeasureSpec, bernoulli, fair_coin, interleave_product, split_table
+from .measure import Measure, bernoulli, fair_coin, interleave_product, split_table
 from .rationals import format_rational, parse_rational
 
 
 # ---------------------------------------------------------------- measures
+
+MAX_NESTING = 100  # interleaves nest at most this deep in a measure spec or document
 
 _MEASURE_FIELDS = {
     "fair_coin": (), "bernoulli": ("p",), "split_table": ("entries", "default", "total"),
@@ -51,8 +56,8 @@ _MEASURE_FIELDS = {
 }
 
 
-def measure_from_doc(doc) -> Measure:
-    """The measure a measure document names (see the module docstring)."""
+def measure_from_doc(doc, nesting: int = 0) -> Measure:
+    """The measure a measure document names (see the module docstring); nesting interleaves hold doc."""
     kind = _object(doc, "measure doc").get("kind")
     if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
         raise SpecParseError(f"unknown measure kind {kind!r}")
@@ -77,32 +82,17 @@ def measure_from_doc(doc) -> Measure:
         factors = _field(doc, "factors", what)
         if not isinstance(factors, list) or len(factors) != 2:
             raise SpecParseError(f"{what} field 'factors' must list two measure docs")
-        return interleave_product(*map(measure_from_doc, factors))
+        _check_nesting(nesting + 1)
+        return interleave_product(*(measure_from_doc(factor, nesting + 1) for factor in factors))
     name = _field(doc, "decomposition", what)
     if not isinstance(name, str):
         raise SpecParseError(f"{what} field 'decomposition' must be a string, got {json.dumps(name)[:80]}")
     return parse_decomposition(name).pushforward()
 
 
-def measure_spec_to_doc(spec: MeasureSpec) -> dict:
-    if not isinstance(spec, MeasureSpec):  # a measure, or an interleave factor, built without one
-        raise SpecParseError("measure has no spec")
-    if spec.kind == "fair_coin":
-        return {"kind": "fair_coin"}
-    if spec.kind == "bernoulli":
-        return {"kind": "bernoulli", "p": format_rational(spec.p)}
-    if spec.kind == "split_table":
-        return {
-            "kind": "split_table",
-            "entries": [[sigma, format_rational(q)] for sigma, q in spec.entries],
-            "default": format_rational(spec.default),
-            "total": format_rational(spec.total),
-        }
-    if spec.kind == "interleave":
-        return {"kind": "interleave", "factors": [measure_spec_to_doc(factor.spec) for factor in spec.factors]}
-    if spec.kind == "pushforward":
-        return {"kind": "pushforward", "decomposition": spec.decomposition.spec_name}
-    raise SpecParseError(f"unknown measure kind {spec.kind!r}")
+def _check_nesting(depth: int) -> None:
+    if depth > MAX_NESTING:
+        raise SpecParseError(f"interleave nested deeper than {MAX_NESTING} levels")
 
 
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
@@ -128,10 +118,8 @@ def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
 
 
 def measure_to_doc(mu: Measure, depth: int = 12) -> dict:
-    try:
-        return measure_spec_to_doc(mu.spec)
-    except SpecParseError:
-        return measure_snapshot_doc(mu, depth)
+    """The document mu's constructor wrote, or else its snapshot to depth."""
+    return mu.doc() if mu.doc else measure_snapshot_doc(mu, depth)
 
 
 def parse_measure(text: str) -> Measure:
@@ -147,6 +135,7 @@ def parse_measure(text: str) -> Measure:
         body = text.split(":", 1)[1]
         if "*" not in body:
             raise SpecParseError("interleave needs SPEC*SPEC")
+        _check_nesting(body.count("*"))  # a left factor holds no "*", so each "*" below is one interleave
         left, right = body.split("*", 1)
         return interleave_product(parse_measure(left), parse_measure(right))
     if text.startswith("push:"):
@@ -323,6 +312,8 @@ def load_json(path: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise SpecParseError(f"{path}: not a JSON document: {exc}") from None
+        except RecursionError:
+            raise SpecParseError(f"{path}: JSON document nested too deep to read") from None
 
 
 def load_cylinder_file(path: str) -> tuple:

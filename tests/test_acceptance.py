@@ -86,7 +86,7 @@ def test_criterion_01_exact_fairness_and_additivity(marts, chains):
 def test_criterion_02_ville_inequality(marts):
     t0 = time.monotonic()
     for name, m in marts.items():
-        reports = randlab.ville_audit(m, 14, None, thresholds=[2, 4, 8])
+        reports = randlab.ville_audit(m, 14, [2, 4, 8])
         for rep in reports:
             assert rep.passed, (name, rep)
         if name == "all_in_on_0":

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -188,6 +189,14 @@ def test_convert_levels_below_one_are_usage_errors(capsys, levels):
 
 
 FAIR = {"kind": "fair_coin"}
+
+
+def _nested_interleave(depth: int) -> str:
+    """The text of a measure document: interleaves nested depth deep down their
+    left factors, written by hand since json.dumps recurses too."""
+    return '{"kind": "interleave", "factors": [' * depth + '{"kind": "fair_coin"}' + ', {"kind": "bernoulli", "p": "1/3"}]}' * depth
+
+
 MALFORMED_DOCS = {
     "list": ([1, 2], "test doc must be a JSON object, got list"),
     "values-int": (
@@ -364,6 +373,16 @@ MALFORMED_INPUTS = {
         "split_table measure doc field 'entries' repeats the string ''",
         {"kind": "split_table", "entries": [["", "1/3"], ["", "2/3"]]},
     ),
+    # nesting the JSON decoder cannot read, and interleaves past specfmt.MAX_NESTING (100)
+    "measure-json-too-deep": (["audit", "--measure", "doc:{doc}"], "doc.json: JSON document nested too deep to read", _nested_interleave(500)),
+    "martingale-json-too-deep": (
+        ["audit", "--measure", "fair", "--martingale", "table:{doc}", "--check", "fairness"],
+        "doc.json: JSON document nested too deep to read",
+        "[" * 5000 + "]" * 5000,
+    ),
+    "interleave-doc-too-deep": (["audit", "--measure", "doc:{doc}"], "interleave nested deeper than 100 levels", _nested_interleave(101)),
+    "interleave-spec-too-deep": (["audit", "--measure", "interleave:fair*" * 1000 + "fair"], "interleave nested deeper than 100 levels"),
+    "interleave-spec-past-bound": (["audit", "--measure", "interleave:fair*" * 101 + "fair"], "interleave nested deeper than 100 levels"),
     "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
     "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
 }
@@ -1413,3 +1432,56 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         ("audit", 0), ("audit", 0), ("convert", 0), ("convert", 0), ("convert", 0),
         ("bet", 0), ("bet", 0), ("deficiency", 1), ("name", 0), ("refine", 0),
     ]
+
+
+# sha256 of the --out-test file, the digest output line and the exit code of
+# convert --to bounded_ml --depth 6 over bases of every measure document kind,
+# recorded before measures wrote their own documents
+_OUTPUT_PINS = {
+    ("fair", "all_in:0"): ("113561fabaf2c86b3ab40455710c6178457a403ae86d81b02d59960773695a5b", "274c137e8584dee0", 0),
+    ("fair", "quotient"): ("5272b13c4bde09dff560b0e83ffe8e71998bae79bc02ad85f1b1e00393279220", "e9d18962a2fa4b7b", 0),
+    ("bernoulli:1/3", "all_in:0"): ("eea41d48e19c165d9d38189900736f6fdfffcbf9295515cba34e94b720a78d3a", "c0e60c9a4af0c37b", 0),
+    ("bernoulli:1/3", "quotient"): ("eeeea12e422564c7ee2ae71a42894d2e237c49a713eea19a84c5667eb125002f", "a0304f9f39ad37ab", 0),
+    ("split_table:{table}", "all_in:0"): ("8753c7187f9c41fc0a1618c9aef57eda0a4eca12cce3a479f5d8ec4c8eec7784", "2a8b24f41a3d2b16", 0),
+    # bernoulli:2/3 charges '11', which the table leaves null
+    ("split_table:{table}", "quotient"): ("57af2f3d8a2c765afc1a5a16649e1ac4a6304b4c98041ce5a43ac8bf7b7fd4e1", "fc90674793efd902", 1),
+    ("interleave:bernoulli:1/3*push:ternary", "all_in:0"): ("ca5dde393434b7058d7786100c1a3a71ff0414ef5f356ff912df21b4bb468c95", "b194c545ca28f441", 0),
+    ("interleave:bernoulli:1/3*push:ternary", "quotient"): ("d2179c980938cdca8288e6577d2c088399d05aa34aea39db47a2fa11d9aa9c50", "4b84a3e3e75bbbc4", 0),
+    ("push:bary:5", "all_in:0"): ("5997e42510ed6a380af1c6650d75712ade37460c99bd087f94f2b1b831544311", "7b6b819341f51ff0", 0),
+    ("push:bary:5", "quotient"): ("914c1f163068fa6810e542ca720a42849f297aa0a1132f49332dd118de5acb34", "107df53095338d1d", 0),
+}
+
+
+@pytest.mark.parametrize("base, martingale", list(_OUTPUT_PINS), ids=lambda text: text.split(":")[0])
+def test_convert_output_bytes_are_pinned_over_every_measure_kind(capsys, tmp_path, base, martingale):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "kind": "split_table", "entries": [["01", "3/4"], ["", "1/3"], ["1", "0/1"]], "default": "2/5", "total": "3/2",
+    }))
+    out_test = tmp_path / "t.json"
+    file_sha, digest, exit_code = _OUTPUT_PINS[base, martingale]
+    base = base.format(table=table)
+    martingale = "quotient:bernoulli:2/3/" + base if martingale == "quotient" else martingale
+    code, out, _ = run_cli(capsys, "convert", "--measure", base, "--martingale", martingale,
+                           "--to", "bounded_ml", "--depth", "6", "--out-test", str(out_test))
+    assert code == exit_code
+    assert hashlib.sha256(out_test.read_bytes()).hexdigest() == file_sha
+    assert f"digest output: {digest}" in out.splitlines()
+
+
+@pytest.mark.parametrize("spec", ["doc:{doc}", "interleave:fair*" * 99 + "doc:{leaf}"], ids=["doc", "compact"])
+def test_interleaves_nested_to_the_bound_round_trip(capsys, tmp_path, spec):
+    # 100 interleaves deep: specfmt.MAX_NESTING, the deepest nesting read
+    (tmp_path / "doc.json").write_text(_nested_interleave(randlab.specfmt.MAX_NESTING))
+    (tmp_path / "leaf.json").write_text(_nested_interleave(1))
+    spec = spec.format(doc=tmp_path / "doc.json", leaf=tmp_path / "leaf.json")
+    out_test = tmp_path / "t.json"
+    head = ["convert", "--measure", spec, "--martingale", "all_in:0"]
+    code, out, _ = run_cli(capsys, *head, "--to", "bounded_ml", "--depth", "6", "--out-test", str(out_test))
+    assert code == 0, out
+    base = json.loads(out_test.read_text())["base"]
+    assert base == randlab.specfmt.measure_to_doc(randlab.specfmt.parse_measure(spec))
+    if spec.startswith("doc:"):
+        assert base == json.loads((tmp_path / "doc.json").read_text())
+    code, out, _ = run_cli(capsys, "convert", "--input", str(out_test), "--to", "martingale", "--depth", "6")
+    assert code == 0, out

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
 from randlab import SpecParseError, specfmt
@@ -70,14 +72,70 @@ def test_measure_snapshot_exact_to_depth():
     [
         lambda: randlab.to_measure(randlab.from_measures(randlab.bernoulli(F(2, 3)), randlab.fair_coin())),
         lambda: randlab.Measure(lambda s: F(1, 3)),
+        lambda: randlab.fair_coin().scaled(2),
+        lambda: randlab.from_masses(lambda s: F(2, 3) ** s.count("0") * F(1, 3) ** s.count("1")),
     ],
-    ids=["to_measure", "split_fn"],
+    ids=["to_measure", "split_fn", "scaled", "from_masses"],
 )
 def test_interleave_with_a_factor_without_spec_is_snapshot(factor):
-    prod = randlab.interleave_product(factor(), randlab.fair_coin())
-    doc = specfmt.measure_to_doc(prod, 6)
-    assert doc["kind"] == "split_table"
-    assert randlab.measures_agree(prod, specfmt.measure_from_doc(doc), 6)
+    # a measure no constructor documents is written as its snapshot, on its own and inside an interleave
+    for mu in (factor(), randlab.interleave_product(factor(), randlab.fair_coin())):
+        assert mu.doc is None
+        doc = specfmt.measure_to_doc(mu, 6)
+        assert doc == specfmt.measure_snapshot_doc(mu, 6)
+        assert doc["kind"] == "split_table"
+        assert randlab.measures_agree(mu, specfmt.measure_from_doc(doc), 6)
+
+
+def _text(q) -> str:
+    return format_rational(F(q))
+
+
+_ratios = st.builds(F, st.integers(0, 6), st.integers(1, 6)).filter(lambda q: q <= 1)
+_leaf_docs = st.one_of(
+    st.just({"kind": "fair_coin"}),
+    st.builds(lambda p: {"kind": "bernoulli", "p": _text(p)}, _ratios),
+    st.builds(
+        lambda table, default, total: {
+            "kind": "split_table", "entries": [[sigma, _text(q)] for sigma, q in sorted(table.items())],
+            "default": _text(default), "total": _text(total),
+        },
+        st.dictionaries(st.text(alphabet="01", max_size=4), _ratios, max_size=5),
+        _ratios,
+        st.builds(F, st.integers(0, 9), st.integers(1, 4)),
+    ),
+    st.builds(
+        lambda name: {"kind": "pushforward", "decomposition": name},
+        st.sampled_from(["binary", "ternary"]) | st.builds("bary:{}".format, st.integers(2, 6))
+        | st.builds("interleave:{}".format, st.integers(1, 4)),
+    ),
+)
+_measure_docs = st.recursive(
+    _leaf_docs, lambda inner: st.lists(inner, min_size=2, max_size=2).map(lambda f: {"kind": "interleave", "factors": f}),
+    max_leaves=6,
+)
+
+
+def _mutate(doc):
+    """Overwrite every field and list entry of a document and grow every list, in place."""
+    for key, value in list(doc.items()) if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            _mutate(value)
+        doc[key] = "mutated"
+    if isinstance(doc, list):
+        doc.append("mutated")
+
+
+@given(_measure_docs)
+@settings(max_examples=80, deadline=None)
+def test_measure_docs_round_trip(doc):
+    mu = specfmt.measure_from_doc(doc)
+    # the canonical document: ternary is bary_grouped(3), written as bary:3
+    canonical = json.loads(json.dumps(doc).replace('"ternary"', '"bary:3"'))
+    assert specfmt.measure_to_doc(mu) == canonical
+    assert randlab.measures_agree(mu, specfmt.measure_from_doc(specfmt.measure_to_doc(mu)), 6)
+    _mutate(mu.doc())
+    assert mu.doc() == canonical
 
 
 def test_parse_measure_compact(tmp_path):

@@ -134,20 +134,20 @@ def test_fairness_detects_impossibility_violation(null_at_one):
 
 
 def test_ville_all_in_equality(battery_marts):
-    res = randlab.ville_audit(battery_marts["all_in_on_0"], 10, Fraction(8))
+    (res,) = randlab.ville_audit(battery_marts["all_in_on_0"], 10, [Fraction(8)])
     assert res.fraction == Fraction(1, 8) == res.bound
     assert res.passed
 
 
 def test_ville_identity(battery_marts):
-    res = randlab.ville_audit(battery_marts["identity"], 8, Fraction(2))
+    (res,) = randlab.ville_audit(battery_marts["identity"], 8, [Fraction(2)])
     assert res.fraction == 0
     assert res.bound == Fraction(1, 2)
     assert res.passed
 
 
 def test_ville_likelihood_ratio(battery_marts):
-    res = randlab.ville_audit(battery_marts["lr_bern23_vs_fair"], 12, Fraction(4))
+    (res,) = randlab.ville_audit(battery_marts["lr_bern23_vs_fair"], 12, [Fraction(4)])
     assert res.passed and res.fraction <= Fraction(1, 4)
 
 
@@ -161,14 +161,15 @@ def test_ville_matches_bruteforce(battery_marts):
         best = max(m.capital(x[:k]) for k in range(n + 1))
         if best >= c:
             expected += m.base.mass(x)
-    res = randlab.ville_audit(m, n, c)
+    (res,) = randlab.ville_audit(m, n, [c])
     assert res.fraction == expected
 
 
 def test_ville_repeated_threshold_counted_once(battery_marts):
+    # two equal thresholds give two equal reports, each the report of one
     m = battery_marts["lr_bern23_vs_fair"]
-    single = randlab.ville_audit(m, 8, Fraction(2))
-    assert randlab.ville_audit(m, 8, None, thresholds=[2, 2]) == [single, single]
+    (single,) = randlab.ville_audit(m, 8, [Fraction(2)])
+    assert randlab.ville_audit(m, 8, [2, 2]) == [single, single]
 
 
 def test_zero_mass_base_is_refused():
@@ -178,8 +179,8 @@ def test_zero_mass_base_is_refused():
     mart = randlab.from_measures(zero, zero)
     for call in (
         lambda: randlab.savings_transform(mart),
-        lambda: randlab.ville_audit(mart, 4, Fraction(2)),
-        lambda: ville_monte_carlo(mart, 4, Fraction(2), 5),
+        lambda: randlab.ville_audit(mart, 4, [Fraction(2)]),
+        lambda: ville_monte_carlo(mart, 4, [Fraction(2)], 5),
     ):
         with pytest.raises(PreconditionError, match="total mass 0"):
             call()
@@ -187,10 +188,10 @@ def test_zero_mass_base_is_refused():
 
 def test_ville_resource_cap(battery_marts, monkeypatch):
     with pytest.raises(ResourceLimitError):
-        randlab.ville_audit(battery_marts["identity"], 25, Fraction(2))
+        randlab.ville_audit(battery_marts["identity"], 25, [Fraction(2)])
     monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
     with pytest.raises(ResourceLimitError):
-        randlab.ville_audit(battery_marts["identity"], 5, Fraction(2))
+        randlab.ville_audit(battery_marts["identity"], 5, [Fraction(2)])
 
 
 def test_table_martingale_constant_continuation(fair):
@@ -286,7 +287,7 @@ def test_ville_partition_independent(battery_marts):
     # exhaustive sweep equals the exact combination of disjoint prefix ranges
     m = battery_marts["lr_bern23_vs_fair"]
     n, c = 8, Fraction(2)
-    whole = randlab.ville_audit(m, n, c).fraction
+    whole = randlab.ville_audit(m, n, [c])[0].fraction
     by_parts = Fraction(0)
     for first in "01":
         for bits in itertools.product("01", repeat=n - 1):
@@ -414,10 +415,10 @@ def test_savings_sandwich_on_generated_martingales(case):
 def test_ville_monte_carlo_labelled_estimate(battery_marts):
     from randlab.martingale import ville_monte_carlo
 
-    estimate, bound = ville_monte_carlo(battery_marts["all_in_on_0"], 24, Fraction(8), 500, seed=11)
+    [(estimate, bound)] = ville_monte_carlo(battery_marts["all_in_on_0"], 24, [Fraction(8)], 500, seed=11)
     assert bound == 0.125
     assert 0 <= estimate <= 1
-    again, _ = ville_monte_carlo(battery_marts["all_in_on_0"], 24, Fraction(8), 500, seed=11)
+    [(again, _)] = ville_monte_carlo(battery_marts["all_in_on_0"], 24, [Fraction(8)], 500, seed=11)
     assert estimate == again
 
 
@@ -452,7 +453,7 @@ def test_ville_monte_carlo_keeps_no_per_prefix_cache():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for seed in (1, 2):
-            ville_monte_carlo(mart, 200, Fraction(2), 200, seed=seed)
+            ville_monte_carlo(mart, 200, [Fraction(2)], 200, seed=seed)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

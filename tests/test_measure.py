@@ -109,7 +109,7 @@ def _audit_fairness(mu, mart):
 
 
 def _audit_ville(mu, mart):
-    randlab.ville_audit(mart, 4, Fraction(2))
+    randlab.ville_audit(mart, 4, [Fraction(2)])
 
 
 def _capital_walk(mu, mart):

@@ -11,6 +11,7 @@ conditional mass of the losing side to the winning side.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Optional
 
@@ -379,21 +380,22 @@ def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
 
 @dataclass
 class PlayResult:
-    """One play of a strategy against a concrete sample.  factors[k] is the
-    capital factor of step k as an int pair (num, den), not always in lowest
-    terms: values[k + 1] == values[k] * num / den.  Equal pairs are one tuple."""
+    """One play of a strategy against a concrete sample.  factors[k] is step
+    k's capital factor as an int pair (num, den), not always in lowest terms;
+    equal pairs are one tuple, and values rebuilds the capitals from start."""
 
     history: str
-    values: list
+    start: Fraction
+    final: Fraction
+    max_attained: Fraction
     factors: list
     events: list
     undetermined: bool = False
     violation: Optional[str] = None
-    max_attained: Optional[Fraction] = None  # max(values), kept by play as it steps
 
     @property
-    def final(self) -> Fraction:
-        return self.values[-1]
+    def values(self) -> list:
+        return list(accumulate(self.factors, lambda v, f: v * RAT(*f), initial=self.start))
 
 
 def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = None) -> PlayResult:
@@ -407,28 +409,27 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
     if max_steps is None:
         max_steps = len(x)
     node = StrategyKernel(strategy, mu, max_steps).root()
-    values, factors, events = [node.capital], [], []
+    start, factors, events = node.capital, [], []
     seen = {}  # each factor pair once, so a bet that repeats its factors holds a few tuples
-    best, rn, rd = node.capital, 1, 1  # rn/rd: the capital over best, the product of the factors since
+    best, rn, rd = start, 1, 1  # rn/rd: the capital over best, the product of the factors since
     for _ in range(max_steps):
         decision = strategy.share(node.history, node.capital, node.knowledge, mu)
         if decision is None:
             break
         outcome = _membership(decision[0], x)
         if outcome is None:
-            return PlayResult(node.history, values, factors, events, undetermined=True, max_attained=best)
+            return PlayResult(node.history, start, node.capital, best, factors, events, undetermined=True)
         try:
             _, ((node, factor),) = _resolve_bet(node, *decision, mu, (outcome,))
         except StrategyViolation as exc:
-            return PlayResult(node.history, values, factors, events, violation=str(exc), max_attained=best)
+            return PlayResult(node.history, start, node.capital, best, factors, events, violation=str(exc))
         fn, fd = factor = seen.setdefault(factor, factor)
         rn, rd = rn * fn, rd * fd
         if rn > rd:
             best, rn, rd = node.capital, 1, 1
-        values.append(node.capital)
         factors.append(factor)
         events.append(decision[0].describe())
-    return PlayResult(node.history, values, factors, events, max_attained=best)
+    return PlayResult(node.history, start, node.capital, best, factors, events)
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):

@@ -17,7 +17,7 @@ import time
 from math import gcd
 
 from . import betting, cells, machines, randtests, specfmt
-from .errors import RandlabError, ResourceLimitError, SpecParseError, StrategyViolation
+from .errors import DEPTH_LIMIT_ENV, RandlabError, ResourceLimitError, SpecParseError, StrategyViolation, enumeration_limit
 from .martingale import check_fairness, savings_transform, ville_audit, ville_monte_carlo
 from .measure import check_additivity
 from .rationals import format_rational, frac_log2, parse_rational
@@ -266,6 +266,8 @@ def _convert_transfer(opts, report: Report) -> Report:
 def _check_length(opts) -> None:
     if opts.length < 0:
         raise SpecParseError(f"--length must be nonnegative, got {opts.length}")
+    if opts.length > 2 ** (limit := enumeration_limit()):  # the bound _side puts on a bit expansion
+        raise ResourceLimitError(f"--length {opts.length} exceeds 2**{limit} (set {DEPTH_LIMIT_ENV} to raise it)")
 
 
 def cmd_bet(opts, raw_args) -> Report:
@@ -277,16 +279,15 @@ def cmd_bet(opts, raw_args) -> Report:
     result = betting.play(strategy, mu, x)
     rows = (
         (step, x[:step], num, den, result.events[step - 1] if step else "")
-        for step, (num, den) in enumerate(_capital_digits(result.values[0], result.factors))
+        for step, (num, den) in enumerate(_capital_digits(result.start, result.factors))
     )
     report.digest("source", opts.source)
-    final = result.final
     _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
     # printed as the trace's rows are, so Python's int->str digit limit never applies
-    final_text, max_text = ("/".join(next(_capital_digits(q, ()))) for q in (final, result.max_attained))
-    summary = f"summary: steps={len(result.values) - 1} final={final_text} max={max_text}"
-    if final > 0:
-        summary += f" log2_final~{frac_log2(final):.4f}"
+    final_text, max_text = ("/".join(next(_capital_digits(q, ()))) for q in (result.final, result.max_attained))
+    summary = f"summary: steps={len(result.factors)} final={final_text} max={max_text}"
+    if result.final > 0:
+        summary += f" log2_final~{frac_log2(result.final):.4f}"
     report.line(summary)
     if result.undetermined:
         report.line("flag: undetermined (source too short to settle a bet)")

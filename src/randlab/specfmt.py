@@ -17,8 +17,8 @@ its split_table snapshot to the bundle depth.  A document holds only the
 fields its kind names, as do test documents (test_from_doc) and martingale
 and strategy documents; an unknown field, a missing one or one of the wrong
 JSON type is a SpecParseError that names it, as is a split table that lists
-one string twice or an interleave nested deeper than MAX_NESTING, in a
-document or a compact spec.  Rationals are always "num/den" strings and
+one string twice or interleaves and push:natural: links nested deeper than
+MAX_NESTING, in a document or a compact spec.  Rationals are always "num/den" strings and
 documents round-trip losslessly.  The CLI also accepts compact one-line forms:
 
     measures        fair | bernoulli:1/3 | split_table:FILE |
@@ -48,7 +48,7 @@ from .rationals import format_rational, parse_rational
 
 # ---------------------------------------------------------------- measures
 
-MAX_NESTING = 100  # interleaves nest at most this deep in a measure spec or document
+MAX_NESTING = 100  # interleaves and push:natural: links nest at most this deep in a measure spec or document
 
 _MEASURE_FIELDS = {
     "fair_coin": (), "bernoulli": ("p",), "split_table": ("entries", "default", "total"),
@@ -57,7 +57,7 @@ _MEASURE_FIELDS = {
 
 
 def measure_from_doc(doc, nesting: int = 0) -> Measure:
-    """The measure a measure document names (see the module docstring); nesting interleaves hold doc."""
+    """The measure a measure document names (see the module docstring); nesting levels hold doc."""
     kind = _object(doc, "measure doc").get("kind")
     if not isinstance(kind, str) or kind not in _MEASURE_FIELDS:
         raise SpecParseError(f"unknown measure kind {kind!r}")
@@ -82,17 +82,17 @@ def measure_from_doc(doc, nesting: int = 0) -> Measure:
         factors = _field(doc, "factors", what)
         if not isinstance(factors, list) or len(factors) != 2:
             raise SpecParseError(f"{what} field 'factors' must list two measure docs")
-        _check_nesting(nesting + 1)
+        _check_nesting(nesting + 1, "interleave")
         return interleave_product(*(measure_from_doc(factor, nesting + 1) for factor in factors))
     name = _field(doc, "decomposition", what)
     if not isinstance(name, str):
         raise SpecParseError(f"{what} field 'decomposition' must be a string, got {json.dumps(name)[:80]}")
-    return parse_decomposition(name).pushforward()
+    return parse_decomposition(name, nesting).pushforward()
 
 
-def _check_nesting(depth: int) -> None:
+def _check_nesting(depth: int, what: str) -> None:
     if depth > MAX_NESTING:
-        raise SpecParseError(f"interleave nested deeper than {MAX_NESTING} levels")
+        raise SpecParseError(f"{what} nested deeper than {MAX_NESTING} levels")
 
 
 def measure_snapshot_doc(mu: Measure, depth: int) -> dict:
@@ -122,24 +122,24 @@ def measure_to_doc(mu: Measure, depth: int = 12) -> dict:
     return mu.doc() if mu.doc else measure_snapshot_doc(mu, depth)
 
 
-def parse_measure(text: str) -> Measure:
-    """Compact one-line measure spec (see module docstring)."""
+def parse_measure(text: str, nesting: int = 0) -> Measure:
+    """Compact one-line measure spec (see module docstring); nesting levels hold text."""
     text = text.strip()
     if text in ("fair", "fair_coin"):
         return fair_coin()
     if text.startswith("bernoulli:"):
         return bernoulli(parse_rational(text.split(":", 1)[1]))
     if text.startswith(("split_table:", "doc:")):
-        return measure_from_doc(load_json(text.split(":", 1)[1]))
+        return measure_from_doc(load_json(text.split(":", 1)[1]), nesting)
     if text.startswith("interleave:"):
         body = text.split(":", 1)[1]
         if "*" not in body:
             raise SpecParseError("interleave needs SPEC*SPEC")
-        _check_nesting(body.count("*"))  # a left factor holds no "*", so each "*" below is one interleave
+        _check_nesting(nesting + body.count("*"), "interleave")  # a left factor holds no "*", so each "*" below is one interleave
         left, right = body.split("*", 1)
-        return interleave_product(parse_measure(left), parse_measure(right))
+        return interleave_product(parse_measure(left, nesting + 1), parse_measure(right, nesting + 1))
     if text.startswith("push:"):
-        return parse_decomposition(text.split(":", 1)[1]).pushforward()
+        return parse_decomposition(text.split(":", 1)[1], nesting).pushforward()
     raise SpecParseError(f"cannot parse measure spec {text!r}")
 
 
@@ -254,7 +254,7 @@ def parse_source(text: str, length: int) -> str:
 
 # --------------------------------------------------------- decompositions
 
-def parse_decomposition(text: str) -> cells.CellDecomposition:
+def parse_decomposition(text: str, nesting: int = 0) -> cells.CellDecomposition:
     text = text.strip()
     if text in ("binary", "binary_digits"):
         return cells.binary_digits()
@@ -265,7 +265,8 @@ def parse_decomposition(text: str) -> cells.CellDecomposition:
     if text.startswith("interleave:"):
         return cells.interleave(_parse_int(text.split(":", 1)[1], "dimension"))
     if text.startswith("natural:"):
-        return cells.natural(parse_measure(text.split(":", 1)[1]))
+        _check_nesting(nesting + 1, "push:natural:")
+        return cells.natural(parse_measure(text.split(":", 1)[1], nesting + 1))
     raise SpecParseError(f"cannot parse decomposition spec {text!r}")
 
 

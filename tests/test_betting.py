@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -701,8 +702,14 @@ def test_transport_matches_play_and_is_fair(mu, strategy, x):
         played = None  # a likelihood-ratio strategy refuses a degenerate base
     nu, mart = randlab.strategy_to_cantor(strategy, mu, len(x))
     if played is not None:
+        # play keeps the start, final and largest capitals and the factors;
+        # values is no field but rebuilt from them
+        values = played.values
+        assert (played.start, played.final, played.max_attained) == (values[0], values[-1], max(values))
+        assert len(played.factors) == len(values) - 1
+        assert "values" not in {field.name for field in dataclasses.fields(played)}
         masses = _knowledge_masses(strategy, mu, played.history)
-        for k, (value, mass) in enumerate(zip(played.values, masses)):
+        for k, (value, mass) in enumerate(zip(values, masses)):
             assert mart.capital(played.history[:k]) == value, k
             assert nu.mass(played.history[:k]) == mass, k
     # the audit resolves the bet at every history the walk does

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +384,18 @@ MALFORMED_INPUTS = {
     "interleave-doc-too-deep": (["audit", "--measure", "doc:{doc}"], "interleave nested deeper than 100 levels", _nested_interleave(101)),
     "interleave-spec-too-deep": (["audit", "--measure", "interleave:fair*" * 1000 + "fair"], "interleave nested deeper than 100 levels"),
     "interleave-spec-past-bound": (["audit", "--measure", "interleave:fair*" * 101 + "fair"], "interleave nested deeper than 100 levels"),
+    # push:natural: links count toward the same cap; 600 of them raised RecursionError
+    "push-spec-too-deep": (["audit", "--measure", "push:natural:" * 600 + "fair"], "push:natural: nested deeper than 100 levels"),
+    "push-spec-past-bound": (["audit", "--measure", "push:natural:" * 101 + "fair"], "push:natural: nested deeper than 100 levels"),
+    "push-doc-too-deep": (
+        ["audit", "--measure", "doc:{doc}"],
+        "push:natural: nested deeper than 100 levels",
+        {"kind": "pushforward", "decomposition": "natural:" + "push:natural:" * 599 + "fair"},
+    ),
+    "push-under-interleaves": (
+        ["audit", "--measure", "interleave:fair*" * 60 + "push:natural:" * 41 + "fair"],
+        "push:natural: nested deeper than 100 levels",
+    ),
     "machine-bytes": (["deficiency", "--machine", "{binary}", "--point", "1/3"], "not a binary string"),
     "source-bytes": (["bet", "--strategy", "null", "--measure", "fair", "--source", "file:{binary}"], "not a binary string"),
 }
@@ -921,6 +934,40 @@ def test_negative_lengths_are_usage_errors(capsys, tmp_path, args):
     assert f"usage error: --length must be nonnegative, got {args[-1]}" in err
     code, out, _ = run_cli(capsys, *(a.format(machine=mfile) for a in args[:-1]), "0")
     assert code == 0 and "timing_s" in out  # a zero length still runs
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bet", "--strategy", "null", "--measure", "fair", "--source", "prng:1"],
+        ["name", "--decomposition", "binary", "--point", "1/3"],
+        ["deficiency", "--machine", "{machine}", "--decomposition", "ternary", "--point", "5/7"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_lengths_past_the_expansion_cap_are_resource_errors(capsys, monkeypatch, tmp_path, args):
+    # each ran past a 5 s timeout with --length 10**21
+    mfile = tmp_path / "m.machine"
+    mfile.write_text("00\t11\n")
+    args = [a.format(machine=mfile) for a in args]
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *args, "--length", str(10**21))
+    assert (code, out) == (3, "") and time.monotonic() - started < 1
+    assert f"resource limit: --length {10**21} exceeds 2**20 (set RANDLAB_DEPTH_LIMIT to raise it)" in err
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "3")
+    assert run_cli(capsys, *args, "--length", "9")[0] == 3
+    code, out, _ = run_cli(capsys, *args, "--length", "8")  # 2**3 bits still run
+    assert code == 0 and "timing_s" in out
+
+
+def test_push_natural_links_nest_to_the_bound(capsys, tmp_path):
+    # 100 links: specfmt.MAX_NESTING; a document that names itself stops there too
+    code, out, _ = run_cli(capsys, "audit", "--measure", "push:natural:" * 100 + "bernoulli:1/3", "--depth", "4")
+    assert code == 0 and "check additivity@4: pass" in out
+    doc = tmp_path / "self.json"
+    doc.write_text(json.dumps({"kind": "pushforward", "decomposition": f"natural:doc:{doc}"}))
+    code, out, err = run_cli(capsys, "audit", "--measure", f"doc:{doc}")
+    assert (code, out) == (2, "") and "push:natural: nested deeper than 100 levels" in err
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,28 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     knowledge state (None where it is null) and q, its weight given the set,
     as an int pair (num, den).
 
+    A bet on the next coordinate of a single cylinder g, as every monotone
+    bit strategy makes, has the one generator g + bit of weight 1, and q is
+    mu's split at g read once; every other bet goes through _walk_side.
+    """
+    gens = knowledge.generators
+    if isinstance(event, BitEvent) and len(gens) == 1 and event.index == len(gens[0]):
+        _check_expansion(event, 2)
+        s, bit = mu.split(gens[0]), event.side if won else 1 - event.side
+        qn, qd = s.numerator if bit else s.denominator - s.numerator, s.denominator
+        state = KnowledgeState((gens[0] + "01"[bit],), knowledge.mass * RAT(qn, qd), (ONE,)) if qn else None
+        return state, (qn, qd)
+    return _walk_side(knowledge, event, mu, won)
+
+
+def _check_expansion(event: BitEvent, cost: int):
+    if cost > (1 << enumeration_limit()):
+        raise ResourceLimitError(f"restricting bit {event.index} would expand the knowledge set {cost}-fold")
+
+
+def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
+    """_side of any bet, by a walk over the side's generators.
+
     A generator's weight is the weight of the knowledge generator above it
     times the measure's splits between the two, so no cylinder mass is read
     and no two masses are divided; generators in a row share the products
@@ -63,11 +85,7 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     gens = knowledge.generators
     if isinstance(event, BitEvent):
         # fresh generators shorter than the coordinate get expanded 2^gap-fold
-        cost = sum(1 << max(0, event.index + 1 - len(g)) for g in gens)
-        if cost > (1 << enumeration_limit()):
-            raise ResourceLimitError(
-                f"restricting bit {event.index} would expand the knowledge set {cost}-fold"
-            )
+        _check_expansion(event, sum(1 << max(0, event.index + 1 - len(g)) for g in gens))
         side = bits.restrict_bit(gens, event.index, event.side if won else 1 - event.side)
     elif isinstance(event, CylinderEvent):
         side = (bits.intersect if won else bits.subtract)(gens, event.generators)

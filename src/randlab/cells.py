@@ -16,11 +16,12 @@ reported undetermined.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
 from .bits import validate_bits
-from .errors import ConstructionError, PreconditionError, check_enumeration_depth
+from .errors import ConstructionError, PreconditionError, check_enumeration_depth, check_size
 from .measure import Measure, PathCache
 from .rationals import HALF, ONE, RAT, ZERO
 
@@ -134,18 +135,22 @@ def _unit_coordinates(point, dim: int) -> tuple:
 class CellDecomposition:
     """Binary tree of regions refining [0,1) (or [0,1)^d) under Lebesgue.
 
-    Subclasses give the root node and _children(sigma, node), the nodes of
-    sigma's 0-child and 1-child; every node is read through a one-path cache.
+    Subclasses give the root node, _root(), and _children(sigma, node), the
+    nodes of sigma's 0-child and 1-child; every node is read through a
+    one-path cache, which builds the root at its first read.
     Naming reads _point(x), x coerced and checked, and _locate(x, sigma,
     node): the bit and the node of the child that holds x, and whether x
     lies on an endpoint of either child.
     """
 
-    def __init__(self, kind: str, label: str, spec_name: str = None, root=None):
+    def __init__(self, kind: str, label: str, spec_name: str = None):
         self.kind = kind
         self.label = label
         self.spec_name = spec_name or label
-        self._path = PathCache(root)
+
+    @cached_property
+    def _path(self) -> PathCache:
+        return PathCache(self._root())
 
     def __repr__(self):
         return f"CellDecomposition({self.label})"
@@ -203,10 +208,14 @@ class BaryGroupedDecomposition(CellDecomposition):
     def __init__(self, base: int, kind="bary_grouped", label=None, spec_name=None):
         if base < 2:
             raise ConstructionError("digit base must be at least 2")
-        super().__init__(kind, label or f"bary{base}", spec_name or f"bary:{base}", root=(0, base, 0))
+        check_size(base, "digit base")
+        super().__init__(kind, label or f"bary{base}", spec_name or f"bary:{base}")
         self.base = base
         # a cell with p values peeled leaves (b-1-p)/(b-p) of its mass to its 1-child
         self._splits = tuple(RAT(base - 1 - p, base - p) for p in range(base - 1))
+
+    def _root(self):
+        return 0, self.base, 0
 
     def _children(self, sigma, state):
         low, width, peeled = state
@@ -250,9 +259,12 @@ class InterleaveDecomposition(CellDecomposition):
     def __init__(self, dim: int):
         if dim < 1:
             raise ConstructionError("dimension must be at least 1")
-        root = tuple((ZERO, ONE) for _ in range(dim))
-        super().__init__(kind="interleave", label=f"interleave{dim}", spec_name=f"interleave:{dim}", root=root)
+        check_size(dim, "dimension")
+        super().__init__(kind="interleave", label=f"interleave{dim}", spec_name=f"interleave:{dim}")
         self.dim = dim
+
+    def _root(self):
+        return ((ZERO, ONE),) * self.dim
 
     def _children(self, sigma, box):
         axis = len(sigma) % self.dim

@@ -17,7 +17,7 @@ import time
 from math import gcd
 
 from . import betting, cells, machines, randtests, specfmt
-from .errors import DEPTH_LIMIT_ENV, RandlabError, ResourceLimitError, SpecParseError, StrategyViolation, enumeration_limit
+from .errors import RandlabError, ResourceLimitError, SpecParseError, StrategyViolation, check_size
 from .martingale import check_fairness, savings_transform, ville_audit, ville_monte_carlo
 from .measure import check_additivity
 from .rationals import format_rational, frac_log2, parse_rational
@@ -150,6 +150,7 @@ def cmd_audit(opts, raw_args) -> Report:
             cs = opts.c.split(",")
             thresholds = [parse_rational(c) for c in cs]
             if opts.mc_samples is not None:
+                check_size(opts.mc_samples * max(opts.n, 1), "--mc-samples times --n")
                 estimates = ville_monte_carlo(mart, opts.n, thresholds, opts.mc_samples, seed=opts.seed)
                 for c, (estimate, bound) in zip(cs, estimates):
                     line = (
@@ -180,6 +181,8 @@ def cmd_convert(opts, raw_args) -> Report:
     report = Report(raw_args)
     if opts.levels is not None and opts.levels < 1:
         raise SpecParseError(f"--levels must be at least 1, got {opts.levels}")
+    if opts.levels is not None:
+        check_size(opts.levels, "--levels")
     if opts.transfer:
         return _convert_transfer(opts, report)
     mu = specfmt.parse_measure(opts.measure)
@@ -266,8 +269,7 @@ def _convert_transfer(opts, report: Report) -> Report:
 def _check_length(opts) -> None:
     if opts.length < 0:
         raise SpecParseError(f"--length must be nonnegative, got {opts.length}")
-    if opts.length > 2 ** (limit := enumeration_limit()):  # the bound _side puts on a bit expansion
-        raise ResourceLimitError(f"--length {opts.length} exceeds 2**{limit} (set {DEPTH_LIMIT_ENV} to raise it)")
+    check_size(opts.length, "--length")
 
 
 def cmd_bet(opts, raw_args) -> Report:

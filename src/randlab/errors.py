@@ -53,3 +53,10 @@ def check_enumeration_depth(n: int) -> None:
             f"exhaustive enumeration depth {n} exceeds cap {limit} "
             f"(set {DEPTH_LIMIT_ENV} to raise it)"
         )
+
+
+def check_size(n: int, what: str) -> None:
+    """A size that sets a loop count (a length, a sample count, a base) may
+    not exceed 2**cap, the bound a bet's knowledge-set expansion has."""
+    if n > 2 ** (limit := enumeration_limit()):
+        raise ResourceLimitError(f"{what} {n} exceeds 2**{limit} (set {DEPTH_LIMIT_ENV} to raise it)")

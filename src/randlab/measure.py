@@ -58,6 +58,10 @@ class PathCache:
         return node
 
 
+# a node's children's nullity (0-child, 1-child): null node, split 1, split 0, else
+_BOTH_NULL, _ZERO_NULL, _ONE_NULL, _NEITHER_NULL = (True, True), (True, False), (False, True), (False, False)
+
+
 class Measure:
     """Finite measure on the binary tree, immutable apart from its path cache;
     doc, if given, returns a fresh document of the constructor call (see specfmt)."""
@@ -70,6 +74,7 @@ class Measure:
         self.label = label
         self.doc = doc
         self._path = PathCache((self._total.numerator, self._total.denominator))
+        self._nulls = PathCache(self._total.numerator == 0)
 
     def __repr__(self):
         return f"Measure({self.label})"
@@ -116,8 +121,15 @@ class Measure:
         return s if bit in (1, "1") else 1 - s
 
     def is_null(self, sigma: str) -> bool:
-        """Is [sigma] null?  Read off the path's int pair; no rational is built."""
-        return self._pair(sigma)[0] == 0
+        """Is [sigma] null?  Read off a path of booleans of its own, so no mass
+        is built; as in mass(), no split is read below a null cylinder."""
+        return self._nulls.read(sigma, self._null_children)
+
+    def _null_children(self, sigma: str, null: bool):
+        if null:
+            return _BOTH_NULL
+        s = self.split(sigma)
+        return _ZERO_NULL if s.numerator == s.denominator else _ONE_NULL if s.numerator == 0 else _NEITHER_NULL
 
     @property
     def total(self) -> Fraction:

@@ -22,6 +22,8 @@ from randlab.betting import (
     NullStrategy,
     StrategyKernel,
     TableStrategy,
+    _side,
+    _walk_side,
     walk_strategy,
 )
 
@@ -574,7 +576,8 @@ def test_long_likelihood_ratio_play_holds_one_model_path():
     finally:
         tracemalloc.stop()
     assert steps == 4000
-    assert len(strategy.model._path.kids) <= 4000
+    # the model answers nullity off a path of booleans and builds no masses
+    assert not strategy.model._path.kids and len(strategy.model._nulls.kids) <= 4000
     assert held < 4 * 1024 * 1024, held
 
 
@@ -643,6 +646,20 @@ def test_far_bit_bet_reads_each_split_once():
     result = randlab.play(strategy, mu, "0111")
     assert result.events == ["bit[1]=1", "cyl{0100,0111,11}"]
     assert len(calls) == len(set(calls))
+
+
+@given(_split_tables(), st.text(alphabet="01", max_size=5), st.integers(0, 1), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_a_next_bit_bet_reads_one_split_as_the_walk_does(mu, g, side, rng):
+    # a bet on the next coordinate of one cylinder resolves each side from
+    # one split; the walk over the restricted generators is the reference
+    knowledge, event = KnowledgeState((g,), mu.mass(g), (F(1),)), BitEvent(len(g), side)
+    for won in (True, False):
+        assert _side(knowledge, event, mu, won) == _walk_side(knowledge, event, mu, won)
+    # nullity, read off its path of booleans in any order, is a mass of 0
+    strings = ["".join(t) for n in range(7) for t in itertools.product("01", repeat=n)]
+    rng.shuffle(strings)
+    assert [mu.is_null(s) for s in strings] == [mu.mass(s) == 0 for s in strings]
 
 
 def _reference_kl_payoff(mu, known, target, side):

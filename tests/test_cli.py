@@ -960,6 +960,56 @@ def test_lengths_past_the_expansion_cap_are_resource_errors(capsys, monkeypatch,
     assert code == 0 and "timing_s" in out
 
 
+_QUOTIENT = ["--measure", "fair", "--martingale", "quotient:bernoulli:2/3/fair"]
+
+
+@pytest.mark.parametrize(
+    "args, message, at_cap",
+    [
+        (["convert", *_QUOTIENT, "--depth", "3", "--levels", str(10**17)], f"--levels {10**17}", "8"),
+        (
+            ["audit", *_QUOTIENT, "--check", "ville", "--n", "4", "--c", "2", "--mc-samples", str(10**11)],
+            f"--mc-samples times --n {4 * 10**11}",
+            "2",
+        ),
+        (["name", "--decomposition", f"interleave:{10**11}", "--point", "1/3", "--length", "3"], f"dimension {10**11}", None),
+        (["name", "--decomposition", f"bary:{10**21}", "--point", "1/3", "--length", "3"], f"digit base {10**21}", None),
+        (
+            ["refine", "--source-dec", "binary", "--target-dec", f"bary:{10**21}", "--depth", "3", "--target-depth", "2"],
+            f"digit base {10**21}",
+            None,
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_sizes_past_the_expansion_cap_are_resource_errors(capsys, monkeypatch, args, message, at_cap):
+    # each ran past a 5 s timeout: the level and sample loops, the interleave
+    # root box and the bary splits were built before anything was checked
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (3, "") and time.monotonic() - started < 1
+    assert f"resource limit: {message} exceeds 2**20 (set RANDLAB_DEPTH_LIMIT to raise it)" in err
+    if at_cap:  # 2**3 levels, or 2 samples of 4 steps, still run under a cap of 3
+        monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "3")
+        assert run_cli(capsys, *args[:-1], str(int(at_cap) + 1))[0] == 3
+        code, out, _ = run_cli(capsys, *args[:-1], at_cap)
+        assert code in (0, 1) and "timing_s" in out
+
+
+def test_interleave_checks_the_coordinate_count_before_its_root_box(capsys, monkeypatch):
+    # 2**20 dimensions pass the cap; one coordinate is refused before the
+    # million-entry root box is built
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "name", "--decomposition", f"interleave:{2**20}", "--point", "1/3", "--length", "3")
+    assert (code, out) == (2, "") and time.monotonic() - started < 1
+    assert f"expected {2**20} coordinates, got 1" in err
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "2")
+    code, out, err = run_cli(capsys, "name", "--decomposition", "interleave:5", "--point", "0,0,0,0,0", "--length", "2")
+    assert (code, out) == (3, "") and "resource limit: dimension 5 exceeds 2**2" in err
+    code, out, _ = run_cli(capsys, "name", "--decomposition", "interleave:4", "--point", "1/3,1/5,1/7,1/9", "--length", "4")
+    assert code == 0 and "name: 0000" in out
+
+
 def test_push_natural_links_nest_to_the_bound(capsys, tmp_path):
     # 100 links: specfmt.MAX_NESTING; a document that names itself stops there too
     code, out, _ = run_cli(capsys, "audit", "--measure", "push:natural:" * 100 + "bernoulli:1/3", "--depth", "4")

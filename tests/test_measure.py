@@ -44,6 +44,20 @@ def test_is_null(fair, null_at_one):
     assert not null_at_one.is_null("0")
 
 
+def test_is_null_reads_no_split_below_a_null_cylinder():
+    # [1] is null and every split below the root is out of range: nullity
+    # there is read without a split, and elsewhere the split is refused as
+    # mass() refuses it
+    calls = []
+    mu = randlab.Measure(lambda sigma: calls.append(sigma) or (Fraction(0) if sigma == "" else Fraction(2)))
+    assert mu.is_null("1011") and mu.is_null("1") and not mu.is_null("0")
+    assert calls == [""]
+    for read in (mu.is_null, mu.mass):
+        with pytest.raises(ConstructionError, match=r"^split outside \[0,1\] at '0': 2$"):
+            read("00")
+    assert randlab.Measure(lambda sigma: Fraction(1, 2), total=0).is_null("")
+
+
 def test_bad_split_rejected():
     with pytest.raises(ConstructionError) as err:
         randlab.split_table({"01": Fraction(3, 2)})

@@ -192,11 +192,10 @@ class BitAllInStrategy(BettingStrategy):
     bust the stakes are zero but knowledge keeps refining bit by bit.
     """
 
-    def __init__(self, sides: str = "0", start_capital=ONE):
+    def __init__(self, sides: str = "0"):
         if not sides or any(ch not in "01" for ch in sides):
             raise PreconditionError("sides must be a nonempty binary string")
         self.sides = sides
-        self.start_capital = RAT(start_capital)
 
     def share(self, history, capital, knowledge, mu):
         k = len(history)
@@ -211,9 +210,8 @@ class LikelihoodRatioStrategy(BettingStrategy):
     per-history state.
     """
 
-    def __init__(self, model: Measure, start_capital=ONE):
+    def __init__(self, model: Measure):
         self.model = model
-        self.start_capital = RAT(start_capital)
 
     def share(self, history, capital, knowledge, mu):
         (prefix,) = knowledge.generators
@@ -236,10 +234,8 @@ class DoublingStrategy(BettingStrategy):
     """Bets through the generators of a target cylinder set in order, staking
     exactly enough to lift capital to the target (2) on a win."""
 
-    def __init__(self, target_set: CylinderSet, mu: Measure, target=2, start_capital=ONE):
+    def __init__(self, target_set: CylinderSet, mu: Measure):
         self.target_set = target_set
-        self.target = RAT(target)
-        self.start_capital = RAT(start_capital)
         total = target_set.mass(mu)
         if total > RAT(1, 2):
             raise PreconditionError(f"target set mass {total} exceeds 1/2")
@@ -256,7 +252,7 @@ class DoublingStrategy(BettingStrategy):
             return None  # nothing left to chase
         event = CylinderEvent(generators=(gens[k],))
         pn, pd = _side(knowledge, event, mu, True)[1]
-        return (event, (self.target - capital) * RAT(pn, pd - pn))
+        return (event, (2 - capital) * RAT(pn, pd - pn))
 
 
 def doubling_strategy(target, mu: Measure) -> DoublingStrategy:

@@ -211,8 +211,7 @@ class BaryGroupedDecomposition(CellDecomposition):
         check_size(base, "digit base")
         super().__init__(kind, label or f"bary{base}", spec_name or f"bary:{base}")
         self.base = base
-        # a cell with p values peeled leaves (b-1-p)/(b-p) of its mass to its 1-child
-        self._splits = tuple(RAT(base - 1 - p, base - p) for p in range(base - 1))
+        self._splits = {}  # p -> split, built at its first read
 
     def _root(self):
         return 0, self.base, 0
@@ -237,8 +236,13 @@ class BaryGroupedDecomposition(CellDecomposition):
         return RAT(self.base - peeled, width)
 
     def _split(self, sigma: str):
-        # peeled is the number of trailing 1s of sigma, mod b-1
-        return self._splits[(len(sigma) - len(sigma.rstrip("1"))) % (self.base - 1)]
+        # a cell with p values peeled (the trailing 1s of sigma, mod b-1)
+        # leaves (b-1-p)/(b-p) of its mass to its 1-child
+        p = (len(sigma) - len(sigma.rstrip("1"))) % (self.base - 1)
+        try:
+            return self._splits[p]
+        except KeyError:
+            return self._splits.setdefault(p, RAT(self.base - 1 - p, self.base - p))
 
     def _point(self, x):
         (x,) = _unit_coordinates(x, 1)

@@ -1,60 +1,54 @@
 """Finite prefix-free machines: code tables, complexity, the induced
 semimeasure, request-set construction, and deficiency traces along a point's
-cell names.
+cell names.  A weight is one integer sum of 2^(top - n) over codeword or
+request lengths n, over the common denominator 2^top, top the longest n.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .measure import Measure
-from .rationals import RAT, ZERO, neg_log2_bracket
+from .rationals import RAT, neg_log2_bracket
 
 INF = math.inf
 
 
+def _dyadic_weight(lengths):
+    lengths = list(lengths)
+    top = max(lengths, default=0)
+    return RAT(sum(1 << (top - n) for n in lengths), 1 << top)
+
+
 class PrefixFreeMachine:
-    """Finite code table mapping codewords to output strings.
+    """Finite code table mapping codewords to output strings; the domain must
+    be prefix-free, so by Kraft's inequality its weight is at most 1."""
 
-    The domain must be prefix-free (Kraft weight then never exceeds 1); pass
-    relaxed=True to allow arbitrary domains as long as the total weight stays
-    at most 1.
-    """
-
-    def __init__(self, table: dict, relaxed: bool = False):
+    def __init__(self, table: dict):
         self.table, self._shortest = {}, {}  # _shortest: output -> length of its shortest codeword
         for c, o in dict(table).items():
             c, o = bits.validate_bits(c), bits.validate_bits(o)
             self.table[c] = o
             self._shortest[o] = min(len(c), self._shortest.get(o, INF))
-        self.relaxed = relaxed
-        if not relaxed:
-            bad = bits.prefix_free_violation(self.table.keys())
-            if bad is not None:
-                raise ConstructionError(f"domain not prefix-free: {bad[0]!r} < {bad[1]!r}")
-        if self.kraft_weight() > 1:
-            raise ConstructionError(f"total weight {self.kraft_weight()} exceeds 1")
+        bad = bits.prefix_free_violation(self.table.keys())
+        if bad is not None:
+            raise ConstructionError(f"domain not prefix-free: {bad[0]!r} < {bad[1]!r}")
 
     def __len__(self):
         return len(self.table)
 
     def kraft_weight(self):
-        top = max(map(len, self.table), default=0)  # one integer sum over the common denominator 2**top
-        return RAT(sum(1 << (top - len(c)) for c in self.table), 1 << top)
+        return self.semimeasure("")
 
     def complexity(self, sigma: str):
         """Length of the shortest codeword producing sigma, or math.inf."""
         return self._shortest.get(sigma, INF)
 
-    def semimeasure(self, sigma: str) -> Fraction:
+    def semimeasure(self, sigma: str):
         """Total weight of codewords whose output extends sigma."""
-        return sum(
-            (Fraction(1, 2 ** len(c)) for c, out in self.table.items() if out.startswith(sigma)),
-            ZERO,
-        )
+        return _dyadic_weight(len(c) for c, out in self.table.items() if out.startswith(sigma))
 
     def max_output_length(self) -> int:
         return max((len(o) for o in self.table.values()), default=0)
@@ -79,45 +73,32 @@ def classify_machine(machine: PrefixFreeMachine, nu: Optional[Measure] = None) -
     return MachineClass(computable_measure=True, bounded_by=bounded)
 
 
-def request_weight(requests) -> Fraction:
-    return sum((Fraction(1, 2**n) for n, _ in requests), ZERO)
+def request_weight(requests):
+    return _dyadic_weight(n for n, _ in requests)
 
 
-def kc_build(requests, relaxed: bool = False) -> PrefixFreeMachine:
+def kc_build(requests) -> PrefixFreeMachine:
     """Build a prefix-free machine honoring every (length, output) request.
 
-    Allocation walks the dyadic picture of [0,1): each request takes the
-    free block with the tightest adequate size (splitting off its left end),
-    which keeps free block sizes pairwise distinct and therefore never fails
-    while the total request weight stays at most 1.
+    A free block of [0,1) of size 2^-k is the length-k codeword prefix that
+    names it.  A request of length n takes the free block b of the largest
+    length k <= n: its codeword is b + "0"*(n-k), and b + "0"*(j-k-1) + "1"
+    is freed for j in k+1..n.  Free blocks thus keep distinct sizes, so one
+    fits every request while the total request weight stays at most 1.
     """
     requests = [(int(n), bits.validate_bits(sigma)) for n, sigma in requests]
     if any(n < 0 for n, _ in requests):
         raise PreconditionError("request lengths must be nonnegative")
     if request_weight(requests) > 1:
         raise PreconditionError(f"request weight {request_weight(requests)} exceeds 1")
-    free = {0: [Fraction(0)]}  # block size 2^-k -> sorted left endpoints
+    free = {0: ""}  # block length k -> the one free block of size 2^-k
     table = {}
     for n, sigma in requests:
-        k = max((size for size in free if size <= n and free[size]), default=None)
-        if k is None:
-            raise PreconditionError("allocation failed despite Kraft bound")
-        start = free[k].pop(0)
-        # split [start, start + 2^-k): assign the leftmost 2^-n piece,
-        # release the ladder of remaining blocks
-        for j in range(n, k, -1):
-            free.setdefault(j, []).append(start + Fraction(1, 2**j))
-            free[j].sort()
-        codeword = _codeword_of(start, n)
-        table[codeword] = sigma
-    return PrefixFreeMachine(table, relaxed=relaxed)
-
-
-def _codeword_of(start, n: int) -> str:
-    if n == 0:
-        return ""
-    num = int(start.numerator) * (2**n // int(start.denominator)) if start != 0 else 0
-    return format(num, "b").zfill(n)
+        k = max(j for j in free if j <= n)
+        b = free.pop(k)
+        free.update((j, b + "0" * (j - k - 1) + "1") for j in range(k + 1, n + 1))
+        table[b + "0" * (n - k)] = sigma
+    return PrefixFreeMachine(table)
 
 
 @dataclass
@@ -182,12 +163,10 @@ def deficiency_trace(machine: PrefixFreeMachine, dec, x, length: int) -> Deficie
 def semimeasure_superadditive(machine: PrefixFreeMachine) -> bool:
     """Exact check of semimeasure(s) >= semimeasure(s0) + semimeasure(s1) for
     every string up to the longest output (trivially true beyond)."""
+    top = max(map(len, machine.table), default=0)
     counts = {}
     for codeword, out in machine.table.items():
-        w = Fraction(1, 2 ** len(codeword))
+        w = 1 << (top - len(codeword))
         for i in range(len(out) + 1):
-            counts[out[:i]] = counts.get(out[:i], ZERO) + w
-    for sigma in counts:
-        if counts.get(sigma, ZERO) < counts.get(sigma + "0", ZERO) + counts.get(sigma + "1", ZERO):
-            return False
-    return True
+            counts[out[:i]] = counts.get(out[:i], 0) + w
+    return all(counts[sigma] >= counts.get(sigma + "0", 0) + counts.get(sigma + "1", 0) for sigma in counts)

@@ -51,28 +51,14 @@ def neg_log2_bracket(q) -> tuple[int, int]:
     if q <= 0:
         raise ValueError("neg_log2_bracket needs a positive rational")
     n, d = int(q.numerator), int(q.denominator)
-    # k = ceil(-log2 q): smallest integer with q >= 2^-k, i.e. n*2^k >= d.
+    # with k = bitlen(d) - bitlen(n), q lies in (2^(-k-1), 2^(-k+1)), so
+    # ceil(-log2 q) is k where n*2^k >= d and k + 1 otherwise
     k = d.bit_length() - n.bit_length()
-    while not _ge_shifted(n, k, d):
+    if n << max(k, 0) < d << max(-k, 0):
         k += 1
-    while k > -(10**9) and _ge_shifted(n, k - 1, d):
-        k -= 1
-    if _eq_shifted(n, k, d):
+    if n & (n - 1) == 0 and d & (d - 1) == 0:  # q, in lowest terms, is a power of two
         return (k, k)
     return (k - 1, k)
-
-
-def _ge_shifted(n: int, k: int, d: int) -> bool:
-    # n * 2^k >= d with k possibly negative
-    if k >= 0:
-        return n << k >= d
-    return n >= d << (-k)
-
-
-def _eq_shifted(n: int, k: int, d: int) -> bool:
-    if k >= 0:
-        return n << k == d
-    return n == d << (-k)
 
 
 def frac_log2(q) -> float:

@@ -930,6 +930,12 @@ def test_max_attained_over_a_long_rising_play():
     assert result.max_attained == max(result.values) > result.values[0]
 
 
+def _starting_at(strategy, start):
+    """The strategy with its start capital (the class's is 1) set to start."""
+    strategy.start_capital = start
+    return strategy
+
+
 _BERNOULLI = st.fractions(min_value=0, max_value=1, max_denominator=12).map(randlab.bernoulli)
 _INNER_BERNOULLI = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12).map(randlab.bernoulli)
 
@@ -937,12 +943,16 @@ _INNER_BERNOULLI = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_den
 @given(
     st.one_of(
         st.tuples(
-            st.builds(LikelihoodRatioStrategy, _BERNOULLI, st.sampled_from(_STARTS)),
+            st.builds(_starting_at, st.builds(LikelihoodRatioStrategy, _BERNOULLI), st.sampled_from(_STARTS)),
             _INNER_BERNOULLI,
             st.text(alphabet="01", max_size=120),
         ),
         st.tuples(
-            st.builds(BitAllInStrategy, st.text(alphabet="01", min_size=1, max_size=3), st.sampled_from(_STARTS)),
+            st.builds(
+                _starting_at,
+                st.builds(BitAllInStrategy, st.text(alphabet="01", min_size=1, max_size=3)),
+                st.sampled_from(_STARTS),
+            ),
             _split_tables(),
             _SAMPLES,
         ),
@@ -951,8 +961,8 @@ _INNER_BERNOULLI = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_den
 )
 @settings(max_examples=200, deadline=None)
 @example((LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3)), "1101" * 25))
-@example((LikelihoodRatioStrategy(randlab.bernoulli(F(1, 3)), F(5, 2)), randlab.bernoulli(F(2, 3)), "0110"))
-@example((BitAllInStrategy("0", F(1, 3)), randlab.fair_coin(), "0010"))  # busts at step 3, then learns
+@example((_starting_at(LikelihoodRatioStrategy(randlab.bernoulli(F(1, 3))), F(5, 2)), randlab.bernoulli(F(2, 3)), "0110"))
+@example((_starting_at(BitAllInStrategy("0"), F(1, 3)), randlab.fair_coin(), "0010"))  # busts at step 3, then learns
 @example((TableStrategy({"": (_BIT1, F(1, 2)), "1": (BitEvent(1, 0), F(5))}, F(3)), randlab.fair_coin(), "11"))  # over-stake
 @example((TableStrategy({"": (_BIT1, F(1, 3)), "1": (BitEvent(5, 0), F(1, 4))}), randlab.fair_coin(), "11"))  # undetermined
 @example((_ShareTableStrategy({"": (_BIT1, F(-1))}, F(0)), randlab.bernoulli(F(1, 3)), "1"))  # 0 won at factor -1

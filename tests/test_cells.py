@@ -232,6 +232,15 @@ def test_pushforward_bary_masses():
     assert randlab.check_additivity(push, 10).ok
 
 
+def test_bary_splits_are_built_at_their_first_read():
+    dec = cells.bary_grouped(5)
+    dec.name_point(F(1, 3), 3)
+    assert dec._splits == {}  # naming reads no split
+    push = dec.pushforward()
+    assert [push.split("0" + "1" * p) for p in range(6)] == [F(4 - p % 4, 5 - p % 4) for p in range(6)]
+    assert sorted(dec._splits) == [0, 1, 2, 3]
+
+
 def test_pushforward_interleave_is_fair():
     push = cells.interleave(2).pushforward()
     assert randlab.measures_agree(push, randlab.fair_coin(), 10)

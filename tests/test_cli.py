@@ -996,6 +996,14 @@ def test_sizes_past_the_expansion_cap_are_resource_errors(capsys, monkeypatch, a
         assert code in (0, 1) and "timing_s" in out
 
 
+def test_bary_builds_no_split_to_name_a_point(capsys):
+    # 2**20 digit values pass the cap; naming reads none of the 2**20 - 1
+    # splits, which took 1.6 s to build up front
+    started = time.monotonic()
+    code, out, _ = run_cli(capsys, "name", "--decomposition", f"bary:{2**20}", "--point", "1/3", "--length", "3")
+    assert (code, "name: 111\n" in out) == (0, True) and time.monotonic() - started < 1
+
+
 def test_interleave_checks_the_coordinate_count_before_its_root_box(capsys, monkeypatch):
     # 2**20 dimensions pass the cap; one coordinate is refused before the
     # million-entry root box is built

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
@@ -30,6 +30,42 @@ def test_neg_log2_bracket():
     assert neg_log2_bracket(F(1, 3)) == (1, 2)
     assert neg_log2_bracket(F(1)) == (0, 0)
     assert neg_log2_bracket(F(3)) == (-2, -1)
+
+
+def _reference_bracket(q):
+    """The bracket found by search: k = ceil(-log2 q) is the least k with
+    n*2^k >= d, and the bracket collapses where n*2^k == d."""
+
+    def at_least(k):
+        return q.numerator << k >= q.denominator if k >= 0 else q.numerator >= q.denominator << -k
+
+    k = q.denominator.bit_length() - q.numerator.bit_length()
+    while not at_least(k):
+        k += 1
+    while at_least(k - 1):
+        k -= 1
+    return (k, k) if q == F(2) ** -k else (k - 1, k)
+
+
+_TERMS = st.one_of(
+    st.integers(1, 2**12),
+    st.integers(1, 2**1000),
+    st.integers(0, 1000).map(lambda e: 2**e),
+    st.integers(0, 1000).map(lambda e: 2**e + 1),
+    st.integers(1, 1000).map(lambda e: 2**e - 1),
+)
+
+
+@given(_TERMS, _TERMS)
+@settings(max_examples=500, deadline=None)
+@example(1, 1)
+@example(2**1000, 1)
+@example(1, 2**1000)
+@example(2**1000 - 1, 2**999)
+@example(2**999 + 1, 2**1000)
+@example(3 * 2**500, 2**1000)
+def test_neg_log2_bracket_matches_the_search(n, d):
+    assert neg_log2_bracket(F(n, d)) == _reference_bracket(F(n, d))
 
 
 def test_measure_doc_roundtrip():

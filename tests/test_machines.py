@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,10 +38,6 @@ def test_semimeasure_values():
 def test_prefix_free_domain_enforced():
     with pytest.raises(ConstructionError):
         PrefixFreeMachine({"0": "1", "01": "1"})
-    relaxed = PrefixFreeMachine({"0": "1", "01": "1"}, relaxed=True)
-    assert relaxed.semimeasure("1") == F(3, 4)
-    with pytest.raises(ConstructionError):
-        PrefixFreeMachine({"0": "", "1": "", "00": ""}, relaxed=True)  # weight > 1
 
 
 def test_kc_build_worked_case():
@@ -81,6 +78,48 @@ def _random_requests(rng):
         total += F(1, 2**n)
         out.append((n, "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))))
     return out
+
+
+def _reference_kc_table(requests):
+    """The request-set allocation on Fraction blocks: free block size 2^-k ->
+    sorted left endpoints, and a codeword read off its block's endpoint."""
+    free = {0: [F(0)]}
+    table = {}
+    for n, sigma in requests:
+        k = max(size for size in free if size <= n and free[size])
+        start = free[k].pop(0)
+        for j in range(n, k, -1):
+            free.setdefault(j, []).append(start + F(1, 2**j))
+            free[j].sort()
+        table[format(int(start * 2**n), "b").zfill(n) if n else ""] = sigma
+    return table
+
+
+def _within_kraft(requests):
+    """The longest prefix of requests whose weight is at most 1."""
+    total = F(0)
+    for i, (n, _) in enumerate(requests):
+        total += F(1, 2**n)
+        if total > 1:
+            return requests[:i]
+    return requests
+
+
+_REQUESTS = st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from(["", "0", "1", "01", "110"])), max_size=40
+).map(_within_kraft)
+
+
+@given(_REQUESTS)
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([(0, "")])
+@example([(0, "1")])
+@example([(1, "0"), (2, "0"), (2, "0")])  # weight exactly 1, with a repeat
+@example([(3, "1"), (3, "1"), (2, "1"), (12, "")])
+@example([(12, "0"), (1, "1"), (5, "0"), (2, "1")])
+def test_kc_build_allocates_as_the_fraction_blocks_did(requests):
+    assert list(randlab.kc_build(requests).table.items()) == list(_reference_kc_table(requests).items())
 
 
 @given(st.integers(0, 10_000))
@@ -135,6 +174,30 @@ def test_integer_kraft_weight_equals_the_fraction_sum(strings):
     weight = m.kraft_weight()
     assert isinstance(weight, RAT)
     assert weight == sum((F(1, 2 ** len(c)) for c in domain), F(0))
+
+
+@given(
+    st.lists(st.tuples(st.text(alphabet="01", max_size=10), st.text(alphabet="01", max_size=4)), max_size=30),
+    st.lists(st.integers(0, 40), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+@example([], [])
+@example([("", "")], [0])
+@example([("0", "1"), ("10", "11"), ("110", "")], [0, 0, 1])
+def test_integer_weights_equal_the_fraction_sums(pairs, lengths):
+    table = {c: out for c, out in pairs if not any(h != c and c.startswith(h) for h, _ in pairs)}
+    m = PrefixFreeMachine(table)
+    depth = m.max_output_length()
+    for sigma in ("".join(t) for n in range(depth + 2) for t in itertools.product("01", repeat=n)):
+        assert m.semimeasure(sigma) == sum((F(1, 2 ** len(c)) for c, out in table.items() if out.startswith(sigma)), F(0))
+    counts = {}
+    for c, out in table.items():
+        for i in range(len(out) + 1):
+            counts[out[:i]] = counts.get(out[:i], F(0)) + F(1, 2 ** len(c))
+    reference = all(w >= counts.get(s + "0", 0) + counts.get(s + "1", 0) for s, w in counts.items())
+    assert semimeasure_superadditive(m) == reference
+    requests = [(n, "") for n in lengths]  # any weight, above 1 too
+    assert randlab.request_weight(requests) == sum((F(1, 2**n) for n in lengths), F(0))
 
 
 def test_classify_bounded(fair):

@@ -9,7 +9,6 @@ conditional mass of the losing side to the winning side.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -24,27 +23,26 @@ from .errors import (
     enumeration_limit,
 )
 from .martingale import Martingale, _PairKernel
-from .measure import Measure, PathCache
+from .measure import FrozenRecord, Measure, PathCache, Record
 from .randtests import CylinderSet
 from .rationals import HALF, ONE, RAT, ZERO
 
 
-@dataclass(frozen=True)
-class BitEvent:
+class BitEvent(FrozenRecord):
     """The event that coordinate `index` equals `side`."""
 
-    index: int
-    side: int
+    def __init__(self, index: int, side: int):
+        self.__dict__.update(index=index, side=side)
 
     def describe(self) -> str:
         return f"bit[{self.index}]={self.side}"
 
 
-@dataclass(frozen=True)
-class CylinderEvent:
+class CylinderEvent(FrozenRecord):
     """A union of cylinders given by prefix-free generators."""
 
-    generators: tuple
+    def __init__(self, generators: tuple):
+        self.__dict__.update(generators=generators)
 
     def describe(self) -> str:
         return "cyl{" + ",".join(self.generators) + "}"
@@ -125,15 +123,13 @@ def _membership(event, x: str):
     return bits.member_prefix(event.generators, x)
 
 
-@dataclass
-class KnowledgeState:
+class KnowledgeState(Record):
     """Information accumulated along a win/loss history: the set's generators,
     its mass, and each generator's conditional weight (its mass over the
     set's mass)."""
 
-    generators: tuple
-    mass: Fraction
-    weights: tuple
+    def __init__(self, generators: tuple, mass: Fraction, weights: tuple):
+        self.generators, self.mass, self.weights = generators, mass, weights
 
 
 class BettingStrategy:
@@ -280,14 +276,11 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
     return RAT(qd - qn, qn)
 
 
-@dataclass
-class _Node:
-    history: str
-    knowledge: KnowledgeState
-    capital: Fraction
-    event: object = None
-    share: Optional[tuple] = None  # the stake over the capital, an int pair
-    conditional: Optional[Fraction] = None  # the event's probability given the knowledge
+class _Node(Record):
+    def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction, event=None, share=None, conditional=None):
+        self.history, self.knowledge, self.capital, self.event = history, knowledge, capital, event
+        self.share = share  # the stake over the capital, an int pair
+        self.conditional = conditional  # the event's probability given the knowledge
 
     @property
     def terminal(self) -> bool:
@@ -392,20 +385,14 @@ def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
     return {node.history: node for node in _preorder(strategy, mu, depth)}
 
 
-@dataclass
-class PlayResult:
+class PlayResult(Record):
     """One play of a strategy against a concrete sample.  factors[k] is step
     k's capital factor as an int pair (num, den), not always in lowest terms;
     equal pairs are one tuple, and values rebuilds the capitals from start."""
 
-    history: str
-    start: Fraction
-    final: Fraction
-    max_attained: Fraction
-    factors: list
-    events: list
-    undetermined: bool = False
-    violation: Optional[str] = None
+    def __init__(self, history, start, final, max_attained, factors, events, undetermined=False, violation=None):
+        self.history, self.start, self.final, self.max_attained = history, start, final, max_attained
+        self.factors, self.events, self.undetermined, self.violation = factors, events, undetermined, violation
 
     @property
     def values(self) -> list:
@@ -462,11 +449,9 @@ def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):
     return nu, Martingale(nu, label=f"capital({name})", kernel=kernel)
 
 
-@dataclass
-class StrategyProfile:
-    balanced: bool
-    exhaustive_trend: Fraction
-    bets_audited: int
+class StrategyProfile(Record):
+    def __init__(self, balanced: bool, exhaustive_trend: Fraction, bets_audited: int):
+        self.balanced, self.exhaustive_trend, self.bets_audited = balanced, exhaustive_trend, bets_audited
 
 
 def classify_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> StrategyProfile:

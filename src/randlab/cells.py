@@ -14,7 +14,6 @@ endpoints of every cell form the null exceptional set on which naming is
 reported undetermined.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -22,15 +21,15 @@ from typing import Optional
 
 from .bits import validate_bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth, check_size
-from .measure import Measure, PathCache
+from .measure import FrozenRecord, Measure, PathCache, Record
 from .rationals import HALF, ONE, RAT, ZERO
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(FrozenRecord):
     """Finite union of half-open intervals [lo, hi) inside [0, 1)."""
 
-    intervals: tuple  # ((lo, hi), ...) disjoint, sorted, merged
+    def __init__(self, intervals: tuple):
+        self.__dict__.update(intervals=intervals)  # ((lo, hi), ...) disjoint, sorted, merged
 
     @staticmethod
     def from_pairs(pairs) -> "Region":
@@ -103,8 +102,7 @@ class Region:
         return Region.from_pairs(out)
 
 
-@dataclass
-class NamingOutcome:
+class NamingOutcome(Record):
     """Result of naming a point to a requested depth.
 
     bits holds the digits determined before either finishing or striking a
@@ -112,8 +110,8 @@ class NamingOutcome:
     hit, or None when the full name was extracted.
     """
 
-    bits: str
-    undetermined_at: Optional[int] = None
+    def __init__(self, bits: str, undetermined_at: Optional[int] = None):
+        self.bits, self.undetermined_at = bits, undetermined_at
 
     @property
     def determined(self) -> bool:
@@ -382,13 +380,11 @@ def _cover(dec: BaryGroupedDecomposition, spans, den: int, depth: int):
     return chosen, (num, cden), straddlers
 
 
-@dataclass
-class OpenDecomposition:
+class OpenDecomposition(Record):
     """Prefix-free cells of depth <= d wholly inside an open region."""
 
-    generators: tuple
-    covered: Fraction
-    residual: Fraction
+    def __init__(self, generators: tuple, covered: Fraction, residual: Fraction):
+        self.generators, self.covered, self.residual = generators, covered, residual
 
 
 def decompose_open(dec: CellDecomposition, region: Region, depth: int) -> OpenDecomposition:
@@ -400,23 +396,18 @@ def decompose_open(dec: CellDecomposition, region: Region, depth: int) -> OpenDe
     return OpenDecomposition(generators=tuple(chosen), covered=covered, residual=region.length() - covered)
 
 
-@dataclass
-class RefinementRow:
-    sigmas: tuple
-    covered: Fraction
-    residual: Fraction
-    straddlers: tuple  # depth-d source cells crossing the target cell's boundary (at most two)
+class RefinementRow(Record):
+    def __init__(self, sigmas: tuple, covered: Fraction, residual: Fraction, straddlers: tuple):
+        self.sigmas, self.covered, self.residual = sigmas, covered, residual
+        self.straddlers = straddlers  # depth-d source cells crossing the target cell's boundary (at most two)
 
 
-@dataclass
-class RefinementRelation:
+class RefinementRelation(Record):
     """Per target cell: source cells covering it at the working depth."""
 
-    source: CellDecomposition
-    target: CellDecomposition
-    depth: int
-    target_depth: int
-    rows: dict  # tau -> RefinementRow
+    def __init__(self, source: CellDecomposition, target: CellDecomposition, depth: int, target_depth: int, rows: dict):
+        self.source, self.target, self.depth, self.target_depth = source, target, depth, target_depth
+        self.rows = rows  # tau -> RefinementRow
 
 
 def refine(
@@ -441,18 +432,16 @@ def refine(
     return RefinementRelation(source=source, target=target, depth=depth, target_depth=target_depth, rows=rows)
 
 
-@dataclass
-class TransferRow:
-    low: Fraction
-    high: Fraction
+class TransferRow(Record):
+    def __init__(self, low: Fraction, high: Fraction):
+        self.low, self.high = low, high
 
 
-@dataclass
-class TransferResult:
+class TransferResult(Record):
     """Exact interval bounds for the transported measure on target names."""
 
-    relation: RefinementRelation
-    rows: dict  # tau -> TransferRow
+    def __init__(self, relation: RefinementRelation, rows: dict):
+        self.relation, self.rows = relation, rows  # tau -> TransferRow
 
     def interval(self, tau: str) -> tuple[Fraction, Fraction]:
         row = self.rows[tau]

@@ -5,12 +5,11 @@ request lengths n, over the common denominator 2^top, top the longest n.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .measure import Measure
+from .measure import Measure, Record
 from .rationals import RAT, neg_log2_bracket
 
 INF = math.inf
@@ -54,10 +53,9 @@ class PrefixFreeMachine:
         return max((len(o) for o in self.table.values()), default=0)
 
 
-@dataclass
-class MachineClass:
-    computable_measure: bool
-    bounded_by: Optional[bool]
+class MachineClass(Record):
+    def __init__(self, computable_measure: bool, bounded_by: Optional[bool]):
+        self.computable_measure, self.bounded_by = computable_measure, bounded_by
 
 
 def classify_machine(machine: PrefixFreeMachine, nu: Optional[Measure] = None) -> MachineClass:
@@ -101,18 +99,15 @@ def kc_build(requests) -> PrefixFreeMachine:
     return PrefixFreeMachine(table)
 
 
-@dataclass
-class DeficiencyRow:
-    n: int
-    neg_log_mass_low: object  # int, or math.inf on a null cell
-    neg_log_mass_high: object
-    complexity: object  # int or math.inf
-    d_low: object  # neg_log_mass_low - complexity (with inf conventions)
-    d_high: object
+class DeficiencyRow(Record):
+    def __init__(self, n: int, neg_log_mass_low, neg_log_mass_high, complexity, d_low, d_high):
+        self.n = n
+        self.neg_log_mass_low, self.neg_log_mass_high = neg_log_mass_low, neg_log_mass_high  # ints, or math.inf on a null cell
+        self.complexity = complexity  # int or math.inf
+        self.d_low, self.d_high = d_low, d_high  # neg_log_mass_low - complexity (with inf conventions)
 
 
-@dataclass
-class DeficiencyTrace:
+class DeficiencyTrace(Record):
     """Per-prefix compression deficiency of a point's cell names.
 
     Rows bracket -log2(cell mass) by exact integers (they collapse when the
@@ -120,10 +115,9 @@ class DeficiencyTrace:
     the trace with the nullity flag set.
     """
 
-    point: object
-    rows: list = field(default_factory=list)
-    nullity_at: Optional[int] = None
-    undetermined_at: Optional[int] = None
+    def __init__(self, point, rows: Optional[list] = None, nullity_at: Optional[int] = None, undetermined_at: Optional[int] = None):
+        self.point, self.rows = point, [] if rows is None else rows
+        self.nullity_at, self.undetermined_at = nullity_at, undetermined_at
 
     @property
     def not_random_by_nullity(self) -> bool:

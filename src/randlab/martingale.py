@@ -1,13 +1,12 @@
 """Martingales over a base measure: quotients, the inverse recursion back to a
 measure, the savings transform, capital traces, and exhaustive audits."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
 
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .measure import AuditReport, Measure, PathCache, _MassBackedMeasure
+from .measure import AuditReport, Measure, PathCache, Record, _MassBackedMeasure
 from .rationals import ONE, RAT, ZERO
 
 
@@ -300,13 +299,11 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
     return (n0, d0), (n1, d1)
 
 
-@dataclass
-class SavingsPair:
+class SavingsPair(Record):
     """A martingale with the savings property plus its savings floor."""
 
-    total: Martingale
-    shifted: bool
-    scale: Fraction = ONE
+    def __init__(self, total: Martingale, shifted: bool, scale: Fraction = ONE):
+        self.total, self.shifted, self.scale = total, shifted, scale
 
     @property
     def base(self) -> Measure:
@@ -338,13 +335,11 @@ def savings_transform(mart: Martingale, shift: bool = True, normalize: bool = Tr
     return SavingsPair(total=total, shifted=shift, scale=scale)
 
 
-@dataclass
-class CapitalTrace:
+class CapitalTrace(Record):
     """Capital along the prefixes of a finite string."""
 
-    prefix: str
-    values: list
-    hit_null_at: Optional[int] = None
+    def __init__(self, prefix: str, values: list, hit_null_at: Optional[int] = None):
+        self.prefix, self.values, self.hit_null_at = prefix, values, hit_null_at
 
     @property
     def max_attained(self) -> Fraction:
@@ -409,15 +404,11 @@ def _fairness_visit(kernel, report: AuditReport, depth: int, sigma: str, payload
     return tn, td
 
 
-@dataclass
-class VilleReport:
+class VilleReport(Record):
     """Exhaustive hitting-mass audit against the capital(eps)/c bound."""
 
-    n: int
-    threshold: Fraction
-    fraction: Fraction
-    bound: Fraction
-    passed: bool
+    def __init__(self, n: int, threshold: Fraction, fraction: Fraction, bound: Fraction, passed: bool):
+        self.n, self.threshold, self.fraction, self.bound, self.passed = n, threshold, fraction, bound, passed
 
 
 def _ville_threshold(n: int, c) -> Fraction:

@@ -12,13 +12,51 @@ probability measures (mass("") == 1); martingale-derived bounds may carry a
 different total mass.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .bits import validate_bits
 from .errors import ConstructionError, check_enumeration_depth
 from .rationals import HALF, ONE, RAT, format_rational
+
+
+class Record:
+    """A plain record whose fields are its constructor's parameters: records
+    of one class are == when their fields are, repr lists the fields by name,
+    and records are unhashable unless frozen.  Each subclass writes its own
+    __init__."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes by value and refuses assignment; its __init__
+    fills __dict__ directly."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PathCache:
@@ -232,13 +270,13 @@ def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
     return Measure(split, mu1.total * mu2.total, label=f"interleave({mu1.label},{mu2.label})", doc=doc)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(Record):
     """Outcome of an exhaustive exact check; violations are data, not errors."""
 
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, checked: int = 0, violations: Optional[list] = None, notes: Optional[list] = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ that prefix inside level n.
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -22,24 +21,20 @@ from typing import Optional
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .martingale import Martingale, SavingsPair, from_measures, to_measure
-from .measure import AuditReport, Measure, fair_coin
+from .measure import AuditReport, FrozenRecord, Measure, Record, fair_coin
 from .rationals import RAT, ZERO
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(FrozenRecord):
     """Finite prefix-free set of generators, truncated at a stated depth."""
 
-    generators: tuple
-    depth: int
-
-    def __post_init__(self):
-        bad = bits.prefix_free_violation(self.generators)
+    def __init__(self, generators: tuple, depth: int):
+        bad = bits.prefix_free_violation(generators)
         if bad is not None:
             raise ConstructionError(f"generators not prefix-free: {bad[0]!r} < {bad[1]!r}")
-        if any(len(g) > self.depth for g in self.generators):
+        if any(len(g) > depth for g in generators):
             raise ConstructionError("generator longer than the truncation depth")
-        object.__setattr__(self, "generators", tuple(sorted(self.generators)))
+        self.__dict__.update(generators=tuple(sorted(generators)), depth=depth)
 
     @staticmethod
     def from_strings(strings, depth=None) -> "CylinderSet":
@@ -61,12 +56,11 @@ class CylinderSet:
         return not self.generators
 
 
-@dataclass
-class MLTest:
+class MLTest(Record):
     """Levels U_1, U_2, ... with mass(U_n) <= 2^-n under the base measure."""
 
-    base: Measure
-    levels: list  # levels[i] is U_{i+1}
+    def __init__(self, base: Measure, levels: list):
+        self.base, self.levels = base, levels  # levels[i] is U_{i+1}
 
     def level(self, n: int) -> CylinderSet:
         return self.levels[n - 1]
@@ -76,37 +70,30 @@ class MLTest:
         return len(self.levels)
 
 
-@dataclass
 class BoundedMLTest(MLTest):
     """Level test additionally dominated cell-wise by a bounding measure."""
 
-    bound: Measure = None
-    witness: Optional["IntegralStep"] = None  # carries the g+1 domination witness
+    def __init__(self, base: Measure, levels: list, bound: Measure = None, witness: Optional["IntegralStep"] = None):
+        super().__init__(base, levels)
+        self.bound, self.witness = bound, witness  # witness carries the g+1 domination witness
 
 
-@dataclass
-class VitaliTest:
+class VitaliTest(Record):
     """Pieces with summable intersection masses dominated by the bound."""
 
-    base: Measure
-    pieces: list
-    bound: Measure
+    def __init__(self, base: Measure, pieces: list, bound: Measure):
+        self.base, self.pieces, self.bound = base, pieces, bound
 
 
-@dataclass
-class IntegralStep:
+class IntegralStep(Record):
     """Nonnegative step function constant on depth-d cells, with a bound measure.
 
     unit_witness records that bound <= integral of (g+1) holds by construction,
     which verify_test_bounds then checks exactly."""
 
-    base: Measure
-    depth: int
-    values: dict  # length-depth string -> Fraction >= 0
-    bound: Measure
-    unit_witness: bool = False
-
-    def __post_init__(self):
+    def __init__(self, base: Measure, depth: int, values: dict, bound: Measure, unit_witness: bool = False):
+        self.base, self.depth, self.bound, self.unit_witness = base, depth, bound, unit_witness
+        self.values = values  # length-depth string -> Fraction >= 0
         if any(len(cell) != self.depth for cell in self.values):
             raise ConstructionError(f"step cells must all have length {self.depth}")
 
@@ -191,9 +178,10 @@ def integral_to_bounded_ml(step: IntegralStep, n_levels: Optional[int] = None) -
     """Levels U_n = union of cells with value >= 2^n, inheriting the bound."""
     if n_levels is None:  # the largest n with 2^n <= max value, at least 1
         n_levels = max(1, int(step.max_value()).bit_length() - 1)
+    # v >= 2^n exactly when floor(v) has more than n bits; a value below 1, negative ones included, is in no level
+    widths = {cell: max(int(v), 0).bit_length() for cell, v in step.values.items()}
     levels = [
-        CylinderSet.from_strings([cell for cell, v in step.values.items() if v >= 2**n], depth=step.depth)
-        for n in range(1, n_levels + 1)
+        CylinderSet.from_strings([cell for cell, width in widths.items() if width > n], depth=step.depth) for n in range(1, n_levels + 1)
     ]
     return BoundedMLTest(base=step.base, levels=levels, bound=step.bound, witness=step if step.unit_witness else None)
 

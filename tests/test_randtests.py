@@ -105,6 +105,35 @@ def test_integral_to_bounded_ml_zero(fair):
     assert all(level.is_empty() for level in test.levels)
 
 
+def _levels_by_comparison(step, n_levels):
+    """The level extraction that compares every value with 2**n, level by level."""
+    return [
+        CylinderSet.from_strings([cell for cell, v in step.values.items() if v >= 2**n], depth=step.depth)
+        for n in range(1, n_levels + 1)
+    ]
+
+
+_STEP_VALUES = st.one_of(
+    st.fractions(min_value=-8, max_value=8),
+    st.integers(-(2**70), 2**70).map(Fraction),
+    st.integers(0, 70).map(lambda k: Fraction(2**k)),
+    st.tuples(st.integers(0, 70), st.sampled_from([-1, 1]), st.integers(1, 5)).map(lambda t: 2 ** t[0] + Fraction(t[1], t[2])),
+)
+
+
+@given(
+    st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(st.sampled_from(list(bits.all_strings(d))), _STEP_VALUES))),
+    st.one_of(st.none(), st.integers(1, 72)),
+)
+@settings(max_examples=200, deadline=None)
+def test_levels_from_each_cells_top_level_match_the_comparisons(case, n_levels):
+    # fractional, zero, negative and 2**n values: a cell is in U_n exactly when its value is >= 2**n
+    depth, values = case
+    step = IntegralStep(base=randlab.fair_coin(), depth=depth, values=values, bound=randlab.fair_coin())
+    want = max(1, int(step.max_value()).bit_length() - 1) if n_levels is None else n_levels
+    assert randlab.integral_to_bounded_ml(step, n_levels).levels == _levels_by_comparison(step, want)
+
+
 def test_bounded_ml_to_vitali(fair):
     test = randlab.integral_to_bounded_ml(markov_fixture(fair), n_levels=2)
     vit = randlab.bounded_ml_to_vitali(test)

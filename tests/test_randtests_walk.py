@@ -7,7 +7,6 @@ specification: violations (text and order), checked counts, integrals, step
 values and bound snapshots must all agree.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -239,7 +238,11 @@ def test_bounded_ml_verified_past_its_step_depth_reads_the_kernel(case):
     step = randlab.martingale_to_integral(sp, step_depth)
     depth = step_depth + 1 + extra % 3
     bounded = randlab.integral_to_bounded_ml(step)
-    unrecorded = randlab.integral_to_bounded_ml(dataclasses.replace(step, bound=randlab.to_measure(sp.total)))
+    unrecorded = randlab.integral_to_bounded_ml(
+        randlab.IntegralStep(
+            base=step.base, depth=step.depth, values=step.values, bound=randlab.to_measure(sp.total), unit_witness=step.unit_witness
+        )
+    )
     got, want = randlab.verify_test_bounds(bounded, depth), randlab.verify_test_bounds(unrecorded, depth)
     assert (got.violations, got.checked, got.notes) == (want.violations, want.checked, want.notes)
     assert_same(bounded, depth)

@@ -126,8 +126,6 @@ def covers(gens, p: str) -> bool:
 
 def member_prefix(gens, x: str):
     """Membership of [x]'s points in the union: True, False, or None (undecided)."""
-    if any(x.startswith(g) for g in gens):
-        return True
     if covers(gens, x):
         return True
     compatible = [g for g in gens if g.startswith(x)]

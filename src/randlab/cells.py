@@ -53,53 +53,10 @@ class Region(FrozenRecord):
 
     @staticmethod
     def interval(lo, hi) -> "Region":
-        lo, hi = RAT(lo), RAT(hi)
-        if lo > hi:
-            raise ConstructionError(f"inverted interval [{lo}, {hi})")
-        return Region(intervals=(((lo, hi)),) if lo < hi else ())
-
-    @staticmethod
-    def empty() -> "Region":
-        return Region(intervals=())
+        return Region.from_pairs([(lo, hi)])
 
     def length(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), ZERO)
-
-    def contains_point(self, x) -> bool:
-        return any(lo <= x < hi for lo, hi in self.intervals)
-
-    def contains_region(self, other: "Region") -> bool:
-        return all(
-            any(lo <= olo and ohi <= hi for lo, hi in self.intervals)
-            for olo, ohi in other.intervals
-        )
-
-    def intersect(self, other: "Region") -> "Region":
-        out = []
-        for lo, hi in self.intervals:
-            for olo, ohi in other.intervals:
-                a, b = max(lo, olo), min(hi, ohi)
-                if a < b:
-                    out.append((a, b))
-        return Region.from_pairs(out)
-
-    def intersects(self, other: "Region") -> bool:
-        return bool(self.intersect(other).intervals)
-
-    def subtract(self, other: "Region") -> "Region":
-        out = list(self.intervals)
-        for olo, ohi in other.intervals:
-            nxt = []
-            for lo, hi in out:
-                if ohi <= lo or hi <= olo:
-                    nxt.append((lo, hi))
-                    continue
-                if lo < olo:
-                    nxt.append((lo, olo))
-                if ohi < hi:
-                    nxt.append((ohi, hi))
-            out = nxt
-        return Region.from_pairs(out)
 
 
 class NamingOutcome(Record):
@@ -275,12 +232,6 @@ class InterleaveDecomposition(CellDecomposition):
         child0 = box[:axis] + ((lo, mid),) + box[axis + 1 :]
         child1 = box[:axis] + ((mid, hi),) + box[axis + 1 :]
         return child0, child1
-
-    def _measure(self, box):
-        vol = ONE
-        for lo, hi in box:
-            vol *= hi - lo
-        return vol
 
     def cell_mass(self, sigma: str):
         return RAT(1, 2 ** len(sigma))

@@ -156,11 +156,7 @@ def deficiency_trace(machine: PrefixFreeMachine, dec, x, length: int) -> Deficie
 
 def semimeasure_superadditive(machine: PrefixFreeMachine) -> bool:
     """Exact check of semimeasure(s) >= semimeasure(s0) + semimeasure(s1) for
-    every string up to the longest output (trivially true beyond)."""
-    top = max(map(len, machine.table), default=0)
-    counts = {}
-    for codeword, out in machine.table.items():
-        w = 1 << (top - len(codeword))
-        for i in range(len(out) + 1):
-            counts[out[:i]] = counts.get(out[:i], 0) + w
-    return all(counts[sigma] >= counts.get(sigma + "0", 0) + counts.get(sigma + "1", 0) for sigma in counts)
+    every prefix of every output (beyond them all three are 0)."""
+    m = machine.semimeasure
+    prefixes = {out[:i] for out in machine.table.values() for i in range(len(out) + 1)}
+    return all(m(s) >= m(s + "0") + m(s + "1") for s in prefixes)

@@ -231,6 +231,13 @@ def test_superadditivity_direct():
     assert m.semimeasure("0") >= m.semimeasure("00") + m.semimeasure("01")
 
 
+def test_superadditivity_reads_the_machines_semimeasure(monkeypatch):
+    # every string weighing 1 gives each pair of children twice its parent
+    m = PrefixFreeMachine({"00": "0", "01": "00", "1": "01"})
+    monkeypatch.setattr(PrefixFreeMachine, "semimeasure", lambda self, sigma: RAT(1))
+    assert not semimeasure_superadditive(m)
+
+
 def test_deficiency_worked_case():
     machine = randlab.kc_build([(2, "11")])
     dec = cells.binary_digits()

@@ -48,10 +48,12 @@ class CylinderEvent(FrozenRecord):
         return "cyl{" + ",".join(self.generators) + "}"
 
 
-def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
-    """The part of a knowledge set where the event holds (won) or fails: its
-    knowledge state (None where it is null) and q, its weight given the set,
-    as an int pair (num, den).
+def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit: Optional[int] = None):
+    """The part of a knowledge set where the event holds (won) or fails, as
+    (generators, weights, q): the part's generators, each one's weight given
+    the part (None where the part is null), and q, the part's weight given
+    the set, an int pair (num, den).  limit is the depth cap, read here
+    where the caller does not pass it.
 
     A bet on the next coordinate of a single cylinder g, as every monotone
     bit strategy makes, has the one generator g + bit of weight 1, and q is
@@ -59,20 +61,19 @@ def _side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     """
     gens = knowledge.generators
     if isinstance(event, BitEvent) and len(gens) == 1 and event.index == len(gens[0]):
-        _check_expansion(event, 2)
+        _check_expansion(event, 2, limit)
         s, bit = mu.split(gens[0]), event.side if won else 1 - event.side
         qn, qd = s.numerator if bit else s.denominator - s.numerator, s.denominator
-        state = KnowledgeState((gens[0] + "01"[bit],), knowledge.mass * RAT(qn, qd), (ONE,)) if qn else None
-        return state, (qn, qd)
-    return _walk_side(knowledge, event, mu, won)
+        return (gens[0] + "01"[bit],), (ONE,) if qn else None, (qn, qd)
+    return _walk_side(knowledge, event, mu, won, limit)
 
 
-def _check_expansion(event: BitEvent, cost: int):
-    if cost > (1 << enumeration_limit()):
+def _check_expansion(event: BitEvent, cost: int, limit: Optional[int]):
+    if cost > (1 << (enumeration_limit() if limit is None else limit)):
         raise ResourceLimitError(f"restricting bit {event.index} would expand the knowledge set {cost}-fold")
 
 
-def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
+def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit: Optional[int] = None):
     """_side of any bet, by a walk over the side's generators.
 
     A generator's weight is the weight of the knowledge generator above it
@@ -83,7 +84,7 @@ def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
     gens = knowledge.generators
     if isinstance(event, BitEvent):
         # fresh generators shorter than the coordinate get expanded 2^gap-fold
-        _check_expansion(event, sum(1 << max(0, event.index + 1 - len(g)) for g in gens))
+        _check_expansion(event, sum(1 << max(0, event.index + 1 - len(g)) for g in gens), limit)
         side = bits.restrict_bit(gens, event.index, event.side if won else 1 - event.side)
     elif isinstance(event, CylinderEvent):
         side = (bits.intersect if won else bits.subtract)(gens, event.generators)
@@ -110,8 +111,7 @@ def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool):
         weights.append((n, d))
         g = gcd(d, qd)
         qn, qd = qn * (d // g) + n * (qd // g), qd // g * d
-    state = KnowledgeState(side, knowledge.mass * RAT(qn, qd), tuple(RAT(n * qd, d * qn) for n, d in weights)) if qn else None
-    return state, (qn, qd)
+    return side, tuple(RAT(n * qd, d * qn) for n, d in weights) if qn else None, (qn, qd)
 
 
 def _membership(event, x: str):
@@ -212,7 +212,7 @@ class LikelihoodRatioStrategy(BettingStrategy):
     def share(self, history, capital, knowledge, mu):
         (prefix,) = knowledge.generators
         # the knowledge set is [prefix], so its mass is mu.mass(prefix)
-        if knowledge.mass == 0 or (s := mu.split(prefix)) == 0 or s == 1:
+        if knowledge.mass == 0 or not 0 < (s := mu.split(prefix)).numerator < s.denominator:
             raise StrategyViolation(f"base measure degenerate after {prefix!r}")
         null = self.model.is_null(prefix)
         t = ZERO if null else self.model.split(prefix)
@@ -247,7 +247,7 @@ class DoublingStrategy(BettingStrategy):
         if k >= len(gens):
             return None  # nothing left to chase
         event = CylinderEvent(generators=(gens[k],))
-        pn, pd = _side(knowledge, event, mu, True)[1]
+        pn, pd = _side(knowledge, event, mu, True)[2]
         return (event, (2 - capital) * RAT(pn, pd - pn))
 
 
@@ -270,9 +270,10 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
     # the conditional odds a bet reads: every restriction goes through _side
     knowledge = KnowledgeState(("",), mu.mass(""), (ONE,))
     for index, bit in [*sorted(known.items()), (target, side)]:
-        knowledge, (qn, qd) = _side(knowledge, BitEvent(index, bit), mu, True)
+        gens, weights, (qn, qd) = _side(knowledge, BitEvent(index, bit), mu, True)
         if qn == 0 or knowledge.mass == 0:
             return None
+        knowledge = KnowledgeState(gens, knowledge.mass * RAT(qn, qd), weights)
     return RAT(qd - qn, qn)
 
 
@@ -295,30 +296,44 @@ class _Node(Record):
         return (1 - self.conditional) / self.conditional
 
 
-def _resolve_bet(node: _Node, event, share, stake, mu: Measure, sides):
-    """Validate a share() decision and build the successor on each of the
-    sides (True: won) with its capital factor, 1 + share * payoff on a win
-    and 1 - share on a loss.  Returns (p, [(successor, factor), ...]): p is
-    the event's probability given the knowledge set, payoff = (1-p)/p the
-    fair winnings per unit staked; p and the factors are int pairs."""
-    (sn, sd), capital = share, node.capital
+def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, event, share, stake, sides):
+    """Validate a share() decision at a history and resolve each of the sides
+    (True: won): its knowledge state, its capital and its capital factor,
+    1 + share * payoff on a win and 1 - share on a loss.  Returns
+    (p, [(knowledge, capital, factor), ...]): p is the event's probability
+    given the knowledge set, payoff = (1-p)/p the fair winnings per unit
+    staked; p and the factors are int pairs.  The kernel reads the depth cap
+    at its first bet and builds the rational of each int pair once."""
+    (sn, sd), cn = share, capital.numerator
     # at capital <= 0 only a zero stake passes, and its share is 0
-    if not (0 <= sn <= sd if capital > 0 else capital == 0 and not stake):
+    if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):
         stake = capital * RAT(sn, sd) if stake is None else stake
         if stake < 0:
-            raise StrategyViolation(f"negative stake {stake} at {node.history!r}")
-        raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {node.history!r}")
-    resolved = []
+            raise StrategyViolation(f"negative stake {stake} at {history!r}")
+        raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {history!r}")
+    if kernel._limit is None:
+        kernel._limit = enumeration_limit()
+    rationals, resolved = kernel._rationals, []
     for won in sides:
-        knowledge, (qn, qd) = _side(node.knowledge, event, mu, won)
-        if node.knowledge.mass == 0 or qn == 0 or qn == qd:
-            raise StrategyViolation(
-                f"bet on a conditionally null or sure event at {node.history!r}: {event.describe()}"
-            )
+        gens, weights, (qn, qd) = _side(knowledge, event, kernel.mu, won, kernel._limit)
+        if knowledge.mass == 0 or qn == 0 or qn == qd:
+            raise StrategyViolation(f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
         pn, pd = (qn, qd) if won else (qd - qn, qd)
         factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
-        resolved.append((_Node(node.history + ("1" if won else "0"), knowledge, capital * RAT(*factor)), factor))
+        side = KnowledgeState(gens, knowledge.mass * rationals[qn, qd], weights)
+        resolved.append((side, capital * rationals[factor], factor))
     return (pn, pd), resolved
+
+
+class _Rationals(dict):
+    """RAT(num, den) by int pair, each built once; past 64 pairs the cache
+    starts over, so a walk whose pairs all differ holds a bounded cache."""
+
+    def __missing__(self, pair):
+        if len(self) >= 64:
+            self.clear()
+        value = self[pair] = RAT(*pair)
+        return value
 
 
 class StrategyKernel(_PairKernel):
@@ -332,6 +347,7 @@ class StrategyKernel(_PairKernel):
 
     def __init__(self, strategy: BettingStrategy, mu: Measure, depth: int):
         self.strategy, self.mu, self.depth = strategy, mu, depth
+        self._limit, self._rationals = None, _Rationals()  # the depth cap, read at the first bet
         self._nodes = PathCache(self.root())
 
     def root(self) -> _Node:
@@ -342,9 +358,11 @@ class StrategyKernel(_PairKernel):
         if node is not None and len(sigma) == len(node.history) < self.depth:
             decision = self.strategy.share(node.history, node.capital, node.knowledge, self.mu)
             if decision is not None:
-                p, ((win, _), (lose, _)) = _resolve_bet(node, *decision, self.mu, (True, False))
-                node.event, node.share, node.conditional = decision[0], decision[1], RAT(*p)
-                return lose, win
+                p, ((win, win_capital, _), (lose, lose_capital, _)) = _resolve_bet(
+                    self, node.history, node.knowledge, node.capital, *decision, (True, False)
+                )
+                node.event, node.share, node.conditional = decision[0], decision[1], self._rationals[p]
+                return _Node(node.history + "0", lose, lose_capital), _Node(node.history + "1", win, win_capital)
         return None, node
 
     def read_pair(self, node):
@@ -409,28 +427,30 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
         x = binary_digits().resolved_name(x, depth)
     if max_steps is None:
         max_steps = len(x)
-    node = StrategyKernel(strategy, mu, max_steps).root()
-    start, factors, events = node.capital, [], []
+    kernel = StrategyKernel(strategy, mu, max_steps)
+    root, factors, events = kernel.root(), [], []
+    history, knowledge, capital, start = root.history, root.knowledge, root.capital, root.capital
     seen = {}  # each factor pair once, so a bet that repeats its factors holds a few tuples
     best, rn, rd = start, 1, 1  # rn/rd: the capital over best, the product of the factors since
     for _ in range(max_steps):
-        decision = strategy.share(node.history, node.capital, node.knowledge, mu)
+        decision = strategy.share(history, capital, knowledge, mu)
         if decision is None:
             break
         outcome = _membership(decision[0], x)
         if outcome is None:
-            return PlayResult(node.history, start, node.capital, best, factors, events, undetermined=True)
+            return PlayResult(history, start, capital, best, factors, events, undetermined=True)
         try:
-            _, ((node, factor),) = _resolve_bet(node, *decision, mu, (outcome,))
+            _, ((knowledge, capital, factor),) = _resolve_bet(kernel, history, knowledge, capital, *decision, (outcome,))
         except StrategyViolation as exc:
-            return PlayResult(node.history, start, node.capital, best, factors, events, violation=str(exc))
+            return PlayResult(history, start, capital, best, factors, events, violation=str(exc))
+        history += "1" if outcome else "0"
         fn, fd = factor = seen.setdefault(factor, factor)
         rn, rd = rn * fn, rd * fd
         if rn > rd:
-            best, rn, rd = node.capital, 1, 1
+            best, rn, rd = capital, 1, 1
         factors.append(factor)
         events.append(decision[0].describe())
-    return PlayResult(node.history, start, node.capital, best, factors, events)
+    return PlayResult(history, start, capital, best, factors, events)
 
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):

@@ -65,22 +65,19 @@ def _emit(report: Report, out_path):
     sys.stdout.write(text)
 
 
-def _csv_field(value) -> str:
-    """A number or string as csv.writer (QUOTE_MINIMAL) writes it in a row of
-    several fields: quoted, with each quote doubled, when it holds a comma, a
-    quote, CR or LF."""
-    text = str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_csv(path, header, rows):
     """Stream a header and an iterable of rows as CRLF-terminated CSV lines
-    to path, or to stdout when no path is given."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as target:
+    to path, or to stdout when no path is given.  Each row is formatted in
+    one pass, quoted as csv.writer (QUOTE_MINIMAL) quotes: a field holding a
+    comma, a quote, CR or LF is quoted, with each quote doubled."""
+    # a trace row can run to kilobytes: a 64 KiB buffer makes about an eighth of the write calls 8 KiB does
+    with open(path, "w", newline="", buffering=1 << 16) if path else contextlib.nullcontext(sys.stdout) as target:
         for row in itertools.chain((header,), rows):
-            target.write(",".join(map(_csv_field, row)) + "\r\n")
+            fields = [
+                '"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\r" in text or "\n" in text else text
+                for text in map(str, row)
+            ]
+            target.write(",".join(fields) + "\r\n")
 
 
 def _exact_context():
@@ -97,18 +94,23 @@ def _capital_digits(start, factors):
     start, then start stepped through each factor pair.  The pair is held as
     two exact Decimals, which print in linear time where a big int's str() is
     quadratic; each step reduces as Fraction's product does, each gcd taken
-    against the factor's own small terms.  Every operation names the exact
-    context: a generator must not set its caller's."""
-    ex = _exact_context()
+    against the factor's own small terms, and each distinct factor is reduced
+    once.  Every operation names the exact context: a generator must not set
+    its caller's."""
+    ex, lowest = _exact_context(), {}
     n, d = ex.create_decimal(int(start.numerator)), ex.create_decimal(int(start.denominator))
     yield str(n), str(d)
-    for fn, fd in factors:
-        g = gcd(fn, fd)
-        fn, fd = fn // g, fd // g
+    for factor in factors:
+        if factor not in lowest:
+            g = gcd(*factor)
+            lowest[factor] = factor[0] // g, factor[1] // g
+        fn, fd = lowest[factor]
         if not (fn and n):  # a bust, or a step from capital 0: the capital is 0/1, never -0
             n, d = ex.create_decimal(0), ex.create_decimal(1)
         else:
-            g, h = gcd(fd, int(ex.remainder(n, fd))), gcd(fn, int(ex.remainder(d, fn)))
+            # the remainders are taken before either division, as Fraction's gcds are
+            g = gcd(fd, int(ex.remainder(n, fd))) if fd > 1 else 1
+            h = gcd(fn, int(ex.remainder(d, fn))) if fn > 1 else 1
             if g > 1:
                 n, fd = ex.divide_int(n, g), fd // g
             if h > 1:

@@ -469,19 +469,20 @@ def ville_monte_carlo(mart: Martingale, n: int, thresholds, samples: int, seed: 
     rng = _random.Random(seed)
     cs = [_ville_threshold(n, q) for q in thresholds]
     qs = [(q.numerator, q.denominator) for q in cs]
-    mu, kernel = mart.base, mart.kernel
-    root = kernel.root()
-    _, _, root_n, root_d = kernel.read_pair(root)
+    children, read_pair, split, draw = mart.kernel.children, mart.kernel.read_pair, mart.base.split, rng.random
+    root = mart.kernel.root()
+    _, _, root_n, root_d = read_pair(root)
     hits = [0] * len(cs)
     for _ in range(samples):
         sigma, payload = "", root
         best_n, best_d = root_n, root_d
         for _step in range(n):
-            s = mu.split(sigma)
-            bit = "1" if rng.random() < float(s) else "0"
-            payload = kernel.children(sigma, payload)[bit == "1"]
-            sigma += bit
-            _, _, cn, cd = kernel.read_pair(payload)
+            s = split(sigma)
+            # the split's correctly rounded float, as float(s) gives it
+            one = draw() < s.numerator / s.denominator
+            payload = children(sigma, payload)[one]
+            sigma += "1" if one else "0"
+            _, _, cn, cd = read_pair(payload)
             if cn is None:
                 break
             if cn * best_d > best_n * cd:

@@ -346,7 +346,8 @@ def load_machine_file(path: str):
                 continue
             if "\t" not in line:
                 raise SpecParseError(f"{path}:{lineno}: expected codeword<TAB>output")
-            codeword, output = (validate_bits(part.strip()) for part in line.split("\t", 1))
+            # PrefixFreeMachine validates both strings
+            codeword, output = (part.strip() for part in line.split("\t", 1))
             if codeword in table:
                 raise SpecParseError(f"{path}:{lineno}: codeword {codeword!r} repeats an earlier line")
             table[codeword] = output

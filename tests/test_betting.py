@@ -702,6 +702,29 @@ def test_kl_payoff_guards_the_target_expansion(fair, monkeypatch):
     assert randlab.kl_payoff(fair, {}, 3, 1) == 1
 
 
+def test_a_play_reads_the_depth_cap_once(monkeypatch):
+    calls = []
+    read = randlab.betting.enumeration_limit
+    monkeypatch.setattr(randlab.betting, "enumeration_limit", lambda: calls.append(1) or read())
+    rng = random.Random(4)
+    x = "".join(rng.choice("01") for _ in range(4000))
+    result = randlab.play(LikelihoodRatioStrategy(randlab.fair_coin()), randlab.bernoulli(F(1, 3)), x)
+    assert len(result.factors) == 4000
+    assert len(calls) == 1
+
+
+def test_a_zero_depth_cap_refuses_the_first_next_bit_bet(monkeypatch):
+    mu, strategy = randlab.bernoulli(F(1, 3)), LikelihoodRatioStrategy(randlab.fair_coin())
+    nu, mart = randlab.strategy_to_cantor(strategy, mu, 3)
+    monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "0")
+    # the kernel reads the cap at its first bet, so a cap lowered after
+    # strategy_to_cantor returned still applies
+    for read in (lambda: randlab.play(strategy, mu, "0110"), lambda: nu.mass("1"), lambda: mart.capital("0")):
+        with pytest.raises(randlab.ResourceLimitError) as exc:
+            read()
+        assert str(exc.value) == "restricting bit 0 would expand the knowledge set 2-fold"
+
+
 @given(
     _split_tables(),
     st.one_of(_table_strategies(), st.builds(LikelihoodRatioStrategy, _split_tables())),

@@ -414,6 +414,21 @@ def test_malformed_inputs_are_parse_errors(capsys, tmp_path, name):
     assert message in err
 
 
+def test_a_machine_file_reports_a_repeated_codeword_ahead_of_a_bad_string(capsys, tmp_path):
+    # the loader checks only for repeats; PrefixFreeMachine then validates
+    # every string, so a repeat anywhere in the file is reported first
+    mfile = tmp_path / "m.machine"
+    args = ["deficiency", "--machine", str(mfile), "--point", "1/3"]
+    mfile.write_text("0\t2\n0\t1\n")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.endswith(":2: codeword '0' repeats an earlier line\n")
+    mfile.write_text("0\t1\n1\t2\n")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.endswith("not a binary string: '2'\n")
+
+
 WRONG_JSON_TYPES = {
     "bernoulli-p": (["audit", "--measure", "doc:{doc}"], "bernoulli measure doc field 'p'", {"kind": "bernoulli", "p": 0.5}),
     "martingale-entries": (
@@ -1211,6 +1226,39 @@ def test_deficiency_trace_csv_bytes_are_pinned(capsys, tmp_path):
     mfile.write_text("00\t11\n")
     args = ["deficiency", "--machine", str(mfile), "--decomposition", "binary", "--point", "7/8", "--length", "2"]
     _assert_csv_pinned(capsys, tmp_path, args, _PINNED_DEFICIENCY_TRACE)
+
+
+_CSV_TABLE_NODES = {
+    "": {"event": {"kind": "cylinders", "strings": ["00", "11"]}, "stake": "1/4"},
+    "1": {"event": {"kind": "bit", "index": 2, "side": 1}, "stake": "1/8"},
+    "10": {"event": {"kind": "cylinders", "strings": ["0001", "1101"]}, "stake": "1/3"},
+    "101": {"event": {"kind": "bit", "index": 4, "side": 0}, "stake": "1/2"},
+    "1011": {"event": {"kind": "cylinders", "strings": ["000100", "110101", "11010011"]}, "stake": "2/7"},
+    "10111": {"event": {"kind": "bit", "index": 5, "side": 1}, "stake": "1/5"},
+}
+
+
+@pytest.mark.parametrize("case", ["likelihood_ratio", "table"])
+def test_bet_csv_is_what_the_csv_module_writes(capsys, tmp_path, case):
+    # every row of the trace, against csv.writer fed PlayResult.values
+    if case == "likelihood_ratio":
+        rng = random.Random(5)
+        x = "".join(rng.choice("01") for _ in range(1500))
+        spec, measure = "likelihood_ratio:fair", "bernoulli:1/3"
+    else:
+        x, spec, measure = "1101001110", f"table:{tmp_path / 'strategy.json'}", "bernoulli:2/5"
+        (tmp_path / "strategy.json").write_text(json.dumps({"nodes": _CSV_TABLE_NODES}))
+    (tmp_path / "x.bits").write_text(x)
+    mu = randlab.specfmt.parse_measure(measure)
+    result = randlab.betting.play(randlab.specfmt.parse_strategy(spec, mu), mu, x)
+    assert len(result.factors) == (1500 if case == "likelihood_ratio" else 6)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(("step", "prefix", "capital_num", "capital_den", "event"))
+    for step, value in enumerate(result.values):
+        writer.writerow((step, x[:step], value.numerator, value.denominator, result.events[step - 1] if step else ""))
+    args = ["bet", "--strategy", spec, "--measure", measure, "--source", f"file:{tmp_path / 'x.bits'}", "--length", str(len(x))]
+    _assert_csv_pinned(capsys, tmp_path, args, expected.getvalue())
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit before 3.11")

@@ -422,6 +422,48 @@ def test_ville_monte_carlo_labelled_estimate(battery_marts):
     assert estimate == again
 
 
+def _reference_monte_carlo(mart, n, thresholds, samples, seed):
+    """ville_monte_carlo by its definition: each sample draws bit after bit
+    with random.Random(seed).random() < float(split), stops at a null child
+    and hits a threshold where its largest prefix capital reaches it."""
+    rng, start = random.Random(seed), mart.capital("")
+    hits = [0] * len(thresholds)
+    for _ in range(samples):
+        prefix, best = "", start
+        for _ in range(n):
+            prefix += "1" if rng.random() < float(mart.base.split(prefix)) else "0"
+            value = mart.capital(prefix)
+            if value is None:
+                break
+            best = max(best, value)
+        hits = [h + (best >= c) for h, c in zip(hits, thresholds)]
+    return [(h / samples, float(start / c)) for h, c in zip(hits, thresholds)]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+def test_ville_monte_carlo_matches_a_reference_loop(seed):
+    from randlab.martingale import ville_monte_carlo
+
+    thresholds = [Fraction(3, 2), Fraction(2), Fraction(8)]
+    mart = randlab.from_measures(randlab.bernoulli(Fraction(2, 3)), randlab.fair_coin())
+    assert ville_monte_carlo(mart, 40, thresholds, 60, seed) == _reference_monte_carlo(mart, 40, thresholds, 60, seed)
+
+
+def test_ville_monte_carlo_matches_a_reference_loop_over_null_splits():
+    from randlab.martingale import ville_monte_carlo
+
+    # splits of 1, 0 and 1 at "0", "01" and "011" each make a null child,
+    # and 1/7 is no float; the hand-built capital is undefined from "010"
+    # on, so a sample stops there although the base gives it mass
+    base = randlab.split_table({"": Fraction(1, 7), "0": 1, "01": 0, "011": 1, "1": Fraction(5, 6)})
+    model = randlab.from_measures(randlab.bernoulli(Fraction(1, 3)), base)
+    mart = randlab.Martingale(base, lambda sigma: None if sigma.startswith("010") else model.capital(sigma))
+    thresholds = [Fraction(1), Fraction(5, 4), Fraction(3)]
+    for seed in (1, 2, 3):
+        assert ville_monte_carlo(mart, 12, thresholds, 80, seed) == _reference_monte_carlo(mart, 12, thresholds, 80, seed)
+        assert ville_monte_carlo(model, 12, thresholds, 80, seed) == _reference_monte_carlo(model, 12, thresholds, 80, seed)
+
+
 def test_long_path_values_match_iterative_reference():
     # a 1500-bit query is deeper than the recursion limit: every value must
     # come from an iterative descent and equal a step-by-step recomputation

@@ -23,7 +23,7 @@ from .errors import (
     enumeration_limit,
 )
 from .martingale import Martingale, _PairKernel
-from .measure import FrozenRecord, Measure, PathCache, Record
+from .measure import FrozenRecord, Measure, Record, from_masses
 from .randtests import CylinderSet
 from .rationals import HALF, ONE, RAT, ZERO
 
@@ -348,7 +348,6 @@ class StrategyKernel(_PairKernel):
     def __init__(self, strategy: BettingStrategy, mu: Measure, depth: int):
         self.strategy, self.mu, self.depth = strategy, mu, depth
         self._limit, self._rationals = None, _Rationals()  # the depth cap, read at the first bet
-        self._nodes = PathCache(self.root())
 
     def root(self) -> _Node:
         return _Node(history="", knowledge=KnowledgeState(("",), self.mu.mass(""), (ONE,)), capital=self.strategy.start_capital)
@@ -370,15 +369,6 @@ class StrategyKernel(_PairKernel):
             return 0, 1, None, 1
         m, c = node.knowledge.mass, node.capital
         return m.numerator, m.denominator, c.numerator, c.denominator
-
-    def split(self, sigma: str):
-        """The knowledge measure's split at sigma (1 where betting stopped),
-        read through the kernel's own one-path cache of nodes."""
-        self._nodes.read(sigma + "1", self.children)  # resolves the bet at sigma
-        node = self._nodes.read(sigma, self.children)
-        if node is None or node.knowledge.mass == 0:
-            return HALF
-        return ONE if node.terminal else node.conditional
 
 
 def _preorder(strategy: BettingStrategy, mu: Measure, depth: int):
@@ -455,18 +445,20 @@ def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = N
 
 def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):
     """Reread a strategy as a measure on histories plus a martingale over it,
-    both read off one StrategyKernel.
+    both read off the nodes of one StrategyKernel through one path cache.
 
-    The measure gives each history the mass of its knowledge set; beyond a
-    terminal node the win branch keeps the whole mass (a stopped gambler
-    formally bets on the whole space).  The martingale is the capital, fair
-    against that measure.  Nothing is walked up front: a bad bet raises
-    StrategyViolation at the first read or audit that reaches its history.
+    The martingale is the capital; the measure gives each history the mass
+    of its knowledge set (0 at a null history), so beyond a terminal node the
+    win branch keeps the whole mass (a stopped gambler formally bets on the
+    whole space) and the capital is fair against it.  Nothing is walked up
+    front: a bad bet raises StrategyViolation at the first read or audit that
+    reaches its history.
     """
     check_enumeration_depth(depth)
-    kernel, name = StrategyKernel(strategy, mu, depth), type(strategy).__name__
-    nu = Measure(kernel.split, mu.mass(""), label=f"knowledge({name})")
-    return nu, Martingale(nu, label=f"capital({name})", kernel=kernel)
+    name = type(strategy).__name__
+    mart = Martingale(None, label=f"capital({name})", kernel=StrategyKernel(strategy, mu, depth))
+    mart.base = from_masses(lambda h: ZERO if (node := mart.payload(h)) is None else node.knowledge.mass, label=f"knowledge({name})")
+    return mart.base, mart
 
 
 class StrategyProfile(Record):

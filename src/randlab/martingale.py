@@ -226,8 +226,8 @@ class MartingaleMeasure(_MassBackedMeasure):
     when one child is null its mass is recovered from the sibling by
     additivity, and below a fully null node everything is squeezed to zero.
     split_rows maps a string to the row record_row made for it, and is empty
-    until a conversion records them; children_pairs and split answer from a
-    string's row, and from nu where it has none."""
+    until a conversion records them; children_pairs answers from a string's
+    row and split from its split row, each from nu where there is none."""
 
     def __init__(self, mart: Martingale, label=None):
         read, payload = mart.kernel.read_pair, mart.payload
@@ -248,16 +248,15 @@ class MartingaleMeasure(_MassBackedMeasure):
         """Record sigma's row from its children's kernel reads, given its own
         mass pn/pd, and return both children's masses as int pairs.  The row
         is their reduced split (a, b, a/b), one tuple per (a, b), if that
-        rebuilds both masses; else their pairs follow it, and they alone are
-        the row where pn <= 0."""
+        rebuilds both masses; else it is their pairs alone."""
         row = kids = _children_masses(pn, pd, read0, read1)
         if pn > 0:
             (n0, d0), (n1, d1) = kids
             a, b = n1 * pd, d1 * pn
             g = gcd(a, b)
             a, b = a // g, b // g
-            split = self._splits.get((a, b)) or self._splits.setdefault((a, b), (a, b, RAT(a, b)))
-            row = split if n0 * pd * b == pn * (b - a) * d0 else split + kids  # 0-child: parent * (1 - a/b)
+            if n0 * pd * b == pn * (b - a) * d0:  # 0-child: parent * (1 - a/b)
+                row = self._splits.get((a, b)) or self._splits.setdefault((a, b), (a, b, RAT(a, b)))
         self.split_rows[sigma] = row
         return kids
 
@@ -265,14 +264,14 @@ class MartingaleMeasure(_MassBackedMeasure):
         row = self.split_rows.get(sigma)
         if row is None:
             return super().children_pairs(sigma, n, d)
-        if len(row) != 3:  # explicit children pairs
-            return row[-2:]
+        if len(row) == 2:  # explicit children pairs
+            return row
         a, b, _ = row
         return (n * (b - a), d * b), (n * a, d * b)
 
     def split(self, sigma: str):
         row = self.split_rows.get(sigma)
-        if row is None or len(row) == 2:  # below the rows, or a node of mass <= 0
+        if row is None or len(row) == 2:  # below the rows, or children pairs: nu's own split
             return super().split(sigma)
         if not 0 <= row[0] <= row[1]:
             raise ConstructionError(f"split outside [0,1] at {sigma!r}: {row[2]}")

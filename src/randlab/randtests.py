@@ -197,7 +197,7 @@ def vitali_to_integral(test: VitaliTest, depth: int) -> IntegralStep:
         raise PreconditionError("piece generators deeper than the requested depth")
     check_enumeration_depth(depth)
     counts = Counter(g + tail for piece in test.pieces for g in piece.generators for tail in bits.all_strings(depth - len(g)))
-    values = {cell: Fraction(n) for cell, n in sorted(counts.items())}
+    values = {cell: RAT(n) for cell, n in sorted(counts.items())}
     return IntegralStep(base=test.base, depth=depth, values=values, bound=test.bound, unit_witness=False)
 
 

@@ -808,6 +808,28 @@ def test_transport_asks_each_history_once(fair):
         assert mart.capital("1" * 8) == F(5, 4) ** min(stop, depth)
 
 
+def test_knowledge_measure_and_capital_read_one_node_path(bern13):
+    # the knowledge masses are the martingale's own nodes, read through its one
+    # path cache, so a lexicographic sweep of both asks each of the 63 inner
+    # histories for its bet once (share() asks bet() once)
+    tree = walk_strategy(_CountingStrategy(6), bern13, 6)
+    s = _CountingStrategy(6)
+    nu, mart = randlab.strategy_to_cantor(s, bern13, 6)
+    for h in sorted(tree):
+        assert (nu.mass(h), mart.capital(h)) == (tree[h].knowledge.mass, tree[h].capital), h
+    assert len(tree) == 127 and s.asked == 63
+
+
+def test_a_null_base_raises_the_root_bet_at_every_read_below_it(fair):
+    # the knowledge mass of a history is its node's, so a read below the root
+    # of a null base resolves the root's bet, as the capital's read does
+    nu, mart = randlab.strategy_to_cantor(BitAllInStrategy("0"), fair.scaled(0), 3)
+    assert nu.mass("") == 0 and nu.split("") == F(1, 2)
+    for read in (lambda: nu.mass("1"), lambda: mart.capital("1"), lambda: randlab.check_additivity(nu, 3), lambda: randlab.check_fairness(mart, 3)):
+        with pytest.raises(StrategyViolation, match="conditionally null or sure event at ''"):
+            read()
+
+
 def _peak_mib(fn):
     tracemalloc.start()
     try:

@@ -32,3 +32,16 @@ def test_every_private_definition_is_read():
             if everywhere[name] - _referenced_names(node)[name] <= 0:
                 unread.append(f"{module}:{node.lineno} {name}")
     assert unread == []
+
+
+def test_only_rationals_builds_a_fraction():
+    # every other module builds its rationals through the RAT seam, so gmpy2's
+    # mpq, when installed, is the one rational type the library makes
+    calls = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "rationals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

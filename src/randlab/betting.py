@@ -407,22 +407,15 @@ class PlayResult(Record):
         return list(accumulate(self.factors, lambda v, f: v * RAT(*f), initial=self.start))
 
 
-def play(strategy: BettingStrategy, mu: Measure, x, max_steps: Optional[int] = None) -> PlayResult:
-    """Run the strategy against a sample (a bit string, or a rational named
-    through binary digits); stops at a win/loss the sample cannot decide."""
-    if not isinstance(x, str):
-        from .cells import binary_digits
-
-        depth = max_steps if max_steps is not None else enumeration_limit()
-        x = binary_digits().resolved_name(x, depth)
-    if max_steps is None:
-        max_steps = len(x)
-    kernel = StrategyKernel(strategy, mu, max_steps)
+def play(strategy: BettingStrategy, mu: Measure, x: str) -> PlayResult:
+    """Run the strategy against a bit string, at most one bet per bit; stops
+    at a win/loss the string cannot decide."""
+    kernel = StrategyKernel(strategy, mu, len(x))
     root, factors, events = kernel.root(), [], []
     history, knowledge, capital, start = root.history, root.knowledge, root.capital, root.capital
     seen = {}  # each factor pair once, so a bet that repeats its factors holds a few tuples
     best, rn, rd = start, 1, 1  # rn/rd: the capital over best, the product of the factors since
-    for _ in range(max_steps):
+    for _ in range(len(x)):
         decision = strategy.share(history, capital, knowledge, mu)
         if decision is None:
             break

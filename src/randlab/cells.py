@@ -98,8 +98,7 @@ class CellDecomposition:
     lies on an endpoint of either child.
     """
 
-    def __init__(self, kind: str, label: str, spec_name: str = None):
-        self.kind = kind
+    def __init__(self, label: str, spec_name: str = None):
         self.label = label
         self.spec_name = spec_name or label
 
@@ -160,11 +159,11 @@ class BaryGroupedDecomposition(CellDecomposition):
     ones (the final deferral lands on the last digit directly).
     """
 
-    def __init__(self, base: int, kind="bary_grouped", label=None, spec_name=None):
+    def __init__(self, base: int, label=None, spec_name=None):
         if base < 2:
             raise ConstructionError("digit base must be at least 2")
         check_size(base, "digit base")
-        super().__init__(kind, label or f"bary{base}", spec_name or f"bary:{base}")
+        super().__init__(label or f"bary{base}", spec_name or f"bary:{base}")
         self.base = base
         self._splits = {}  # p -> split, built at its first read
 
@@ -219,7 +218,7 @@ class InterleaveDecomposition(CellDecomposition):
         if dim < 1:
             raise ConstructionError("dimension must be at least 1")
         check_size(dim, "dimension")
-        super().__init__(kind="interleave", label=f"interleave{dim}", spec_name=f"interleave:{dim}")
+        super().__init__(label=f"interleave{dim}", spec_name=f"interleave:{dim}")
         self.dim = dim
 
     def _root(self):
@@ -257,7 +256,7 @@ class NaturalDecomposition(CellDecomposition):
     exist whenever the measure has them."""
 
     def __init__(self, mu: Measure):
-        super().__init__(kind="natural", label=f"natural({mu.label})", spec_name="natural")
+        super().__init__(label=f"natural({mu.label})", spec_name="natural")
         self.mu = mu
 
     def cell(self, sigma: str):
@@ -286,7 +285,7 @@ def natural(mu: Measure) -> CellDecomposition:
 
 
 def binary_digits() -> CellDecomposition:
-    return BaryGroupedDecomposition(2, kind="binary_digits", label="binary", spec_name="binary")
+    return BaryGroupedDecomposition(2, label="binary", spec_name="binary")
 
 
 def bary_grouped(base: int) -> CellDecomposition:

@@ -340,7 +340,7 @@ def _render_extended(v):
 
 def _parse_point(text: str, dec):
     """The point: a bit string for a natural decomposition, else its comma-separated coordinates."""
-    return text if dec.kind == "natural" else tuple(parse_rational(p) for p in text.split(","))
+    return text if isinstance(dec, cells.NaturalDecomposition) else tuple(parse_rational(p) for p in text.split(","))
 
 
 def cmd_name(opts, raw_args) -> Report:

@@ -96,7 +96,7 @@ class QuotientKernel(_PairKernel):
 
 
 class SavingsKernel(_PairKernel):
-    """Fused walker for the savings recursion stacked on a source kernel.
+    """Fused walker for the savings recursion of a source kernel's capital + 1, scaled to start at 1.
 
     Payloads are (source payload, N, F, D): total capital N/D and savings
     floor F/D over one shared denominator, divided by gcd(N, F, D) at every
@@ -104,28 +104,21 @@ class SavingsKernel(_PairKernel):
     level).  Below a null cylinder the N, F, D slots are unused.
     """
 
-    def __init__(self, inner, shift: bool, scale=ONE):
+    def __init__(self, inner):
         self.inner = inner
-        self.offset = 1 if shift else 0
-        self.scale = scale
 
     def root(self):
-        payload = self.inner.root()
-        _, _, cn, cd = self.inner.read_pair(payload)
-        n = (cn + self.offset * cd) * self.scale.numerator
-        d = cd * self.scale.denominator
-        g = gcd(n, d)
-        return (payload, n // g, 0, d // g)
+        return (self.inner.root(), 1, 0, 1)
 
     def children(self, sigma: str, payload):
         src, n_here, f_here, den = payload
-        inner, offset = self.inner, self.offset
+        inner = self.inner
         src0, src1 = inner.children(sigma, src)
         active = n_here - f_here
         if active:
-            # parent source capital plus offset is shifted/cd
+            # parent source capital plus 1 is shifted/cd
             _, _, cn, cd = inner.read_pair(src)
-            shifted = cn + offset * cd
+            shifted = cn + cd
         out = []
         for branch in (src0, src1):
             mass_b, _, cn_b, cd_b = inner.read_pair(branch)
@@ -134,12 +127,10 @@ class SavingsKernel(_PairKernel):
             elif not active:
                 out.append((branch, f_here, f_here, den))
             else:
-                # n_b = f + ratio * active with ratio = rn/rd, over den * rd
-                rn = (cn_b + offset * cd_b) * cd
+                # n_b = f + (rn/rd) * active over den * rd; rd != 0, as a node of source capital -1 got rn = 0, N = F
+                rn = (cn_b + cd_b) * cd
                 rd = cd_b * shifted
-                if rd <= 0:
-                    if rd == 0:
-                        raise ZeroDivisionError(f"savings recursion divides by zero capital at {sigma!r}")
+                if rd < 0:
                     rn, rd = -rn, -rd
                 d_b = den * rd
                 f_b = f_here * rd
@@ -156,10 +147,13 @@ class SavingsKernel(_PairKernel):
             return mn, md, None, 1
         return mn, md, n_here, den
 
+    def read_floor_pair(self, payload):
+        """The savings floor at a positive cylinder, as its int pair (F, D)."""
+        return payload[2:]
+
     def read_floor(self, payload):
         """The savings floor at a positive cylinder, as an exact rational."""
-        _, _, f_here, den = payload
-        return RAT(f_here, den)
+        return RAT(*self.read_floor_pair(payload))
 
 
 class CapitalFnKernel(_PairKernel):
@@ -197,7 +191,7 @@ def from_measures(nu: Measure, mu: Measure, label=None) -> Martingale:
     return Martingale(mu, label=label or f"{nu.label}/{mu.label}", kernel=kernel)
 
 
-def table_martingale(base: Measure, entries, start=ONE, label="table") -> Martingale:
+def table_martingale(base: Measure, entries, start=ONE) -> Martingale:
     """Martingale from an explicit finite capital table.
 
     Strings below the table inherit the deepest tabulated ancestor's value
@@ -216,7 +210,7 @@ def table_martingale(base: Measure, entries, start=ONE, label="table") -> Martin
                 return table[sigma[:i]]
         return RAT(start)
 
-    return Martingale(base, capital, label)
+    return Martingale(base, capital, "table")
 
 
 class MartingaleMeasure(_MassBackedMeasure):
@@ -229,7 +223,7 @@ class MartingaleMeasure(_MassBackedMeasure):
     until a conversion records them; children_pairs answers from a string's
     row and split from its split row, each from nu where there is none."""
 
-    def __init__(self, mart: Martingale, label=None):
+    def __init__(self, mart: Martingale):
         read, payload = mart.kernel.read_pair, mart.payload
 
         def nu(sigma: str) -> Fraction:
@@ -240,7 +234,7 @@ class MartingaleMeasure(_MassBackedMeasure):
             kids = _children_masses(*_capital_mass(read(payload(p))), read(payload(p + "0")), read(payload(p + "1")))
             return RAT(*kids[sigma[-1] == "1"])
 
-        super().__init__(nu, label=label or f"measure({mart.label})")
+        super().__init__(nu, label=f"measure({mart.label})")
         self.martingale = mart
         self.split_rows, self._splits = {}, {}
 
@@ -301,8 +295,8 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
 class SavingsPair(Record):
     """A martingale with the savings property plus its savings floor."""
 
-    def __init__(self, total: Martingale, shifted: bool, scale: Fraction = ONE):
-        self.total, self.shifted, self.scale = total, shifted, scale
+    def __init__(self, total: Martingale):
+        self.total = total
 
     @property
     def base(self) -> Measure:
@@ -316,22 +310,18 @@ class SavingsPair(Record):
         return kernel.read_floor(payload)
 
 
-def savings_transform(mart: Martingale, shift: bool = True, normalize: bool = True) -> SavingsPair:
+def savings_transform(mart: Martingale) -> SavingsPair:
     """Split a martingale into active capital plus a nondecreasing savings floor.
 
-    With shift=True (the default) the source capital is first replaced by
-    capital+1 so the recursion never divides by zero; with normalize=True the
-    result is scaled to start at 1, which is what makes the floor-to-total
-    sandwich hold at the root as well.  Both knobs are recorded on the result
-    so capital comparisons stay interpretable.
+    The source capital is first replaced by capital+1 so the recursion never
+    divides by zero, and the result is scaled to start at 1, which is what
+    makes the floor-to-total sandwich hold at the root as well; a start
+    capital of -1 shifts to 0, which cannot be scaled to 1.
     """
-    start = _start_capital(mart) + (1 if shift else 0)
-    if normalize and start == 0:
+    if _start_capital(mart) == -1:
         raise PreconditionError("cannot normalize a martingale with zero start capital")
-    scale = 1 / start if normalize else ONE
-    kernel = SavingsKernel(mart.kernel, shift, scale)
-    total = Martingale(mart.base, label=f"savings({mart.label})", kernel=kernel)
-    return SavingsPair(total=total, shifted=shift, scale=scale)
+    total = Martingale(mart.base, label=f"savings({mart.label})", kernel=SavingsKernel(mart.kernel))
+    return SavingsPair(total=total)
 
 
 class CapitalTrace(Record):

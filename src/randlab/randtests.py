@@ -169,8 +169,8 @@ def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
             p0, p1 = kernel.children(cell, payload)
             (n0, d0), (n1, d1) = bound.record_row(cell, pn, pd, r0 := read(p0), r1 := read(p1))
             stack += [(cell + "1", p1, r1, n1, d1), (cell + "0", p0, r0, n0, d0)]
-        elif here[0] and payload[2]:  # a positive cell's nonzero floor F/D, one value per (F, D)
-            values[cell] = floors.get(payload[2:]) or floors.setdefault(payload[2:], kernel.read_floor(payload))
+        elif here[0] and (floor := kernel.read_floor_pair(payload))[0]:  # a positive cell's nonzero floor F/D, one value per (F, D)
+            values[cell] = floors.get(floor) or floors.setdefault(floor, RAT(*floor))
     return IntegralStep(base=sp.base, depth=depth, values=values, bound=bound, unit_witness=True)
 
 

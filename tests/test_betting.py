@@ -273,9 +273,9 @@ def test_bit_all_in_after_bust_keeps_learning(fair):
 def test_play_accepts_rational_sample(fair):
     s = randlab.doubling_strategy(["00"], fair)
     # 1/5 starts 0011... in binary, so the first bet on [00] wins
-    result = randlab.play(s, fair, F(1, 5), max_steps=6)
+    result = randlab.play(s, fair, randlab.binary_digits().resolved_name(F(1, 5), 6))
     assert result.final == 2
-    losing = randlab.play(s, fair, F(2, 3), max_steps=6)  # binary 1010...
+    losing = randlab.play(s, fair, randlab.binary_digits().resolved_name(F(2, 3), 6))  # binary 1010...
     assert losing.final == F(2, 3)
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
-from randlab import SpecParseError, specfmt
+from randlab import SpecParseError, cells, specfmt
 from randlab.rationals import format_rational, neg_log2_bracket, parse_rational
 from randlab.bits import champernowne_bits
 
@@ -299,8 +299,8 @@ def test_parse_source():
 
 
 def test_parse_decomposition():
-    assert specfmt.parse_decomposition("binary").kind == "binary_digits"
+    assert specfmt.parse_decomposition("binary").label == "binary"
     assert specfmt.parse_decomposition("ternary").base == 3
     assert specfmt.parse_decomposition("bary:5").base == 5
     assert specfmt.parse_decomposition("interleave:2").dim == 2
-    assert specfmt.parse_decomposition("natural:fair").kind == "natural"
+    assert isinstance(specfmt.parse_decomposition("natural:fair"), cells.NaturalDecomposition)

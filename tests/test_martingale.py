@@ -58,18 +58,19 @@ def test_unit_martingale_gives_base(bern13):
 
 def test_savings_one_level_worked_case(fair):
     mart = randlab.table_martingale(fair, {"": 2, "0": 4, "1": 0})
-    sp = randlab.savings_transform(mart, shift=False, normalize=False)
-    assert sp.total.capital("") == 2 and sp.savings("") == 0
-    assert sp.total.capital("0") == 4 and sp.savings("0") == 3
-    assert sp.total.capital("1") == 0 and sp.savings("1") == 0
+    sp = randlab.savings_transform(mart)
+    # capital + 1 is 3, 5, 1, scaled by 1/3 to start at 1
+    assert sp.total.capital("") == 1 and sp.savings("") == 0
+    assert sp.total.capital("0") == Fraction(5, 3) and sp.savings("0") == Fraction(2, 3)
+    assert sp.total.capital("1") == Fraction(1, 3) and sp.savings("1") == 0
 
 
 def test_savings_constant_martingale(fair):
     for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
-        sp = randlab.savings_transform(randlab.table_martingale(fair, {}, start=c), shift=False, normalize=False)
-        for sigma in ("0", "1", "01", "110"):
-            assert sp.total.capital(sigma) == c
-            assert sp.savings(sigma) == max(0, c - 1)
+        sp = randlab.savings_transform(randlab.table_martingale(fair, {}, start=c))
+        for sigma in ("", "0", "1", "01", "110"):
+            assert sp.total.capital(sigma) == 1
+            assert sp.savings(sigma) == 0
 
 
 def test_savings_floor_monotone_all_paths(battery_marts):
@@ -80,11 +81,6 @@ def test_savings_floor_monotone_all_paths(battery_marts):
             f = sp.savings("".join(path[:n]))
             assert prev <= f
             prev = f
-
-
-def test_savings_shift_recorded(battery_marts):
-    assert randlab.savings_transform(battery_marts["identity"]).shifted
-    assert not randlab.savings_transform(battery_marts["identity"], shift=False, normalize=False).shifted
 
 
 def test_run_traces(fair, battery_marts):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randlab
@@ -54,23 +54,52 @@ def test_cylinder_covers_prefix():
 
 def test_martingale_to_integral_worked_case(fair):
     mart = randlab.table_martingale(fair, {"": 2, "0": 4, "1": 0})
-    sp = randlab.savings_transform(mart, shift=False, normalize=False)
+    sp = randlab.savings_transform(mart)
     step = randlab.martingale_to_integral(sp, 1)
-    assert step.values == {"0": Fraction(3)}
-    assert step.bound.mass("0") == 2
-    half = Fraction(1, 2)
+    # totals 5/3 and 1/3 with floors 2/3 and 0 below the root
+    assert step.values == {"0": Fraction(2, 3)}
+    assert step.bound.mass("0") == Fraction(5, 6)
     integral = step.integrals(1)["0"]
-    assert integral == Fraction(3) * half  # 3/2
-    assert integral <= step.bound.mass("0") <= integral + fair.mass("0") * 1 + half * 1
+    assert integral == Fraction(2, 3) * fair.mass("0")  # 1/3
+    assert integral <= step.bound.mass("0") <= integral + fair.mass("0")
     report = randlab.verify_test_bounds(step, 1)
     assert report.ok, report.violations
 
 
 def test_martingale_to_integral_identity(fair, battery_marts):
-    sp = randlab.savings_transform(battery_marts["identity"], shift=False, normalize=False)
+    sp = randlab.savings_transform(battery_marts["identity"])
     step = randlab.martingale_to_integral(sp, 4)
     assert step.values == {}
     assert randlab.measures_agree(step.bound, fair, 6)
+
+
+CAPITALS = st.sampled_from([Fraction(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 3)])
+SAVINGS_BASES = {
+    "fair": randlab.fair_coin(),
+    "bernoulli(1/3)": randlab.bernoulli(Fraction(1, 3)),
+    "null 11": randlab.split_table({"": Fraction(1, 3), "1": 0}),
+}
+
+
+@given(
+    st.sampled_from(sorted(SAVINGS_BASES)),
+    st.dictionaries(st.text(alphabet="01", max_size=4), CAPITALS, max_size=8),
+)
+@example("fair", {"0": -1, "00": 3})
+@example("null 11", {"": 3, "1": -1, "10": -2})
+@settings(max_examples=150, deadline=None)
+def test_savings_of_any_capital_table_starts_at_one_and_walks_the_chain(base, table):
+    # a source capital of -1 below the root makes its node inactive (N = F),
+    # so the savings recursion never divides by the shifted parent capital 0
+    mart = randlab.table_martingale(SAVINGS_BASES[base], table)
+    try:
+        sp = randlab.savings_transform(mart)
+    except randlab.PreconditionError:
+        assert mart.capital("") in (-1, None)
+        return
+    assert (sp.total.capital(""), sp.savings("")) == (1, 0)
+    randlab.check_fairness(sp.total, 6)
+    randlab.verify_test_bounds(randlab.martingale_to_integral(sp, 5), 5)
 
 
 def test_integral_sandwich_battery(battery_marts):

@@ -20,7 +20,7 @@ REQUIRED = inspect.Parameter.empty
 # record -> its constructor's (name, default) pairs, in order
 CONSTRUCTORS = {
     measure.AuditReport: [("checked", 0), ("violations", None), ("notes", None)],
-    martingale.SavingsPair: [("total", REQUIRED), ("shifted", REQUIRED), ("scale", 1)],
+    martingale.SavingsPair: [("total", REQUIRED)],
     martingale.CapitalTrace: [("prefix", REQUIRED), ("values", REQUIRED), ("hit_null_at", None)],
     martingale.VilleReport: [(name, REQUIRED) for name in ("n", "threshold", "fraction", "bound", "passed")],
     randtests.CylinderSet: [("generators", REQUIRED), ("depth", REQUIRED)],

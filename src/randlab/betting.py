@@ -10,6 +10,7 @@ conditional mass of the losing side to the winning side.
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from typing import Optional
@@ -278,22 +279,13 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
 
 
 class _Node(Record):
-    def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction, event=None, share=None, conditional=None):
+    def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction, event=None, conditional=None):
         self.history, self.knowledge, self.capital, self.event = history, knowledge, capital, event
-        self.share = share  # the stake over the capital, an int pair
         self.conditional = conditional  # the event's probability given the knowledge
 
     @property
     def terminal(self) -> bool:
         return self.event is None
-
-    @property
-    def stake(self) -> Fraction:
-        return self.capital * RAT(*self.share)
-
-    @property
-    def payoff(self) -> Fraction:
-        return (1 - self.conditional) / self.conditional
 
 
 def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, event, share, stake, sides):
@@ -303,7 +295,7 @@ def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, eve
     (p, [(knowledge, capital, factor), ...]): p is the event's probability
     given the knowledge set, payoff = (1-p)/p the fair winnings per unit
     staked; p and the factors are int pairs.  The kernel reads the depth cap
-    at its first bet and builds the rational of each int pair once."""
+    at its first bet and builds the rational of each recent int pair once."""
     (sn, sd), cn = share, capital.numerator
     # at capital <= 0 only a zero stake passes, and its share is 0
     if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):
@@ -313,27 +305,16 @@ def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, eve
         raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {history!r}")
     if kernel._limit is None:
         kernel._limit = enumeration_limit()
-    rationals, resolved = kernel._rationals, []
+    rational, resolved = kernel._rational, []
     for won in sides:
         gens, weights, (qn, qd) = _side(knowledge, event, kernel.mu, won, kernel._limit)
         if knowledge.mass == 0 or qn == 0 or qn == qd:
             raise StrategyViolation(f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
         pn, pd = (qn, qd) if won else (qd - qn, qd)
         factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
-        side = KnowledgeState(gens, knowledge.mass * rationals[qn, qd], weights)
-        resolved.append((side, capital * rationals[factor], factor))
+        side = KnowledgeState(gens, knowledge.mass * rational(qn, qd), weights)
+        resolved.append((side, capital * rational(*factor), factor))
     return (pn, pd), resolved
-
-
-class _Rationals(dict):
-    """RAT(num, den) by int pair, each built once; past 64 pairs the cache
-    starts over, so a walk whose pairs all differ holds a bounded cache."""
-
-    def __missing__(self, pair):
-        if len(self) >= 64:
-            self.clear()
-        value = self[pair] = RAT(*pair)
-        return value
 
 
 class StrategyKernel(_PairKernel):
@@ -347,7 +328,7 @@ class StrategyKernel(_PairKernel):
 
     def __init__(self, strategy: BettingStrategy, mu: Measure, depth: int):
         self.strategy, self.mu, self.depth = strategy, mu, depth
-        self._limit, self._rationals = None, _Rationals()  # the depth cap, read at the first bet
+        self._limit, self._rational = None, lru_cache(maxsize=64)(RAT)  # the depth cap, read at the first bet
 
     def root(self) -> _Node:
         return _Node(history="", knowledge=KnowledgeState(("",), self.mu.mass(""), (ONE,)), capital=self.strategy.start_capital)
@@ -360,7 +341,7 @@ class StrategyKernel(_PairKernel):
                 p, ((win, win_capital, _), (lose, lose_capital, _)) = _resolve_bet(
                     self, node.history, node.knowledge, node.capital, *decision, (True, False)
                 )
-                node.event, node.share, node.conditional = decision[0], decision[1], self._rationals[p]
+                node.event, node.conditional = decision[0], self._rational(*p)
                 return _Node(node.history + "0", lose, lose_capital), _Node(node.history + "1", win, win_capital)
         return None, node
 
@@ -384,13 +365,6 @@ def _preorder(strategy: BettingStrategy, mu: Measure, depth: int):
         yield node
         if not node.terminal:
             stack += (lose, win)
-
-
-def walk_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
-    """The history tree to the depth as a dict history -> node, terminal
-    nodes where the strategy stopped betting; raises StrategyViolation if it
-    breaks the no-debt or non-degenerate-event rules anywhere in the tree."""
-    return {node.history: node for node in _preorder(strategy, mu, depth)}
 
 
 class PlayResult(Record):

@@ -287,9 +287,7 @@ def cmd_bet(opts, raw_args) -> Report:
     )
     report.digest("source", opts.source)
     _write_csv(opts.out_csv, ("step", "prefix", "capital_num", "capital_den", "event"), rows)
-    # printed as the trace's rows are, so Python's int->str digit limit never applies
-    final_text, max_text = ("/".join(next(_capital_digits(q, ()))) for q in (result.final, result.max_attained))
-    summary = f"summary: steps={len(result.factors)} final={final_text} max={max_text}"
+    summary = f"summary: steps={len(result.factors)} final={format_rational(result.final)} max={format_rational(result.max_attained)}"
     if result.final > 0:
         summary += f" log2_final~{frac_log2(result.final):.4f}"
     report.line(summary)
@@ -446,6 +444,10 @@ def main(argv=None) -> int:
         opts = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # exact values read and print at any size: lift the int<->str digit limit for this call
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         report = opts.func(opts, argv)
         _emit(report, opts.out)
@@ -461,6 +463,9 @@ def main(argv=None) -> int:
     except RandlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 

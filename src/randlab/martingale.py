@@ -205,10 +205,9 @@ def table_martingale(base: Measure, entries, start=ONE) -> Martingale:
     def capital(sigma: str) -> Optional[Fraction]:
         if base.is_null(sigma):
             return None
-        for i in range(len(sigma), -1, -1):
+        for i in range(len(sigma), -1, -1):  # the table holds "", so some prefix is found
             if sigma[:i] in table:
                 return table[sigma[:i]]
-        return RAT(start)
 
     return Martingale(base, capital, "table")
 

@@ -52,9 +52,6 @@ class CylinderSet(FrozenRecord):
             return mu.mass(sigma)
         return sum((mu.mass(g) for g in self.generators if g.startswith(sigma)), ZERO)
 
-    def is_empty(self) -> bool:
-        return not self.generators
-
 
 class MLTest(Record):
     """Levels U_1, U_2, ... with mass(U_n) <= 2^-n under the base measure."""

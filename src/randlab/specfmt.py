@@ -146,7 +146,8 @@ def parse_measure(text: str, nesting: int = 0) -> Measure:
 # ------------------------------------------------------------ martingales
 
 def parse_martingale(text: str, base: Measure = None) -> Martingale:
-    """Compact martingale spec; table forms fall back to `base` for the measure."""
+    """Compact martingale spec; table forms fall back to `base` for the measure,
+    and a quotient's denominator must write the same document as `base`."""
     text = text.strip()
     if text.startswith("quotient:"):
         body = text.split(":", 1)[1]
@@ -158,6 +159,8 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
                 mu = parse_measure(body[i + 1 :])
             except (SpecParseError, ConstructionError, OSError):
                 continue
+            if base is not None and measure_to_doc(mu) != measure_to_doc(base):
+                raise SpecParseError(f"quotient spec {text!r} divides by {body[i + 1 :]!r}, not the base measure {base.label}")
             return from_measures(nu, mu)
         raise SpecParseError(f"cannot split quotient spec {text!r}")
     if text.startswith("all_in:"):

@@ -21,12 +21,17 @@ from randlab.betting import (
     NullStrategy,
     StrategyKernel,
     TableStrategy,
+    _preorder,
     _side,
     _walk_side,
-    walk_strategy,
 )
 
 F = Fraction
+
+
+def walk_strategy(strategy, mu, depth):
+    """The history tree to the depth as a dict history -> node."""
+    return {node.history: node for node in _preorder(strategy, mu, depth)}
 
 
 def test_kl_payoff_fair_independent(fair):
@@ -478,8 +483,9 @@ def test_walk_moves_capital_by_the_stake(mu, shares, start):
     tree = walk_strategy(_ShareStrategy(shares, start), mu, 4)
     for history, node in tree.items():
         if not node.terminal:
-            assert tree[history + "1"].capital == node.capital + node.stake * node.payoff, history
-            assert tree[history + "0"].capital == node.capital - node.stake, history
+            stake, payoff = shares[history][1] * node.capital, (1 - node.conditional) / node.conditional
+            assert tree[history + "1"].capital == node.capital + stake * payoff, history
+            assert tree[history + "0"].capital == node.capital - stake, history
 
 
 def test_play_over_mass_backed_base_matches_mass_definition():

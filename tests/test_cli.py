@@ -1292,6 +1292,53 @@ def test_bet_output_is_exact_past_the_int_digit_limit(capsys, tmp_path):
     assert out_csv.read_text().splitlines()[-1] == last_row
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit before 3.11")
+def test_no_command_dies_on_the_int_digit_limit(capsys, tmp_path, monkeypatch):
+    # splits of 1/10**3000 give converted bounds and violation texts past 4300 digits
+    monkeypatch.chdir(tmp_path)
+    split = "1/1" + "0" * 3000
+    Path("F.json").write_text(json.dumps({"kind": "split_table", "entries": [["", split], ["0", split], ["1", split]]}))
+    Path("T.json").write_text(json.dumps({"start": "1/1", "entries": {"0": "1" + "0" * 3000 + "/1"}}))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        convert = run_cli(capsys, "convert", "--measure", "fair", "--martingale", "quotient:split_table:F.json/fair",
+                          "--to", "integral", "--depth", "3", "--out-test", "o.json")
+        back = run_cli(capsys, "convert", "--measure", "fair", "--input", "o.json", "--to", "vitali", "--depth", "3")
+        audit = run_cli(capsys, "audit", "--measure", "split_table:F.json", "--martingale", "table:T.json",
+                        "--check", "fairness", "--depth", "2")
+        # a spec number past the limit now parses; before, it exited 2
+        long_spec = run_cli(capsys, "audit", "--measure", "bernoulli:1/1" + "0" * 5000, "--check", "additivity", "--depth", "2")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert convert[0] == 0 and "check bounds@3: pass (30 checked)" in convert[1]
+    assert back[0] == 0 and "path: integral -> bounded_ml -> vitali" in back[1]
+    assert audit[0] == 1 and "check fairness@2: FAIL (3 checked)" in audit[1]
+    assert "violation: fairness fails at '': " + "9" * 3000 in audit[1]
+    assert long_spec[0] == 0 and "check additivity@2: pass" in long_spec[1]
+    assert all(err == "" for _, _, err in (convert, back, audit, long_spec))
+
+
+def test_cli_ville_fail_exits_1(capsys, tmp_path):
+    path = tmp_path / "F.json"
+    path.write_text('{"start": "1/1", "entries": {"0": "4/1", "1": "4/1"}}')
+    code, out, _ = run_cli(capsys, "audit", "--measure", "fair", "--martingale", f"table:{path}", "--check", "ville", "--n", "4", "--c", "2")
+    assert code == 1
+    assert "check ville n=4 c=2/1: FAIL fraction=1/1 bound=1/2" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", [["audit", "--check", "fairness,ville"], ["convert", "--to", "integral"]])
+@pytest.mark.parametrize("measure", ["bernoulli:1/3", "push:binary"])
+def test_quotient_over_another_measure_is_refused(capsys, command, measure):
+    # the denominator must write the document --measure writes, so even the
+    # equal measure push:binary is refused against fair
+    code, out, err = run_cli(capsys, *command, "--measure", measure, "--martingale", "quotient:bernoulli:2/3/fair", "--depth", "3")
+    assert (code, out) == (2, "")
+    label = "bernoulli(1/3)" if measure.startswith("bernoulli") else "push(binary)"
+    assert err == f"usage error: quotient spec 'quotient:bernoulli:2/3/fair' divides by 'fair', not the base measure {label}\n"
+
+
 def test_table_martingale_without_entries_is_its_start_capital(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"start": "2/1"}')

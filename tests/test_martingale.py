@@ -129,6 +129,29 @@ def test_fairness_detects_impossibility_violation(null_at_one):
     assert any("null cylinder" in v for v in report.violations)
 
 
+def test_fairness_reports_a_capital_undefined_on_a_positive_cylinder(fair):
+    # only a hand-built capital function can return None where the base is positive
+    holey = randlab.Martingale(fair, lambda sigma: None if sigma == "01" else Fraction(1))
+    assert randlab.check_fairness(holey, 2).violations == [
+        "capital undefined on positive cylinder '01'",
+        "fairness fails at '0': 1/4 != 1/2",
+    ]
+
+
+def test_quotient_over_a_negative_mass_reads_a_positive_denominator(fair):
+    # a from_masses base need not be a measure: here "1" and below carry
+    # negative mass, and the quotient's capital pairs keep den > 0 there
+    mu = randlab.from_masses(lambda h: Fraction(3 if h[:1] != "1" else -1, 2 ** len(h)) if h else Fraction(1))
+    mart = randlab.from_measures(fair, mu)
+    assert mart.kernel.read_pair(mart.payload("1")) == (-1, 2, -2, 2)
+    assert mart.capital("1") == -1
+    assert randlab.check_fairness(mart, 2).violations == [
+        "negative capital at '1': -1",
+        "negative capital at '10': -1",
+        "negative capital at '11': -1",
+    ]
+
+
 def test_ville_all_in_equality(battery_marts):
     (res,) = randlab.ville_audit(battery_marts["all_in_on_0"], 10, [Fraction(8)])
     assert res.fraction == Fraction(1, 8) == res.bound
@@ -159,6 +182,19 @@ def test_ville_matches_bruteforce(battery_marts):
             expected += m.base.mass(x)
     (res,) = randlab.ville_audit(m, n, [c])
     assert res.fraction == expected
+
+
+def test_ville_audit_fails_where_every_path_hits(fair):
+    # capital 4 after either first bit: every path of length 4 reaches 2
+    (res,) = randlab.ville_audit(randlab.table_martingale(fair, {"0": 4, "1": 4}), 4, [Fraction(2)])
+    assert (res.fraction, res.bound, res.passed) == (1, Fraction(1, 2), False)
+
+
+def test_ville_audit_skips_null_subtrees(null_at_one):
+    # the base gives "1" mass 0, so the quotient is undefined there and below
+    nu = randlab.split_table({"": 0, "0": Fraction(3, 4)})
+    (res,) = randlab.ville_audit(randlab.from_measures(nu, null_at_one), 2, [Fraction(3, 2)])
+    assert (res.fraction, res.bound, res.passed) == (Fraction(1, 2), Fraction(2, 3), True)
 
 
 def test_ville_repeated_threshold_counted_once(battery_marts):

@@ -123,7 +123,7 @@ def test_integral_to_bounded_ml_markov(fair):
     assert test.bound.mass("1") == 1
     # closed threshold: the value-4 cell sits exactly on level 2
     assert test.level(2).generators == ("11",)
-    assert test.level(3).is_empty()
+    assert not test.level(3).generators
     report = randlab.verify_test_bounds(test, 2)
     assert report.ok, report.violations
 
@@ -131,7 +131,7 @@ def test_integral_to_bounded_ml_markov(fair):
 def test_integral_to_bounded_ml_zero(fair):
     step = IntegralStep(base=fair, depth=2, values={}, bound=randlab.fair_coin())
     test = randlab.integral_to_bounded_ml(step)
-    assert all(level.is_empty() for level in test.levels)
+    assert all(not level.generators for level in test.levels)
 
 
 def _levels_by_comparison(step, n_levels):
@@ -171,7 +171,7 @@ def test_bounded_ml_to_vitali(fair):
     empty = randlab.integral_to_bounded_ml(
         IntegralStep(base=fair, depth=1, values={}, bound=randlab.fair_coin())
     )
-    assert all(p.is_empty() for p in randlab.bounded_ml_to_vitali(empty).pieces)
+    assert all(not p.generators for p in randlab.bounded_ml_to_vitali(empty).pieces)
 
 
 def test_vitali_to_integral_counts(fair):
@@ -232,6 +232,14 @@ def test_verify_detects_level_mass_violation(fair):
     assert randlab.verify_test_bounds(boundary, 2).ok  # equality passes
 
 
+def test_verify_integral_reports_each_negative_step_value(fair):
+    # a value of 0 is not negative; the integral bound holds on every cylinder
+    step = IntegralStep(base=fair, depth=1, values={"0": Fraction(-1), "1": Fraction(0)}, bound=fair)
+    report = randlab.verify_test_bounds(step, 1)
+    assert report.violations == ["negative step value -1"]
+    assert report.checked == 3
+
+
 def test_verify_empty_test(fair):
     empty = MLTest(base=fair, levels=[CylinderSet.from_strings([])])
     report = randlab.verify_test_bounds(empty, 4)
@@ -245,6 +253,22 @@ def test_coverage_transfer_battery(battery_marts):
         test = randlab.integral_to_bounded_ml(randlab.martingale_to_integral(sp, 8))
         report = check_coverage_transfer(sp, test, 8)
         assert report.ok, (name, report.violations[:3])
+
+
+def test_coverage_transfer_counts_a_floor_of_exactly_2_to_the_n():
+    # over bernoulli(4/5), capital 5 at "0" shifts to a total of 3 and a
+    # floor of exactly 2 = 2^1 at "0", "00" and "01"; "1" keeps floor 0
+    base = randlab.bernoulli(Fraction(4, 5))
+    sp = randlab.savings_transform(randlab.table_martingale(base, {"0": 5, "1": 0}))
+    assert [sp.savings(s) for s in ("", "0", "1", "00", "01")] == [0, 2, 0, 2, 2]
+    test = randlab.integral_to_bounded_ml(randlab.martingale_to_integral(sp, 2))
+    report = check_coverage_transfer(sp, test, 2)
+    assert report.ok and report.checked == 3
+    # a level 1 that misses them lets each of the three escape
+    empty = BoundedMLTest(base=base, levels=[CylinderSet.from_strings([], depth=2)], bound=test.bound)
+    assert check_coverage_transfer(sp, empty, 2).violations == [
+        f"prefix {p!r} with floor 2 escapes level 1" for p in ("0", "00", "01")
+    ]
 
 
 def test_chain_soundness_small(battery_marts):

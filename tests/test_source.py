@@ -34,6 +34,38 @@ def test_every_private_definition_is_read():
     assert unread == []
 
 
+def _exported(trees: dict) -> set:
+    """The names randlab/__init__.py imports, plus the class of each exported
+    module alias such as to_measure."""
+    names = {alias.asname or alias.name for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                if any(isinstance(t, ast.Name) and t.id in names for t in node.targets):
+                    names.add(node.value.id)
+    return names
+
+
+def test_every_unexported_public_definition_is_read():
+    # a public function or class that randlab does not export, or a public
+    # method of a class it does not export, that nothing in src/ references
+    # is read by tests alone, so it belongs in the tests
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
+    everywhere = sum((_referenced_names(tree) for tree in trees.values()), collections.Counter())
+    exported = _exported(trees)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for module, tree in trees.items():
+        for node in (n for n in tree.body if isinstance(n, definitions) and n.name not in exported):
+            methods = [m for m in node.body if isinstance(m, definitions)] if isinstance(node, ast.ClassDef) else []
+            for label, defn in [(node.name, node), *((f"{node.name}.{m.name}", m) for m in methods)]:
+                if defn.name.startswith("_"):
+                    continue
+                if everywhere[defn.name] - _referenced_names(defn)[defn.name] <= 0:
+                    unread.append(f"{module}:{defn.lineno} {label}")
+    assert unread == []
+
+
 def test_only_rationals_builds_a_fraction():
     # every other module builds its rationals through the RAT seam, so gmpy2's
     # mpq, when installed, is the one rational type the library makes

@@ -17,28 +17,36 @@ def _referenced_names(tree) -> collections.Counter:
     )
 
 
+# every module of randlab by file name, and how often src/ names each name
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
+EVERYWHERE = sum((_referenced_names(tree) for tree in TREES.values()), collections.Counter())
+
+
+def _unread(defn) -> bool:
+    """Nothing in src/ outside the definition itself names it."""
+    return EVERYWHERE[defn.name] - _referenced_names(defn)[defn.name] <= 0
+
+
 def test_every_private_definition_is_read():
     # a private function, method or class that nothing references is dead code
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
-    everywhere = sum((_referenced_names(tree) for tree in trees.values()), collections.Counter())
     unread = []
-    for module, tree in trees.items():
+    for module, tree in TREES.items():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
                 continue
-            if everywhere[name] - _referenced_names(node)[name] <= 0:
+            if _unread(node):
                 unread.append(f"{module}:{node.lineno} {name}")
     assert unread == []
 
 
-def _exported(trees: dict) -> set:
+def _exported() -> set:
     """The names randlab/__init__.py imports, plus the class of each exported
     module alias such as to_measure."""
-    names = {alias.asname or alias.name for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    for tree in trees.values():
+    names = {alias.asname or alias.name for node in TREES["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for tree in TREES.values():
         for node in tree.body:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
                 if any(isinstance(t, ast.Name) and t.id in names for t in node.targets):
@@ -50,18 +58,16 @@ def test_every_unexported_public_definition_is_read():
     # a public function or class that randlab does not export, or a public
     # method of a class it does not export, that nothing in src/ references
     # is read by tests alone, so it belongs in the tests
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
-    everywhere = sum((_referenced_names(tree) for tree in trees.values()), collections.Counter())
-    exported = _exported(trees)
+    exported = _exported()
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = []
-    for module, tree in trees.items():
+    for module, tree in TREES.items():
         for node in (n for n in tree.body if isinstance(n, definitions) and n.name not in exported):
             methods = [m for m in node.body if isinstance(m, definitions)] if isinstance(node, ast.ClassDef) else []
             for label, defn in [(node.name, node), *((f"{node.name}.{m.name}", m) for m in methods)]:
                 if defn.name.startswith("_"):
                     continue
-                if everywhere[defn.name] - _referenced_names(defn)[defn.name] <= 0:
+                if _unread(defn):
                     unread.append(f"{module}:{defn.lineno} {label}")
     assert unread == []
 
@@ -70,12 +76,12 @@ def test_only_rationals_builds_a_fraction():
     # every other module builds its rationals through the RAT seam, so gmpy2's
     # mpq, when installed, is the one rational type the library makes
     calls = []
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "rationals.py":
+    for module, tree in TREES.items():
+        if module == "rationals.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                calls.append(f"{path.name}:{node.lineno}")
+                calls.append(f"{module}:{node.lineno}")
     assert calls == []
 
 
@@ -102,7 +108,7 @@ def test_every_default_is_set_in_src():
     # a default no call in src/ passes has one value in use, so it is a
     # constant, not a parameter; a function no call in src/ reaches is a
     # library entry point, and main(argv=None) reads sys.argv
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))]
+    trees = list(TREES.values())
     classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
 
     targets = {}  # a name calls use -> (label, the def it runs, 1 if it takes self)

@@ -63,12 +63,13 @@ class NamingOutcome(Record):
     """Result of naming a point to a requested depth.
 
     bits holds the digits determined before either finishing or striking a
-    cell endpoint; undetermined_at is the 1-based depth of the first endpoint
-    hit, or None when the full name was extracted.
+    cell endpoint; masses[i] is the mass of the cell bits[:i + 1] as an
+    unreduced (num, den) int pair, den > 0; undetermined_at is the 1-based
+    depth of the first endpoint hit, or None when the full name was extracted.
     """
 
-    def __init__(self, bits: str, undetermined_at: Optional[int] = None):
-        self.bits, self.undetermined_at = bits, undetermined_at
+    def __init__(self, bits: str, masses: list, undetermined_at: Optional[int] = None):
+        self.bits, self.masses, self.undetermined_at = bits, masses, undetermined_at
 
     @property
     def determined(self) -> bool:
@@ -90,8 +91,9 @@ def _unit_coordinates(point, dim: int) -> tuple:
 class CellDecomposition:
     """Binary tree of regions refining [0,1) (or [0,1)^d) under Lebesgue.
 
-    Subclasses give the root node, _root(), and _children(sigma, node), the
-    nodes of sigma's 0-child and 1-child; every node is read through a
+    Subclasses give the root node, _root(), _children(sigma, node), the
+    nodes of sigma's 0-child and 1-child, and _mass_pair(sigma, node), the
+    mass of sigma's cell as an int pair; every node is read through a
     one-path cache, which builds the root at its first read.
     Naming reads _point(x), x coerced and checked, and _locate(x, sigma,
     node): the bit and the node of the child that holds x, and whether x
@@ -122,8 +124,7 @@ class CellDecomposition:
         point that coincides with a boundary of some depth <= n cell is part
         of the null exceptional set and is reported as such.
         """
-        bits, edge = self._descend(self._point(x), n, stop_on_edge=True)
-        return NamingOutcome(bits=bits, undetermined_at=edge)
+        return NamingOutcome(*self._descend(self._point(x), n, stop_on_edge=True))
 
     def resolved_name(self, x, n: int) -> str:
         """The name x gets when boundaries are resolved by the half-open rule."""
@@ -131,15 +132,17 @@ class CellDecomposition:
 
     def _descend(self, x, n: int, stop_on_edge: bool):
         """Walk down the nodes that hold x: x's name to depth n under the
-        half-open rule and None, or, with stop_on_edge, the name above the
-        first depth whose cells have x on an endpoint and that depth."""
-        sigma, node = "", self._path.root
+        half-open rule, the mass pair of each cell on the way, and None, or,
+        with stop_on_edge, the same above the first depth whose cells have x
+        on an endpoint and that depth."""
+        sigma, node, masses = "", self._path.root, []
         for depth in range(1, n + 1):
             bit, node, on_edge = self._locate(x, sigma, node)
             if on_edge and stop_on_edge:
-                return sigma, depth
+                return sigma, masses, depth
             sigma += "01"[bit]
-        return sigma, None
+            masses.append(self._mass_pair(sigma, node))
+        return sigma, masses, None
 
     def pushforward(self) -> Measure:
         """The measure on names, mass(sigma) = Lebesgue mass of cell(sigma),
@@ -185,9 +188,9 @@ class BaryGroupedDecomposition(CellDecomposition):
         lo, hi, den = self._endpoints(self._node(sigma))
         return Region.interval(RAT(lo, den), RAT(hi, den))
 
-    def cell_mass(self, sigma: str):
-        _, width, peeled = self._node(sigma)
-        return RAT(self.base - peeled, width)
+    def _mass_pair(self, sigma, state):
+        _, width, peeled = state
+        return self.base - peeled, width
 
     def _split(self, sigma: str):
         # a cell with p values peeled (the trailing 1s of sigma, mod b-1)
@@ -232,8 +235,8 @@ class InterleaveDecomposition(CellDecomposition):
         child1 = box[:axis] + ((mid, hi),) + box[axis + 1 :]
         return child0, child1
 
-    def cell_mass(self, sigma: str):
-        return RAT(1, 2 ** len(sigma))
+    def _mass_pair(self, sigma, box):
+        return 1, 1 << len(sigma)
 
     def _split(self, sigma: str):
         return HALF
@@ -262,16 +265,16 @@ class NaturalDecomposition(CellDecomposition):
     def cell(self, sigma: str):
         return sigma
 
-    def cell_mass(self, sigma: str):
-        return self.mu.mass(sigma)
-
     def name_point(self, x, n: int) -> NamingOutcome:
         if not isinstance(x, str):
             raise PreconditionError("points of the natural decomposition are bit strings")
         validate_bits(x)
-        if len(x) < n:
-            return NamingOutcome(bits=x, undetermined_at=len(x) + 1)
-        return NamingOutcome(bits=x[:n])
+        bits, total = x[:n], self.mu.total
+        pair, masses = (total.numerator, total.denominator), []
+        for i, bit in enumerate(bits):
+            pair = self.mu.children_pairs(bits[:i], *pair)[bit == "1"]
+            masses.append(pair)
+        return NamingOutcome(bits, masses, len(x) + 1 if len(x) < n else None)
 
     def resolved_name(self, x, n: int) -> str:
         return x[:n]

@@ -26,12 +26,14 @@ class PrefixFreeMachine:
     be prefix-free, so by Kraft's inequality its weight is at most 1."""
 
     def __init__(self, table: dict):
-        self.table, self._shortest = {}, {}  # _shortest: output -> length of its shortest codeword
-        for c, o in dict(table).items():
-            c, o = bits.validate_bits(c), bits.validate_bits(o)
-            self.table[c] = o
-            self._shortest[o] = min(len(c), self._shortest.get(o, INF))
-        bad = bits.prefix_free_violation(self.table.keys())
+        self.table, self._shortest = dict(table), {}  # _shortest: output -> length of its shortest codeword
+        shortest, validate = self._shortest, bits.validate_bits
+        for c, o in self.table.items():
+            validate(c)
+            validate(o)
+            if shortest.get(o, INF) > len(c):
+                shortest[o] = len(c)
+        bad = bits.prefix_free_violation(self.table)
         if bad is not None:
             raise ConstructionError(f"domain not prefix-free: {bad[0]!r} < {bad[1]!r}")
 
@@ -128,29 +130,14 @@ def deficiency_trace(machine: PrefixFreeMachine, dec, x, length: int) -> Deficie
     """Deficiency d_n = -log2 mass(cell of x at depth n) - K(name prefix)."""
     naming = dec.name_point(x, length)
     trace = DeficiencyTrace(point=x, undetermined_at=naming.undetermined_at)
-    name = naming.bits
-    for n in range(1, len(name) + 1):
-        prefix = name[:n]
-        mass = dec.cell_mass(prefix)
-        if mass == 0:
+    name, rows, complexity = naming.bits, trace.rows, machine.complexity
+    for n, (num, den) in enumerate(naming.masses, 1):
+        if num == 0:
             trace.nullity_at = n
             break
-        lo, hi = neg_log2_bracket(mass)
-        k = machine.complexity(prefix)
-        if k is INF:
-            d_lo = d_hi = -INF
-        else:
-            d_lo, d_hi = lo - k, hi - k
-        trace.rows.append(
-            DeficiencyRow(
-                n=n,
-                neg_log_mass_low=lo,
-                neg_log_mass_high=hi,
-                complexity=k,
-                d_low=d_lo,
-                d_high=d_hi,
-            )
-        )
+        lo, hi = neg_log2_bracket(num, den)
+        k = complexity(name[:n])
+        rows.append(DeficiencyRow(n, lo, hi, k, lo - k, hi - k))  # lo - inf is -inf
     return trace
 
 

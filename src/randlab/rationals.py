@@ -42,21 +42,22 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def neg_log2_bracket(q) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= -log2(q) <= hi and hi - lo <= 1.
+def neg_log2_bracket(n: int, d: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= -log2(n/d) <= hi and hi - lo <= 1.
 
-    lo == hi exactly when q is a power of two.  q must be positive.
+    lo == hi exactly when n/d is a power of two.  n and d must be positive
+    ints; the pair need not be in lowest terms.
     """
-    q = q if hasattr(q, "denominator") else RAT(q)
-    if q <= 0:
+    if n <= 0 or d <= 0:
         raise ValueError("neg_log2_bracket needs a positive rational")
-    n, d = int(q.numerator), int(q.denominator)
-    # with k = bitlen(d) - bitlen(n), q lies in (2^(-k-1), 2^(-k+1)), so
-    # ceil(-log2 q) is k where n*2^k >= d and k + 1 otherwise
+    # with k = bitlen(d) - bitlen(n), n/d lies in (2^(-k-1), 2^(-k+1)), so
+    # ceil(-log2 n/d) is k where n*2^k >= d and k + 1 otherwise
     k = d.bit_length() - n.bit_length()
     if n << max(k, 0) < d << max(-k, 0):
         k += 1
-    if n & (n - 1) == 0 and d & (d - 1) == 0:  # q, in lowest terms, is a power of two
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if n & (n - 1) == 0 and d & (d - 1) == 0:  # n/d, in lowest terms, is a power of two
         return (k, k)
     return (k - 1, k)
 

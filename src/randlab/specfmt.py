@@ -350,7 +350,8 @@ def load_machine_file(path: str):
             if "\t" not in line:
                 raise SpecParseError(f"{path}:{lineno}: expected codeword<TAB>output")
             # PrefixFreeMachine validates both strings
-            codeword, output = (part.strip() for part in line.split("\t", 1))
+            codeword, output = line.split("\t", 1)
+            codeword, output = codeword.strip(), output.strip()
             if codeword in table:
                 raise SpecParseError(f"{path}:{lineno}: codeword {codeword!r} repeats an earlier line")
             table[codeword] = output

@@ -61,7 +61,7 @@ def test_binary_cells():
 def test_bary_cells():
     dec = cells.bary_grouped(3)
     assert dec.cell("1").intervals == ((F(1, 3), F(1)),)
-    assert dec.cell_mass("1") == F(2, 3)
+    assert dec.name_point(F(1, 2), 1).masses == [(2, 3)]
     assert dec.cell("10").intervals == ((F(1, 3), F(2, 3)),)
     assert dec.cell("11").intervals == ((F(2, 3), F(1)),)
     assert dec.cell("00").intervals == ((F(0), F(1, 9)),)
@@ -77,22 +77,28 @@ def test_deep_cells_need_no_recursion():
     assert cells.binary_digits().cell(sigma).intervals == ((F(0), F(1, 2**1500)),)
     ternary = cells.bary_grouped(3)
     assert ternary.cell(sigma).intervals == ((F(0), F(1, 3**1500)),)
-    assert ternary.cell_mass(sigma + "1") == F(2, 3**1501)
+    assert ternary.name_point(F(2, 3**1501), 1501).masses[-1] == (2, 3**1501)
     assert cells.interleave(2).cell(sigma) == ((F(0), F(1, 2**750)), (F(0), F(1, 2**750)))
 
 
 def test_cell_mass_matches_geometry():
-    # the closed-form masses must equal the region/box measures
+    # the mass pairs naming carries must equal the region/box measures; the
+    # midpoint of a cell is on no endpoint of its own or a coarser cell
     for dec in (cells.binary_digits(), cells.bary_grouped(3), cells.bary_grouped(5)):
         for n in range(7):
             for bits in itertools.product("01", repeat=n):
                 sigma = "".join(bits)
-                assert dec.cell_mass(sigma) == dec.cell(sigma).length(), (dec.label, sigma)
+                ((lo, hi),) = dec.cell(sigma).intervals
+                out = dec.name_point((lo + hi) / 2, n)
+                assert out.bits == sigma and out.determined, (dec.label, sigma)
+                assert [F(*m) for m in out.masses] == [dec.cell(sigma[:i]).length() for i in range(1, n + 1)], (dec.label, sigma)
     box = cells.interleave(2)
     for n in range(7):
         for bits in itertools.product("01", repeat=n):
             sigma = "".join(bits)
-            assert box.cell_mass(sigma) == box_volume(box.cell(sigma))
+            out = box.name_point(tuple((lo + hi) / 2 for lo, hi in box.cell(sigma)), n)
+            assert out.bits == sigma
+            assert [F(*m) for m in out.masses] == [box_volume(box.cell(sigma[:i])) for i in range(1, n + 1)]
 
 
 def test_cell_children_partition_parent():
@@ -335,7 +341,8 @@ def test_transferred_bound_dominates_test(fair, battery_marts):
 
 def test_natural_decomposition(null_at_one):
     nd = cells.natural(null_at_one)
-    assert nd.cell_mass("0") == 1 and nd.cell_mass("1") == 0
+    assert [F(*m) for m in nd.name_point("01", 2).masses] == [1, F(1, 2)]
+    assert [F(*m) for m in nd.name_point("10", 2).masses] == [0, 0]
     out = nd.name_point("0110", 3)
     assert out.determined and out.bits == "011"
     assert not nd.name_point("01", 3).determined
@@ -516,8 +523,8 @@ def _held_after(queries):
 
 @pytest.mark.parametrize("name", ["binary", "bary:3", "interleave:2"])
 def test_cell_queries_leave_memory_flat(name):
-    # 10k queries: 4500 cell(), 4500 cell_mass() and 1000 name_point(); a
-    # memo entry per string used to stay behind for every one of them
+    # 5500 queries: 4500 cell() and 1000 name_point(); a memo entry per
+    # string used to stay behind for every one of them
     dec = DECOMPOSITIONS[name]()
     sigmas = [format(i, "013b") for i in range(4500)]
     points = [F(2 * i + 1, 2003) for i in range(1000)]
@@ -528,7 +535,6 @@ def test_cell_queries_leave_memory_flat(name):
     def queries():
         for sigma in sigmas:
             dec.cell(sigma)
-            dec.cell_mass(sigma)
         for x in points:
             dec.name_point(x, 12)
 

@@ -1507,8 +1507,27 @@ def _measures(depth=2):
 
 
 MEASURES = _measures()
+HISTORIES = st.sampled_from(["", "0", "1", "01", "2"])
+TABLE_MARTINGALE_DOCS = _spoiled(
+    st.fixed_dictionaries({"entries": st.dictionaries(HISTORIES, st.one_of(RATIONALS, JSON_ODD), max_size=3)}, optional={"start": RATIONALS})
+)
+EVENT_DOCS = _spoiled(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("bit"), "index": st.one_of(st.integers(-1, 3), INTS), "side": st.sampled_from([0, 1, 2, "1", -1])}),
+        st.fixed_dictionaries({"kind": st.just("cylinders"), "strings": st.lists(st.sampled_from(["0", "1", "00", "01", "2"]), max_size=3)}),
+    )
+)
+STRATEGY_DOCS = _spoiled(
+    st.fixed_dictionaries(
+        {"nodes": st.dictionaries(HISTORIES, _spoiled(st.fixed_dictionaries({"event": EVENT_DOCS, "stake": RATIONALS})), max_size=3)},
+        optional={"start": RATIONALS},
+    )
+)
 MARTINGALES = _mostly(
-    st.one_of(st.tuples(MEASURES, MEASURES).map("quotient:{0[0]}/{0[1]}".format), st.sampled_from(["all_in:0", "all_in:1"])),
+    st.one_of(
+        st.tuples(MEASURES, MEASURES).map("quotient:{0[0]}/{0[1]}".format), st.sampled_from(["all_in:0", "all_in:1"]),
+        st.tuples(st.sampled_from(["table", "file"]), TABLE_MARTINGALE_DOCS.map(_embed)).map(":".join),
+    ),
     "all_in:2", "all_in:", "quotient:fair", f"table:{NOWHERE}", "bogus",
 )
 DECOMPOSITIONS = _mostly(
@@ -1530,7 +1549,10 @@ SOURCES = _mostly(
     "literal:012", "literal:", f"file:{NOWHERE}", "bernoulli:1/3,x=1", "bogus",
 )
 STRATEGIES = _mostly(
-    st.one_of(st.sampled_from(["null", "bit_all_in:01", "bit_all_in:1"]), MEASURES.map("likelihood_ratio:{}".format)),
+    st.one_of(
+        st.sampled_from(["null", "bit_all_in:01", "bit_all_in:1"]), MEASURES.map("likelihood_ratio:{}".format),
+        STRATEGY_DOCS.map(lambda d: "table:" + _embed(d)),
+    ),
     "bit_all_in:", "bit_all_in:2", f"doubling:{NOWHERE}", f"table:{NOWHERE}", "bogus",
 )
 CHECKS = _mostly(st.lists(st.sampled_from(["additivity", "fairness", "savings", "ville"]), min_size=1, max_size=2).map(",".join), "bogus", "", ",")
@@ -1588,9 +1610,10 @@ def _write_docs(argv, directory):
 
 
 # every command through the one shared parser, each depth given so that an
-# example takes milliseconds, with measure and test documents that miss a
-# field, hold an unknown one or one of another JSON type: a raw exception
-# fails the test, and exit 1 must say which check failed or what was flagged
+# example takes milliseconds, with measure, test, table martingale and table
+# strategy documents that miss a field, hold an unknown one or one of another
+# JSON type: a raw exception fails the test, and exit 1 must say which check
+# failed or what was flagged
 @given(ARGVS)
 @settings(max_examples=1000, deadline=None)
 def test_no_argv_gets_a_raw_error_or_a_wrong_exit_code(input_dir, argv):

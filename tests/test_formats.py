@@ -25,11 +25,18 @@ def test_rational_roundtrip():
 
 
 def test_neg_log2_bracket():
-    assert neg_log2_bracket(F(1, 8)) == (3, 3)
-    assert neg_log2_bracket(F(2, 3)) == (0, 1)
-    assert neg_log2_bracket(F(1, 3)) == (1, 2)
-    assert neg_log2_bracket(F(1)) == (0, 0)
-    assert neg_log2_bracket(F(3)) == (-2, -1)
+    assert neg_log2_bracket(1, 8) == (3, 3)
+    assert neg_log2_bracket(2, 3) == (0, 1)
+    assert neg_log2_bracket(1, 3) == (1, 2)
+    assert neg_log2_bracket(1, 1) == (0, 0)
+    assert neg_log2_bracket(3, 1) == (-2, -1)
+    # pairs out of lowest terms: the collapse test reads n/d reduced
+    assert neg_log2_bracket(3, 24) == (3, 3)
+    assert neg_log2_bracket(6, 9) == (0, 1)
+    assert neg_log2_bracket(12, 3) == (-2, -2)
+    for n, d in ((0, 1), (-1, 2), (1, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            neg_log2_bracket(n, d)
 
 
 def _reference_bracket(q):
@@ -64,8 +71,9 @@ _TERMS = st.one_of(
 @example(2**1000 - 1, 2**999)
 @example(2**999 + 1, 2**1000)
 @example(3 * 2**500, 2**1000)
+@example(3, 3 * 2**10)
 def test_neg_log2_bracket_matches_the_search(n, d):
-    assert neg_log2_bracket(F(n, d)) == _reference_bracket(F(n, d))
+    assert neg_log2_bracket(n, d) == _reference_bracket(F(n, d))
 
 
 def test_measure_doc_roundtrip():

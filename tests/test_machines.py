@@ -14,6 +14,8 @@ from randlab.bits import validate_bits
 from randlab.machines import semimeasure_superadditive
 from randlab.rationals import RAT
 
+from test_formats import _reference_bracket
+
 
 F = Fraction
 TWO_CODE_MACHINE = {"0": "0", "10": "11"}
@@ -195,6 +197,8 @@ def test_integer_weights_equal_the_fraction_sums(pairs, lengths):
         for i in range(len(out) + 1):
             counts[out[:i]] = counts.get(out[:i], F(0)) + F(1, 2 ** len(c))
     reference = all(w >= counts.get(s + "0", 0) + counts.get(s + "1", 0) for s, w in counts.items())
+    for out in set(table.values()):
+        assert m.complexity(out) == min(len(c) for c, o in table.items() if o == out)
     assert semimeasure_superadditive(m) == reference
     requests = [(n, "") for n in lengths]  # any weight, above 1 too
     assert randlab.request_weight(requests) == sum((F(1, 2**n) for n in lengths), F(0))
@@ -274,6 +278,85 @@ def test_deficiency_undetermined_point():
     trace = randlab.deficiency_trace(machine, cells.binary_digits(), F(1, 2), 4)
     assert trace.undetermined_at == 1
     assert trace.rows == []
+
+
+# decomposition name -> (decomposition, digit base, number of coordinates;
+# None for a bare point)
+_INTERVALS = {
+    "binary": (cells.binary_digits, 2, None),
+    **{f"bary:{b}": (lambda b=b: cells.bary_grouped(b), b, None) for b in range(3, 13)},
+    **{f"interleave:{d}": (lambda d=d: cells.interleave(d), 2, d) for d in range(1, 4)},
+}
+_NATURAL_SPLITS = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(2, 5), F(5, 6)])
+
+
+@st.composite
+def _deficiency_cases(draw):
+    """(machine, decomposition, point, length): points on and off cell
+    endpoints, or bit strings named through split tables with null
+    cylinders, and a machine with codewords for some prefixes of the name."""
+    name = draw(st.one_of(st.sampled_from(sorted(_INTERVALS)), st.just("natural")))
+    if name == "natural":
+        entries = draw(st.dictionaries(st.text(alphabet="01", max_size=4), _NATURAL_SPLITS, max_size=6))
+        entries[draw(st.text(alphabet="01", max_size=3))] = draw(st.sampled_from([F(0), F(1)]))
+        dec = cells.natural(randlab.split_table(entries, default=draw(_NATURAL_SPLITS)))
+        point = draw(st.text(alphabet="01", max_size=32))
+    else:
+        make, base, dim = _INTERVALS[name]
+        dec = make()
+
+        def coordinate():
+            # powers of the base put points on cell endpoints; other factors keep them off
+            den = base ** draw(st.integers(0, 8)) * draw(st.sampled_from([1, 1, 3, 5, 7, 11]))
+            return F(draw(st.integers(0, den)), den)
+
+        point = coordinate() if dim is None else tuple(coordinate() for _ in range(dim))
+    n = draw(st.integers(0, 30))
+    bits = dec.name_point(point, n).bits
+    outputs = st.one_of(st.sampled_from([bits[:i] for i in range(len(bits) + 1)]), st.text(alphabet="01", max_size=6))
+    requests = _within_kraft(draw(st.lists(st.tuples(st.integers(1, 12), outputs), max_size=12)))
+    return randlab.kc_build(requests), dec, point, n
+
+
+def _cell_length(dec, sigma: str):
+    """The cell's mass as a Fraction: its Lebesgue length or box volume, or
+    for the natural decomposition the mass of the cylinder it is."""
+    cell = dec.cell(sigma)
+    if isinstance(dec, cells.NaturalDecomposition):
+        return dec.mu.mass(cell)
+    if isinstance(cell, tuple):
+        return math.prod((hi - lo for lo, hi in cell), start=F(1))
+    return cell.length()
+
+
+def _reference_deficiency(machine, dec, x, n):
+    """deficiency_trace by its definition, one Fraction cell length and one
+    bracket search per prefix of x's name: (rows, nullity_at, undetermined_at)."""
+    naming = dec.name_point(x, n)
+    rows = []
+    for i in range(1, len(naming.bits) + 1):
+        prefix = naming.bits[:i]
+        mass = _cell_length(dec, prefix)
+        if mass == 0:
+            return rows, i, naming.undetermined_at
+        lo, hi = _reference_bracket(mass)
+        k = machine.complexity(prefix)
+        d = (-math.inf, -math.inf) if k == math.inf else (lo - k, hi - k)
+        rows.append(randlab.machines.DeficiencyRow(i, lo, hi, k, *d))
+    return rows, None, naming.undetermined_at
+
+
+@given(_deficiency_cases())
+@settings(max_examples=300, deadline=None)
+@example((randlab.kc_build([(2, "11")]), cells.binary_digits(), F(3, 4), 4))  # an endpoint at depth 2
+@example((randlab.kc_build([(1, "")]), cells.natural(randlab.split_table({"1": 0})), "110", 4))  # null at depth 2
+def test_the_one_descent_trace_meets_its_definition(case):
+    machine, dec, x, n = case
+    trace = randlab.deficiency_trace(machine, dec, x, n)
+    assert (trace.rows, trace.nullity_at, trace.undetermined_at) == _reference_deficiency(machine, dec, x, n)
+    naming = dec.name_point(x, n)
+    assert len(naming.masses) == len(naming.bits)
+    assert [F(*m) for m in naming.masses] == [_cell_length(dec, naming.bits[:i]) for i in range(1, len(naming.bits) + 1)]
 
 
 def test_bounded_machine_quotient_stays_below_one(fair):

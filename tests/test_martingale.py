@@ -413,6 +413,37 @@ def test_audits_partition_independent(nu, mu, overrides, depth):
 
 
 @st.composite
+def _capital_tables(draw):
+    """A table martingale, or a hand-built capital function that is None on
+    some strings, null or positive, and defined on the rest, over a split
+    table with null cylinders; values may be negative."""
+    base = draw(_SPLIT_TABLES)
+    values = st.fractions(min_value=-1, max_value=6, max_denominator=4)
+    entries = draw(st.dictionaries(st.text(alphabet="01", max_size=4), values, max_size=6))
+    start = draw(values)
+    if draw(st.booleans()):
+        return randlab.table_martingale(base, entries, start=start)
+    holes = draw(st.sets(st.text(alphabet="01", max_size=4), max_size=4))
+
+    def capital(sigma):
+        if sigma in holes:
+            return None
+        return next((entries[sigma[:i]] for i in range(len(sigma), -1, -1) if sigma[:i] in entries), start)
+
+    return randlab.Martingale(base, capital, "hand-built")
+
+
+@given(_capital_tables(), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+@example(randlab.Martingale(randlab.fair_coin(), lambda sigma: None if sigma == "0" else Fraction(1)), 2)  # None on a positive cylinder
+def test_fairness_audit_partition_independent_on_capital_tables(mart, depth):
+    # as above, for capitals no quotient yields: undefined on a positive
+    # cylinder, defined on a null one, or negative
+    report = randlab.check_fairness(mart, depth)
+    assert (report.checked, set(report.violations)) == _by_parts(_fairness_at(mart, depth), depth)
+
+
+@st.composite
 def _savings_sources(draw):
     """A capital table (unfair in general) or a quotient of two split tables,
     over a split_table base with null cylinders, and a depth."""

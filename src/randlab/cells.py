@@ -22,7 +22,7 @@ from typing import Optional
 from .bits import validate_bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth, check_size
 from .measure import FrozenRecord, Measure, PathCache, Record
-from .rationals import HALF, ONE, RAT, ZERO
+from .rationals import HALF, ONE, RAT, ZERO, neg_log2_bracket
 
 
 class Region(FrozenRecord):
@@ -63,13 +63,14 @@ class NamingOutcome(Record):
     """Result of naming a point to a requested depth.
 
     bits holds the digits determined before either finishing or striking a
-    cell endpoint; masses[i] is the mass of the cell bits[:i + 1] as an
-    unreduced (num, den) int pair, den > 0; undetermined_at is the 1-based
-    depth of the first endpoint hit, or None when the full name was extracted.
+    cell endpoint; undetermined_at is the 1-based depth of the first endpoint
+    hit, or None when the full name was extracted.  brackets, when naming was
+    asked for them, holds neg_log2_bracket of the mass of each cell bits[:i + 1]
+    up to the first null cell, which gets None; else brackets is None.
     """
 
-    def __init__(self, bits: str, masses: list, undetermined_at: Optional[int] = None):
-        self.bits, self.masses, self.undetermined_at = bits, masses, undetermined_at
+    def __init__(self, bits: str, undetermined_at: Optional[int] = None, brackets: Optional[list] = None):
+        self.bits, self.undetermined_at, self.brackets = bits, undetermined_at, brackets
 
     @property
     def determined(self) -> bool:
@@ -117,32 +118,36 @@ class CellDecomposition:
     def cell(self, sigma: str):
         return self._node(sigma)
 
-    def name_point(self, x, n: int) -> NamingOutcome:
+    def name_point(self, x, n: int, brackets: bool = False) -> NamingOutcome:
         """The unique name of x to depth n; undetermined on any cell boundary.
 
         The half-open convention decides membership deterministically, but a
         point that coincides with a boundary of some depth <= n cell is part
-        of the null exceptional set and is reported as such.
+        of the null exceptional set and is reported as such.  With brackets,
+        each named cell's -log2 mass bracket is read on the same descent.
         """
-        return NamingOutcome(*self._descend(self._point(x), n, stop_on_edge=True))
+        found = [] if brackets else None
+        return NamingOutcome(*self._descend(self._point(x), n, True, found), found)
 
     def resolved_name(self, x, n: int) -> str:
         """The name x gets when boundaries are resolved by the half-open rule."""
         return self._descend(self._point(x), n, stop_on_edge=False)[0]
 
-    def _descend(self, x, n: int, stop_on_edge: bool):
+    def _descend(self, x, n: int, stop_on_edge: bool, brackets: Optional[list] = None):
         """Walk down the nodes that hold x: x's name to depth n under the
-        half-open rule, the mass pair of each cell on the way, and None, or,
-        with stop_on_edge, the same above the first depth whose cells have x
-        on an endpoint and that depth."""
-        sigma, node, masses = "", self._path.root, []
+        half-open rule and None, or, with stop_on_edge, the name above the
+        first depth whose cells have x on an endpoint and that depth.  Given
+        a list, appends to it the -log2 bracket of each named cell's mass
+        (Lebesgue cells are never null)."""
+        sigma, node = "", self._path.root
         for depth in range(1, n + 1):
             bit, node, on_edge = self._locate(x, sigma, node)
             if on_edge and stop_on_edge:
-                return sigma, masses, depth
+                return sigma, depth
             sigma += "01"[bit]
-            masses.append(self._mass_pair(sigma, node))
-        return sigma, masses, None
+            if brackets is not None:
+                brackets.append(neg_log2_bracket(*self._mass_pair(sigma, node)))
+        return sigma, None
 
     def pushforward(self) -> Measure:
         """The measure on names, mass(sigma) = Lebesgue mass of cell(sigma),
@@ -265,16 +270,19 @@ class NaturalDecomposition(CellDecomposition):
     def cell(self, sigma: str):
         return sigma
 
-    def name_point(self, x, n: int) -> NamingOutcome:
+    def name_point(self, x, n: int, brackets: bool = False) -> NamingOutcome:
         if not isinstance(x, str):
             raise PreconditionError("points of the natural decomposition are bit strings")
         validate_bits(x)
-        bits, total = x[:n], self.mu.total
-        pair, masses = (total.numerator, total.denominator), []
-        for i, bit in enumerate(bits):
-            pair = self.mu.children_pairs(bits[:i], *pair)[bit == "1"]
-            masses.append(pair)
-        return NamingOutcome(bits, masses, len(x) + 1 if len(x) < n else None)
+        bits, found = x[:n], None
+        if brackets:
+            found = []
+            for i in range(1, len(bits) + 1):
+                mass = self.mu.mass(bits[:i])  # read through the measure's one-path cache
+                found.append(neg_log2_bracket(mass.numerator, mass.denominator) if mass else None)
+                if not mass:
+                    break
+        return NamingOutcome(bits, len(x) + 1 if len(x) < n else None, found)
 
     def resolved_name(self, x, n: int) -> str:
         return x[:n]

@@ -10,7 +10,7 @@ from typing import Optional
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
 from .measure import Measure, Record
-from .rationals import RAT, neg_log2_bracket
+from .rationals import RAT
 
 INF = math.inf
 
@@ -128,14 +128,14 @@ class DeficiencyTrace(Record):
 
 def deficiency_trace(machine: PrefixFreeMachine, dec, x, length: int) -> DeficiencyTrace:
     """Deficiency d_n = -log2 mass(cell of x at depth n) - K(name prefix)."""
-    naming = dec.name_point(x, length)
+    naming = dec.name_point(x, length, brackets=True)
     trace = DeficiencyTrace(point=x, undetermined_at=naming.undetermined_at)
     name, rows, complexity = naming.bits, trace.rows, machine.complexity
-    for n, (num, den) in enumerate(naming.masses, 1):
-        if num == 0:
+    for n, bracket in enumerate(naming.brackets, 1):
+        if bracket is None:
             trace.nullity_at = n
             break
-        lo, hi = neg_log2_bracket(num, den)
+        lo, hi = bracket
         k = complexity(name[:n])
         rows.append(DeficiencyRow(n, lo, hi, k, lo - k, hi - k))  # lo - inf is -inf
     return trace

@@ -35,6 +35,11 @@ def box_volume(box):
     return vol
 
 
+def cell_mass(dec, sigma):
+    """The closed-form mass of sigma's cell, the int pair naming brackets."""
+    return F(*dec._mass_pair(sigma, dec._node(sigma)))
+
+
 def test_region_construction_and_length():
     r = Region.from_pairs([(F(1, 2), F(3, 4)), (0, F(1, 4))])
     assert r.intervals == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
@@ -61,7 +66,7 @@ def test_binary_cells():
 def test_bary_cells():
     dec = cells.bary_grouped(3)
     assert dec.cell("1").intervals == ((F(1, 3), F(1)),)
-    assert dec.name_point(F(1, 2), 1).masses == [(2, 3)]
+    assert cell_mass(dec, "1") == F(2, 3)
     assert dec.cell("10").intervals == ((F(1, 3), F(2, 3)),)
     assert dec.cell("11").intervals == ((F(2, 3), F(1)),)
     assert dec.cell("00").intervals == ((F(0), F(1, 9)),)
@@ -77,28 +82,23 @@ def test_deep_cells_need_no_recursion():
     assert cells.binary_digits().cell(sigma).intervals == ((F(0), F(1, 2**1500)),)
     ternary = cells.bary_grouped(3)
     assert ternary.cell(sigma).intervals == ((F(0), F(1, 3**1500)),)
-    assert ternary.name_point(F(2, 3**1501), 1501).masses[-1] == (2, 3**1501)
+    assert cell_mass(ternary, sigma + "1") == F(2, 3**1501)
+    assert ternary.name_point(F(2, 3**1501), 1501, brackets=True).brackets[-1] == (2378, 2379)
     assert cells.interleave(2).cell(sigma) == ((F(0), F(1, 2**750)), (F(0), F(1, 2**750)))
 
 
 def test_cell_mass_matches_geometry():
-    # the mass pairs naming carries must equal the region/box measures; the
-    # midpoint of a cell is on no endpoint of its own or a coarser cell
+    # the closed-form masses must equal the region/box measures
     for dec in (cells.binary_digits(), cells.bary_grouped(3), cells.bary_grouped(5)):
         for n in range(7):
             for bits in itertools.product("01", repeat=n):
                 sigma = "".join(bits)
-                ((lo, hi),) = dec.cell(sigma).intervals
-                out = dec.name_point((lo + hi) / 2, n)
-                assert out.bits == sigma and out.determined, (dec.label, sigma)
-                assert [F(*m) for m in out.masses] == [dec.cell(sigma[:i]).length() for i in range(1, n + 1)], (dec.label, sigma)
+                assert cell_mass(dec, sigma) == dec.cell(sigma).length(), (dec.label, sigma)
     box = cells.interleave(2)
     for n in range(7):
         for bits in itertools.product("01", repeat=n):
             sigma = "".join(bits)
-            out = box.name_point(tuple((lo + hi) / 2 for lo, hi in box.cell(sigma)), n)
-            assert out.bits == sigma
-            assert [F(*m) for m in out.masses] == [box_volume(box.cell(sigma[:i])) for i in range(1, n + 1)]
+            assert cell_mass(box, sigma) == box_volume(box.cell(sigma))
 
 
 def test_cell_children_partition_parent():
@@ -341,8 +341,9 @@ def test_transferred_bound_dominates_test(fair, battery_marts):
 
 def test_natural_decomposition(null_at_one):
     nd = cells.natural(null_at_one)
-    assert [F(*m) for m in nd.name_point("01", 2).masses] == [1, F(1, 2)]
-    assert [F(*m) for m in nd.name_point("10", 2).masses] == [0, 0]
+    assert nd.name_point("01", 2, brackets=True).brackets == [(0, 0), (1, 1)]
+    assert nd.name_point("10", 2, brackets=True).brackets == [None]  # [1] is null
+    assert nd.name_point("01", 2).brackets is None
     out = nd.name_point("0110", 3)
     assert out.determined and out.bits == "011"
     assert not nd.name_point("01", 3).determined
@@ -541,6 +542,27 @@ def test_cell_queries_leave_memory_flat(name):
     # about 1 KB stays, plus up to ~110 KB of pair tuples parked on CPython's
     # tuple free list by the interleave boxes; the memos held 1.9-5.8 MB
     assert _held_after(queries) < 128 * 1024
+
+
+def _peak_of(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["bary:3", "interleave:2"])
+def test_naming_memory_is_linear_in_the_length(name):
+    # one exact mass pair kept per depth made naming to length 6000 peak at
+    # 1.3 MB (bary:3) and 2.6 MB (interleave:2), quadratic in the length
+    dec, length = DECOMPOSITIONS[name](), 6000
+    x = F(1, 2) if name == "bary:3" else (F(1, 3), F(1, 5))  # on no cell endpoint
+    assert _peak_of(lambda: dec.name_point(x, length)) < 64 * 1024
+    assert _peak_of(lambda: dec.resolved_name(x, length)) < 64 * 1024
+    # a bracket is two ints, about 120 bytes with its list slot
+    assert _peak_of(lambda: dec.name_point(x, length, brackets=True)) < 160 * length
 
 
 def test_pushforward_audit_leaves_nothing_on_the_decomposition():

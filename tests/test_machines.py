@@ -354,9 +354,13 @@ def test_the_one_descent_trace_meets_its_definition(case):
     machine, dec, x, n = case
     trace = randlab.deficiency_trace(machine, dec, x, n)
     assert (trace.rows, trace.nullity_at, trace.undetermined_at) == _reference_deficiency(machine, dec, x, n)
-    naming = dec.name_point(x, n)
-    assert len(naming.masses) == len(naming.bits)
-    assert [F(*m) for m in naming.masses] == [_cell_length(dec, naming.bits[:i]) for i in range(1, len(naming.bits) + 1)]
+    # the brackets naming reads on its descent are those of the geometric
+    # cell lengths, up to the first null cell; plain naming builds none
+    naming = dec.name_point(x, n, brackets=True)
+    lengths = [_cell_length(dec, naming.bits[:i]) for i in range(1, len(naming.bits) + 1)]
+    lengths = lengths[: next((i + 1 for i, m in enumerate(lengths) if m == 0), len(lengths))]
+    assert naming.brackets == [_reference_bracket(m) if m else None for m in lengths]
+    assert dec.name_point(x, n) == randlab.cells.NamingOutcome(naming.bits, naming.undetermined_at)
 
 
 def test_bounded_machine_quotient_stays_below_one(fair):

@@ -29,7 +29,7 @@ CONSTRUCTORS = {
     randtests.VitaliTest: [("base", REQUIRED), ("pieces", REQUIRED), ("bound", REQUIRED)],
     randtests.IntegralStep: [("base", REQUIRED), ("depth", REQUIRED), ("values", REQUIRED), ("bound", REQUIRED), ("unit_witness", False)],
     cells.Region: [("intervals", REQUIRED)],
-    cells.NamingOutcome: [("bits", REQUIRED), ("masses", REQUIRED), ("undetermined_at", None)],
+    cells.NamingOutcome: [("bits", REQUIRED), ("undetermined_at", None), ("brackets", None)],
     cells.OpenDecomposition: [("generators", REQUIRED), ("covered", REQUIRED), ("residual", REQUIRED)],
     cells.RefinementRow: [(name, REQUIRED) for name in ("sigmas", "covered", "residual", "straddlers")],
     cells.RefinementRelation: [(name, REQUIRED) for name in ("source", "target", "depth", "target_depth", "rows")],

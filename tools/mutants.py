@@ -58,7 +58,7 @@ MUTANTS = [
     ("betting.py", "_resolve_bet", "if stake < 0:", "if stake <= 0:", "negative stake, lax"),
     ("martingale.py", "ville_audit", "if mn == 0:", "if False:", "null subtree skipped"),
     ("martingale.py", "QuotientKernel.read_pair", "if mn < 0:", "if False:", "negative mass read with den > 0"),
-    ("machines.py", "deficiency_trace", "if num == 0:", "if False:", "null cell ends the trace"),
+    ("machines.py", "deficiency_trace", "if bracket is None:", "if False:", "null cell ends the trace"),
     ("rationals.py", "neg_log2_bracket", "if n & (n - 1) == 0 and d & (d - 1) == 0:", "if False:", "bracket collapses on a power of two"),
     ("rationals.py", "neg_log2_bracket", "if n << max(k, 0) < d << max(-k, 0):", "if n << max(k, 0) <= d << max(-k, 0):", "ceil(-log2) steps up, lax"),
 ]

@@ -23,10 +23,10 @@ from .errors import (
     check_enumeration_depth,
     enumeration_limit,
 )
-from .martingale import Martingale, _PairKernel
+from .martingale import Martingale
 from .measure import FrozenRecord, Measure, Record, from_masses
 from .randtests import CylinderSet
-from .rationals import HALF, ONE, RAT, ZERO
+from .rationals import ONE, RAT, ZERO
 
 
 class BitEvent(FrozenRecord):
@@ -279,23 +279,18 @@ def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
 
 
 class _Node(Record):
-    def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction, event=None, conditional=None):
-        self.history, self.knowledge, self.capital, self.event = history, knowledge, capital, event
-        self.conditional = conditional  # the event's probability given the knowledge
-
-    @property
-    def terminal(self) -> bool:
-        return self.event is None
+    def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction):
+        self.history, self.knowledge, self.capital = history, knowledge, capital
 
 
 def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, event, share, stake, sides):
     """Validate a share() decision at a history and resolve each of the sides
     (True: won): its knowledge state, its capital and its capital factor,
     1 + share * payoff on a win and 1 - share on a loss.  Returns
-    (p, [(knowledge, capital, factor), ...]): p is the event's probability
-    given the knowledge set, payoff = (1-p)/p the fair winnings per unit
-    staked; p and the factors are int pairs.  The kernel reads the depth cap
-    at its first bet and builds the rational of each recent int pair once."""
+    [(knowledge, capital, factor), ...]: with p the event's probability
+    given the knowledge set, payoff = (1-p)/p is the fair winnings per unit
+    staked; the factors are int pairs.  The kernel reads the depth cap at its
+    first bet and builds the rational of each recent int pair once."""
     (sn, sd), cn = share, capital.numerator
     # at capital <= 0 only a zero stake passes, and its share is 0
     if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):
@@ -314,10 +309,10 @@ def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, eve
         factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
         side = KnowledgeState(gens, knowledge.mass * rational(qn, qd), weights)
         resolved.append((side, capital * rational(*factor), factor))
-    return (pn, pd), resolved
+    return resolved
 
 
-class StrategyKernel(_PairKernel):
+class StrategyKernel:
     """A strategy's history tree as a tree kernel: payloads are _Nodes (None
     is null), read as the knowledge mass and the capital.  children() asks for
     the bet at a node and resolves both sides in one _resolve_bet call, the
@@ -338,10 +333,9 @@ class StrategyKernel(_PairKernel):
         if node is not None and len(sigma) == len(node.history) < self.depth:
             decision = self.strategy.share(node.history, node.capital, node.knowledge, self.mu)
             if decision is not None:
-                p, ((win, win_capital, _), (lose, lose_capital, _)) = _resolve_bet(
+                (win, win_capital, _), (lose, lose_capital, _) = _resolve_bet(
                     self, node.history, node.knowledge, node.capital, *decision, (True, False)
                 )
-                node.event, node.conditional = decision[0], self._rational(*p)
                 return _Node(node.history + "0", lose, lose_capital), _Node(node.history + "1", win, win_capital)
         return None, node
 
@@ -353,18 +347,22 @@ class StrategyKernel(_PairKernel):
 
 
 def _preorder(strategy: BettingStrategy, mu: Measure, depth: int):
-    """The history tree's nodes to the depth, each once its bet is resolved:
-    a node's bet, then its win subtree, then its loss subtree, so the first
-    StrategyViolation raised is the parent's.  The walk holds only its stack."""
+    """The history tree's nodes to the depth, each as (node, lose, win) once
+    its bet is resolved, lose and win its children (None where it stopped
+    betting): a node's bet, then its win subtree, then its loss subtree, so
+    the first StrategyViolation raised is the parent's.  The walk holds only
+    its stack."""
     check_enumeration_depth(depth)
     kernel = StrategyKernel(strategy, mu, depth)
     stack = [kernel.root()]
     while stack:
         node = stack.pop()
         lose, win = kernel.children(node.history, node)
-        yield node
-        if not node.terminal:
+        if lose is None:
+            win = None
+        else:
             stack += (lose, win)
+        yield node, lose, win
 
 
 class PlayResult(Record):
@@ -397,7 +395,7 @@ def play(strategy: BettingStrategy, mu: Measure, x: str) -> PlayResult:
         if outcome is None:
             return PlayResult(history, start, capital, best, factors, events, undetermined=True)
         try:
-            _, ((knowledge, capital, factor),) = _resolve_bet(kernel, history, knowledge, capital, *decision, (outcome,))
+            ((knowledge, capital, factor),) = _resolve_bet(kernel, history, knowledge, capital, *decision, (outcome,))
         except StrategyViolation as exc:
             return PlayResult(history, start, capital, best, factors, events, violation=str(exc))
         history += "1" if outcome else "0"
@@ -437,12 +435,12 @@ def classify_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> Str
     """Balanced iff every audited bet is a conditional-half event; the trend is
     the largest knowledge mass still held at the audit frontier."""
     balanced, bets, trend = True, 0, ZERO
-    for node in _preorder(strategy, mu, depth):
-        if node.terminal:
+    for node, _, win in _preorder(strategy, mu, depth):
+        if win is None:
             trend = max(trend, node.knowledge.mass)
         else:
             bets += 1
-            balanced = balanced and node.conditional == HALF
+            balanced = balanced and 2 * win.knowledge.mass == node.knowledge.mass
     return StrategyProfile(balanced=balanced, exhaustive_trend=trend, bets_audited=bets)
 
 
@@ -450,9 +448,9 @@ def strategy_to_interval_morphism(strategy: BettingStrategy, mu: Measure, depth:
     """Map each history's knowledge set to an interval of matching length:
     the root goes to (0,1) and each split hands the loss branch the left part."""
     intervals = {"": (ZERO, ONE)}
-    for node in _preorder(strategy, mu, depth):
-        if not node.terminal:
+    for node, lose, _ in _preorder(strategy, mu, depth):
+        if lose is not None:
             a, b = intervals[node.history]
-            cut = a + node.knowledge.mass * (1 - node.conditional)  # the loss branch's mass
+            cut = a + lose.knowledge.mass
             intervals[node.history + "0"], intervals[node.history + "1"] = (a, cut), (cut, b)
     return intervals

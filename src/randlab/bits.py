@@ -115,13 +115,9 @@ def restrict_bit(gens, index: int, bit: int) -> tuple[str, ...]:
 
 
 def covers(gens, p: str) -> bool:
-    """True iff the cylinder [p] is wholly inside the union of the generators."""
-    if any(p.startswith(g) for g in gens):
-        return True
-    deeper = [g for g in gens if g.startswith(p) and g != p]
-    if not deeper:
-        return False
-    return covers(deeper, p + "0") and covers(deeper, p + "1")
+    """True iff the cylinder [p] is wholly inside the union of the generators:
+    a generator is a prefix of p, or the generators below p merge into p."""
+    return any(p.startswith(g) for g in gens) or normalize([g for g in gens if g.startswith(p)]) == (p,)
 
 
 def member_prefix(gens, x: str):

@@ -276,11 +276,13 @@ class NaturalDecomposition(CellDecomposition):
         validate_bits(x)
         bits, found = x[:n], None
         if brackets:
-            found = []
-            for i in range(1, len(bits) + 1):
-                mass = self.mu.mass(bits[:i])  # read through the measure's one-path cache
-                found.append(neg_log2_bracket(mass.numerator, mass.denominator) if mass else None)
-                if not mass:
+            found, total = [], self.mu.total
+            num, den = total.numerator, total.denominator
+            for i in range(len(bits)):
+                # the measure's own stepping, holding one pair
+                num, den = self.mu.children_pairs(bits[:i], num, den)[bits[i] == "1"]
+                found.append(neg_log2_bracket(num, den) if num else None)
+                if not num:
                     break
         return NamingOutcome(bits, len(x) + 1 if len(x) < n else None, found)
 

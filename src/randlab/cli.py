@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import sys
 import time
 from math import gcd
@@ -306,17 +307,7 @@ def cmd_deficiency(opts, raw_args) -> Report:
     dec = specfmt.parse_decomposition(opts.decomposition)
     point = _parse_point(opts.point, dec)
     trace = machines.deficiency_trace(machine, dec, point, opts.length)
-    rows = (
-        (
-            row.n,
-            _render_extended(row.neg_log_mass_low),
-            _render_extended(row.neg_log_mass_high),
-            _render_extended(row.complexity),
-            _render_extended(row.d_low),
-            _render_extended(row.d_high),
-        )
-        for row in trace.rows
-    )
+    rows = map(operator.attrgetter("n", "neg_log_mass_low", "neg_log_mass_high", "complexity", "d_low", "d_high"), trace.rows)
     _write_csv(opts.out_csv, ("n", "neg_log_mass_low", "neg_log_mass_high", "K", "d_low", "d_high"), rows)
     report.digest("machine", opts.machine)
     if trace.undetermined_at is not None and trace.undetermined_at <= opts.length:
@@ -326,14 +317,6 @@ def cmd_deficiency(opts, raw_args) -> Report:
         report.line(f"flag: non-random-by-nullity at depth {trace.nullity_at}")
         report.failed = True
     return report
-
-
-def _render_extended(v):
-    if v == machines.INF:
-        return "inf"
-    if v == -machines.INF:
-        return "-inf"
-    return v
 
 
 def _parse_point(text: str, dec):

@@ -1,6 +1,7 @@
 """Martingales over a base measure: quotients, the inverse recursion back to a
 measure, the savings transform, capital traces, and exhaustive audits."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
@@ -18,6 +19,13 @@ class Martingale:
     a CapitalFnKernel.  capital(sigma) is None exactly on null cylinders for
     every martingale the library builds; hand-built tables may violate that,
     which check_fairness reports.
+
+    A kernel is a tree walker whose payloads carry exact values as
+    unnormalized int pairs: root() is the root's payload, children(sigma,
+    payload) the payloads of sigma's two children, and read_pair(payload)
+    -> (mass_num, mass_den, cap_num, cap_den), every den > 0 and cap_num
+    None where the capital is undefined; the exhaustive audits walk those
+    pairs.
     """
 
     def __init__(
@@ -53,21 +61,7 @@ def _start_capital(mart: Martingale) -> Fraction:
     return start
 
 
-class _PairKernel:
-    """Tree walker whose payloads carry exact values as unnormalized int pairs.
-
-    Subclasses provide root(), children(sigma, payload) and read_pair(payload)
-    -> (mass_num, mass_den, cap_num, cap_den), every den > 0 and cap_num None
-    where the capital is undefined; the exhaustive audits walk those pairs.
-    """
-
-    def read(self, payload):
-        """(mass, capital) as exact rationals, where values leave the pairs."""
-        mn, md, cn, cd = self.read_pair(payload)
-        return RAT(mn, md), (None if cn is None else RAT(cn, cd))
-
-
-class QuotientKernel(_PairKernel):
+class QuotientKernel:
     """Fused walker for numerator/denominator martingales: payloads carry the
     base mass and the numerator mass down the tree as unnormalized int pairs
     (mass_num, mass_den, nu_num, nu_den)."""
@@ -95,7 +89,7 @@ class QuotientKernel(_PairKernel):
         return mn, md, nn * md, nd * mn
 
 
-class SavingsKernel(_PairKernel):
+class SavingsKernel:
     """Fused walker for the savings recursion of a source kernel's capital + 1, scaled to start at 1.
 
     Payloads are (source payload, N, F, D): total capital N/D and savings
@@ -151,12 +145,8 @@ class SavingsKernel(_PairKernel):
         """The savings floor at a positive cylinder, as its int pair (F, D)."""
         return payload[2:]
 
-    def read_floor(self, payload):
-        """The savings floor at a positive cylinder, as an exact rational."""
-        return RAT(*self.read_floor_pair(payload))
 
-
-class CapitalFnKernel(_PairKernel):
+class CapitalFnKernel:
     """Walker for a hand-built capital function: payloads are the strings
     themselves, read through the base mass and the function."""
 
@@ -306,7 +296,7 @@ class SavingsPair(Record):
         kernel, payload = self.total.kernel, self.total.payload(sigma)
         if kernel.read_pair(payload)[0] == 0:
             return None
-        return kernel.read_floor(payload)
+        return RAT(*kernel.read_floor_pair(payload))
 
 
 def savings_transform(mart: Martingale) -> SavingsPair:
@@ -451,10 +441,8 @@ def ville_monte_carlo(mart: Martingale, n: int, thresholds, samples: int, seed: 
     Each sample steps kernel payloads down its path and compares capitals as
     int pairs by cross-multiplication, so no per-prefix value is cached.
     """
-    import random as _random
-
     start = _start_capital(mart)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     cs = [_ville_threshold(n, q) for q in thresholds]
     qs = [(q.numerator, q.denominator) for q in cs]
     children, read_pair, split, draw = mart.kernel.children, mart.kernel.read_pair, mart.base.split, rng.random

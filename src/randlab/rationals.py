@@ -53,12 +53,11 @@ def neg_log2_bracket(n: int, d: int) -> tuple[int, int]:
     # with k = bitlen(d) - bitlen(n), n/d lies in (2^(-k-1), 2^(-k+1)), so
     # ceil(-log2 n/d) is k where n*2^k >= d and k + 1 otherwise
     k = d.bit_length() - n.bit_length()
-    if n << max(k, 0) < d << max(-k, 0):
-        k += 1
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    if n & (n - 1) == 0 and d & (d - 1) == 0:  # n/d, in lowest terms, is a power of two
+    a, b = n << max(k, 0), d << max(-k, 0)
+    if a == b:  # n/d is 2^-k
         return (k, k)
+    if a < b:
+        k += 1
     return (k - 1, k)
 
 

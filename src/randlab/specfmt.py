@@ -38,9 +38,11 @@ random.Random(seed).random() with p.
 import json
 import random
 
-from . import betting, cells
+from . import betting, cells, randtests
+from .battery import all_in_on_bit
 from .bits import champernowne_bits, prefix_free_violation, validate_bits
 from .errors import ConstructionError, SpecParseError
+from .machines import PrefixFreeMachine
 from .martingale import Martingale, from_measures, table_martingale
 from .measure import Measure, bernoulli, fair_coin, interleave_product, split_table
 from .rationals import format_rational, parse_rational
@@ -169,8 +171,6 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
             raise SpecParseError(f"all_in side must be 0 or 1, got {side!r}")
         if base is None:
             raise SpecParseError("all_in martingale needs a base measure")
-        from .battery import all_in_on_bit
-
         return all_in_on_bit(base, int(side))
     if text.startswith(("table:", "file:")):
         if base is None:
@@ -355,16 +355,12 @@ def load_machine_file(path: str):
             if codeword in table:
                 raise SpecParseError(f"{path}:{lineno}: codeword {codeword!r} repeats an earlier line")
             table[codeword] = output
-    from .machines import PrefixFreeMachine
-
     return PrefixFreeMachine(table)
 
 
 # ------------------------------------------------------------ test bundles
 
 def test_to_doc(obj, depth: int = 12) -> dict:
-    from . import randtests
-
     kinds = [(randtests.IntegralStep, "integral"), (randtests.BoundedMLTest, "bounded_ml"),
              (randtests.VitaliTest, "vitali"), (randtests.MLTest, "ml")]
     kind = next((name for cls, name in kinds if isinstance(obj, cls)), None)
@@ -408,8 +404,6 @@ _TEST_FIELDS = {
 
 
 def test_from_doc(doc):
-    from . import randtests
-
     if not isinstance(doc, dict):
         raise SpecParseError(f"test doc must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")

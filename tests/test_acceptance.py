@@ -131,10 +131,10 @@ def test_criterion_04_savings_sandwich(marts):
         stack = [("", kernel.root(), None)]
         while stack:
             sigma, payload, f_parent = stack.pop()
-            mass, n_here = kernel.read(payload)
-            if mass == 0:
+            mn, _, cn, cd = kernel.read_pair(payload)
+            if mn == 0:
                 continue
-            f_here = kernel.read_floor(payload)
+            n_here, f_here = F(cn, cd), F(*kernel.read_floor_pair(payload))
             assert f_here <= n_here <= f_here + 1, (name, sigma)
             if f_parent is not None:
                 assert f_parent <= f_here, (name, sigma)

@@ -30,8 +30,9 @@ F = Fraction
 
 
 def walk_strategy(strategy, mu, depth):
-    """The history tree to the depth as a dict history -> node."""
-    return {node.history: node for node in _preorder(strategy, mu, depth)}
+    """The history tree to the depth as a dict history -> node; a node that
+    bet has its children in the tree, and one that stopped has none."""
+    return {node.history: node for node, _, _ in _preorder(strategy, mu, depth)}
 
 
 def test_kl_payoff_fair_independent(fair):
@@ -127,7 +128,7 @@ def test_knowledge_masses_add(fair):
     s = randlab.doubling_strategy(["00", "0110", "101"], fair)
     tree = walk_strategy(s, fair, 6)
     for history, node in tree.items():
-        if node.terminal:
+        if history + "1" not in tree:
             continue
         m0 = tree[history + "0"].knowledge.mass
         m1 = tree[history + "1"].knowledge.mass
@@ -184,7 +185,7 @@ def test_classify_doubling_unbalanced(fair):
     profile = randlab.classify_strategy(randlab.doubling_strategy(["00"], fair), fair, 6)
     assert not profile.balanced
     tree = walk_strategy(randlab.doubling_strategy(["00"], fair), fair, 2)
-    assert tree[""].conditional == F(1, 4)
+    assert tree["1"].knowledge.mass / tree[""].knowledge.mass == F(1, 4)  # the bet's conditional probability
 
 
 def test_classify_null_strategy(fair):
@@ -482,8 +483,9 @@ def test_walk_moves_capital_by_the_stake(mu, shares, start):
     # every successor's capital, recomputed from its parent's stake
     tree = walk_strategy(_ShareStrategy(shares, start), mu, 4)
     for history, node in tree.items():
-        if not node.terminal:
-            stake, payoff = shares[history][1] * node.capital, (1 - node.conditional) / node.conditional
+        if history + "1" in tree:
+            p = tree[history + "1"].knowledge.mass / node.knowledge.mass  # the bet's conditional probability
+            stake, payoff = shares[history][1] * node.capital, (1 - p) / p
             assert tree[history + "1"].capital == node.capital + stake * payoff, history
             assert tree[history + "0"].capital == node.capital - stake, history
 

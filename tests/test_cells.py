@@ -565,6 +565,14 @@ def test_naming_memory_is_linear_in_the_length(name):
     assert _peak_of(lambda: dec.name_point(x, length, brackets=True)) < 160 * length
 
 
+def test_natural_brackets_memory_is_linear_in_the_length():
+    # reading each prefix's mass kept every prefix's pair on the measure's
+    # path cache: 8.3 MB at length 6000, about 1.4 KB per depth
+    dec, length = cells.natural(randlab.bernoulli(F(1, 3))), 6000
+    x = randlab.champernowne_bits(length)
+    assert _peak_of(lambda: dec.name_point(x, length, brackets=True)) < 160 * length
+
+
 def test_pushforward_audit_leaves_nothing_on_the_decomposition():
     # the grouped-digit state memo kept 32767 states (6.4 MB) after this audit
     dec = cells.bary_grouped(3)

@@ -818,6 +818,17 @@ def test_bet_doubling(capsys, tmp_path):
     assert rows[-1]["capital_num"] == "2" and rows[-1]["capital_den"] == "1"
 
 
+def test_bet_doubling_on_a_deep_generator_is_undetermined(capsys, tmp_path):
+    # covering [0^32] by the one generator 0^1532 recursed once per bit and
+    # raised RecursionError
+    cyl = tmp_path / "deep.cylinders"
+    cyl.write_text("0" * 1532 + "\n")
+    args = ["bet", "--strategy", f"doubling:{cyl}", "--measure", "fair", "--source", "literal:" + "0" * 32, "--length", "32"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert "flag: undetermined (source too short to settle a bet)" in out
+
+
 def test_bet_champernowne_consumes_prefix(capsys, tmp_path):
     out_csv = tmp_path / "trace.csv"
     code, out, _ = run_cli(

@@ -86,7 +86,9 @@ def test_savings_floor_monotone_all_paths(battery_marts):
 def test_run_traces(fair, battery_marts):
     allin = battery_marts["all_in_on_0"]
     assert randlab.run(allin, "0000").values == [1, 2, 4, 8, 16]
-    assert randlab.run(allin, "0100").values == [1, 2, 0, 0, 0]
+    trace = randlab.run(allin, "0100")
+    assert trace.values == [1, 2, 0, 0, 0]
+    assert (trace.final, trace.max_attained) == (0, 2)
     ident = battery_marts["identity"]
     assert randlab.run(ident, "10110").values == [1] * 6
 
@@ -259,7 +261,8 @@ def _walk_kernel(mart, depth):
     stack = [("", kernel.root())]
     while stack:
         sigma, payload = stack.pop()
-        yield sigma, kernel.read(payload)
+        mn, md, cn, cd = kernel.read_pair(payload)
+        yield sigma, (Fraction(mn, md), None if cn is None else Fraction(cn, cd))
         if len(sigma) < depth:
             p0, p1 = kernel.children(sigma, payload)
             stack.append((sigma + "0", p0))
@@ -267,7 +270,7 @@ def _walk_kernel(mart, depth):
 
 
 def _assert_kernel_matches_public_values(mart, nu, mu, depth):
-    # kernel.read(), capital() and savings() against plain recomputation
+    # kernel.read_pair(), capital() and savings() against plain recomputation
     # from the measures; the walk order (1-branch first) also moves the
     # public path cache back and forth
     for sigma, (mass, cap) in _walk_kernel(mart, depth):

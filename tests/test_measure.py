@@ -58,6 +58,15 @@ def test_is_null_reads_no_split_below_a_null_cylinder():
     assert randlab.Measure(lambda sigma: Fraction(1, 2), total=0).is_null("")
 
 
+def test_mass_backed_nullity_reads_the_mass_function():
+    # the derived split at '' is f('1')/f('') = 0, by which [0] would carry
+    # the whole mass; nullity reads f itself, as mass() does
+    mu = randlab.from_masses(lambda s: Fraction(1 if s == "" else 0))
+    assert mu.is_null("0") and mu.mass("0") == 0
+    assert mu.is_null("1") and not mu.is_null("")
+    assert not randlab.Measure(mu.split).is_null("0")
+
+
 def test_bad_split_rejected():
     with pytest.raises(ConstructionError) as err:
         randlab.split_table({"01": Fraction(3, 2)})

@@ -52,6 +52,22 @@ def test_cylinder_covers_prefix():
     assert bits.covers(("00", "01"), "0")  # a union of descendants covers too
 
 
+def _covers_by_halves(gens, p):
+    """[p] is covered when a generator is a prefix of p, or when the
+    generators below p cover both halves of [p]."""
+    if any(p.startswith(g) for g in gens):
+        return True
+    deeper = [g for g in gens if g.startswith(p) and g != p]
+    return bool(deeper) and _covers_by_halves(deeper, p + "0") and _covers_by_halves(deeper, p + "1")
+
+
+@given(st.lists(st.text(alphabet="01", max_size=4), max_size=6), st.text(alphabet="01", max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_covers_matches_its_recursive_definition(gens, p):
+    # generator sets need not be prefix-free
+    assert bits.covers(gens, p) == _covers_by_halves(gens, p)
+
+
 def test_martingale_to_integral_worked_case(fair):
     mart = randlab.table_martingale(fair, {"": 2, "0": 4, "1": 0})
     sp = randlab.savings_transform(mart)

@@ -38,7 +38,7 @@ CONSTRUCTORS = {
     betting.BitEvent: [("index", REQUIRED), ("side", REQUIRED)],
     betting.CylinderEvent: [("generators", REQUIRED)],
     betting.KnowledgeState: [("generators", REQUIRED), ("mass", REQUIRED), ("weights", REQUIRED)],
-    betting._Node: [("history", REQUIRED), ("knowledge", REQUIRED), ("capital", REQUIRED), ("event", None), ("conditional", None)],
+    betting._Node: [("history", REQUIRED), ("knowledge", REQUIRED), ("capital", REQUIRED)],
     betting.PlayResult: [
         *((name, REQUIRED) for name in ("history", "start", "final", "max_attained", "factors", "events")),
         ("undetermined", False),

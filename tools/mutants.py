@@ -59,8 +59,9 @@ MUTANTS = [
     ("martingale.py", "ville_audit", "if mn == 0:", "if False:", "null subtree skipped"),
     ("martingale.py", "QuotientKernel.read_pair", "if mn < 0:", "if False:", "negative mass read with den > 0"),
     ("machines.py", "deficiency_trace", "if bracket is None:", "if False:", "null cell ends the trace"),
-    ("rationals.py", "neg_log2_bracket", "if n & (n - 1) == 0 and d & (d - 1) == 0:", "if False:", "bracket collapses on a power of two"),
-    ("rationals.py", "neg_log2_bracket", "if n << max(k, 0) < d << max(-k, 0):", "if n << max(k, 0) <= d << max(-k, 0):", "ceil(-log2) steps up, lax"),
+    ("rationals.py", "neg_log2_bracket", "if a == b:", "if False:", "bracket collapses on a power of two"),
+    # past the a == b return, a <= b would be the same test as a < b
+    ("rationals.py", "neg_log2_bracket", "if a < b:", "if a > b:", "ceil(-log2) steps up, reversed"),
 ]
 
 # a fixed hypothesis seed makes every row reproducible

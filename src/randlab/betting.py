@@ -74,7 +74,7 @@ def _check_expansion(event: BitEvent, cost: int, limit: Optional[int]):
         raise ResourceLimitError(f"restricting bit {event.index} would expand the knowledge set {cost}-fold")
 
 
-def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit: Optional[int] = None):
+def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit: Optional[int]):
     """_side of any bet, by a walk over the side's generators.
 
     A generator's weight is the weight of the knowledge generator above it
@@ -283,39 +283,10 @@ class _Node(Record):
         self.history, self.knowledge, self.capital = history, knowledge, capital
 
 
-def _resolve_bet(kernel: "StrategyKernel", history: str, knowledge, capital, event, share, stake, sides):
-    """Validate a share() decision at a history and resolve each of the sides
-    (True: won): its knowledge state, its capital and its capital factor,
-    1 + share * payoff on a win and 1 - share on a loss.  Returns
-    [(knowledge, capital, factor), ...]: with p the event's probability
-    given the knowledge set, payoff = (1-p)/p is the fair winnings per unit
-    staked; the factors are int pairs.  The kernel reads the depth cap at its
-    first bet and builds the rational of each recent int pair once."""
-    (sn, sd), cn = share, capital.numerator
-    # at capital <= 0 only a zero stake passes, and its share is 0
-    if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):
-        stake = capital * RAT(sn, sd) if stake is None else stake
-        if stake < 0:
-            raise StrategyViolation(f"negative stake {stake} at {history!r}")
-        raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {history!r}")
-    if kernel._limit is None:
-        kernel._limit = enumeration_limit()
-    rational, resolved = kernel._rational, []
-    for won in sides:
-        gens, weights, (qn, qd) = _side(knowledge, event, kernel.mu, won, kernel._limit)
-        if knowledge.mass == 0 or qn == 0 or qn == qd:
-            raise StrategyViolation(f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
-        pn, pd = (qn, qd) if won else (qd - qn, qd)
-        factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
-        side = KnowledgeState(gens, knowledge.mass * rational(qn, qd), weights)
-        resolved.append((side, capital * rational(*factor), factor))
-    return resolved
-
-
 class StrategyKernel:
     """A strategy's history tree as a tree kernel: payloads are _Nodes (None
     is null), read as the knowledge mass and the capital.  children() asks for
-    the bet at a node and resolves both sides in one _resolve_bet call, the
+    the bet at a node and resolves both sides in one resolve() call, the
     resolver play uses;
     a node that stopped betting (no bet, or the depth reached) hands its win
     branch itself and its loss branch the null payload.  A bad bet raises
@@ -328,13 +299,41 @@ class StrategyKernel:
     def root(self) -> _Node:
         return _Node(history="", knowledge=KnowledgeState(("",), self.mu.mass(""), (ONE,)), capital=self.strategy.start_capital)
 
+    def resolve(self, history: str, knowledge, capital, event, share, stake, sides):
+        """Validate a share() decision at a history and resolve each of the sides
+        (True: won): its knowledge state, its capital and its capital factor,
+        1 + share * payoff on a win and 1 - share on a loss.  Returns
+        [(knowledge, capital, factor), ...]: with p the event's probability
+        given the knowledge set, payoff = (1-p)/p is the fair winnings per unit
+        staked; the factors are int pairs.  The depth cap is read at the first
+        bet, and the rational of each recent int pair is built once."""
+        (sn, sd), cn = share, capital.numerator
+        # at capital <= 0 only a zero stake passes, and its share is 0
+        if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):
+            stake = capital * RAT(sn, sd) if stake is None else stake
+            if stake < 0:
+                raise StrategyViolation(f"negative stake {stake} at {history!r}")
+            raise StrategyViolation(f"stake {stake} exceeds capital {capital} at {history!r}")
+        if self._limit is None:
+            self._limit = enumeration_limit()
+        rational, resolved = self._rational, []
+        for won in sides:
+            gens, weights, (qn, qd) = _side(knowledge, event, self.mu, won, self._limit)
+            if knowledge.mass == 0 or qn == 0 or qn == qd:
+                raise StrategyViolation(f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
+            pn, pd = (qn, qd) if won else (qd - qn, qd)
+            factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
+            side = KnowledgeState(gens, knowledge.mass * rational(qn, qd), weights)
+            resolved.append((side, capital * rational(*factor), factor))
+        return resolved
+
     def children(self, sigma: str, node):
         # a stopped node handed on as its own win branch is not asked again
         if node is not None and len(sigma) == len(node.history) < self.depth:
             decision = self.strategy.share(node.history, node.capital, node.knowledge, self.mu)
             if decision is not None:
-                (win, win_capital, _), (lose, lose_capital, _) = _resolve_bet(
-                    self, node.history, node.knowledge, node.capital, *decision, (True, False)
+                (win, win_capital, _), (lose, lose_capital, _) = self.resolve(
+                    node.history, node.knowledge, node.capital, *decision, (True, False)
                 )
                 return _Node(node.history + "0", lose, lose_capital), _Node(node.history + "1", win, win_capital)
         return None, node
@@ -395,7 +394,7 @@ def play(strategy: BettingStrategy, mu: Measure, x: str) -> PlayResult:
         if outcome is None:
             return PlayResult(history, start, capital, best, factors, events, undetermined=True)
         try:
-            ((knowledge, capital, factor),) = _resolve_bet(kernel, history, knowledge, capital, *decision, (outcome,))
+            ((knowledge, capital, factor),) = kernel.resolve(history, knowledge, capital, *decision, (outcome,))
         except StrategyViolation as exc:
             return PlayResult(history, start, capital, best, factors, events, violation=str(exc))
         history += "1" if outcome else "0"

@@ -98,12 +98,13 @@ class CellDecomposition:
     one-path cache, which builds the root at its first read.
     Naming reads _point(x), x coerced and checked, and _locate(x, sigma,
     node): the bit and the node of the child that holds x, and whether x
-    lies on an endpoint of either child.
+    lies on an endpoint of either child.  The label is the spec name
+    without its colon.
     """
 
-    def __init__(self, label: str, spec_name: str = None):
-        self.label = label
-        self.spec_name = spec_name or label
+    def __init__(self, spec_name: str):
+        self.spec_name = spec_name
+        self.label = spec_name.replace(":", "")
 
     @cached_property
     def _path(self) -> PathCache:
@@ -167,11 +168,11 @@ class BaryGroupedDecomposition(CellDecomposition):
     ones (the final deferral lands on the last digit directly).
     """
 
-    def __init__(self, base: int, label=None, spec_name=None):
+    def __init__(self, base: int, spec_name=None):
         if base < 2:
             raise ConstructionError("digit base must be at least 2")
         check_size(base, "digit base")
-        super().__init__(label or f"bary{base}", spec_name or f"bary:{base}")
+        super().__init__(spec_name or f"bary:{base}")
         self.base = base
         self._splits = {}  # p -> split, built at its first read
 
@@ -226,7 +227,7 @@ class InterleaveDecomposition(CellDecomposition):
         if dim < 1:
             raise ConstructionError("dimension must be at least 1")
         check_size(dim, "dimension")
-        super().__init__(label=f"interleave{dim}", spec_name=f"interleave:{dim}")
+        super().__init__(f"interleave:{dim}")
         self.dim = dim
 
     def _root(self):
@@ -261,11 +262,11 @@ class NaturalDecomposition(CellDecomposition):
     """The identity decomposition of the Cantor space under a given measure:
     the cell of sigma is the cylinder [sigma], a point is a bit string, and
     its name is itself.  Cell masses come from the measure, so null cells
-    exist whenever the measure has them."""
+    exist whenever the measure has them.  Its pushforward is the measure
+    itself, so it has no spec name of its own."""
 
     def __init__(self, mu: Measure):
-        super().__init__(label=f"natural({mu.label})", spec_name="natural")
-        self.mu = mu
+        self.label, self.mu = f"natural({mu.label})", mu
 
     def cell(self, sigma: str):
         return sigma
@@ -298,7 +299,7 @@ def natural(mu: Measure) -> CellDecomposition:
 
 
 def binary_digits() -> CellDecomposition:
-    return BaryGroupedDecomposition(2, label="binary", spec_name="binary")
+    return BaryGroupedDecomposition(2, "binary")
 
 
 def bary_grouped(base: int) -> CellDecomposition:

@@ -48,8 +48,6 @@ class Report:
         self.lines.append(f"check {name}: {verdict} ({report.checked} checked)")
         for violation in report.violations:
             self.lines.append(f"  violation: {violation}")
-        for note in report.notes:
-            self.lines.append(f"  note: {note}")
         if not report.ok:
             self.failed = True
 
@@ -136,20 +134,16 @@ def cmd_audit(opts, raw_args) -> Report:
         mart = specfmt.parse_martingale(opts.martingale, base=mu)
         report.digest("martingale", opts.martingale)
     for check in checks:
+        if mart is None and check in ("fairness", "savings", "ville"):
+            raise SpecParseError(f"{check} check needs --martingale")
         if check == "additivity":
             report.check(f"additivity@{opts.depth}", check_additivity(mu, opts.depth))
         elif check == "fairness":
-            if mart is None:
-                raise SpecParseError("fairness check needs --martingale")
             report.check(f"fairness@{opts.depth}", check_fairness(mart, opts.depth))
         elif check == "savings":
-            if mart is None:
-                raise SpecParseError("savings check needs --martingale")
             sp = savings_transform(mart)
             report.check(f"savings-fairness@{opts.depth}", check_fairness(sp.total, opts.depth))
         elif check == "ville":
-            if mart is None:
-                raise SpecParseError("ville check needs --martingale")
             cs = opts.c.split(",")
             thresholds = [parse_rational(c) for c in cs]
             if opts.mc_samples is not None:

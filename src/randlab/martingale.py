@@ -16,9 +16,9 @@ class Martingale:
 
     Every value comes from the tree kernel.  Library constructors pass
     kernel=; a hand-built Martingale(base, capital_fn) wraps the function in
-    a CapitalFnKernel.  capital(sigma) is None exactly on null cylinders for
-    every martingale the library builds; hand-built tables may violate that,
-    which check_fairness reports.
+    a CapitalFnKernel, and one given neither is refused.  capital(sigma) is
+    None exactly on null cylinders for every martingale the library builds;
+    hand-built tables may violate that, which check_fairness reports.
 
     A kernel is a tree walker whose payloads carry exact values as
     unnormalized int pairs: root() is the root's payload, children(sigma,
@@ -35,6 +35,8 @@ class Martingale:
         label="martingale",
         kernel=None,
     ):
+        if capital_fn is None and kernel is None:
+            raise PreconditionError("a martingale needs a capital function or a kernel")
         self.base = base
         self.label = label
         self.kernel = kernel if kernel is not None else CapitalFnKernel(base, capital_fn)
@@ -433,7 +435,7 @@ def ville_audit(mart: Martingale, n: int, thresholds) -> list[VilleReport]:
     return reports
 
 
-def ville_monte_carlo(mart: Martingale, n: int, thresholds, samples: int, seed: int = 0) -> list[tuple]:
+def ville_monte_carlo(mart: Martingale, n: int, thresholds, samples: int, seed: int) -> list[tuple]:
     """Sampled estimate of the hitting fraction for depths past the exhaustive
     cap.  Statistical, not exact: returns one (estimate, bound) pair of floats
     per threshold, all estimated from the same samples.

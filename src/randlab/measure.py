@@ -182,7 +182,7 @@ class Measure:
 class _MassBackedMeasure(Measure):
     """Measure defined by an additive mass function; splits are derived."""
 
-    def __init__(self, mass_fn, label="measure"):
+    def __init__(self, mass_fn, label):
         def split(sigma: str):
             m = RAT(mass_fn(sigma))
             if m == 0:

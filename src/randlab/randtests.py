@@ -70,7 +70,7 @@ class MLTest(Record):
 class BoundedMLTest(MLTest):
     """Level test additionally dominated cell-wise by a bounding measure."""
 
-    def __init__(self, base: Measure, levels: list, bound: Measure = None, witness: Optional["IntegralStep"] = None):
+    def __init__(self, base: Measure, levels: list, bound: Measure, witness: Optional["IntegralStep"] = None):
         super().__init__(base, levels)
         self.bound, self.witness = bound, witness  # witness carries the g+1 domination witness
 
@@ -112,7 +112,7 @@ def _weighted(values: dict) -> list:
     return sorted((cell, v.numerator, v.denominator) for cell, v in values.items() if v)
 
 
-def _walk(base: Measure, bound: Optional[Measure], depth: int, sets=(), full=True):
+def _walk(base: Measure, bound: Optional[Measure], depth: int, sets, full=True):
     """Iterative post-order walk over the prefixes of length <= depth (all when
     full, else those a generator extends), yielding (sigma, mu, nu, integrals):
     the base and bound masses as int pairs (nu None without a bound), and per
@@ -217,7 +217,7 @@ def verify_test_bounds(obj, depth: int) -> AuditReport:
     elif isinstance(obj, BoundedMLTest):
         _verify_bounded(obj, depth, report)
     elif isinstance(obj, MLTest):
-        (_, _, _, masses), = _walk(obj.base, None, 0, _level_sets(obj.levels), full=False)  # the root alone
+        (_, _, _, masses), = _walk(obj.base, None, 0, _level_sets(obj.levels))  # the root alone
         _verify_ml_levels(masses, report)
         report.notes.append("schnorr-style: every level mass exactly representable")
     elif isinstance(obj, VitaliTest):

@@ -36,9 +36,7 @@ def parse_rational(text: str, what: str = "rational"):
 
 
 def format_rational(q) -> str:
-    """Serialize as "num/den" (always with an explicit denominator)."""
-    if not hasattr(q, "denominator"):
-        q = RAT(q)
+    """Serialize a rational as "num/den" (always with an explicit denominator)."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -63,7 +61,6 @@ def neg_log2_bracket(n: int, d: int) -> tuple[int, int]:
 
 def frac_log2(q) -> float:
     """Float log2 of a positive rational, safe for huge numerators/denominators."""
-    q = q if hasattr(q, "denominator") else RAT(q)
     if q <= 0:
         raise ValueError("frac_log2 needs a positive rational")
     return _int_log2(int(q.numerator)) - _int_log2(int(q.denominator))

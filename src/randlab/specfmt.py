@@ -147,9 +147,9 @@ def parse_measure(text: str, nesting: int = 0) -> Measure:
 
 # ------------------------------------------------------------ martingales
 
-def parse_martingale(text: str, base: Measure = None) -> Martingale:
-    """Compact martingale spec; table forms fall back to `base` for the measure,
-    and a quotient's denominator must write the same document as `base`."""
+def parse_martingale(text: str, base: Measure) -> Martingale:
+    """Compact martingale spec over the base measure; a quotient's denominator
+    must write the same document as `base`."""
     text = text.strip()
     if text.startswith("quotient:"):
         body = text.split(":", 1)[1]
@@ -161,7 +161,7 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
                 mu = parse_measure(body[i + 1 :])
             except (SpecParseError, ConstructionError, OSError):
                 continue
-            if base is not None and measure_to_doc(mu) != measure_to_doc(base):
+            if measure_to_doc(mu) != measure_to_doc(base):
                 raise SpecParseError(f"quotient spec {text!r} divides by {body[i + 1 :]!r}, not the base measure {base.label}")
             return from_measures(nu, mu)
         raise SpecParseError(f"cannot split quotient spec {text!r}")
@@ -169,12 +169,8 @@ def parse_martingale(text: str, base: Measure = None) -> Martingale:
         side = text.split(":", 1)[1]
         if side not in ("0", "1"):
             raise SpecParseError(f"all_in side must be 0 or 1, got {side!r}")
-        if base is None:
-            raise SpecParseError("all_in martingale needs a base measure")
         return all_in_on_bit(base, int(side))
     if text.startswith(("table:", "file:")):
-        if base is None:
-            raise SpecParseError("table martingale needs a base measure")
         doc = _known_fields(load_json(text.split(":", 1)[1]), "table martingale doc", ("start", "entries"))
         rows = _doc_field(doc, "entries", what="table martingale doc") if "entries" in doc else {}
         entries = {validate_bits(s): parse_rational(v) for s, v in rows.items()}
@@ -360,7 +356,7 @@ def load_machine_file(path: str):
 
 # ------------------------------------------------------------ test bundles
 
-def test_to_doc(obj, depth: int = 12) -> dict:
+def test_to_doc(obj, depth: int) -> dict:
     kinds = [(randtests.IntegralStep, "integral"), (randtests.BoundedMLTest, "bounded_ml"),
              (randtests.VitaliTest, "vitali"), (randtests.MLTest, "ml")]
     kind = next((name for cls, name in kinds if isinstance(obj, cls)), None)

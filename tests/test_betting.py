@@ -662,7 +662,7 @@ def test_a_next_bit_bet_reads_one_split_as_the_walk_does(mu, g, side, rng):
     # one split; the walk over the restricted generators is the reference
     knowledge, event = KnowledgeState((g,), mu.mass(g), (F(1),)), BitEvent(len(g), side)
     for won in (True, False):
-        assert _side(knowledge, event, mu, won) == _walk_side(knowledge, event, mu, won)
+        assert _side(knowledge, event, mu, won) == _walk_side(knowledge, event, mu, won, None)
     # nullity, read off its path of booleans in any order, is a mass of 0
     strings = ["".join(t) for n in range(7) for t in itertools.product("01", repeat=n)]
     rng.shuffle(strings)

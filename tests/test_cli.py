@@ -414,6 +414,16 @@ def test_malformed_inputs_are_parse_errors(capsys, tmp_path, name):
     assert message in err
 
 
+def test_a_machine_file_skips_blank_lines(capsys, tmp_path):
+    mfile = tmp_path / "m.machine"
+    args = ["deficiency", "--machine", str(mfile), "--point", "7/8", "--length", "2"]
+    mfile.write_text("00\t11\n")
+    code, want, _ = run_cli(capsys, *args)
+    mfile.write_text("\n00\t11\n  \n")
+    code_blank, out, err = run_cli(capsys, *args)
+    assert (code_blank, err, strip_timing(out)) == (code, "", strip_timing(want))
+
+
 def test_a_machine_file_reports_a_repeated_codeword_ahead_of_a_bad_string(capsys, tmp_path):
     # the loader checks only for repeats; PrefixFreeMachine then validates
     # every string, so a repeat anywhere in the file is reported first
@@ -594,6 +604,23 @@ def test_audit_bad_table_fails(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL" in out and "violation" in out
+
+
+@pytest.mark.parametrize("check", ["fairness", "savings", "ville"])
+def test_martingale_checks_need_a_martingale(capsys, check):
+    code, out, err = run_cli(capsys, "audit", "--measure", "fair", "--check", f"additivity,{check}", "--depth", "2")
+    assert (code, out, err) == (2, "", f"usage error: {check} check needs --martingale\n")
+
+
+def test_convert_needs_a_martingale_or_an_input(capsys):
+    code, out, err = run_cli(capsys, "convert", "--measure", "fair")
+    assert (code, out, err) == (2, "", "usage error: convert needs --martingale or --input\n")
+
+
+def test_out_writes_the_report_printed(capsys, tmp_path):
+    report = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "audit", "--measure", "fair", "--depth", "4", "--out", str(report))
+    assert code == 0 and report.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("check", [["savings"], ["ville"], ["ville", "--mc-samples", "5"]])
@@ -827,6 +854,17 @@ def test_bet_doubling_on_a_deep_generator_is_undetermined(capsys, tmp_path):
     code, out, err = run_cli(capsys, *args)
     assert (code, err) == (0, "")
     assert "flag: undetermined (source too short to settle a bet)" in out
+
+
+def test_bet_flags_a_stake_past_the_capital_after_a_first_bet(capsys, tmp_path):
+    # the first bet loses half the capital; the second stakes 5 of the 1/2 left
+    table = tmp_path / "s.json"
+    bit = lambda index: {"kind": "bit", "index": index, "side": 1}
+    table.write_text(json.dumps({"nodes": {"": {"event": bit(0), "stake": "1/2"}, "0": {"event": bit(1), "stake": "5"}}}))
+    args = ["bet", "--strategy", f"table:{table}", "--measure", "fair", "--source", "literal:0000", "--length", "4"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (1, "")
+    assert "flag: strategy violation: stake 5 exceeds capital 1/2 at '0'" in out.splitlines()
 
 
 def test_bet_champernowne_consumes_prefix(capsys, tmp_path):

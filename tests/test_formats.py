@@ -198,12 +198,12 @@ def test_parse_measure_compact(tmp_path):
 
 
 def test_parse_martingale_quotient():
-    m = specfmt.parse_martingale("quotient:bernoulli:2/3/fair")
+    m = specfmt.parse_martingale("quotient:bernoulli:2/3/fair", base=randlab.fair_coin())
     assert m.capital("1") == F(4, 3)
-    m2 = specfmt.parse_martingale("quotient:fair/bernoulli:1/3")
+    m2 = specfmt.parse_martingale("quotient:fair/bernoulli:1/3", base=randlab.bernoulli(F(1, 3)))
     assert m2.capital("1") == F(3, 2)
     with pytest.raises(SpecParseError):
-        specfmt.parse_martingale("quotient:fair")
+        specfmt.parse_martingale("quotient:fair", base=randlab.fair_coin())
 
 
 def test_parse_martingale_table(tmp_path, fair):

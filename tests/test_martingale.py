@@ -131,6 +131,12 @@ def test_fairness_detects_impossibility_violation(null_at_one):
     assert any("null cylinder" in v for v in report.violations)
 
 
+def test_a_martingale_needs_a_capital_function_or_a_kernel(fair):
+    # without either, the first capital() read died with a raw TypeError
+    with pytest.raises(PreconditionError, match="needs a capital function or a kernel"):
+        randlab.Martingale(fair)
+
+
 def test_fairness_reports_a_capital_undefined_on_a_positive_cylinder(fair):
     # only a hand-built capital function can return None where the base is positive
     holey = randlab.Martingale(fair, lambda sigma: None if sigma == "01" else Fraction(1))
@@ -214,7 +220,7 @@ def test_zero_mass_base_is_refused():
     for call in (
         lambda: randlab.savings_transform(mart),
         lambda: randlab.ville_audit(mart, 4, [Fraction(2)]),
-        lambda: ville_monte_carlo(mart, 4, [Fraction(2)], 5),
+        lambda: ville_monte_carlo(mart, 4, [Fraction(2)], 5, 0),
     ):
         with pytest.raises(PreconditionError, match="total mass 0"):
             call()

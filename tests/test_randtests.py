@@ -287,6 +287,12 @@ def test_coverage_transfer_counts_a_floor_of_exactly_2_to_the_n():
     ]
 
 
+def test_a_bounded_test_needs_its_bound():
+    # without one, verifying or serializing the test died with a raw error
+    with pytest.raises(TypeError, match="bound"):
+        BoundedMLTest(randlab.fair_coin(), [CylinderSet.from_strings(["00"])])
+
+
 def test_chain_soundness_small(battery_marts):
     # capital of the cycled martingale dominates the cell averages of the
     # level-count step function it came from

@@ -25,7 +25,7 @@ CONSTRUCTORS = {
     martingale.VilleReport: [(name, REQUIRED) for name in ("n", "threshold", "fraction", "bound", "passed")],
     randtests.CylinderSet: [("generators", REQUIRED), ("depth", REQUIRED)],
     randtests.MLTest: [("base", REQUIRED), ("levels", REQUIRED)],
-    randtests.BoundedMLTest: [("base", REQUIRED), ("levels", REQUIRED), ("bound", None), ("witness", None)],
+    randtests.BoundedMLTest: [("base", REQUIRED), ("levels", REQUIRED), ("bound", REQUIRED), ("witness", None)],
     randtests.VitaliTest: [("base", REQUIRED), ("pieces", REQUIRED), ("bound", REQUIRED)],
     randtests.IntegralStep: [("base", REQUIRED), ("depth", REQUIRED), ("values", REQUIRED), ("bound", REQUIRED), ("unit_witness", False)],
     cells.Region: [("intervals", REQUIRED)],
@@ -96,8 +96,8 @@ def test_records_of_different_classes_never_compare_equal():
         for b in records:
             assert (a == b) is (a is b), (a, b)
     fair = randlab.fair_coin()
-    assert randtests.MLTest(fair, []) != randtests.BoundedMLTest(fair, [])
-    assert randtests.BoundedMLTest(fair, []) != randtests.MLTest(fair, [])
+    assert randtests.MLTest(fair, []) != randtests.BoundedMLTest(fair, [], fair)
+    assert randtests.BoundedMLTest(fair, [], fair) != randtests.MLTest(fair, [])
 
 
 def test_a_differing_field_breaks_equality():

@@ -142,3 +142,49 @@ def test_every_default_is_set_in_src():
         defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         unset += [f"{label}({a.arg})" for a in defaulted if a.arg not in passed[label] and (label, a.arg) != ("main", "argv")]
     assert sorted(unset) == []
+
+
+def _calls_by_default_owner():
+    """For each call in src/ of a module-level function or of a class that is
+    not a record: the label and the def of what the call runs, and the names
+    of the parameters the call passes."""
+    trees = list(TREES.values())
+    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    targets = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                targets[node.name] = (node.name, node, 0)
+            elif isinstance(node, ast.ClassDef) and not {"Record", "FrozenRecord"} & set(_lineage(classes, node.name)):
+                if (found := _init_of(classes, node.name)) is not None:
+                    targets[node.name] = (*found, 1)
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        if name not in targets:
+            continue
+        label, func, skip = targets[name]
+        positional = [a.arg for a in func.args.posonlyargs + func.args.args][skip:]
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+            passed = {*positional, *(a.arg for a in func.args.kwonlyargs)}
+        else:
+            passed = {*positional[: len(call.args)], *(kw.arg for kw in call.keywords)}
+        yield label, func, passed
+
+
+def test_every_default_is_omitted_somewhere():
+    # the converse of test_every_default_is_set_in_src: a default that every
+    # call in src/ overrides is never used, so the parameter is required.
+    # Exported names keep their library defaults, and main(argv=None) reads
+    # sys.argv
+    exported, reached, omitted = _exported(), {}, collections.defaultdict(set)
+    for label, func, passed in _calls_by_default_owner():
+        if label in exported or label == "main":
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        reached[label] = defaulted
+        omitted[label].update(a.arg for a in defaulted if a.arg not in passed)
+    always_set = [f"{label}({a.arg})" for label, defaulted in reached.items() for a in defaulted if a.arg not in omitted[label]]
+    assert sorted(always_set) == []

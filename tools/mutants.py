@@ -44,9 +44,9 @@ MUTANTS = [
     ("randtests.py", "_check_bounds", "if (a << n * shift) * bd > bn * b:", "if False:", "integral exceeds the bound"),
     ("randtests.py", "_check_bounds", "if bn * ud > un * bd:", "if False:", "domination witness fails"),
     ("randtests.py", "check_coverage_transfer", "if a * md != mn * b:", "if False:", "prefix escapes level n"),
-    ("betting.py", "_resolve_bet", "if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):", "if False:", "stake outside [0, capital]"),
-    ("betting.py", "_resolve_bet", "if stake < 0:", "if False:", "negative stake"),
-    ("betting.py", "_resolve_bet", "if knowledge.mass == 0 or qn == 0 or qn == qd:", "if False:", "conditionally null or sure event"),
+    ("betting.py", "StrategyKernel.resolve", "if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):", "if False:", "stake outside [0, capital]"),
+    ("betting.py", "StrategyKernel.resolve", "if stake < 0:", "if False:", "negative stake"),
+    ("betting.py", "StrategyKernel.resolve", "if knowledge.mass == 0 or qn == 0 or qn == qd:", "if False:", "conditionally null or sure event"),
     ("martingale.py", "ville_audit", "if top_n * qd >= qn * top_d:", "if top_n * qd > qn * top_d:", "path hits the threshold, strict"),
     ("martingale.py", "ville_monte_carlo", "if best_n * qd >= qn * best_d:", "if best_n * qd > qn * best_d:", "sample hits the threshold, strict"),
     ("martingale.py", "_fairness_visit", "elif cn < 0:", "elif cn <= 0:", "negative capital, lax"),
@@ -55,7 +55,7 @@ MUTANTS = [
     ("randtests.py", "_check_bounds", "if (a << n * shift) * bd > bn * b:", "if (a << n * shift) * bd >= bn * b:", "integral exceeds the bound, lax"),
     ("randtests.py", "_check_bounds", "if bn * ud > un * bd:", "if bn * ud >= un * bd:", "domination witness fails, lax"),
     ("randtests.py", "check_coverage_transfer", "if f is not None and f >= 2**n:", "if f is not None and f > 2**n:", "floor of exactly 2^n counted"),
-    ("betting.py", "_resolve_bet", "if stake < 0:", "if stake <= 0:", "negative stake, lax"),
+    ("betting.py", "StrategyKernel.resolve", "if stake < 0:", "if stake <= 0:", "negative stake, lax"),
     ("martingale.py", "ville_audit", "if mn == 0:", "if False:", "null subtree skipped"),
     ("martingale.py", "QuotientKernel.read_pair", "if mn < 0:", "if False:", "negative mass read with den > 0"),
     ("machines.py", "deficiency_trace", "if bracket is None:", "if False:", "null cell ends the trace"),

@@ -26,7 +26,7 @@ from .measure import (
 from .martingale import (
     CapitalTrace,
     Martingale,
-    SavingsPair,
+    SavingsMartingale,
     VilleReport,
     check_fairness,
     from_measures,

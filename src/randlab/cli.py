@@ -141,8 +141,7 @@ def cmd_audit(opts, raw_args) -> Report:
         elif check == "fairness":
             report.check(f"fairness@{opts.depth}", check_fairness(mart, opts.depth))
         elif check == "savings":
-            sp = savings_transform(mart)
-            report.check(f"savings-fairness@{opts.depth}", check_fairness(sp.total, opts.depth))
+            report.check(f"savings-fairness@{opts.depth}", check_fairness(savings_transform(mart), opts.depth))
         elif check == "ville":
             cs = opts.c.split(",")
             thresholds = [parse_rational(c) for c in cs]
@@ -191,8 +190,6 @@ def cmd_convert(opts, raw_args) -> Report:
         doc = specfmt.load_json(opts.input)
         obj = specfmt.test_from_doc(doc)
         start = doc["kind"]
-        if start == "ml":
-            raise SpecParseError("a plain ml test has no bound to convert; audit it instead")
         report.digest("input", opts.input)
     else:
         raise SpecParseError("convert needs --martingale or --input")
@@ -201,7 +198,7 @@ def cmd_convert(opts, raw_args) -> Report:
     for edge in zip(path, path[1:]):
         obj = _STEPS[edge](obj, opts)
     if path[-1] in ("martingale", "savings"):
-        report.check(f"fairness@{opts.depth}", check_fairness(obj.total if path[-1] == "savings" else obj, opts.depth))
+        report.check(f"fairness@{opts.depth}", check_fairness(obj, opts.depth))
     else:
         report.check(f"bounds@{opts.depth}", randtests.verify_test_bounds(obj, opts.depth))
         doc = specfmt.test_to_doc(obj, depth=opts.depth)

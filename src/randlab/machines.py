@@ -37,9 +37,6 @@ class PrefixFreeMachine:
         if bad is not None:
             raise ConstructionError(f"domain not prefix-free: {bad[0]!r} < {bad[1]!r}")
 
-    def __len__(self):
-        return len(self.table)
-
     def kraft_weight(self):
         return self.semimeasure("")
 

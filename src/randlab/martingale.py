@@ -283,25 +283,18 @@ def _children_masses(pn, pd, read0, read1) -> tuple:
     return (n0, d0), (n1, d1)
 
 
-class SavingsPair(Record):
-    """A martingale with the savings property plus its savings floor."""
-
-    def __init__(self, total: Martingale):
-        self.total = total
-
-    @property
-    def base(self) -> Measure:
-        return self.total.base
+class SavingsMartingale(Martingale):
+    """A martingale with the savings property, whose kernel also carries its savings floor."""
 
     def savings(self, sigma: str) -> Optional[Fraction]:
         """The savings floor at sigma, None on null cylinders."""
-        kernel, payload = self.total.kernel, self.total.payload(sigma)
+        kernel, payload = self.kernel, self.payload(sigma)
         if kernel.read_pair(payload)[0] == 0:
             return None
         return RAT(*kernel.read_floor_pair(payload))
 
 
-def savings_transform(mart: Martingale) -> SavingsPair:
+def savings_transform(mart: Martingale) -> SavingsMartingale:
     """Split a martingale into active capital plus a nondecreasing savings floor.
 
     The source capital is first replaced by capital+1 so the recursion never
@@ -311,8 +304,7 @@ def savings_transform(mart: Martingale) -> SavingsPair:
     """
     if _start_capital(mart) == -1:
         raise PreconditionError("cannot normalize a martingale with zero start capital")
-    total = Martingale(mart.base, label=f"savings({mart.label})", kernel=SavingsKernel(mart.kernel))
-    return SavingsPair(total=total)
+    return SavingsMartingale(mart.base, label=f"savings({mart.label})", kernel=SavingsKernel(mart.kernel))
 
 
 class CapitalTrace(Record):

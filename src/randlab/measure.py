@@ -273,10 +273,9 @@ def interleave_product(mu1: Measure, mu2: Measure) -> Measure:
 class AuditReport(Record):
     """Outcome of an exhaustive exact check; violations are data, not errors."""
 
-    def __init__(self, checked: int = 0, violations: Optional[list] = None, notes: Optional[list] = None):
+    def __init__(self, checked: int = 0, violations: Optional[list] = None):
         self.checked = checked
         self.violations = [] if violations is None else violations
-        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

@@ -1,7 +1,7 @@
 """Finite-depth randomness tests and the conversions among them.
 
 Five object kinds circulate here: martingales (from the martingale module),
-savings pairs, integral step functions, level tests (plain and
+savings martingales, integral step functions, level tests (plain and
 measure-bounded), and summable piece tests.  Every conversion is exact and
 every defining inequality is checkable to a stated depth by
 verify_test_bounds.
@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import bits
 from .errors import ConstructionError, PreconditionError, check_enumeration_depth
-from .martingale import Martingale, SavingsPair, from_measures, to_measure
+from .martingale import Martingale, SavingsMartingale, from_measures, to_measure
 from .measure import AuditReport, FrozenRecord, Measure, Record, fair_coin
 from .rationals import RAT, ZERO
 
@@ -152,13 +152,13 @@ def _walk(base: Measure, bound: Optional[Measure], depth: int, sets, full=True):
             up[:] = [(un * d + n * ud, ud * d) for (un, ud), (n, d) in zip(up, acc)]
 
 
-def martingale_to_integral(sp: SavingsPair, depth: int) -> IntegralStep:
+def martingale_to_integral(sp: SavingsMartingale, depth: int) -> IntegralStep:
     """Step function equal to the savings floor on depth-d cells, bounded by
-    the measure total*base carried through null cylinders, whose split rows the
+    the measure capital*base carried through null cylinders, whose split rows the
     one walk of the savings kernel records for the verifier and the snapshot."""
     check_enumeration_depth(depth)
-    kernel, values, floors = sp.total.kernel, {}, {}
-    read, bound, root = kernel.read_pair, to_measure(sp.total), kernel.root()
+    kernel, values, floors = sp.kernel, {}, {}
+    read, bound, root = kernel.read_pair, to_measure(sp), kernel.root()
     stack = [("", root, read(root), bound.total.numerator, bound.total.denominator)]
     while stack:
         cell, payload, here, pn, pd = stack.pop()
@@ -208,9 +208,8 @@ def integral_to_martingale(step: IntegralStep) -> Martingale:
 def verify_test_bounds(obj, depth: int) -> AuditReport:
     """Exact verification of every defining inequality at all |sigma| <= depth
     (capped like every exhaustive enumeration) for an MLTest, BoundedMLTest,
-    VitaliTest or IntegralStep.  A plain MLTest's report also notes the
-    Schnorr-style property: every level mass is exactly representable.  Each
-    kind is one _walk; violations come by prefix length, then lexicographically."""
+    VitaliTest or IntegralStep.  Each kind is one _walk; violations come by
+    prefix length, then lexicographically."""
     report = AuditReport()
     if isinstance(obj, IntegralStep):
         _verify_integral(obj, depth, report)
@@ -219,7 +218,6 @@ def verify_test_bounds(obj, depth: int) -> AuditReport:
     elif isinstance(obj, MLTest):
         (_, _, _, masses), = _walk(obj.base, None, 0, _level_sets(obj.levels))  # the root alone
         _verify_ml_levels(masses, report)
-        report.notes.append("schnorr-style: every level mass exactly representable")
     elif isinstance(obj, VitaliTest):
         _verify_vitali(obj, depth, report)
     else:
@@ -285,11 +283,11 @@ def _check_bounds(test, depth: int, report: AuditReport, sets: list, text=None, 
     return ints[: len(sets)], [v[-1] for v in sorted(over)] + [v[-1] for v in sorted(under)]
 
 
-def check_coverage_transfer(sp: SavingsPair, test: BoundedMLTest, depth: int) -> AuditReport:
+def check_coverage_transfer(sp: SavingsMartingale, test: BoundedMLTest, depth: int) -> AuditReport:
     """Check that a savings floor of at least 2^n at a prefix puts the whole
     prefix cylinder inside level n, for every prefix of length <= depth.  One
     walk reads each level's integral under the fair coin, which is 2^-|p|
-    exactly when the level covers [p], and the floor at p off the savings pair."""
+    exactly when the level covers [p], and the floor at p off the savings martingale."""
     check_enumeration_depth(depth)
     report, failed = AuditReport(), []
     for p, (mn, md), _, within in _walk(fair_coin(), None, depth, _level_sets(test.levels)):

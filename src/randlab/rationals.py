@@ -61,8 +61,6 @@ def neg_log2_bracket(n: int, d: int) -> tuple[int, int]:
 
 def frac_log2(q) -> float:
     """Float log2 of a positive rational, safe for huge numerators/denominators."""
-    if q <= 0:
-        raise ValueError("frac_log2 needs a positive rational")
     return _int_log2(int(q.numerator)) - _int_log2(int(q.denominator))
 
 

@@ -357,14 +357,11 @@ def load_machine_file(path: str):
 # ------------------------------------------------------------ test bundles
 
 def test_to_doc(obj, depth: int) -> dict:
-    kinds = [(randtests.IntegralStep, "integral"), (randtests.BoundedMLTest, "bounded_ml"),
-             (randtests.VitaliTest, "vitali"), (randtests.MLTest, "ml")]
+    kinds = [(randtests.IntegralStep, "integral"), (randtests.BoundedMLTest, "bounded_ml"), (randtests.VitaliTest, "vitali")]
     kind = next((name for cls, name in kinds if isinstance(obj, cls)), None)
     if kind is None:
         raise SpecParseError(f"cannot serialize {type(obj).__name__}")
-    doc = {"kind": kind, "base": measure_to_doc(obj.base, depth)}
-    if kind != "ml":
-        doc["bound"] = measure_to_doc(obj.bound, depth)
+    doc = {"kind": kind, "base": measure_to_doc(obj.base, depth), "bound": measure_to_doc(obj.bound, depth)}
     if kind == "integral":
         texts = {}  # by object, which is cheaper than hashing a rational: a converted step shares its values
         doc["values"] = [[cell, texts.get(id(v)) or texts.setdefault(id(v), format_rational(v))] for cell, v in sorted(obj.values.items())]
@@ -394,8 +391,7 @@ def _doc_field(doc: dict, name: str, row_length=None, what="test doc"):
 
 
 _TEST_FIELDS = {
-    "ml": ("levels",), "bounded_ml": ("levels", "bound"), "vitali": ("pieces", "bound"),
-    "integral": ("values", "bound", "unit_witness"),
+    "bounded_ml": ("levels", "bound"), "vitali": ("pieces", "bound"), "integral": ("values", "bound", "unit_witness"),
 }
 
 
@@ -411,8 +407,6 @@ def test_from_doc(doc):
     if kind != "integral":
         rows = _doc_field(doc, "pieces" if kind == "vitali" else "levels", 0)
         sets = [randtests.CylinderSet.from_strings([validate_bits(g) for g in gens], depth) for gens in rows]
-    if kind == "ml":
-        return randtests.MLTest(base=base, levels=sets)
     bound = measure_from_doc(_doc_field(doc, "bound"))
     if kind == "bounded_ml":
         return randtests.BoundedMLTest(base=base, levels=sets, bound=bound)

@@ -71,7 +71,7 @@ def test_criterion_01_exact_fairness_and_additivity(marts, chains):
         assert report.ok, (name, report.violations[:2])
         assert mu.mass("") == 1, name
     for name, chain in chains.items():
-        for mart in (chain.sp.total, chain.final):
+        for mart in (chain.sp, chain.final):
             report = randlab.check_fairness(mart, depth)
             assert report.ok, (name, report.violations[:2])
     elapsed = verdict(
@@ -127,7 +127,7 @@ def test_criterion_04_savings_sandwich(marts):
     depth = 12
     for name, m in marts.items():
         sp = randlab.savings_transform(m)
-        kernel = sp.total.kernel
+        kernel = sp.kernel
         stack = [("", kernel.root(), None)]
         while stack:
             sigma, payload, f_parent = stack.pop()

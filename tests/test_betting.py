@@ -91,6 +91,11 @@ def test_a_strategy_that_states_no_bet_is_a_precondition_error(fair):
         _Silent().bet("", F(1), KnowledgeState(("",), F(1), (F(1),)), fair)
 
 
+def test_a_bet_on_no_event_is_a_precondition_error(fair):
+    with pytest.raises(PreconditionError, match="unknown event type str"):
+        walk_strategy(TableStrategy({"": ("0", F(1, 2))}), fair, 1)
+
+
 def test_doubling_empty_target(fair):
     s = randlab.doubling_strategy([], fair)
     result = randlab.play(s, fair, "0101")

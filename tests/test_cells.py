@@ -349,6 +349,8 @@ def test_natural_decomposition(null_at_one):
     assert not nd.name_point("01", 3).determined
     with pytest.raises(ConstructionError, match="not a binary string"):
         nd.name_point("2a1", 3)
+    with pytest.raises(PreconditionError, match="points of the natural decomposition are bit strings"):
+        nd.name_point(5, 3)
     assert nd.pushforward() is null_at_one
 
 

@@ -214,6 +214,8 @@ MALFORMED_DOCS = {
         "test doc field 'levels' must be a list of lists of generator strings, got \"01\"",
     ),
     "base-string": ({"kind": "vitali", "base": "fair", "pieces": []}, "test doc field 'base' must be an object, got \"fair\""),
+    # a plain level test has no bound, so the conversion chain has no place for it
+    "ml": ({"kind": "ml", "base": FAIR, "levels": [["0"]]}, "unknown test kind 'ml'"),
 }
 
 
@@ -958,6 +960,31 @@ def test_name_command(capsys):
     assert code == 1
     assert "undetermined at depth 1" in out
     assert "resolved: 10" in out
+
+
+def test_name_natural_resolves_the_bits_it_was_given(capsys):
+    args = ["name", "--decomposition", "natural:fair", "--point", "01", "--length", "4"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (1, "")
+    assert strip_timing(out) == "\n".join(
+        ["command: randlab " + " ".join(args), "name: undetermined at depth 3 (prefix '01')", "resolved: 01"]
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ("bogus:1", "usage error: cannot parse strategy spec 'bogus:1'"),
+        ("table:{doc}", "usage error: unknown event kind 'nope'"),
+        ("bit_all_in:", "error: sides must be a nonempty binary string"),
+    ],
+)
+def test_bet_refuses_a_strategy_it_cannot_play(capsys, tmp_path, strategy, message):
+    doc = tmp_path / "strategy.json"
+    doc.write_text(json.dumps({"nodes": {"": {"event": {"kind": "nope"}, "stake": "1/2"}}}))
+    args = ["bet", "--strategy", strategy.format(doc=doc), "--measure", "fair", "--source", "literal:0101", "--length", "4"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize(

@@ -262,6 +262,12 @@ def test_test_bundle_roundtrip(battery_marts):
     assert randlab.verify_test_bounds(step_back, 6).ok
 
 
+def test_a_plain_level_test_has_no_document(fair):
+    # a test document carries a bound, which a plain MLTest lacks
+    with pytest.raises(SpecParseError, match="cannot serialize MLTest"):
+        specfmt.test_to_doc(randlab.MLTest(base=fair, levels=[]), depth=2)
+
+
 def _stream(p, seed, length):
     rng = random.Random(seed)
     return "".join("1" if rng.random() < p else "0" for _ in range(length))

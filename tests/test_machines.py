@@ -51,7 +51,12 @@ def test_kc_build_worked_case():
 
 
 def test_kc_build_empty():
-    assert len(randlab.kc_build([])) == 0
+    assert randlab.kc_build([]).table == {}
+
+
+def test_kc_build_refuses_a_negative_length():
+    with pytest.raises(PreconditionError, match="request lengths must be nonnegative"):
+        randlab.kc_build([(-1, "0")])
 
 
 def test_kc_build_kraft_violation():

@@ -59,17 +59,18 @@ def test_unit_martingale_gives_base(bern13):
 def test_savings_one_level_worked_case(fair):
     mart = randlab.table_martingale(fair, {"": 2, "0": 4, "1": 0})
     sp = randlab.savings_transform(mart)
+    assert isinstance(sp, randlab.Martingale) and (sp.base, sp.label) == (fair, f"savings({mart.label})")
     # capital + 1 is 3, 5, 1, scaled by 1/3 to start at 1
-    assert sp.total.capital("") == 1 and sp.savings("") == 0
-    assert sp.total.capital("0") == Fraction(5, 3) and sp.savings("0") == Fraction(2, 3)
-    assert sp.total.capital("1") == Fraction(1, 3) and sp.savings("1") == 0
+    assert sp.capital("") == 1 and sp.savings("") == 0
+    assert sp.capital("0") == Fraction(5, 3) and sp.savings("0") == Fraction(2, 3)
+    assert sp.capital("1") == Fraction(1, 3) and sp.savings("1") == 0
 
 
 def test_savings_constant_martingale(fair):
     for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
         sp = randlab.savings_transform(randlab.table_martingale(fair, {}, start=c))
         for sigma in ("", "0", "1", "01", "110"):
-            assert sp.total.capital(sigma) == 1
+            assert sp.capital(sigma) == 1
             assert sp.savings(sigma) == 0
 
 
@@ -283,10 +284,10 @@ def _assert_kernel_matches_public_values(mart, nu, mu, depth):
         assert mass == mu.mass(sigma), (mart.label, sigma)
         assert cap == mart.capital(sigma) == _quotient_reference(nu, mu, sigma), (mart.label, sigma)
     sp = randlab.savings_transform(mart)
-    for sigma, (mass, cap) in _walk_kernel(sp.total, depth):
+    for sigma, (mass, cap) in _walk_kernel(sp, depth):
         total, floor = _savings_reference(lambda s: _quotient_reference(nu, mu, s), sigma)
         assert mass == mu.mass(sigma), (mart.label, sigma)
-        assert cap == sp.total.capital(sigma) == total, (mart.label, sigma)
+        assert cap == sp.capital(sigma) == total, (mart.label, sigma)
         assert sp.savings(sigma) == floor, (mart.label, sigma)
 
 
@@ -320,7 +321,7 @@ def test_kernels_agree_on_generated_measures(pair):
     nu, mu = pair
     mart = randlab.from_measures(nu, mu)
     _assert_kernel_matches_public_values(mart, nu, mu, 6)
-    for m in (mart, randlab.savings_transform(mart).total):
+    for m in (mart, randlab.savings_transform(mart)):
         assert randlab.check_fairness(m, 6).ok, m.label
 
 
@@ -475,7 +476,7 @@ def test_savings_sandwich_on_generated_martingales(case):
     sp = randlab.savings_transform(mart)
     for n in range(depth + 1):
         for sigma in randlab.bits.all_strings(n):
-            f, total = sp.savings(sigma), sp.total.capital(sigma)
+            f, total = sp.savings(sigma), sp.capital(sigma)
             if mart.base.is_null(sigma):
                 assert f is None and total is None, sigma
                 continue
@@ -552,10 +553,10 @@ def test_long_path_values_match_iterative_reference():
             n = f + ratio * (n - f)
         f = max(f, n - 1)
         totals.append(n)
-    assert sp.total.capital(x) == n
+    assert sp.capital(x) == n
     assert sp.savings(x) == f
-    assert randlab.run(sp.total, x).values == totals
-    assert randlab.to_measure(sp.total).mass(x) == n / 2**1500
+    assert randlab.run(sp, x).values == totals
+    assert randlab.to_measure(sp).mass(x) == n / 2**1500
 
 
 def test_ville_monte_carlo_keeps_no_per_prefix_cache():

@@ -75,6 +75,17 @@ def test_bad_split_rejected():
         randlab.bernoulli(Fraction(-1, 2))
 
 
+def test_a_negative_total_is_refused():
+    with pytest.raises(ConstructionError, match="total mass must be nonnegative"):
+        randlab.Measure(lambda sigma: Fraction(1, 2), total=-1)
+
+
+def test_a_split_function_may_return_an_int():
+    mu = randlab.Measure(lambda sigma: 1)
+    assert (mu.split(""), mu.mass("1"), mu.mass("01")) == (1, 1, 0)
+    assert isinstance(mu.split(""), Fraction)
+
+
 def test_path_cache_reads_on_after_a_read_that_raised():
     # the split at '01' is out of range; a read through it raises, and the
     # cached path must still answer every other string (it gave IndexError)
@@ -143,7 +154,7 @@ def _capital_walk(mu, mart):
 def _savings_walk(mu, mart):
     sp = randlab.savings_transform(mart)
     for sigma in ("0101", "0110", "1"):
-        sp.total.capital(sigma)
+        sp.capital(sigma)
         sp.savings(sigma)
 
 

@@ -30,6 +30,8 @@ def test_cylinder_set_prefix_free():
         CylinderSet(generators=("0", "01"), depth=4)
     with pytest.raises(ConstructionError, match="'0' < '0'"):  # a repeat would count its mass twice
         CylinderSet(generators=("0", "0"), depth=1)
+    with pytest.raises(ConstructionError, match="generator longer than the truncation depth"):
+        CylinderSet(generators=("010",), depth=2)
     cs = CylinderSet.from_strings(["10", "11", "01"])
     assert cs.generators == ("01", "1")  # siblings merged, sorted
 
@@ -113,8 +115,8 @@ def test_savings_of_any_capital_table_starts_at_one_and_walks_the_chain(base, ta
     except randlab.PreconditionError:
         assert mart.capital("") in (-1, None)
         return
-    assert (sp.total.capital(""), sp.savings("")) == (1, 0)
-    randlab.check_fairness(sp.total, 6)
+    assert (sp.capital(""), sp.savings("")) == (1, 0)
+    randlab.check_fairness(sp, 6)
     randlab.verify_test_bounds(randlab.martingale_to_integral(sp, 5), 5)
 
 
@@ -260,7 +262,6 @@ def test_verify_empty_test(fair):
     empty = MLTest(base=fair, levels=[CylinderSet.from_strings([])])
     report = randlab.verify_test_bounds(empty, 4)
     assert report.ok
-    assert any("schnorr" in note for note in report.notes)
 
 
 def test_coverage_transfer_battery(battery_marts):
@@ -441,6 +442,23 @@ def test_verifier_reports_are_pinned(kind, depth):
 def test_integral_step_cells_must_have_the_step_depth(fair):
     with pytest.raises(ConstructionError):
         IntegralStep(base=fair, depth=3, values={"01": Fraction(1)}, bound=fair)
+
+
+def test_vitali_to_integral_refuses_pieces_deeper_than_the_step(fair):
+    test = VitaliTest(base=fair, pieces=[CylinderSet.from_strings(["010"])], bound=fair)
+    with pytest.raises(randlab.PreconditionError, match="piece generators deeper than the requested depth"):
+        randlab.vitali_to_integral(test, 2)
+
+
+def test_integral_to_martingale_refuses_a_step_without_a_bound(fair):
+    # without the refusal the quotient kernel dies reading the bound's root mass
+    with pytest.raises(randlab.PreconditionError, match="integral step carries no bound measure"):
+        randlab.integral_to_martingale(IntegralStep(base=fair, depth=1, values={}, bound=None))
+
+
+def test_only_tests_and_steps_are_verified():
+    with pytest.raises(ConstructionError, match="cannot verify object of type object"):
+        randlab.verify_test_bounds(object(), 2)
 
 
 def test_verifying_generators_deeper_than_the_cap_hits_the_cap(fair, monkeypatch):

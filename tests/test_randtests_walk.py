@@ -98,8 +98,6 @@ def ref_verify(obj, depth):
                     report.add(f"bounded inequality fails at level {n}, sigma {sigma!r}: {lhs} > 2^-{n} * {nu_sigma}")
         if obj.witness is not None:
             ref_witness(obj.witness, depth, report, ref_integrals(obj.witness, depth))
-    elif isinstance(obj, MLTest):
-        report.notes.append("schnorr-style: every level mass exactly representable")
     if isinstance(obj, VitaliTest):
         within = ref_cover_integrals(obj.base, obj.pieces, depth)
         for sigma in ref_prefixes(depth):
@@ -164,7 +162,7 @@ def outcome(fn):
 def assert_same(obj, depth):
     got, want = randlab.verify_test_bounds(obj, depth), ref_verify(obj, depth)
     assert got.violations == want.violations
-    assert (got.checked, got.notes) == (want.checked, want.notes)
+    assert got.checked == want.checked
 
 
 # splits of exactly 0 and 1 make null cylinders
@@ -213,7 +211,7 @@ def test_conversion_chain_matches_the_string_reading_verifiers(case):
     assert (got.violations, got.checked) == (want.violations, want.checked)
     # the bound's recorded rows read as capital * mass does, to the step depth;
     # an unfair bound can have a split outside [0, 1]: all refuse it at the same prefix
-    kernel_bound = randlab.to_measure(sp.total)
+    kernel_bound = randlab.to_measure(sp)
     assert len(step.bound.split_rows) == 2**step_depth - 1
     assert mass_states(step.bound, step_depth) == mass_states(kernel_bound, step_depth)
     for d in (step_depth, depth, -1):
@@ -240,11 +238,11 @@ def test_bounded_ml_verified_past_its_step_depth_reads_the_kernel(case):
     bounded = randlab.integral_to_bounded_ml(step)
     unrecorded = randlab.integral_to_bounded_ml(
         randlab.IntegralStep(
-            base=step.base, depth=step.depth, values=step.values, bound=randlab.to_measure(sp.total), unit_witness=step.unit_witness
+            base=step.base, depth=step.depth, values=step.values, bound=randlab.to_measure(sp), unit_witness=step.unit_witness
         )
     )
     got, want = randlab.verify_test_bounds(bounded, depth), randlab.verify_test_bounds(unrecorded, depth)
-    assert (got.violations, got.checked, got.notes) == (want.violations, want.checked, want.notes)
+    assert (got.violations, got.checked) == (want.violations, want.checked)
     assert_same(bounded, depth)
 
 
@@ -256,7 +254,7 @@ def test_converted_bound_reads_as_a_fresh_to_measure(case):
     # the bound's children_pairs and split are those of a bound without rows
     base, mart, step_depth, _ = case
     sp = randlab.savings_transform(mart)
-    bound, fresh = randlab.martingale_to_integral(sp, step_depth).bound, randlab.to_measure(sp.total)
+    bound, fresh = randlab.martingale_to_integral(sp, step_depth).bound, randlab.to_measure(sp)
     for sigma in ref_prefixes(step_depth + 2):
         m = fresh.mass(sigma)
         pairs = [bound.children_pairs(sigma, m.numerator, m.denominator), fresh.children_pairs(sigma, m.numerator, m.denominator)]

@@ -19,8 +19,7 @@ REQUIRED = inspect.Parameter.empty
 
 # record -> its constructor's (name, default) pairs, in order
 CONSTRUCTORS = {
-    measure.AuditReport: [("checked", 0), ("violations", None), ("notes", None)],
-    martingale.SavingsPair: [("total", REQUIRED)],
+    measure.AuditReport: [("checked", 0), ("violations", None)],
     martingale.CapitalTrace: [("prefix", REQUIRED), ("values", REQUIRED), ("hit_null_at", None)],
     martingale.VilleReport: [(name, REQUIRED) for name in ("n", "threshold", "fraction", "bound", "passed")],
     randtests.CylinderSet: [("generators", REQUIRED), ("depth", REQUIRED)],
@@ -66,7 +65,7 @@ def test_every_record_is_pinned():
     modules = (measure, martingale, randtests, cells, betting, machines)
     found = {c for m in modules for c in vars(m).values() if isinstance(c, type) and issubclass(c, measure.Record) and c.__module__ == m.__name__}
     assert found - {measure.Record, measure.FrozenRecord} == set(CONSTRUCTORS)
-    assert len(CONSTRUCTORS) == 25
+    assert len(CONSTRUCTORS) == 24
 
 
 @pytest.mark.parametrize("cls", list(CONSTRUCTORS), ids=lambda c: c.__name__)
@@ -130,9 +129,8 @@ def test_cylinder_set_sorts_its_generators():
 def test_each_report_and_trace_gets_its_own_lists():
     a, b = measure.AuditReport(), measure.AuditReport()
     a.add("broken")
-    a.notes.append("note")
-    assert (b.violations, b.notes) == ([], [])
-    assert a.violations is not b.violations and a.notes is not b.notes
+    assert b.violations == []
+    assert a.violations is not b.violations
     s, t = machines.DeficiencyTrace(0), machines.DeficiencyTrace(0)
     s.rows.append("row")
     assert t.rows == [] and s.rows is not t.rows

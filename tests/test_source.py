@@ -104,13 +104,13 @@ def _init_of(classes: dict, name: str):
     return None
 
 
-def test_every_default_is_set_in_src():
-    # a default no call in src/ passes has one value in use, so it is a
-    # constant, not a parameter; a function no call in src/ reaches is a
-    # library entry point, and main(argv=None) reads sys.argv
+def _calls_by_default_owner():
+    """For each call in src/ of a module-level function, of a class that is
+    not a record, or of a module alias of either such as to_measure: the label
+    and the def of what the call runs, and the names of the parameters the
+    call passes."""
     trees = list(TREES.values())
     classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
-
     targets = {}  # a name calls use -> (label, the def it runs, 1 if it takes self)
     for tree in trees:
         for node in tree.body:
@@ -119,45 +119,10 @@ def test_every_default_is_set_in_src():
             elif isinstance(node, ast.ClassDef) and not {"Record", "FrozenRecord"} & set(_lineage(classes, node.name)):
                 if (found := _init_of(classes, node.name)) is not None:
                     targets[node.name] = (*found, 1)
-    for tree in trees:  # a module alias of a class, such as to_measure
+    for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in targets:
                 targets.update({t.id: targets[node.value.id] for t in node.targets if isinstance(t, ast.Name)})
-    passed, reached = collections.defaultdict(set), {}
-    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
-        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
-        if name not in targets:
-            continue
-        label, func, skip = targets[name]
-        reached[label] = func
-        positional = [a.arg for a in func.args.posonlyargs + func.args.args][skip:]
-        if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
-            passed[label].update(positional, (a.arg for a in func.args.kwonlyargs))
-        passed[label].update(positional[: len(call.args)], (kw.arg for kw in call.keywords))
-    unset = []
-    for label, func in reached.items():
-        args = func.args
-        positional = args.posonlyargs + args.args
-        defaulted = positional[len(positional) - len(args.defaults) :]
-        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        unset += [f"{label}({a.arg})" for a in defaulted if a.arg not in passed[label] and (label, a.arg) != ("main", "argv")]
-    assert sorted(unset) == []
-
-
-def _calls_by_default_owner():
-    """For each call in src/ of a module-level function or of a class that is
-    not a record: the label and the def of what the call runs, and the names
-    of the parameters the call passes."""
-    trees = list(TREES.values())
-    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
-    targets = {}
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                targets[node.name] = (node.name, node, 0)
-            elif isinstance(node, ast.ClassDef) and not {"Record", "FrozenRecord"} & set(_lineage(classes, node.name)):
-                if (found := _init_of(classes, node.name)) is not None:
-                    targets[node.name] = (*found, 1)
     for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
         if name not in targets:
@@ -171,6 +136,25 @@ def _calls_by_default_owner():
         yield label, func, passed
 
 
+def _defaulted(func) -> list:
+    """The parameters of a def that have defaults."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    return positional[len(positional) - len(args.defaults) :] + [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def test_every_default_is_set_in_src():
+    # a default no call in src/ passes has one value in use, so it is a
+    # constant, not a parameter; a function no call in src/ reaches is a
+    # library entry point, and main(argv=None) reads sys.argv
+    reached, passed = {}, collections.defaultdict(set)
+    for label, func, names in _calls_by_default_owner():
+        reached[label] = func
+        passed[label] |= names
+    unset = [f"{label}({a.arg})" for label, func in reached.items() for a in _defaulted(func) if a.arg not in passed[label]]
+    assert sorted(u for u in unset if u != "main(argv)") == []
+
+
 def test_every_default_is_omitted_somewhere():
     # the converse of test_every_default_is_set_in_src: a default that every
     # call in src/ overrides is never used, so the parameter is required.
@@ -180,11 +164,7 @@ def test_every_default_is_omitted_somewhere():
     for label, func, passed in _calls_by_default_owner():
         if label in exported or label == "main":
             continue
-        args = func.args
-        positional = args.posonlyargs + args.args
-        defaulted = positional[len(positional) - len(args.defaults) :]
-        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        reached[label] = defaulted
-        omitted[label].update(a.arg for a in defaulted if a.arg not in passed)
+        reached[label] = _defaulted(func)
+        omitted[label].update(a.arg for a in reached[label] if a.arg not in passed)
     always_set = [f"{label}({a.arg})" for label, defaulted in reached.items() for a in defaulted if a.arg not in omitted[label]]
     assert sorted(always_set) == []

@@ -72,18 +72,13 @@ from .betting import (
     LikelihoodRatioStrategy,
     NullStrategy,
     TableStrategy,
-    classify_strategy,
     doubling_strategy,
-    kl_payoff,
     play,
     strategy_to_cantor,
-    strategy_to_interval_morphism,
 )
 from .machines import (
     DeficiencyTrace,
-    MachineClass,
     PrefixFreeMachine,
-    classify_machine,
     deficiency_trace,
     kc_build,
     request_weight,

@@ -90,7 +90,7 @@ def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit
     elif isinstance(event, CylinderEvent):
         side = (bits.intersect if won else bits.subtract)(gens, event.generators)
     else:
-        raise PreconditionError(f"unknown event type {type(event).__name__}")
+        raise _unknown_event(event)
     weights, qn, qd, last = [], 0, 1, None
     for h in side:
         # knowledge sets are prefix-free, canonical and sorted, so the one
@@ -115,13 +115,19 @@ def _walk_side(knowledge: "KnowledgeState", event, mu: Measure, won: bool, limit
     return side, tuple(RAT(n * qd, d * qn) for n, d in weights) if qn else None, (qn, qd)
 
 
+def _unknown_event(event) -> PreconditionError:
+    return PreconditionError(f"unknown event type {type(event).__name__}")
+
+
 def _membership(event, x: str):
     """Does the sample with prefix x lie in the event? True/False/None."""
     if isinstance(event, BitEvent):
         if event.index >= len(x):
             return None
         return int(x[event.index]) == event.side
-    return bits.member_prefix(event.generators, x)
+    if isinstance(event, CylinderEvent):
+        return bits.member_prefix(event.generators, x)
+    raise _unknown_event(event)
 
 
 class KnowledgeState(Record):
@@ -259,25 +265,6 @@ def doubling_strategy(target, mu: Measure) -> DoublingStrategy:
     return DoublingStrategy(target, mu)
 
 
-def kl_payoff(mu: Measure, known, target: int, side: int) -> Optional[Fraction]:
-    """Per-unit winnings for betting that coordinate `target` equals `side`
-    after the coordinates in `known` (pairs (index, bit)) have been revealed.
-
-    None when the conditioning event or the chosen side is null.
-    """
-    known = dict(known)
-    if target in known:
-        raise PreconditionError(f"coordinate {target} was already revealed")
-    # the conditional odds a bet reads: every restriction goes through _side
-    knowledge = KnowledgeState(("",), mu.mass(""), (ONE,))
-    for index, bit in [*sorted(known.items()), (target, side)]:
-        gens, weights, (qn, qd) = _side(knowledge, BitEvent(index, bit), mu, True)
-        if qn == 0 or knowledge.mass == 0:
-            return None
-        knowledge = KnowledgeState(gens, knowledge.mass * RAT(qn, qd), weights)
-    return RAT(qd - qn, qn)
-
-
 class _Node(Record):
     def __init__(self, history: str, knowledge: KnowledgeState, capital: Fraction):
         self.history, self.knowledge, self.capital = history, knowledge, capital
@@ -345,25 +332,6 @@ class StrategyKernel:
         return m.numerator, m.denominator, c.numerator, c.denominator
 
 
-def _preorder(strategy: BettingStrategy, mu: Measure, depth: int):
-    """The history tree's nodes to the depth, each as (node, lose, win) once
-    its bet is resolved, lose and win its children (None where it stopped
-    betting): a node's bet, then its win subtree, then its loss subtree, so
-    the first StrategyViolation raised is the parent's.  The walk holds only
-    its stack."""
-    check_enumeration_depth(depth)
-    kernel = StrategyKernel(strategy, mu, depth)
-    stack = [kernel.root()]
-    while stack:
-        node = stack.pop()
-        lose, win = kernel.children(node.history, node)
-        if lose is None:
-            win = None
-        else:
-            stack += (lose, win)
-        yield node, lose, win
-
-
 class PlayResult(Record):
     """One play of a strategy against a concrete sample.  factors[k] is step
     k's capital factor as an int pair (num, den), not always in lowest terms;
@@ -423,33 +391,3 @@ def strategy_to_cantor(strategy: BettingStrategy, mu: Measure, depth: int):
     mart = Martingale(None, label=f"capital({name})", kernel=StrategyKernel(strategy, mu, depth))
     mart.base = from_masses(lambda h: ZERO if (node := mart.payload(h)) is None else node.knowledge.mass, label=f"knowledge({name})")
     return mart.base, mart
-
-
-class StrategyProfile(Record):
-    def __init__(self, balanced: bool, exhaustive_trend: Fraction, bets_audited: int):
-        self.balanced, self.exhaustive_trend, self.bets_audited = balanced, exhaustive_trend, bets_audited
-
-
-def classify_strategy(strategy: BettingStrategy, mu: Measure, depth: int) -> StrategyProfile:
-    """Balanced iff every audited bet is a conditional-half event; the trend is
-    the largest knowledge mass still held at the audit frontier."""
-    balanced, bets, trend = True, 0, ZERO
-    for node, _, win in _preorder(strategy, mu, depth):
-        if win is None:
-            trend = max(trend, node.knowledge.mass)
-        else:
-            bets += 1
-            balanced = balanced and 2 * win.knowledge.mass == node.knowledge.mass
-    return StrategyProfile(balanced=balanced, exhaustive_trend=trend, bets_audited=bets)
-
-
-def strategy_to_interval_morphism(strategy: BettingStrategy, mu: Measure, depth: int) -> dict:
-    """Map each history's knowledge set to an interval of matching length:
-    the root goes to (0,1) and each split hands the loss branch the left part."""
-    intervals = {"": (ZERO, ONE)}
-    for node, lose, _ in _preorder(strategy, mu, depth):
-        if lose is not None:
-            a, b = intervals[node.history]
-            cut = a + lose.knowledge.mass
-            intervals[node.history + "0"], intervals[node.history + "1"] = (a, cut), (cut, b)
-    return intervals

@@ -51,23 +51,13 @@ class PrefixFreeMachine:
     def max_output_length(self) -> int:
         return max((len(o) for o in self.table.values()), default=0)
 
-
-class MachineClass(Record):
-    def __init__(self, computable_measure: bool, bounded_by: Optional[bool]):
-        self.computable_measure, self.bounded_by = computable_measure, bounded_by
-
-
-def classify_machine(machine: PrefixFreeMachine, nu: Optional[Measure] = None) -> MachineClass:
-    """Finite tables always have exactly computable semimeasure weight; when a
-    measure is supplied, check domination semimeasure <= nu at every string up
-    to the longest output."""
-    bounded = None
-    if nu is not None:
-        depth = machine.max_output_length()
+    def bounded_by(self, nu: Measure) -> bool:
+        """Is the semimeasure dominated by nu, semimeasure <= nu at every
+        string up to the longest output?"""
+        depth = self.max_output_length()
         check_enumeration_depth(depth)
         strings = (sigma for n in range(depth + 1) for sigma in bits.all_strings(n))
-        bounded = all(machine.semimeasure(sigma) <= nu.mass(sigma) for sigma in strings)
-    return MachineClass(computable_measure=True, bounded_by=bounded)
+        return all(self.semimeasure(sigma) <= nu.mass(sigma) for sigma in strings)
 
 
 def request_weight(requests):

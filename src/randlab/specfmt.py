@@ -403,7 +403,7 @@ def test_from_doc(doc):
         raise SpecParseError(f"unknown test kind {kind!r}")
     _known_fields(doc, f"{kind} test doc", ("kind", "base", "depth") + _TEST_FIELDS[kind])
     base = measure_from_doc(_doc_field(doc, "base"))
-    depth = _parse_int(doc.get("depth", 0), "test depth")
+    depth = _parse_int(_field(doc, "depth", f"{kind} test doc"), "test depth")
     if kind != "integral":
         rows = _doc_field(doc, "pieces" if kind == "vitali" else "levels", 0)
         sets = [randtests.CylinderSet.from_strings([validate_bits(g) for g in gens], depth) for gens in rows]

@@ -313,3 +313,100 @@ def test_criterion_11_deficiency_worked_case(null_at_one):
     null_trace = randlab.deficiency_trace(machine, cells.natural(null_at_one), "11", 2)
     assert null_trace.not_random_by_nullity and null_trace.nullity_at == 1
     verdict(11, True, "d_2 = 0 exactly for the point named 11...; null cells flagged non-random", t0)
+
+
+def test_criterion_12_strategy_transport():
+    t0 = time.monotonic()
+    depth, fair, bern13 = 10, randlab.fair_coin(), randlab.bernoulli(F(1, 3))
+    BitEvent, CylinderEvent = randlab.BitEvent, randlab.CylinderEvent
+    # a nonmonotone table: coordinates 3, 1 and 7 out of order, and between
+    # them the cylinder event x0 == x1
+    table = {"": (BitEvent(3, 1), F(1, 2))}
+    table.update({h: (BitEvent(1, 0), F(1, 4)) for h in ("0", "1")})
+    table.update({h: (CylinderEvent(("00", "11")), F(1, 8)) for h in ("00", "01", "10", "11")})
+    table.update({"".join(h): (BitEvent(7, 1), F(1, 16)) for h in itertools.product("01", repeat=3)})
+    cases = [
+        (randlab.doubling_strategy(["00", "0110", "101"], fair), fair),
+        (randlab.BitAllInStrategy("01"), bern13),
+        (randlab.LikelihoodRatioStrategy(randlab.fair_coin()), bern13),
+        (randlab.TableStrategy(table), bern13),
+    ]
+    plays = 0
+    for strategy, mu in cases:
+        name = type(strategy).__name__
+        nu, mart = randlab.strategy_to_cantor(strategy, mu, depth)
+        assert randlab.check_additivity(nu, depth).ok, name
+        assert randlab.check_fairness(mart, depth).ok, name
+        for bits in itertools.product("01", repeat=depth):
+            played = randlab.play(strategy, mu, "".join(bits))
+            if played.undetermined or played.violation is not None:
+                continue
+            assert played.values == randlab.run(mart, played.history).values, (name, bits)
+            plays += 1
+    verdict(
+        12,
+        plays == 4 * 2**depth,
+        f"transported strategies: knowledge measure additive, capital fair against it, and equal to play's capital on all {plays} depth-{depth} plays",
+        t0,
+    )
+
+
+def test_criterion_13_open_covers():
+    t0 = time.monotonic()
+    rng = random.Random(20261021)
+    regions = [cells.Region.interval(0, 1), cells.Region.from_pairs([])]
+    for _ in range(40):
+        points = sorted({F(rng.randint(0, d), d) for d in (rng.randint(1, 40) for _ in range(rng.randint(2, 8)))})
+        regions.append(cells.Region.from_pairs(zip(points[0::2], points[1::2])))
+    checked = 0
+    for dec in (cells.binary_digits(), cells.bary_grouped(3)):
+        for region in regions:
+
+            def inside(sigma):
+                ((lo, hi),) = dec.cell(sigma).intervals
+                return any(a <= lo and hi <= b for a, b in region.intervals)
+
+            residual = None
+            for depth in range(9):
+                out = cells.decompose_open(dec, region, depth)
+                gens = out.generators
+                assert out.covered == sum((dec.cell(g).length() for g in gens), F(0)), (dec, region, depth)
+                assert out.covered + out.residual == region.length(), (dec, region, depth)
+                assert len(set(gens)) == len(gens) and not any(a != b and b.startswith(a) for a in gens for b in gens)
+                assert all(len(g) <= depth and inside(g) and (g == "" or not inside(g[:-1])) for g in gens), (dec, region, depth)
+                assert residual is None or out.residual <= residual, (dec, region, depth)
+                residual = out.residual
+                checked += 1
+    verdict(13, True, f"open covers of {len(regions)} seeded regions, depths 0-8, binary and ternary cells: maximal prefix-free cells, covered + residual exact, residual nonincreasing ({checked} covers)", t0)
+
+
+def test_criterion_14_bounded_machines():
+    t0 = time.monotonic()
+    rng = random.Random(20261022)
+    measures = [randlab.fair_coin(), randlab.bernoulli(F(1, 3))]
+    outcomes = []
+    for trial in range(200):
+        nu, total, requests = measures[trial % 2], F(0), []
+        for _ in range(rng.randint(1, 6)):
+            sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+            n = len(sigma) + rng.randint(0, 4)
+            if total + F(1, 2**n) <= 1:
+                total += F(1, 2**n)
+                requests.append((n, sigma))
+        machine = randlab.kc_build(requests)
+        top = max(len(sigma) for _, sigma in requests)
+        strings = ("".join(s) for k in range(top + 1) for s in itertools.product("01", repeat=k))
+        bounded = all(sum((F(1, 2**n) for n, out in requests if out.startswith(s)), F(0)) <= nu.mass(s) for s in strings)
+        assert machine.bounded_by(nu) is bounded, (trial, requests)
+        outcomes.append(bounded)
+    # by hand: requests of weight 1/4 at '0' and 1/8 at '11' stay below the
+    # fair masses, but one of weight 1/2 at '1' exceeds bernoulli(1/3)'s 1/3
+    fair, bern13 = measures
+    assert randlab.kc_build([(2, "0"), (3, "11")]).bounded_by(fair)
+    assert not randlab.kc_build([(1, "1")]).bounded_by(bern13)
+    verdict(
+        14,
+        0 < sum(outcomes) < len(outcomes),
+        f"bounded_by equals the request bound on {len(outcomes)} seeded request sets ({sum(outcomes)} bounded) and two by hand",
+        t0,
+    )

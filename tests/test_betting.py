@@ -21,7 +21,6 @@ from randlab.betting import (
     NullStrategy,
     StrategyKernel,
     TableStrategy,
-    _preorder,
     _side,
     _walk_side,
 )
@@ -30,27 +29,88 @@ F = Fraction
 
 
 def walk_strategy(strategy, mu, depth):
-    """The history tree to the depth as a dict history -> node; a node that
-    bet has its children in the tree, and one that stopped has none."""
-    return {node.history: node for node, _, _ in _preorder(strategy, mu, depth)}
+    """The history tree to the depth as a dict history -> node, stepping
+    StrategyKernel.children: a node's bet, then its win subtree, then its
+    loss subtree, so the first StrategyViolation raised is the parent's.  A
+    node that bet has its children in the tree, and one that stopped has none."""
+    kernel = StrategyKernel(strategy, mu, depth)
+    tree, stack = {}, [kernel.root()]
+    while stack:
+        node = stack.pop()
+        tree[node.history] = node
+        lose, win = kernel.children(node.history, node)
+        if lose is not None:
+            stack += (lose, win)
+    return tree
+
+
+def _histories(depth):
+    """Every history up to the depth, in pre-order."""
+    stack = [""]
+    while stack:
+        h = stack.pop()
+        yield h
+        if len(h) < depth:
+            stack += (h + "1", h + "0")
+
+
+def _profile(strategy, mu, depth):
+    """(balanced, largest mass at the depth, bets) read off the knowledge
+    measure: a positive history shorter than the depth bets where its win
+    branch holds less than its whole mass, and the bet is balanced when the
+    win branch holds half of it."""
+    nu, _ = randlab.strategy_to_cantor(strategy, mu, depth)
+    balanced, trend, bets = True, F(0), 0
+    for h in _histories(depth):
+        m = nu.mass(h)
+        if len(h) == depth:
+            trend = max(trend, m)
+        elif m and nu.mass(h + "1") != m:
+            bets += 1
+            balanced = balanced and 2 * nu.mass(h + "1") == m
+    return balanced, trend, bets
+
+
+def _interval(nu, h):
+    """The interval of a history: its length is the knowledge mass, and it
+    starts past the loss branches of the prefixes where h won."""
+    a = sum((nu.mass(h[:i] + "0") for i in range(len(h)) if h[i] == "1"), F(0))
+    return a, a + nu.mass(h)
+
+
+def _kl_play(mu, known, target, side):
+    """A Kolmogorov-Loveland bet played: stake 0 on each known coordinate
+    (index -> bit) in turn, then the whole capital on bit `target` = side,
+    against a sample that meets every bet.  Its final capital minus 1 is the
+    bet's odds."""
+    steps = [*sorted(known.items()), (target, side)]
+    nodes = {"1" * k: (BitEvent(i, b), F(k == len(known))) for k, (i, b) in enumerate(steps)}
+    x = ["0"] * max(len(steps), *(i + 1 for i, _ in steps))  # play makes at most one bet a bit
+    for i, b in steps[::-1]:
+        x[i] = str(b)
+    return randlab.play(TableStrategy(nodes), mu, "".join(x))
 
 
 def test_kl_payoff_fair_independent(fair):
-    assert randlab.kl_payoff(fair, {2: 1, 6: 0}, 4, 1) == 1
+    assert _kl_play(fair, {2: 1, 6: 0}, 4, 1).final - 1 == 1
 
 
 def test_kl_payoff_bernoulli(bern13):
-    assert randlab.kl_payoff(bern13, {}, 0, 1) == 2
-    assert randlab.kl_payoff(bern13, {}, 0, 0) == F(1, 2)
+    assert _kl_play(bern13, {}, 0, 1).final - 1 == 2
+    assert _kl_play(bern13, {}, 0, 0).final - 1 == F(1, 2)
+    assert _kl_play(bern13, {3: 0, 1: 1}, 2, 0).final - 1 == F(1, 2)
 
 
-def test_kl_payoff_undefined_cases(null_at_one):
+def test_kl_payoff_undefined_cases(fair, null_at_one):
     # conditioning on a null event
-    assert randlab.kl_payoff(null_at_one, {0: 1}, 1, 0) is None
+    assert _kl_play(null_at_one, {0: 1}, 1, 0).violation == "bet on a conditionally null or sure event at '': bit[0]=1"
     # betting on a conditionally null side
-    assert randlab.kl_payoff(null_at_one, {}, 0, 1) is None
-    with pytest.raises(PreconditionError):
-        randlab.kl_payoff(null_at_one, {0: 0}, 0, 1)
+    assert _kl_play(null_at_one, {}, 0, 1).violation == "bet on a conditionally null or sure event at '': bit[0]=1"
+    # and on a sure one: bit 0 is surely 0 under null_at_one
+    assert _kl_play(null_at_one, {}, 0, 0).violation == "bet on a conditionally null or sure event at '': bit[0]=0"
+    # a revealed coordinate is sure on one side and null on the other
+    for side in (0, 1):
+        assert _kl_play(fair, {0: 0}, 0, side).violation == f"bet on a conditionally null or sure event at '1': bit[0]={side}"
 
 
 def test_doubling_stake_and_traces(fair):
@@ -92,8 +152,12 @@ def test_a_strategy_that_states_no_bet_is_a_precondition_error(fair):
 
 
 def test_a_bet_on_no_event_is_a_precondition_error(fair):
-    with pytest.raises(PreconditionError, match="unknown event type str"):
-        walk_strategy(TableStrategy({"": ("0", F(1, 2))}), fair, 1)
+    # play asks whether the sample lies in the event, the walk resolves both
+    # sides of the bet: each refuses it with the same message
+    strategy = TableStrategy({"": ("0", F(1, 2))})
+    for walk in (lambda: walk_strategy(strategy, fair, 1), lambda: randlab.play(strategy, fair, "01")):
+        with pytest.raises(PreconditionError, match="^unknown event type str$"):
+            walk()
 
 
 def test_doubling_empty_target(fair):
@@ -181,37 +245,35 @@ def test_transport_matches_play(fair):
 
 
 def test_classify_bit_all_in_balanced(fair):
-    profile = randlab.classify_strategy(BitAllInStrategy("0"), fair, 6)
-    assert profile.balanced
-    assert profile.exhaustive_trend == F(1, 64)
+    assert _profile(BitAllInStrategy("0"), fair, 6) == (True, F(1, 64), 63)
 
 
 def test_classify_doubling_unbalanced(fair):
-    profile = randlab.classify_strategy(randlab.doubling_strategy(["00"], fair), fair, 6)
-    assert not profile.balanced
+    assert _profile(randlab.doubling_strategy(["00"], fair), fair, 6) == (False, F(3, 4), 1)
     tree = walk_strategy(randlab.doubling_strategy(["00"], fair), fair, 2)
     assert tree["1"].knowledge.mass / tree[""].knowledge.mass == F(1, 4)  # the bet's conditional probability
 
 
 def test_classify_null_strategy(fair):
-    profile = randlab.classify_strategy(NullStrategy(), fair, 6)
-    assert profile.exhaustive_trend == 1
-    assert profile.bets_audited == 0
+    assert _profile(NullStrategy(), fair, 6) == (True, 1, 0)
 
 
 def test_interval_morphism_doubling(fair):
-    s = randlab.doubling_strategy(["00"], fair)
-    intervals = randlab.strategy_to_interval_morphism(s, fair, 4)
-    assert intervals["0"] == (F(0), F(3, 4))
-    assert intervals["1"] == (F(3, 4), F(1))
+    nu, _ = randlab.strategy_to_cantor(randlab.doubling_strategy(["00"], fair), fair, 4)
+    assert _interval(nu, "0") == (F(0), F(3, 4))
+    assert _interval(nu, "1") == (F(3, 4), F(1))
 
 
 def test_interval_morphism_null_strategy(fair):
-    intervals = randlab.strategy_to_interval_morphism(NullStrategy(), fair, 4)
-    assert intervals == {"": (F(0), F(1))}
+    # the null strategy never bets, so its win branches keep the whole interval
+    nu, _ = randlab.strategy_to_cantor(NullStrategy(), fair, 4)
+    intervals = {h: _interval(nu, h) for h in _histories(4)}
+    assert {h: i for h, i in intervals.items() if i[1] > i[0]} == {"1" * k: (F(0), F(1)) for k in range(5)}
 
 
 def test_interval_lengths_equal_masses(fair):
+    # each history's interval is as long as its node's knowledge mass, and the
+    # children of a node that bet tile its interval, loss branch first
     strategies = [
         randlab.doubling_strategy(["00", "0110"], fair),
         BitAllInStrategy("01"),
@@ -219,9 +281,13 @@ def test_interval_lengths_equal_masses(fair):
     ]
     for s in strategies:
         tree = walk_strategy(s, fair, 6)
-        intervals = randlab.strategy_to_interval_morphism(s, fair, 6)
-        for history, (a, b) in intervals.items():
-            assert b - a == tree[history].knowledge.mass, (type(s).__name__, history)
+        nu, _ = randlab.strategy_to_cantor(s, fair, 6)
+        for history, node in tree.items():
+            a, b = _interval(nu, history)
+            assert b - a == node.knowledge.mass, (type(s).__name__, history)
+            if history + "1" in tree:
+                (a0, b0), (a1, b1) = _interval(nu, history + "0"), _interval(nu, history + "1")
+                assert (a0, b0, b1) == (a, a1, b), (type(s).__name__, history)
 
 
 def test_balanced_strategy_induces_fair_measure(fair):
@@ -277,8 +343,7 @@ def test_bit_all_in_after_bust_keeps_learning(fair):
     s = BitAllInStrategy("1")
     result = randlab.play(s, fair, "0110")
     assert result.values == [1, 0, 0, 0, 0]
-    profile = randlab.classify_strategy(s, fair, 4)
-    assert profile.exhaustive_trend == F(1, 16)
+    assert _profile(s, fair, 4)[1] == F(1, 16)
 
 
 def test_play_accepts_rational_sample(fair):
@@ -674,14 +739,18 @@ def test_a_next_bit_bet_reads_one_split_as_the_walk_does(mu, g, side, rng):
     assert [mu.is_null(s) for s in strings] == [mu.mass(s) == 0 for s in strings]
 
 
-def _reference_kl_payoff(mu, known, target, side):
-    """kl_payoff by its definition from cylinder masses."""
-    gens = ("",)
-    for index, bit in sorted(dict(known).items()):
-        gens = bits.restrict_bit(gens, index, bit)
-    b_mass = sum((mu.mass(g) for g in gens), F(0))
-    win_mass = sum((mu.mass(g) for g in bits.restrict_bit(gens, target, side)), F(0))
-    return None if b_mass == 0 or win_mass == 0 else (b_mass - win_mass) / win_mass
+def _reference_kl_play(mu, known, target, side):
+    """_kl_play's odds or violation by their definition from cylinder
+    masses: each bet restricts the knowledge set, and one whose side holds
+    none or all of the set's mass is refused."""
+    gens, mass = ("",), mu.mass("")
+    for k, (index, bit) in enumerate([*sorted(known.items()), (target, side)]):
+        win = bits.restrict_bit(gens, index, bit)
+        win_mass = sum((mu.mass(g) for g in win), F(0))
+        if mass == 0 or win_mass in (0, mass):
+            return f"bet on a conditionally null or sure event at {'1' * k!r}: bit[{index}]={bit}"
+        gens, odds, mass = win, (mass - win_mass) / win_mass, win_mass
+    return odds
 
 
 @given(
@@ -692,27 +761,26 @@ def _reference_kl_payoff(mu, known, target, side):
 )
 @settings(max_examples=150, deadline=None)
 def test_kl_payoff_matches_the_mass_ratio(mu, known, target, side):
-    if target in known:
-        with pytest.raises(PreconditionError):
-            randlab.kl_payoff(mu, known, target, side)
-    else:
-        assert randlab.kl_payoff(mu, known, target, side) == _reference_kl_payoff(mu, known, target, side)
+    played = _kl_play(mu, known, target, side)
+    assert (played.violation or played.final - 1) == _reference_kl_play(mu, known, target, side)
 
 
 def test_kl_payoff_reads_a_non_additive_base_through_its_splits():
     # as for bets: split("0") = mass("01") / mass("0") = 1, so bit 1 is surely
-    # 1 inside [0] and bit[1]=0 there is null (the mass ratio gave payoff 0)
+    # 1 inside [0], and bit 2 is 0 inside [0] with weight split("0") *
+    # (1 - split("01")) = 1/2: odds 1, where the mass ratio reads (mass("000") +
+    # mass("010")) / mass("0") = 1, a sure event
     mu = randlab.from_masses(lambda s: F(1, 2 ** (len(s) - 1 if s[:1] == "0" and len(s) > 1 else len(s))))
-    assert randlab.kl_payoff(mu, {0: 0}, 1, 0) is None
-    assert randlab.kl_payoff(mu, {0: 0}, 1, 1) == 0
+    assert _kl_play(mu, {0: 0}, 1, 0).violation == "bet on a conditionally null or sure event at '1': bit[1]=0"
+    assert _kl_play(mu, {0: 0}, 2, 0).final - 1 == 1
 
 
 def test_kl_payoff_guards_the_target_expansion(fair, monkeypatch):
     # restricting the root to bit 5 expands it 64-fold, past a cap of 2^4
     monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "4")
     with pytest.raises(randlab.ResourceLimitError):
-        randlab.kl_payoff(fair, {}, 5, 1)
-    assert randlab.kl_payoff(fair, {}, 3, 1) == 1
+        _kl_play(fair, {}, 5, 1)
+    assert _kl_play(fair, {}, 3, 1).final - 1 == 1
 
 
 def test_a_play_reads_the_depth_cap_once(monkeypatch):
@@ -791,12 +859,17 @@ def test_transport_raises_a_violation_where_a_read_reaches_it(fair):
 
 
 def test_walks_raise_the_parents_violation_first(fair):
-    # over-stakes at '1' and at '0': a node's bet, then its win subtree, then
-    # its loss subtree, so the win branch's violation comes first
+    # over-stakes at '1' and at '0': a read below a node raises the node's
+    # violation, and each audit raises the first one its walk reaches, where
+    # the loss subtree comes first
     s = TableStrategy({"": (BitEvent(0, 1), F(1, 2)), "0": (BitEvent(1, 1), F(2)), "1": (BitEvent(1, 1), F(3))})
-    for walk in (walk_strategy, randlab.classify_strategy, randlab.strategy_to_interval_morphism):
-        with pytest.raises(StrategyViolation, match="at '1'"):
-            walk(s, fair, 3)
+    nu, mart = randlab.strategy_to_cantor(s, fair, 3)
+    for walk in (lambda: randlab.check_fairness(mart, 3), lambda: randlab.check_additivity(nu, 3), lambda: mart.capital("01")):
+        with pytest.raises(StrategyViolation, match="stake 2 exceeds capital 1/2 at '0'$"):
+            walk()
+    for read in (lambda: mart.capital("10"), lambda: nu.mass("111")):
+        with pytest.raises(StrategyViolation, match="stake 3 exceeds capital 3/2 at '1'$"):
+            read()
 
 
 class _CountingStrategy(BettingStrategy):
@@ -853,14 +926,16 @@ def _peak_mib(fn):
 
 
 def test_transport_and_classification_hold_one_path(bern13):
-    # the 2^depth dict of nodes is gone: at depth 12 both peaked at 7.1 MB
+    # the 2^depth dict of nodes is gone: at depth 12 both peaked at 7.1 MB.
+    # A pre-order sweep of the knowledge measure reads through the
+    # martingale's one path cache
     strategy = LikelihoodRatioStrategy(randlab.fair_coin())
 
     def transport():
         assert randlab.check_fairness(randlab.strategy_to_cantor(strategy, bern13, 12)[1], 12).ok
 
     def classify():
-        assert randlab.classify_strategy(strategy, bern13, 12).bets_audited == 2**12 - 1
+        assert _profile(strategy, bern13, 12)[2] == 2**12 - 1
 
     assert _peak_mib(transport) < 1
     assert _peak_mib(classify) < 1

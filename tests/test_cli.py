@@ -264,6 +264,23 @@ MALFORMED_INPUTS = {
         "bad test depth 'x'",
         {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": [], "depth": "x"},
     ),
+    # a test document without depth was read as depth 0: an integral one
+    # passed, and a level or piece was refused as longer than the depth
+    "no-depth-bounded-ml": (
+        ["convert", "--input", "{doc}"],
+        "usage error: bounded_ml test doc has no 'depth' field",
+        {"kind": "bounded_ml", "base": FAIR, "bound": FAIR, "levels": [["0"]]},
+    ),
+    "no-depth-vitali": (
+        ["convert", "--input", "{doc}"],
+        "usage error: vitali test doc has no 'depth' field",
+        {"kind": "vitali", "base": FAIR, "bound": FAIR, "pieces": [["0"]]},
+    ),
+    "no-depth-integral": (
+        ["convert", "--input", "{doc}"],
+        "usage error: integral test doc has no 'depth' field",
+        {"kind": "integral", "base": FAIR, "bound": FAIR, "values": [["", "1"]]},
+    ),
     "no-stake": (
         ["bet", "--strategy", "table:{doc}", "--measure", "fair", "--source", "literal:0101", "--length", "4"],
         "strategy node '' has no 'stake' field",

@@ -210,17 +210,13 @@ def test_integer_weights_equal_the_fraction_sums(pairs, lengths):
 
 
 def test_classify_bounded(fair):
-    m = PrefixFreeMachine(TWO_CODE_MACHINE)
-    result = randlab.classify_machine(m, fair)
-    assert result.computable_measure
-    assert result.bounded_by
+    assert PrefixFreeMachine(TWO_CODE_MACHINE).bounded_by(fair) is True
 
 
 def test_classify_unbounded(fair):
     m = PrefixFreeMachine({"0": "0", "10": "01"})  # semimeasure(0) = 3/4 > 1/2
     assert m.semimeasure("0") == F(3, 4)
-    assert randlab.classify_machine(m, fair).bounded_by is False
-    assert randlab.classify_machine(m).bounded_by is None
+    assert m.bounded_by(fair) is False
 
 
 def test_classify_machine_keeps_to_the_depth_cap(monkeypatch, fair):
@@ -228,10 +224,9 @@ def test_classify_machine_keeps_to_the_depth_cap(monkeypatch, fair):
     m = PrefixFreeMachine({"0": "0101010", "1": ""})
     monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "6")
     with pytest.raises(ResourceLimitError, match="depth 7 exceeds cap 6"):
-        randlab.classify_machine(m, fair)
-    assert randlab.classify_machine(m).bounded_by is None  # no measure, no walk
+        m.bounded_by(fair)
     monkeypatch.setenv("RANDLAB_DEPTH_LIMIT", "7")
-    assert randlab.classify_machine(m, fair).bounded_by is False  # semimeasure('01') = 1/2 > 1/4
+    assert m.bounded_by(fair) is False  # semimeasure('01') = 1/2 > 1/4
 
 
 def test_superadditivity_direct():
@@ -371,7 +366,7 @@ def test_the_one_descent_trace_meets_its_definition(case):
 def test_bounded_machine_quotient_stays_below_one(fair):
     # domination read as a quotient: semimeasure/measure never exceeds 1
     m = PrefixFreeMachine(TWO_CODE_MACHINE)
-    assert randlab.classify_machine(m, fair).bounded_by
+    assert m.bounded_by(fair)
     for n in range(m.max_output_length() + 1):
         for bits in __import__("itertools").product("01", repeat=n):
             sigma = "".join(bits)

@@ -51,6 +51,14 @@ def test_to_measure_of_unfair_martingale_reads_capital_times_mass(fair):
     assert randlab.check_additivity(nu, 2).violations == ["additivity fails at '': 3/4+3/4 != 1"]
 
 
+def test_to_measure_reads_a_null_child_off_its_sibling():
+    # a null child's mass is its parent's minus its positive sibling's, as the
+    # docstring says: an unfair table makes it -1, where capital * mass is 0
+    for split, entries, null, sibling in ((1, {"1": 2}, "0", "1"), (0, {"0": 2}, "1", "0")):
+        nu = randlab.to_measure(randlab.table_martingale(randlab.split_table({"": split}), entries))
+        assert (nu.mass(""), nu.mass(null), nu.mass(sibling)) == (1, -1, 2), null
+
+
 def test_unit_martingale_gives_base(bern13):
     one = randlab.table_martingale(bern13, {})
     assert randlab.measures_agree(randlab.to_measure(one), bern13, 8)

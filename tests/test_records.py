@@ -43,8 +43,6 @@ CONSTRUCTORS = {
         ("undetermined", False),
         ("violation", None),
     ],
-    betting.StrategyProfile: [("balanced", REQUIRED), ("exhaustive_trend", REQUIRED), ("bets_audited", REQUIRED)],
-    machines.MachineClass: [("computable_measure", REQUIRED), ("bounded_by", REQUIRED)],
     machines.DeficiencyRow: [(name, REQUIRED) for name in ("n", "neg_log_mass_low", "neg_log_mass_high", "complexity", "d_low", "d_high")],
     machines.DeficiencyTrace: [("point", REQUIRED), ("rows", None), ("nullity_at", None), ("undetermined_at", None)],
 }
@@ -65,7 +63,7 @@ def test_every_record_is_pinned():
     modules = (measure, martingale, randtests, cells, betting, machines)
     found = {c for m in modules for c in vars(m).values() if isinstance(c, type) and issubclass(c, measure.Record) and c.__module__ == m.__name__}
     assert found - {measure.Record, measure.FrozenRecord} == set(CONSTRUCTORS)
-    assert len(CONSTRUCTORS) == 24
+    assert len(CONSTRUCTORS) == 22
 
 
 @pytest.mark.parametrize("cls", list(CONSTRUCTORS), ids=lambda c: c.__name__)

@@ -7,6 +7,7 @@ from pathlib import Path
 import randlab
 
 SOURCE = Path(randlab.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _referenced_names(tree) -> collections.Counter:
@@ -20,11 +21,12 @@ def _referenced_names(tree) -> collections.Counter:
 # every module of randlab by file name, and how often src/ names each name
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
 EVERYWHERE = sum((_referenced_names(tree) for tree in TREES.values()), collections.Counter())
+CRITERIA = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
 
 
-def _unread(defn) -> bool:
+def _unread(defn, everywhere=EVERYWHERE) -> bool:
     """Nothing in src/ outside the definition itself names it."""
-    return EVERYWHERE[defn.name] - _referenced_names(defn)[defn.name] <= 0
+    return everywhere[defn.name] - _referenced_names(defn)[defn.name] <= 0
 
 
 def test_every_private_definition_is_read():
@@ -32,7 +34,7 @@ def test_every_private_definition_is_read():
     unread = []
     for module, tree in TREES.items():
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, DEFINITIONS):
                 continue
             name = node.name
             if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
@@ -42,11 +44,11 @@ def test_every_private_definition_is_read():
     assert unread == []
 
 
-def _exported() -> set:
+def _exported(trees=TREES) -> set:
     """The names randlab/__init__.py imports, plus the class of each exported
     module alias such as to_measure."""
-    names = {alias.asname or alias.name for node in TREES["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    for tree in TREES.values():
+    names = {alias.asname or alias.name for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for tree in trees.values():
         for node in tree.body:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
                 if any(isinstance(t, ast.Name) and t.id in names for t in node.targets):
@@ -59,17 +61,45 @@ def test_every_unexported_public_definition_is_read():
     # method of a class it does not export, that nothing in src/ references
     # is read by tests alone, so it belongs in the tests
     exported = _exported()
-    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = []
     for module, tree in TREES.items():
-        for node in (n for n in tree.body if isinstance(n, definitions) and n.name not in exported):
-            methods = [m for m in node.body if isinstance(m, definitions)] if isinstance(node, ast.ClassDef) else []
+        for node in (n for n in tree.body if isinstance(n, DEFINITIONS) and n.name not in exported):
+            methods = [m for m in node.body if isinstance(m, DEFINITIONS)] if isinstance(node, ast.ClassDef) else []
             for label, defn in [(node.name, node), *((f"{node.name}.{m.name}", m) for m in methods)]:
                 if defn.name.startswith("_"):
                     continue
                 if _unread(defn):
                     unread.append(f"{module}:{defn.lineno} {label}")
     assert unread == []
+
+
+def _unread_exports(trees: dict, criteria) -> list:
+    """The exports that nothing in src/ reads outside their own definition
+    and that no acceptance criterion names."""
+    everywhere = sum((_referenced_names(tree) for tree in trees.values()), collections.Counter())
+    definitions = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, DEFINITIONS)}
+    named = _referenced_names(criteria)
+    return sorted(
+        name
+        for name in _exported(trees)
+        if name not in named and (_unread(definitions[name], everywhere) if name in definitions else everywhere[name] <= 0)
+    )
+
+
+def test_every_export_is_read_or_an_acceptance_criterion():
+    # an export is the library's handle on an idea of the paper: either the
+    # library builds on it or a criterion checks the claim it states
+    assert _unread_exports(TREES, CRITERIA) == []
+
+
+def test_the_export_rule_fails_on_an_unread_export():
+    planted = dict(TREES, **{"planted.py": ast.parse("def planted():\n    return planted\n")})
+    planted["__init__.py"] = ast.Module(TREES["__init__.py"].body + ast.parse("from .planted import planted").body, [])
+    assert _unread_exports(planted, CRITERIA) == ["planted"]
+    # a criterion that names it, or a read in src/, makes it pass
+    assert _unread_exports(planted, ast.Module(CRITERIA.body + ast.parse("randlab.planted()").body, [])) == []
+    planted["bits.py"] = ast.Module(TREES["bits.py"].body + ast.parse("planted()").body, [])
+    assert _unread_exports(planted, CRITERIA) == []
 
 
 def test_only_rationals_builds_a_fraction():

@@ -133,10 +133,41 @@ def _membership(event, x: str):
 class KnowledgeState(Record):
     """Information accumulated along a win/loss history: the set's generators,
     its mass, and each generator's conditional weight (its mass over the
-    set's mass)."""
+    set's mass).
+
+    The mass sits in a cell, [mass] once known.  A side that a bet resolves
+    defers it: its cell is [parent's cell, qn, qd], qn/qd the side's weight
+    given the parent, so a step that nobody reads the mass of multiplies
+    nothing, and the cell keeps no parent state and so none of its
+    generators.  null, fixed here, is whether the mass is 0; a resolved side
+    is never null, as resolve refuses a null or sure side.
+    """
 
     def __init__(self, generators: tuple, mass: Fraction, weights: tuple):
-        self.generators, self.mass, self.weights = generators, mass, weights
+        self.generators, self.weights, self._cell, self.null = generators, weights, [mass], mass == 0
+
+    @classmethod
+    def side(cls, parent: "KnowledgeState", generators: tuple, weights: tuple, qn: int, qd: int) -> "KnowledgeState":
+        """The part of parent of weight qn/qd given it, 0 < qn < qd."""
+        state = cls.__new__(cls)
+        state.generators, state.weights, state._cell, state.null = generators, weights, [parent._cell, qn, qd], False
+        return state
+
+    @property
+    def mass(self) -> Fraction:
+        """Multiplied out at the first read, down the deferred cells above from
+        the nearest known mass; each cell on the way keeps its product and
+        drops its parent."""
+        cell, chain = self._cell, []
+        while len(cell) == 3:
+            chain.append(cell)
+            cell = cell[0]
+        (mass,) = cell
+        while chain:
+            cell = chain.pop()
+            mass = mass * RAT(cell[1], cell[2])
+            cell[:] = (mass,)
+        return mass
 
 
 class BettingStrategy:
@@ -219,7 +250,7 @@ class LikelihoodRatioStrategy(BettingStrategy):
     def share(self, history, capital, knowledge, mu):
         (prefix,) = knowledge.generators
         # the knowledge set is [prefix], so its mass is mu.mass(prefix)
-        if knowledge.mass == 0 or not 0 < (s := mu.split(prefix)).numerator < s.denominator:
+        if knowledge.null or not 0 < (s := mu.split(prefix)).numerator < s.denominator:
             raise StrategyViolation(f"base measure degenerate after {prefix!r}")
         null = self.model.is_null(prefix)
         t = ZERO if null else self.model.split(prefix)
@@ -306,12 +337,11 @@ class StrategyKernel:
         rational, resolved = self._rational, []
         for won in sides:
             gens, weights, (qn, qd) = _side(knowledge, event, self.mu, won, self._limit)
-            if knowledge.mass == 0 or qn == 0 or qn == qd:
+            if knowledge.null or qn == 0 or qn == qd:
                 raise StrategyViolation(f"bet on a conditionally null or sure event at {history!r}: {event.describe()}")
             pn, pd = (qn, qd) if won else (qd - qn, qd)
             factor = (sd * pn + sn * (pd - pn), sd * pn) if won else (sd - sn, sd)
-            side = KnowledgeState(gens, knowledge.mass * rational(qn, qd), weights)
-            resolved.append((side, capital * rational(*factor), factor))
+            resolved.append((KnowledgeState.side(knowledge, gens, weights, qn, qd), capital * rational(*factor), factor))
         return resolved
 
     def children(self, sigma: str, node):

@@ -53,11 +53,17 @@ class PrefixFreeMachine:
 
     def bounded_by(self, nu: Measure) -> bool:
         """Is the semimeasure dominated by nu, semimeasure <= nu at every
-        string up to the longest output?"""
+        string up to the longest output?  The semimeasure of every output
+        prefix, times 2^top, is summed in one pass over the table; every other
+        string has semimeasure 0."""
         depth = self.max_output_length()
         check_enumeration_depth(depth)
+        top, weights = max(map(len, self.table), default=0), {}
+        for c, out in self.table.items():
+            for i in range(len(out) + 1):
+                weights[out[:i]] = weights.get(out[:i], 0) + (1 << (top - len(c)))
         strings = (sigma for n in range(depth + 1) for sigma in bits.all_strings(n))
-        return all(self.semimeasure(sigma) <= nu.mass(sigma) for sigma in strings)
+        return all(weights.get(sigma, 0) * (m := nu.mass(sigma)).denominator <= m.numerator << top for sigma in strings)
 
 
 def request_weight(requests):

@@ -79,9 +79,12 @@ class PathCache:
 
     def read(self, sigma: str, children):
         path, kids = self.path, self.kids
-        k = min(len(path), len(sigma))
-        if path[:k] != sigma[:k]:
-            k = next(i for i in range(k) if path[i] != sigma[i])
+        if sigma.startswith(path):  # a descent below the last path copies neither string
+            k = len(path)
+        elif path.startswith(sigma):
+            k = len(sigma)
+        else:
+            k = next(i for i in range(len(sigma)) if path[i] != sigma[i])
         node = self.root if k == 0 else kids[k - 1][sigma[k - 1] == "1"]
         if k < len(sigma):
             del kids[k + 1 :]

@@ -658,6 +658,73 @@ def test_long_likelihood_ratio_play_holds_one_model_path():
     assert held < 4 * 1024 * 1024, held
 
 
+def _descend(strategy, mu, x, kept):
+    """The knowledge states at the depths in kept along the history x, stepping
+    StrategyKernel.children; every other node is dropped on the way."""
+    kernel = StrategyKernel(strategy, mu, len(x))
+    node, states = kernel.root(), {}
+    for j in range(len(x) + 1):
+        if j in kept:
+            states[j] = node.knowledge
+        if j < len(x):
+            node = kernel.children(node.history, node)[x[j] == "1"]
+    return states
+
+
+@pytest.mark.parametrize("deepest_first", [True, False])
+def test_a_deferred_knowledge_mass_multiplies_out_20000_levels_deep(bern13, deepest_first):
+    # each resolved side defers its mass to its parent's cell, so the deepest
+    # state's first read multiplies out a chain 20000 cells long; the read is
+    # a loop, and each cell on the way keeps its product and drops its parent
+    rng = random.Random(7)
+    x = "".join(rng.choice("01") for _ in range(20000))
+    kept = (0, 1, 10000, 19999, 20000)
+    states = _descend(BitAllInStrategy("1"), bern13, x, kept)  # a win, history bit 1, is sample bit 1
+    expected = {j: F(2 ** x[:j].count("0"), 3**j) for j in kept}  # the product of bern13's splits
+    order = sorted(kept, reverse=deepest_first)
+    assert [states[j].mass for j in order] == [expected[j] for j in order]
+    assert all(len(state._cell) == 1 for state in states.values())
+    # a deferred state reads as one given its mass (the deepest mass has too
+    # many digits for a repr)
+    given = {j: KnowledgeState((x[:j],), expected[j], (F(1),)) for j in (1, 20000)}
+    assert all(not states[j].null and states[j] == given[j] for j in given)
+    assert repr(states[1]) == repr(given[1])
+
+
+def test_a_long_play_keeps_no_parent_generators():
+    # a step's state keeps its parent's mass cell and two ints, not the parent:
+    # the parents' one-cylinder generators of a 6000-step bet would hold
+    # 6000^2/2 characters, 18 MB; with its 5999 deferred cells this play holds about 1 MB
+    class Keeping(LikelihoodRatioStrategy):
+        def share(self, history, capital, knowledge, mu):
+            self.knowledge = knowledge
+            return super().share(history, capital, knowledge, mu)
+
+    rng = random.Random(11)
+    x = "".join("1" if rng.random() < 1 / 3 else "0" for _ in range(6000))
+    strategy, mu = Keeping(randlab.fair_coin()), randlab.bernoulli(F(1, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = randlab.play(strategy, mu, x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.factors) == 6000 and result.history == x
+    assert held < 4 * 1024 * 1024, held
+    # the last state asked for a bet still reads its mass
+    assert strategy.knowledge.generators == (x[:5999],) and strategy.knowledge.mass == mu.mass(x[:5999])
+
+
+def test_a_null_knowledge_state_is_a_degenerate_base_for_the_likelihood_ratio(fair, null_at_one):
+    # the split at a null cylinder is 1/2 by convention, so only the state's
+    # nullity stops the bet there
+    with pytest.raises(StrategyViolation, match="^base measure degenerate after '1'$"):
+        LikelihoodRatioStrategy(fair).share("1", F(1), KnowledgeState(("1",), F(0), (F(1),)), null_at_one)
+    with pytest.raises(StrategyViolation, match="^base measure degenerate after ''$"):
+        randlab.play(LikelihoodRatioStrategy(fair), fair.scaled(0), "01")
+
+
 def _reference_normalize(strings):
     """bits.normalize as it was: drop generators under a kept prefix, then
     merge sibling pairs one at a time, restarting after each merge."""

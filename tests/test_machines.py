@@ -219,6 +219,26 @@ def test_classify_unbounded(fair):
     assert m.bounded_by(fair) is False
 
 
+def test_bounded_by_walks_every_string_in_order_until_the_first_excess():
+    # the check reads nu at every string up to the longest output, by length
+    # and then lexicographically, whether or not an output extends it, and
+    # stops at the first string whose semimeasure exceeds nu's mass
+    read = []
+
+    def fair_mass(sigma):
+        read.append(sigma)
+        return Fraction(1, 2 ** len(sigma))
+
+    nu, strings = randlab.from_masses(fair_mass), ["".join(b) for n in range(4) for b in itertools.product("01", repeat=n)]
+    read.clear()
+    assert PrefixFreeMachine({"000": "011", "01": "1"}).bounded_by(nu)
+    assert read == strings
+    read.clear()
+    # semimeasure('011') = 1/4 > 1/8; every string before it reads no excess
+    assert not PrefixFreeMachine({"00": "011", "01": "1"}).bounded_by(nu)
+    assert read == strings[: strings.index("011") + 1]
+
+
 def test_classify_machine_keeps_to_the_depth_cap(monkeypatch, fair):
     # the domination check walks every string up to the longest output (7 bits)
     m = PrefixFreeMachine({"0": "0101010", "1": ""})

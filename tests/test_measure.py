@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import randlab
 from randlab import ConstructionError, cells
+from randlab.measure import PathCache
 
 
 def test_fair_coin_masses(fair):
@@ -294,6 +295,61 @@ def weighted_split_tables(draw):
         entries[sigma] = Fraction(draw(st.integers(0, 4)), 4)
     default = Fraction(draw(st.integers(0, 2)), 2)
     return randlab.split_table(entries, default=default, total=Fraction(draw(st.integers(0, 6)), 3))
+
+
+MOVES = ("deeper", "sibling", "ancestor", "unrelated", "again")
+
+
+@st.composite
+def read_walks(draw):
+    """(move, string) pairs, each string a move from the one before: one bit
+    deeper, its sibling, an ancestor, an unrelated string, or itself again."""
+    reads, sigma = [], ""
+    for move in draw(st.lists(st.sampled_from(MOVES), max_size=40)):
+        if move == "deeper":
+            sigma += draw(st.sampled_from("01"))
+        elif move == "sibling" and sigma:
+            sigma = sigma[:-1] + "10"[int(sigma[-1])]
+        elif move == "ancestor":
+            sigma = sigma[: draw(st.integers(0, len(sigma)))]
+        elif move == "unrelated":
+            sigma = draw(st.text(alphabet="01", max_size=8))
+        reads.append((move, sigma))
+    return reads
+
+
+@given(weighted_split_tables(), read_walks())
+@settings(max_examples=150, deadline=None)
+def test_path_cache_reads_what_a_fresh_measure_reads(mu, reads):
+    # mu's own caches and a bare PathCache over its mass pairs answer every
+    # read of the walk as a measure that has read nothing else; a read one bit
+    # below the last path asks for one node's children
+    cache, asked = PathCache((mu.total.numerator, mu.total.denominator)), []
+
+    def children(prefix, pair):
+        asked.append(prefix)
+        return mu.children_pairs(prefix, *pair)
+
+    for move, sigma in reads:
+        fresh, last, before = mu.scaled(1), cache.path, len(asked)
+        assert (mu.mass(sigma), mu.is_null(sigma)) == (fresh.mass(sigma), fresh.is_null(sigma)), sigma
+        assert Fraction(*cache.read(sigma, children)) == fresh.mass(sigma), sigma
+        if move == "deeper" and last == sigma[:-1]:
+            assert asked[before:] == [last]
+
+
+def test_a_walk_one_bit_deeper_asks_once_per_step(bern13):
+    cache, asked = PathCache((1, 1)), []
+
+    def children(prefix, pair):
+        asked.append(prefix)
+        return bern13.children_pairs(prefix, *pair)
+
+    x = "0110100110010110" * 4
+    for j in range(len(x) + 1):
+        assert Fraction(*cache.read(x[:j], children)) == bern13.mass(x[:j])
+    assert asked == [x[:j] for j in range(len(x))]
+    assert cache.path is x  # the last path is the string read, not a copy of it
 
 
 @given(weighted_split_tables(), weighted_split_tables())

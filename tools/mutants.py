@@ -46,7 +46,7 @@ MUTANTS = [
     ("randtests.py", "check_coverage_transfer", "if a * md != mn * b:", "if False:", "prefix escapes level n"),
     ("betting.py", "StrategyKernel.resolve", "if not (0 <= sn <= sd if cn > 0 else cn == 0 and not stake):", "if False:", "stake outside [0, capital]"),
     ("betting.py", "StrategyKernel.resolve", "if stake < 0:", "if False:", "negative stake"),
-    ("betting.py", "StrategyKernel.resolve", "if knowledge.mass == 0 or qn == 0 or qn == qd:", "if False:", "conditionally null or sure event"),
+    ("betting.py", "StrategyKernel.resolve", "if knowledge.null or qn == 0 or qn == qd:", "if False:", "conditionally null or sure event"),
     ("martingale.py", "ville_audit", "if top_n * qd >= qn * top_d:", "if top_n * qd > qn * top_d:", "path hits the threshold, strict"),
     ("martingale.py", "ville_monte_carlo", "if best_n * qd >= qn * best_d:", "if best_n * qd > qn * best_d:", "sample hits the threshold, strict"),
     ("martingale.py", "_fairness_visit", "elif cn < 0:", "elif cn <= 0:", "negative capital, lax"),
@@ -62,6 +62,7 @@ MUTANTS = [
     ("rationals.py", "neg_log2_bracket", "if a == b:", "if False:", "bracket collapses on a power of two"),
     # past the a == b return, a <= b would be the same test as a < b
     ("rationals.py", "neg_log2_bracket", "if a < b:", "if a > b:", "ceil(-log2) steps up, reversed"),
+    ("betting.py", "LikelihoodRatioStrategy.share", "if knowledge.null or not", "if not", "null knowledge state"),
 ]
 
 # a fixed hypothesis seed makes every row reproducible
